@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, bilinear, boundary, dispersion, ibvp, spectral
+from . import __version__, bilinear, boundary, dispersion, ibvp
 from .errors import EmptyDirectory, InvalidConfig, QnlsError, UnknownCommand
 from .grids import GridFunction, SpaceTimeField, TimeSeries
-from .profiles import gaussian, smooth_bump
+from .profiles import band_limited_pair, gaussian, smooth_bump
 
 _FMT = "%.17g"
 
@@ -47,6 +47,12 @@ def _parallel_map(fn, items, jobs: int):
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def _require_pow2_grid(cfg) -> None:
+    if not all(isinstance(n, int) and n > 0 and n & (n - 1) == 0
+               for n in (cfg["nx"], cfg["nt"])):
+        raise InvalidConfig("nx and nt must be powers of two")
 
 
 def _gaussian_pair(cfg):
@@ -136,47 +142,25 @@ def _cmd_mass_track(cfg, rng, out: Path, jobs: int):
     return [path], {"identity_residual_refines": bool(ok)}
 
 
-def _bilinear_pair(rng, nx, nt, lx, lt, kmax, mmax, double):
-    shape = (2 * kmax + 1, 2 * mmax + 1)
-    cu = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    cv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if double:
-        nx, nt = 2 * nx, 2 * nt
-    dx, dt = lx / nx, lt / nt
-    x = -lx / 2 + dx * np.arange(nx)
-    t = -lt / 2 + dt * np.arange(nt)
-
-    def synth(coef):
-        field = np.zeros((nx, nt), dtype=complex)
-        for ik, k in enumerate(range(-kmax, kmax + 1)):
-            for im, m in enumerate(range(-mmax, mmax + 1)):
-                xi = 2 * np.pi * k / lx
-                tau = 2 * np.pi * m / lt
-                field += coef[ik, im] * np.exp(
-                    1j * (xi * x[:, None] + tau * t[None, :]))
-        return field * spectral.cutoff(t, lt / 6.0)[None, :]
-
-    u = SpaceTimeField(x[0], dx, t[0], dt, synth(cu))
-    v = SpaceTimeField(x[0], dx, t[0], dt, synth(cv))
-    return u, v
-
-
 def _cmd_verify_bilinear(cfg, rng, out: Path, jobs: int):
     defaults = {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
                 "n_pairs": 100, "nx": 64, "nt": 64, "lx": 32.0, "lt": 16.0,
                 "which": ["L5.1", "L5.2"], "stability_tol": 0.2}
     cfg = {**defaults, **cfg}
+    if not (isinstance(cfg["n_pairs"], int) and cfg["n_pairs"] >= 1):
+        raise InvalidConfig("n_pairs must be a positive integer")
+    _require_pow2_grid(cfg)
     p = bilinear.EstimateParams(cfg["a"], cfg["b"], cfg["d"], cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
     rows, contracts = [], {}
     for which in cfg["which"]:
         maxima = []
         for double in (False, True):
-            ratios = []
-            for sd in seeds:
-                u, v = _bilinear_pair(np.random.default_rng(int(sd)), cfg["nx"],
-                                      cfg["nt"], cfg["lx"], cfg["lt"], 6, 6, double)
-                ratios.append(bilinear.bilinear_ratio(u, v, p, which))
+            scale = 2 if double else 1
+            ratios = [bilinear.bilinear_ratio(
+                *band_limited_pair(int(sd), scale * cfg["nx"], scale * cfg["nt"],
+                                   cfg["lx"], cfg["lt"]), p, which)
+                for sd in seeds]
             maxima.append(max(ratios))
             rows.append([which, int(double), float(len(ratios)), maxima[-1]])
         change = abs(maxima[1] - maxima[0]) / maxima[0]
@@ -308,6 +292,13 @@ def _cmd_contraction(cfg, rng, out: Path, jobs: int):
                 "amp_u": 1.0, "amp_v": 0.8, "ratio_max": 0.9,
                 "discrepancy_max": 0.05}
     cfg = {**defaults, **cfg}
+    _require_pow2_grid(cfg)
+    # the x >= 0 half of the contraction grid is compared with the simulate grid
+    if cfg["nx"] != 2 * (cfg["nx_sim"] - 1):
+        raise InvalidConfig("nx must equal 2*(nx_sim-1)")
+    # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
+    if not (isinstance(cfg["k_iters"], int) and cfg["k_iters"] >= 3):
+        raise InvalidConfig("k_iters must be an integer >= 3")
     x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
     h = x[1] - x[0]
     u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, cfg["amp_u"]))

@@ -277,7 +277,7 @@ def compatibility_check(u0: GridFunction, f: TimeSeries, kappa: float,
                         g: TimeSeries | None = None,
                         s: float | None = None) -> bool:
     """Endpoint matching u0(0)=f(0) above kappa=1/2 (and v0(0)=g(0) above s=1/2)."""
-    def matches(w0, h, idx):
+    def matches(w0, h):
         scale = max(float(np.max(np.abs(w0.samples))), h.sup())
         if scale == 0.0:
             return True
@@ -285,9 +285,9 @@ def compatibility_check(u0: GridFunction, f: TimeSeries, kappa: float,
 
     ok = True
     if kappa > 0.5:
-        ok = ok and matches(u0, f, kappa)
+        ok = ok and matches(u0, f)
     if v0 is not None and g is not None and s is not None and s > 0.5:
-        ok = ok and matches(v0, g, s)
+        ok = ok and matches(v0, g)
     return ok
 
 

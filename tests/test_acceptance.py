@@ -5,14 +5,16 @@ calibration.  Run with `pytest tests/test_acceptance.py -v -s` to see the
 per-criterion lines.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
 from qnls import bilinear, boundary, dispersion, fractional, ibvp
+from qnls.cli import run_experiment
 from qnls.grids import GridFunction, SpaceTimeField, TimeSeries
-from qnls.profiles import gaussian, smooth_bump
+from qnls.profiles import band_limited_pair, gaussian, smooth_bump
 
 
 def _report(num, name, ok, detail=""):
@@ -168,36 +170,6 @@ def test_criterion_7_j_boundedness_evidence():
             f"negative control sups {[f'{s:.1f}' for s in neg]})")
 
 
-def _band_limited_pair(seed, double):
-    rng = np.random.default_rng(seed)
-    kmax = mmax = 6
-    nx, nt, lx, lt = 64, 64, 32.0, 16.0
-    shape = (2 * kmax + 1, 2 * mmax + 1)
-    cu = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    cv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if double:
-        nx, nt = 2 * nx, 2 * nt
-    dx, dt = lx / nx, lt / nt
-    x = -lx / 2 + dx * np.arange(nx)
-    t = -lt / 2 + dt * np.arange(nt)
-    from qnls.spectral import cutoff
-    loc = cutoff(t, lt / 6.0)[None, :]
-
-    def synth(coef):
-        field = np.zeros((nx, nt), dtype=complex)
-        for ik, k in enumerate(range(-kmax, kmax + 1)):
-            for im, m in enumerate(range(-mmax, mmax + 1)):
-                xi = 2 * np.pi * k / lx
-                tau = 2 * np.pi * m / lt
-                field += coef[ik, im] * np.exp(
-                    1j * (xi * x[:, None] + tau * t[None, :]))
-        return field * loc
-
-    u = SpaceTimeField(x[0], dx, t[0], dt, synth(cu))
-    v = SpaceTimeField(x[0], dx, t[0], dt, synth(cv))
-    return u, v
-
-
 def test_criterion_8_bilinear_ratio_stability():
     p = bilinear.EstimateParams(a=0.25, b=0.4, d=0.4, kappa=0.0, s=0.0)
     stable = True
@@ -205,9 +177,10 @@ def test_criterion_8_bilinear_ratio_stability():
     for which in ("L5.1", "L5.2"):
         maxima = []
         for double in (False, True):
-            ratios = [bilinear.bilinear_ratio(*_band_limited_pair(seed, double),
-                                              p, which)
-                      for seed in range(100)]
+            n = 128 if double else 64
+            ratios = [bilinear.bilinear_ratio(
+                *band_limited_pair(seed, n, n, 32.0, 16.0), p, which)
+                for seed in range(100)]
             maxima.append(max(ratios))
         change = abs(maxima[1] - maxima[0]) / maxima[0]
         changes.append(f"{which}:{change:.1%}")
@@ -236,33 +209,15 @@ def test_criterion_8_bilinear_ratio_stability():
             f"(doubling changes {changes}, closed-form rel err {closed:.1e})")
 
 
-def test_criterion_9_contraction_evidence():
-    L, nx_c, nt_c, t_span = 20.0, 256, 64, 0.5
-    nxp = 129                       # simulate grid aligned with x >= 0 columns
-    x_sim = np.linspace(0.0, L, nxp)
-    h = x_sim[1] - x_sim[0]
-    u0 = GridFunction(0.0, h, gaussian(x_sim, center=5.0, width=1.0))
-    v0 = GridFunction(0.0, h, gaussian(x_sim, center=7.0, width=1.2,
-                                       amplitude=0.8))
-    zero = TimeSeries(0.0, 0.01, np.zeros(101))
-    dtc = t_span / nt_c
-    cfg = ibvp.SolverConfig(L=L, nx=nxp, dt=dtc / 8.0, T=0.1, a=1.0)
-    res = ibvp.contraction_iterate(cfg, u0, v0, zero, zero, 0.0, 0.0,
-                                   k_iters=7, nx=nx_c, nt=nt_c, t_span=t_span)
-    d = res.distances
-    ratios = [d[k + 1] / d[k] for k in range(1, 5)]
-    states, _ = ibvp.simulate(cfg, u0, v0, zero, zero, snapshot_stride=8)
-    n_cmp = int(cfg.T / dtc)
-    Uc = res.u.samples[nx_c // 2:, :n_cmp + 1]
-    Vc = res.v.samples[nx_c // 2:, :n_cmp + 1]
-    us = np.stack([st.u.samples[:-1] for st in states[:n_cmp + 1]], axis=1)
-    vs = np.stack([st.v.samples[:-1] for st in states[:n_cmp + 1]], axis=1)
-    rel = ((np.linalg.norm(Uc - us) + np.linalg.norm(Vc - vs))
-           / (np.linalg.norm(us) + np.linalg.norm(vs)))
-    ok = all(r <= 0.9 for r in ratios) and rel <= 0.05
+def test_criterion_9_contraction_evidence(tmp_path):
+    # the contraction command's defaults are this criterion's grid, data and
+    # bounds: ratios 2..5 <= 0.9, solver discrepancy <= 0.05
+    contracts = run_experiment("contraction", {}, 0, tmp_path)["contracts"]
+    summary = json.loads((tmp_path / "contraction_summary.json").read_text())
+    ok = contracts["contraction_ratio"] and contracts["matches_time_stepper"]
     _report(9, "contraction evidence", ok,
-            f"(ratios {[f'{r:.3f}' for r in ratios]}, solver agreement "
-            f"{rel:.2%})")
+            f"(ratios {[f'{r:.3f}' for r in summary['ratios'][1:5]]}, "
+            f"solver agreement {summary['solver_discrepancy']:.2%})")
 
 
 def test_criterion_10_regularity_map():

@@ -5,7 +5,7 @@ from qnls.bilinear import (EstimateParams, JSpec, applicable_indices,
                            bilinear_ratio, j_eval, j_sup_sweep, scheme_for)
 from qnls.errors import ParamDomainViolated, ZeroDenominator
 from qnls.grids import SpaceTimeField
-from qnls.spectral import cutoff
+from qnls.profiles import band_limited_pair
 
 
 def params(a=0.25, b=0.4, d=0.4, kappa=0.0, s=0.0):
@@ -135,30 +135,9 @@ def test_sup_sweep_trend_in_b_d():
 
 # --- bilinear ratios ---
 
-def field_pair(nx=64, nt=64, lx=32.0, lt=16.0, double=False, seed=12, kmax=6, mmax=6):
-    rng = np.random.default_rng(seed)
-    cu = rng.normal(size=(2 * kmax + 1, 2 * mmax + 1)) \
-        + 1j * rng.normal(size=(2 * kmax + 1, 2 * mmax + 1))
-    cv = rng.normal(size=(2 * kmax + 1, 2 * mmax + 1)) \
-        + 1j * rng.normal(size=(2 * kmax + 1, 2 * mmax + 1))
-    if double:
-        nx, nt = 2 * nx, 2 * nt
-    dx, dt = lx / nx, lt / nt
-    x = -lx / 2 + dx * np.arange(nx)
-    t = -lt / 2 + dt * np.arange(nt)
-
-    def synth(coef):
-        field = np.zeros((nx, nt), dtype=complex)
-        for ik, k in enumerate(range(-kmax, kmax + 1)):
-            for im, m in enumerate(range(-mmax, mmax + 1)):
-                xi = 2 * np.pi * k / lx
-                tau = 2 * np.pi * m / lt
-                field += coef[ik, im] * np.exp(1j * (xi * x[:, None] + tau * t[None, :]))
-        return field * cutoff(t, lt / 6.0)[None, :]
-
-    u = SpaceTimeField(x[0], dx, t[0], dt, synth(cu))
-    v = SpaceTimeField(x[0], dx, t[0], dt, synth(cv))
-    return u, v
+def field_pair(seed=12, double=False):
+    n = 128 if double else 64
+    return band_limited_pair(seed, n, n, 32.0, 16.0)
 
 
 def single_mode(nx, nt, lx, lt, k, m, amp=1.0):

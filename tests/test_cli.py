@@ -45,6 +45,21 @@ def test_invalid_config_exits_2(tmp_path):
     assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("verify-bilinear", {"n_pairs": 0}),
+    ("verify-bilinear", {"nx": 48}),
+    ("contraction", {"nx": 128}),                   # not 2*(nx_sim-1)
+    ("contraction", {"nx": 200, "nx_sim": 101}),
+    ("contraction", {"nt": 48}),
+    ("contraction", {"k_iters": 2}),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+    code = main([command, "--config", str(_dump(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_dispersion_sweep_cli(tmp_path):
     cfg = {"a_list": [0.25, 1.0], "n_samples": 20_000}
     code = main(["dispersion-sweep", "--config", str(_dump(tmp_path, cfg)),
