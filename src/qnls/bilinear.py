@@ -23,10 +23,11 @@ import numpy as np
 from .dispersion import FrequencyPoint, classify_region
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
-from .quadrature import integrate_with_tail, panel_sums
-from .spectral import BourgainParams, bourgain_norm
+from .quadrature import integrate_with_tail, panel_sums, tail_probe
+from .spectral import BourgainParams, _bracket, bourgain_norm
 
 J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
+ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
 
 
 @dataclass
@@ -74,10 +75,6 @@ def scheme_for(index: str, a: float) -> str:
     return "A" if first_family else "B"
 
 
-def _br(z):
-    return np.sqrt(1.0 + z * z)
-
-
 def _quad_roots(A, B, C):
     if abs(A) < 1e-14:
         return [] if abs(B) < 1e-14 else [-C / B]
@@ -116,11 +113,11 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J1":
         omega = Q + P * P
-        pref = _br(omega) ** (-2 * d)
+        pref = _bracket(omega) ** (-2 * d)
         # bracket tau - (a-1)y^2 - 2 xi y + xi^2 as A y^2 + B y + C
         A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        weight = lambda y: _br(y) ** (-2 * s + 2 * abs(kappa))
+        weight = lambda y: _bracket(y) ** (-2 * s + 2 * abs(kappa))
         # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2
         sA, sB, sC = a - 1.0, 2.0 * P, Q - P * P
         msum = lambda y: sA * y * y + sB * y + sC
@@ -134,7 +131,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
                              | (np.abs((1 - a) * y - P) >= c * np.abs(y))
                              | ((np.abs(P - 0.5 * y) >= c * np.abs(y))
                                 & (2 * abs(omega) >= np.abs(msum(y))))).astype(float)
-        f = lambda y: weight(y) * _br(bracket(y)) ** (-(4 * b - 1)) * chi(y)
+        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(4 * b - 1)) * chi(y)
         bps = ([-1.0, 1.0] + _quad_roots(A2_, B2_, C2_)
                + _level_roots(sA, sB, sC, 2 * abs(omega))
                + _ball_roots(1 - a, -P, c) + _ball_roots(-0.5, P, c))
@@ -144,8 +141,8 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J2":
         omega2 = Q + a * P * P
-        pref = _br(omega2) ** (-2 * b)
-        wconst = _br(P) ** (-2 * s + 2 * abs(kappa))
+        pref = _bracket(omega2) ** (-2 * b)
+        wconst = _bracket(P) ** (-2 * s + 2 * abs(kappa))
         A2_, B2_, C2_ = 2.0, -2.0 * P, Q + P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
         if scheme == "RES" and not ignore_region:
@@ -157,7 +154,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
                              & (2 * abs(omega2) >= np.abs(bracket(y)))).astype(float)
         else:
             chi = one
-        f = lambda y: wconst * _br(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
+        f = lambda y: wconst * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
         bps = (_quad_roots(A2_, B2_, C2_) + [-B2_ / (2 * A2_)]
                + _level_roots(A2_, B2_, C2_, 2 * abs(omega2))
                + [0.5 * P - c * abs(P), 0.5 * P + c * abs(P)])
@@ -165,8 +162,8 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J3":
         omega1 = Q - P * P
-        pref = _br(omega1) ** (-2 * b)
-        weight = lambda y: _br(y) ** (-2 * s + 2 * abs(kappa))
+        pref = _bracket(omega1) ** (-2 * b)
+        weight = lambda y: _bracket(y) ** (-2 * s + 2 * abs(kappa))
         A2_, B2_, C2_ = 1.0 - a, 2.0 * P, Q + P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
         if scheme == "RES" and not ignore_region:
@@ -179,7 +176,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
             chi = lambda y: (np.abs(y) >= 1.0).astype(float)
         else:
             chi = one
-        f = lambda y: weight(y) * _br(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
+        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
         bps = ([-1.0, 1.0] + _quad_roots(A2_, B2_, C2_)
                + _level_roots(A2_, B2_, C2_, 2 * abs(omega1))
                + _ball_roots(0.5, P, c))
@@ -189,9 +186,9 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J4":
         lam = Q + a * P * P
-        pref = _br(lam) ** (-2 * d)
-        weight = lambda y: (_br(P) ** (2 * s) * _br(P - y) ** (-2 * kappa)
-                            * _br(y) ** (-2 * kappa))
+        pref = _bracket(lam) ** (-2 * d)
+        weight = lambda y: (_bracket(P) ** (2 * s) * _bracket(P - y) ** (-2 * kappa)
+                            * _bracket(y) ** (-2 * kappa))
         A2_, B2_, C2_ = 2.0, -2.0 * P, Q + P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
         if scheme == "RES" or ignore_region or abs(P) <= 1.0:
@@ -202,7 +199,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
             chi = lambda y: ((np.abs(y - 0.5 * P) >= c * abs(P))
                              | ((np.abs((1 - a) * P - y) >= c * abs(P))
                                 & (2 * abs(lam) >= np.abs(bracket(y))))).astype(float)
-        f = lambda y: weight(y) * _br(bracket(y)) ** (-(4 * b - 1)) * chi(y)
+        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(4 * b - 1)) * chi(y)
         bps = (_quad_roots(A2_, B2_, C2_) + [-B2_ / (2 * A2_), P]
                + _level_roots(A2_, B2_, C2_, 2 * abs(lam))
                + [0.5 * P - c * abs(P), 0.5 * P + c * abs(P),
@@ -211,9 +208,9 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J5":
         lam2 = Q + P * P
-        pref = _br(lam2) ** (-2 * b)
-        weight = lambda y: (_br(y) ** (2 * s) * _br(y - P) ** (-2 * kappa)
-                            * _br(P) ** (-2 * kappa))
+        pref = _bracket(lam2) ** (-2 * b)
+        weight = lambda y: (_bracket(y) ** (2 * s) * _bracket(y - P) ** (-2 * kappa)
+                            * _bracket(P) ** (-2 * kappa))
         A2_, B2_, C2_ = a - 1.0, 2.0 * P, Q - P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
         if scheme == "RES" and not ignore_region:
@@ -227,7 +224,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
             chi = lambda y: ((np.abs(y) >= 1.0)
                              & (np.abs((1 - a) * y - P) >= c * np.abs(y))
                              & (2 * abs(lam2) >= np.abs(bracket(y)))).astype(float)
-        f = lambda y: weight(y) * _br(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
+        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
         bps = ([-1.0, 1.0, P] + _quad_roots(A2_, B2_, C2_)
                + _level_roots(A2_, B2_, C2_, 2 * abs(lam2))
                + _ball_roots(1 - a, -P, c))
@@ -237,9 +234,9 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
     if idx == "J6":
         lam1 = Q + P * P
-        pref = _br(lam1) ** (-2 * b)
-        weight = lambda y: (_br(P + y) ** (2 * s) * _br(P) ** (-2 * kappa)
-                            * _br(y) ** (-2 * kappa))
+        pref = _bracket(lam1) ** (-2 * b)
+        weight = lambda y: (_bracket(P + y) ** (2 * s) * _bracket(P) ** (-2 * kappa)
+                            * _bracket(y) ** (-2 * kappa))
         A2_, B2_, C2_ = a + 1.0, 2.0 * a * P, Q + a * P * P
         bracket = lambda y: A2_ * y * y + B2_ * y + C2_
         dA, dB, dC = a - 1.0, 2.0 * a * P, Q + a * P * P
@@ -255,7 +252,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
             chi = lambda y: ((np.abs(P + y) >= 1.0)
                              & (np.abs((1 - a) * (P + y) - y) >= c * np.abs(P + y))
                              & (2 * abs(lam1) >= np.abs(dom(y)))).astype(float)
-        f = lambda y: weight(y) * _br(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
+        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
         bps = ([-P - 1.0, -P + 1.0, -P] + _quad_roots(A2_, B2_, C2_)
                + _level_roots(dA, dB, dC, 2 * abs(lam1))
                + _ball_roots2(-a, (1 - a) * P, 1.0, P, c))
@@ -306,10 +303,10 @@ def _appendix_j(spec, p, window, return_tail, rel_tol):
         return j_eval(JSpec("J1", spec.base, spec.scheme), p, window,
                       return_tail, rel_tol=rel_tol)
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    pref = _br(Q + P * P) ** (-(2 * d - kappa))
+    pref = _bracket(Q + P * P) ** (-(2 * d - kappa))
     A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
-    f = lambda y: (_br(P - y) ** (-2 * kappa) * _br(y) ** (-2 * s)
-                   * _br(A2_ * y * y + B2_ * y + C2_) ** (-(4 * b - 1)))
+    f = lambda y: (_bracket(P - y) ** (-2 * kappa) * _bracket(y) ** (-2 * s)
+                   * _bracket(A2_ * y * y + B2_ * y + C2_) ** (-(4 * b - 1)))
     bps = sorted({float(r) for r in
                   _quad_roots(A2_, B2_, C2_) + [P, -B2_ / (2 * A2_) if abs(A2_) > 1e-14 else 0.0]})
     value, tail = integrate_with_tail(f, bps, window=window, rel_tol=rel_tol)
@@ -338,7 +335,7 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
     t_window = None if window is None else window * window
 
     if spec.index == "A-J1":
-        pref = _br(Q) ** kappa * _br(Q + P * P) ** (-2 * d)
+        pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
 
         def inner(xi2):
             def g(tau2):
@@ -346,14 +343,14 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
                 chi = (classify_region(fp, a, scheme) == region).astype(float)
                 w1 = (Q - tau2) - (P - xi2) ** 2
                 w2 = tau2 + a * xi2 ** 2
-                return (_br(P - xi2) ** (-2 * kappa) * _br(xi2) ** (-2 * s)
-                        * chi * _br(w1) ** (-2 * b) * _br(w2) ** (-2 * b))
+                return (_bracket(P - xi2) ** (-2 * kappa) * _bracket(xi2) ** (-2 * s)
+                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w2) ** (-2 * b))
             bps = [Q - (P - xi2) ** 2, -a * xi2 ** 2]
             val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
             return val
         outer_bps = [-1.0, 1.0, P]
     elif spec.index == "A-J2":
-        pref = _br(P) ** (2 * s) * _br(Q + a * P * P) ** (-2 * b)
+        pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
         if abs(P) < 1.0:    # region needs |xi2| >= 1
             return (0.0, 0.0) if return_tail else 0.0
 
@@ -365,14 +362,14 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
                 chi = (classify_region(fp, a, scheme) == region).astype(float)
                 w = tau + xi ** 2
                 w1 = (tau - Q) - (xi - P) ** 2
-                return (_br(xi - P) ** (-2 * kappa) * _br(tau) ** kappa
-                        * chi * _br(w1) ** (-2 * b) * _br(w) ** (-2 * d))
+                return (_bracket(xi - P) ** (-2 * kappa) * _bracket(tau) ** kappa
+                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w) ** (-2 * d))
             bps = [-xi ** 2, Q + (xi - P) ** 2, 0.0]
             val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
             return val
         outer_bps = [P - 1.0, P + 1.0, P]
     else:  # A-J3
-        pref = _br(P) ** (-2 * kappa) * _br(Q - P * P) ** (-2 * b)
+        pref = _bracket(P) ** (-2 * kappa) * _bracket(Q - P * P) ** (-2 * b)
 
         def inner(xi2):
             def g(tau2):
@@ -380,8 +377,8 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
                                     np.full_like(tau2, xi2), tau2)
                 chi = (classify_region(fp, a, scheme) == region).astype(float)
                 w2 = tau2 + a * xi2 ** 2
-                return (_br(Q + tau2) ** kappa * _br(xi2) ** (-2 * s)
-                        * chi * _br(P + xi2) ** (-4 * d) * _br(w2) ** (-2 * b))
+                return (_bracket(Q + tau2) ** kappa * _bracket(xi2) ** (-2 * s)
+                        * chi * _bracket(P + xi2) ** (-4 * d) * _bracket(w2) ** (-2 * b))
             bps = [-a * xi2 ** 2, -Q]
             val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
             return val
@@ -400,27 +397,12 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
                     [-W, W] + ladder + [-l for l in ladder]
                     + [b_ for b_ in outer_bps if abs(b_) < W]})
     value = float(np.sum(panel_sums(fvec, np.asarray(edges), 12)))
-    tail = _probe_2d_tail(fvec, W)
+    tail = tail_probe(fvec, W)
     value *= pref
     tail *= pref
     if window is None and tail > 0.05 * max(abs(value), 1e-300):
         raise QuadratureNonConvergent(f"{spec.index} tail exceeds 5% of value")
     return (value, tail) if return_tail else value
-
-
-def _probe_2d_tail(fvec, W):
-    probes = np.array([1.05 * W, 2.0 * W, -1.05 * W, -2.0 * W])
-    v = np.abs(fvec(probes))
-    est = 0.0
-    for inner_v, outer_v in ((v[0], v[1]), (v[2], v[3])):
-        if inner_v <= 0:
-            continue
-        if outer_v >= inner_v:
-            est += inner_v * W
-        else:
-            pexp = np.log2(inner_v / max(outer_v, 1e-300))
-            est += inner_v * W if pexp <= 1.0 else inner_v * W / (pexp - 1.0)
-    return est
 
 
 def applicable_indices(p: EstimateParams) -> list[str]:
@@ -505,6 +487,8 @@ def bilinear_ratio(u: SpaceTimeField, v: SpaceTimeField, p: EstimateParams,
     `placement` swaps which right factor carries the a-adapted space in L5.1
     ("statement" puts u there, "usage" puts v there).
     """
+    if which not in ESTIMATES:
+        raise ParamDomainViolated(f"unknown estimate {which!r}")
     if u.samples.shape != v.samples.shape or u.dx != v.dx or u.dt != v.dt:
         raise ValueError("u and v must share one grid")
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
@@ -526,13 +510,11 @@ def bilinear_ratio(u: SpaceTimeField, v: SpaceTimeField, p: EstimateParams,
         left = BourgainParams(kappa, -d, 1.0, family="W")
         ru = BourgainParams(kappa, b, 1.0)
         rv = BourgainParams(s, b, a)
-    elif which == "L5.4":
+    else:  # L5.4
         prod = u.samples * v.samples
         left = BourgainParams(kappa, -d, a, family="W")
         ru = BourgainParams(kappa, b, 1.0)
         rv = BourgainParams(s, b, 1.0)
-    else:
-        raise ParamDomainViolated(f"unknown estimate {which!r}")
     den = (bourgain_norm(u, ru) * bourgain_norm(v, rv))
     if den == 0.0:
         raise ZeroDenominator("right-hand norms vanish")

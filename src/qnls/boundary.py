@@ -27,9 +27,8 @@ from .errors import (LambdaOutOfRange, NonPositiveA, SingularQuadratureFail,
                      SupportViolation, WindowViolation)
 from .fractional import _integrate, rl_apply
 from .grids import SpaceTimeField, TimeSeries
+from .quadrature import panel_sums
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
-
-_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 def kernel_constant(a: float) -> complex:
@@ -75,23 +74,6 @@ class TraceReport:
     lam: float
 
 
-class _Interp:
-    """Linear interpolant of a complex series, zero outside its window."""
-
-    def __init__(self, ts: TimeSeries):
-        self.t = ts.times
-        self.re = ts.samples.real
-        self.im = ts.samples.imag
-        self.dt = ts.dt
-        self.sup = ts.sup()
-        grad = np.gradient(ts.samples, ts.dt) if ts.n > 2 else np.zeros(ts.n)
-        self.dsup = float(np.max(np.abs(grad)))
-
-    def __call__(self, t):
-        return (np.interp(t, self.t, self.re, left=0.0, right=0.0)
-                + 1j * np.interp(t, self.t, self.im, left=0.0, right=0.0))
-
-
 def _osc_tail_factor(z):
     """E(z) = integral over v in [1, inf) of exp(i z v^2) / v^2, for z >= 0."""
     z = np.asarray(z, dtype=float)
@@ -106,78 +88,42 @@ def _osc_tail_factor(z):
     return out
 
 
-def _gl_sum(g, edges):
-    nodes, weights = _GL8
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    pts = (lo + half)[:, None] + half[:, None] * nodes[None, :]
-    vals = g(pts.ravel()).reshape(pts.shape)
-    return np.sum((vals @ weights) * half)
-
-
-def _kernel_integral(m: _Interp, a: float, x: float, t: float,
-                     rel_tol: float = 1e-6) -> complex:
-    """Base-operator value at (x, t) given the half-derivative series m."""
-    if t <= 0.0 or m.sup == 0.0:
-        return 0.0 + 0.0j
-    shi = math.sqrt(t)
-    B = x * x / (4.0 * a)
-    g = lambda sig: np.exp(1j * B / (sig * sig)) * m(t - sig * sig)
-    if B < 1e-300:
-        edges = shi * np.linspace(0.0, 1.0, 33)
-        edges[0] = 1e-12 * shi
-        val = _gl_sum(g, edges) + 1e-12 * shi * m(t)
-        return (2.0 / math.sqrt(np.pi)) * val
-
-    scale0 = m.sup * min(shi, 1.0) + 1e-300
-    tol_abs = rel_tol * scale0
-    phi_hi = B / t
-    k0 = max(1, math.ceil(phi_hi / np.pi))
-    md = m.dsup + 1e-300
-    K = math.ceil((0.4 * md * B ** 1.5 / tol_abs) ** 0.4 / np.pi)
-    K = min(max(K, k0 + 8), k0 + 4096)
-    sig = np.sqrt(B / (np.pi * np.arange(K, k0 - 1, -1, dtype=float)))
-    top = np.linspace(sig[-1], shi, 33)
-    edges = np.concatenate([sig, top[1:]]) if top[-1] > sig[-1] else sig
-    val = _gl_sum(g, edges)
-    s_k = sig[0]
-    val += m(t - s_k * s_k) * s_k * _osc_tail_factor(B / (s_k * s_k))
-    err = 0.4 * md * s_k ** 5 / B
-    if err > 0.01 * max(abs(val), 0.1 * scale0):
-        raise SingularQuadratureFail(
-            f"freezing error {err:.2e} above 1% at (x={x:.3g}, t={t:.3g})")
-    return (2.0 / math.sqrt(np.pi)) * complex(val)
-
-
 def _half_order_series(spec: ForcingSpec) -> TimeSeries:
     """I_{-1/2 - lambda/2} f, the series the base kernel acts on."""
     return rl_apply(spec.f, -0.5 - spec.lam / 2.0)
 
 
-def _column_values(m: _Interp, a: float, x: float, ts: np.ndarray,
+def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
+    """Sup of the series and of its derivative, for the error budget."""
+    grad = np.gradient(m.samples, m.dt) if m.n > 2 else np.zeros(m.n)
+    return m.sup(), float(np.max(np.abs(grad)))
+
+
+def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
                    rel_tol: float = 1e-5) -> np.ndarray:
     """Base-operator values at one x for all times, sharing the sigma ladder.
 
     At fixed x the oscillation edges and phases are time-independent; only
     the interpolated signal changes, so all times share one node set masked
     per time by sigma <= sqrt(t), plus a partial top panel and the Fresnel
-    tail below the deepest edge.
+    tail below the deepest edge.  `bounds` is `_datum_bounds(m)`.
     """
+    m_sup, m_dsup = bounds
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.size, dtype=complex)
     live = ts > 0.0
-    if not np.any(live) or m.sup == 0.0:
+    if not np.any(live) or m_sup == 0.0:
         return out
     t_live = ts[live]
     rt = np.sqrt(t_live)
     t_max = float(np.max(t_live))
     B = x * x / (4.0 * a)
-    scale0 = m.sup * min(math.sqrt(t_max), 1.0) + 1e-300
+    scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
 
     if B < 1e-300:
         edges = math.sqrt(t_max) * np.linspace(0.0, 1.0, 65)
     else:
-        md = m.dsup + 1e-300
+        md = m_dsup + 1e-300
         k_min = max(1, math.ceil(B / (np.pi * t_max)))
         K = math.ceil((0.4 * md * B ** 1.5 / (rel_tol * scale0)) ** 0.4 / np.pi)
         K = min(max(K, k_min + 8), k_min + 4096)
@@ -189,33 +135,34 @@ def _column_values(m: _Interp, a: float, x: float, ts: np.ndarray,
                                     np.linspace(edges[-1], math.sqrt(t_max),
                                                 n_top + 1)[1:]])
 
-    nodes, glw = _GL8
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    sig = ((lo + half)[:, None] + half[:, None] * nodes[None, :]).ravel()
-    phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
-    args = t_live[:, None] - sig[None, :] ** 2
-    mv = m(args.ravel()).reshape(args.shape) * phase[None, :]
-    panel_vals = (mv.reshape(t_live.size, lo.size, nodes.size) @ glw) * half[None, :]
+    def ladder(sig):
+        phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
+        return m(t_live[:, None] - sig[None, :] ** 2) * phase[None, :]
+
+    panel_vals = panel_sums(ladder, edges, 8)
     complete = edges[1:][None, :] <= rt[:, None] + 1e-15
     vals = np.sum(np.where(complete, panel_vals, 0.0), axis=1)
 
-    # partial top panel [last complete edge, sqrt(t)]
+    # partial top panel [last complete edge, sqrt(t)], one per time, on the
+    # reference panel [-1, 1]
     idx = np.searchsorted(edges, rt + 1e-15, side="right") - 1
     has = idx >= 0
     lo_t = np.where(has, edges[np.clip(idx, 0, edges.size - 1)], 0.0)
     half_t = 0.5 * np.maximum(rt - lo_t, 0.0) * has
-    sig_t = (lo_t + half_t)[:, None] + half_t[:, None] * nodes[None, :]
-    ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else np.ones_like(sig_t)
-    mv_t = m((t_live[:, None] - sig_t ** 2).ravel()).reshape(sig_t.shape)
-    vals += ((mv_t * ph_t) @ glw) * half_t
+
+    def top(u):
+        sig_t = (lo_t + half_t)[:, None] + half_t[:, None] * u[None, :]
+        ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else np.ones_like(sig_t)
+        return m(t_live[:, None] - sig_t ** 2) * ph_t
+
+    vals += panel_sums(top, np.array([-1.0, 1.0]), 8)[:, 0] * half_t
 
     # Fresnel completion below the deepest covered edge
     s_eff = np.minimum(edges[0], rt)
     if B > 0:
         tail = m(t_live - s_eff ** 2) * s_eff * _osc_tail_factor(B / (s_eff ** 2 + 1e-300))
         vals += tail
-        err = 0.4 * (m.dsup + 1e-300) * float(np.max(s_eff)) ** 5 / B
+        err = 0.4 * (m_dsup + 1e-300) * float(np.max(s_eff)) ** 5 / B
         if err > 0.01 * max(float(np.max(np.abs(vals))), 0.1 * scale0):
             raise SingularQuadratureFail(
                 f"freezing error {err:.2e} above 1% at x={x:.3g}")
@@ -223,11 +170,12 @@ def _column_values(m: _Interp, a: float, x: float, ts: np.ndarray,
     return out
 
 
-def _base_field(m: _Interp, a: float, ys, ts, rel_tol: float = 1e-5) -> np.ndarray:
+def _base_field(m: TimeSeries, bounds, a: float, ys, ts,
+                rel_tol: float = 1e-5) -> np.ndarray:
     out = np.empty((len(ys), len(ts)), dtype=complex)
     ts = np.asarray(ts, dtype=float)
     for i, y in enumerate(ys):
-        out[i, :] = _column_values(m, a, float(y), ts, rel_tol)
+        out[i, :] = _column_values(m, bounds, a, float(y), ts, rel_tol)
     return out
 
 
@@ -262,18 +210,19 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
     lam = spec.lam
     if representation == "auto":
         representation = "kernel" if lam == 0.0 else ("def0" if lam > 0 else "alt")
-    m = _Interp(_half_order_series(spec))
+    m = _half_order_series(spec)
+    bounds = _datum_bounds(m)
 
     if representation == "kernel":
         if lam != 0.0:
             raise LambdaOutOfRange("direct kernel representation needs lambda = 0")
-        return _base_field(m, spec.a, xs, ts)
+        return _base_field(m, bounds, spec.a, xs, ts)
 
     if representation == "def0":
         if lam <= 0.0:
             raise LambdaOutOfRange("def0 representation needs lambda > 0")
         ys, dy = _ray_grid(xs, spec)
-        G = _base_field(m, spec.a, ys, ts)
+        G = _base_field(m, bounds, spec.a, ys, ts)
         out = np.empty((xs.size, ts.size), dtype=complex)
         for j in range(ts.size):
             conv = _integrate(G[::-1, j], dy, lam)[::-1]
@@ -286,8 +235,8 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
         raise LambdaOutOfRange(f"alt representation needs lambda > -2, got {lam}")
     ys, dy = _ray_grid(xs, spec)
     delta = spec.f.dt
-    g_plus = _base_field(m, spec.a, ys, ts + delta)
-    g_minus = _base_field(m, spec.a, ys, ts - delta)
+    g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
+    g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
     dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
     out = np.empty((xs.size, ts.size), dtype=complex)
     for j in range(ts.size):
@@ -307,9 +256,6 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
 def forcing_eval(spec: ForcingSpec, x: float, t: float,
                  representation: str = "auto"):
     """Class-operator value at a single point."""
-    if spec.lam == 0.0 and representation in ("auto", "kernel"):
-        m = _Interp(_half_order_series(spec))
-        return _kernel_integral(m, spec.a, x, t)
     field = forcing_field(spec, np.array([x]), np.array([t]), representation)
     return complex(field[0, 0])
 
@@ -372,7 +318,7 @@ def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
     lhs = np.sum(field * adj) * testfn.dx * testfn.dt
 
     C = delta_coefficient(spec.a)
-    m_src = _Interp(rl_apply(spec.f, -0.5 - lam / 2.0))(ts_grid)
+    m_src = _half_order_series(spec)(ts_grid)
     if lam == 0.0:
         # line source on x = 0: interpolate the test function there
         if np.any(xs == 0.0):

@@ -55,6 +55,13 @@ def _require_pow2_grid(cfg) -> None:
         raise InvalidConfig("nx and nt must be powers of two")
 
 
+def _solver_config(L, nx, dt, T, a) -> ibvp.SolverConfig:
+    try:
+        return ibvp.SolverConfig(L, nx, dt, T, a)
+    except ValueError as exc:
+        raise InvalidConfig(f"solver config: {exc}") from exc
+
+
 def _gaussian_pair(cfg):
     L, nx = cfg["L"], cfg["nx"]
     x = np.linspace(0.0, L, nx)
@@ -87,7 +94,7 @@ def _cmd_simulate(cfg, rng, out: Path, jobs: int):
     defaults = {"L": 24.0, "nx": 257, "dt": 2e-3, "T": 0.5, "a": 1.0,
                 "drift_tol_per_time": 1e-6}
     cfg = {**defaults, **cfg}
-    sc = ibvp.SolverConfig(cfg["L"], cfg["nx"], cfg["dt"], cfg["T"], cfg["a"])
+    sc = _solver_config(cfg["L"], cfg["nx"], cfg["dt"], cfg["T"], cfg["a"])
     u0, v0 = _gaussian_pair(cfg)
     f, g = _boundary_pair(cfg, cfg["dt"], cfg["T"])
     stride = cfg.get("snapshot_stride", 10 ** 9)
@@ -128,7 +135,7 @@ def _cmd_mass_track(cfg, rng, out: Path, jobs: int):
     for lvl in range(cfg["levels"]):
         nx = (cfg["nx"] - 1) * 2 ** lvl + 1
         dt = cfg["dt"] / 2 ** lvl
-        sc = ibvp.SolverConfig(cfg["L"], nx, dt, cfg["T"], cfg["a"])
+        sc = _solver_config(cfg["L"], nx, dt, cfg["T"], cfg["a"])
         u0, v0 = _gaussian_pair({**cfg, "nx": nx})
         f, g = _boundary_pair(cfg, dt, cfg["T"])
         _, ledger = ibvp.simulate(sc, u0, v0, f, g, snapshot_stride=10 ** 9)
@@ -150,6 +157,10 @@ def _cmd_verify_bilinear(cfg, rng, out: Path, jobs: int):
     if not (isinstance(cfg["n_pairs"], int) and cfg["n_pairs"] >= 1):
         raise InvalidConfig("n_pairs must be a positive integer")
     _require_pow2_grid(cfg)
+    unknown = [w for w in cfg["which"] if w not in bilinear.ESTIMATES]
+    if unknown:
+        raise InvalidConfig(f"unknown estimates {unknown}; "
+                            f"known: {list(bilinear.ESTIMATES)}")
     p = bilinear.EstimateParams(cfg["a"], cfg["b"], cfg["d"], cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
     rows, contracts = [], {}
@@ -299,13 +310,19 @@ def _cmd_contraction(cfg, rng, out: Path, jobs: int):
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
     if not (isinstance(cfg["k_iters"], int) and cfg["k_iters"] >= 3):
         raise InvalidConfig("k_iters must be an integer >= 3")
+    if not cfg["t_span"] > 0:
+        raise InvalidConfig("t_span must be positive")
+    dtc = cfg["t_span"] / cfg["nt"]
+    # the time-stepper comparison reads the n_cmp + 1 grid times up to T
+    n_cmp = int(cfg["T"] / dtc)
+    if n_cmp + 1 > cfg["nt"]:
+        raise InvalidConfig(f"T={cfg['T']} must be below t_span={cfg['t_span']}")
     x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
     h = x[1] - x[0]
     u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, cfg["amp_u"]))
     v0 = GridFunction(0.0, h, gaussian(x, 7.0, 1.2, cfg["amp_v"]))
     zero = TimeSeries(0.0, 0.01, np.zeros(101))
-    dtc = cfg["t_span"] / cfg["nt"]
-    sc = ibvp.SolverConfig(cfg["L"], cfg["nx_sim"], dtc / 8.0, cfg["T"], cfg["a"])
+    sc = _solver_config(cfg["L"], cfg["nx_sim"], dtc / 8.0, cfg["T"], cfg["a"])
     res = ibvp.contraction_iterate(sc, u0, v0, zero, zero, cfg["lambda1"],
                                    cfg["lambda2"], cfg["k_iters"],
                                    nx=cfg["nx"], nt=cfg["nt"],
@@ -318,7 +335,6 @@ def _cmd_contraction(cfg, rng, out: Path, jobs: int):
     _write_csv(path, ["k", "distance", "ratio_to_next"], rows)
 
     states, _ = ibvp.simulate(sc, u0, v0, zero, zero, snapshot_stride=8)
-    n_cmp = int(cfg["T"] / dtc)
     half = cfg["nx"] // 2
     Uc = res.u.samples[half:, :n_cmp + 1]
     Vc = res.v.samples[half:, :n_cmp + 1]

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from .errors import (BelowResonance, NonPositiveA, ParamDomainViolated,
                      ResonantA, SchemeMismatch)
+from .spectral import _bracket
 
 REGIMES = ("SecondNonResonant", "Resonant", "FirstNonResonant")
 SCHEMES = ("R", "A", "S", "B", "RES")
@@ -179,13 +180,12 @@ def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
     claimed right-side shape with unit constant.  The empirical constant of a
     sweep is the running max of lhs/rhs_shape over its parameter grid.
     """
-    br = lambda z: np.sqrt(1.0 + z * z)
     if kind == "GTV":
         b1, b2 = params["b1"], params["b2"]
         alpha, beta = params["alpha"], params["beta"]
         if not (b1 < 0.5 and b2 < 0.5 and b1 + b2 > 0.5):
             raise ParamDomainViolated("GTV needs b1,b2 < 1/2 and b1+b2 > 1/2")
-        f = lambda y: br(y - alpha) ** (-2 * b1) * br(y - beta) ** (-2 * b2)
+        f = lambda y: _bracket(y - alpha) ** (-2 * b1) * _bracket(y - beta) ** (-2 * b2)
         lo, hi = sorted((alpha, beta))
         pad = max(1.0, hi - lo)
         cuts = [lo - 10 * pad, lo, 0.5 * (lo + hi), hi, hi + 10 * pad]
@@ -200,14 +200,14 @@ def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
         lhs += quad(f, cuts[-1], cuts[-1] + 1.0, limit=200)[0]
         for left, right in zip(cuts[:-1], cuts[1:]):
             lhs += quad(f, left, right, limit=200)[0]
-        rhs = float(br(alpha - beta) ** (-(2 * b1 + 2 * b2 - 1)))
+        rhs = float(_bracket(alpha - beta) ** (-(2 * b1 + 2 * b2 - 1)))
         return lhs, rhs
     if kind == "Quadratic":
         b = params["b"]
         a0, a1 = params["alpha0"], params["alpha1"]
         if not b > 0.5:
             raise ParamDomainViolated("Quadratic needs b > 1/2")
-        f = lambda x: br(a0 + a1 * x + x * x) ** (-2 * b)
+        f = lambda x: _bracket(a0 + a1 * x + x * x) ** (-2 * b)
         vertex = -a1 / 2.0
         lhs = quad(f, -np.inf, vertex)[0] + quad(f, vertex, np.inf)[0]
         return lhs, 1.0
@@ -216,7 +216,7 @@ def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
         alpha, beta = params["alpha"], params["beta"]
         if not (b < 0.5 and beta > 0):
             raise ParamDomainViolated("HolmerWeighted needs b < 1/2 and beta > 0")
-        g = lambda x: br(x) ** (-(4 * b - 1))
+        g = lambda x: _bracket(x) ** (-(4 * b - 1))
         lhs = 0.0
         # substitute u = sqrt(|x - alpha|) on each side of the singularity
         for lo, hi, sgn in ((-beta, min(alpha, beta), -1.0),
@@ -227,6 +227,6 @@ def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
             u_lo = np.sqrt(max(0.0, (alpha - hi) if sgn < 0 else (lo - alpha)))
             h = lambda u: 2.0 * g(alpha + sgn * u * u)
             lhs += quad(h, u_lo, u_hi)[0]
-        rhs = float((1.0 + beta) ** (2 - 4 * b) / br(alpha) ** 0.5)
+        rhs = float((1.0 + beta) ** (2 - 4 * b) / _bracket(alpha) ** 0.5)
         return lhs, rhs
     raise ParamDomainViolated(f"unknown integral lemma kind {kind!r}")

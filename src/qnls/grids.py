@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class TimeSeries:
     def n(self) -> int:
         return self.samples.size
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 

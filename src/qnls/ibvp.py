@@ -108,12 +108,6 @@ def default_manufactured(a: float) -> dict:
     return {"u": u_exact, "v": v_exact, "F1": F1, "F2": F2}
 
 
-def _dxx(w: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(w)
-    out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    return out
-
-
 def _banded(nx: int, theta: complex) -> np.ndarray:
     """Banded form of I - theta*T on the interior (T = second difference)."""
     n = nx - 2

@@ -22,13 +22,19 @@ def _gl(order: int):
 
 
 def panel_sums(fvec, edges: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre integral on each panel [edges[i], edges[i+1]]."""
+    """Gauss-Legendre integral on each panel [edges[i], edges[i+1]].
+
+    fvec maps the flat node array to one value per node, or to one row of
+    values per integrand of a batch; the result then has one row of panel
+    integrals per integrand.
+    """
     nodes, weights = _gl(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
     pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = fvec(pts.ravel()).reshape(pts.shape)
+    vals = fvec(pts.ravel())
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
     return (vals @ weights) * half
 
 
@@ -76,7 +82,7 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
     x0 = max(start, 2.0 * float(np.max(np.abs(bre))) + 1.0)
     if window is not None and window < x0:
         value = adaptive_panels(fvec, -window, window, breakpoints, rel_tol)
-        tail = _tail_probe(fvec, window)
+        tail = tail_probe(fvec, window)
         return value, tail
     value = adaptive_panels(fvec, -x0, x0, breakpoints, rel_tol)
     scale = abs(value)
@@ -84,7 +90,7 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
     x = x0
     for _ in range(max_doublings):
         if window is not None and x >= window:
-            return value, _tail_probe(fvec, window)
+            return value, tail_probe(fvec, window)
         nxt = 2.0 * x if window is None else min(2.0 * x, window)
         block = (adaptive_panels(fvec, x, nxt, (), rel_tol)
                  + adaptive_panels(fvec, -nxt, -x, (), rel_tol))
@@ -106,12 +112,12 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
                 return value, max(drift, rel_tol * abs(block))
         x = nxt
     if window is not None:
-        return value, _tail_probe(fvec, window)
+        return value, tail_probe(fvec, window)
     raise QuadratureNonConvergent(
         f"no stable block decay out to |y| = {x:.3g}")
 
 
-def _tail_probe(fvec, window: float) -> float:
+def tail_probe(fvec, window: float) -> float:
     """Crude one-octave power-law estimate of the mass beyond the window."""
     ys = np.array([window * 1.01, window * 2.0, -window * 1.01, -window * 2.0])
     v = np.abs(fvec(ys))

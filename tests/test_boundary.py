@@ -101,6 +101,14 @@ def test_continuity_in_x_at_origin():
         assert abs(left - right) < 1e-2 * max(abs(mid), abs(right))
 
 
+def test_point_value_is_the_one_by_one_field():
+    f = bump_series(n=1024)
+    for lam in (0.0, 0.25, -0.5):
+        spec = ForcingSpec(1.0, lam, f)
+        for x, t in ((0.7, 0.6), (0.0, 0.5), (-0.3, 0.9)):
+            assert forcing_eval(spec, x, t) == forcing_field(spec, [x], [t])[0, 0]
+
+
 def test_representation_consistency_at_quarter():
     f = bump_series(n=2048)
     spec = ForcingSpec(1.0, 0.25, f)

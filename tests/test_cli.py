@@ -52,6 +52,10 @@ def test_invalid_config_exits_2(tmp_path):
     ("contraction", {"nx": 200, "nx_sim": 101}),
     ("contraction", {"nt": 48}),
     ("contraction", {"k_iters": 2}),
+    ("contraction", {"T": 0.6, "k_iters": 3, "nx": 64, "nx_sim": 33, "nt": 16}),
+    ("verify-bilinear", {"which": ["L5.9"], "n_pairs": 2}),
+    ("simulate", {"dt": 0.5}),
+    ("contraction", {"t_span": 0.0}),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     code = main([command, "--config", str(_dump(tmp_path, cfg)),
