@@ -7,6 +7,20 @@ remaining oscillation exp(i B/sigma^2), B = x^2/(4a), is integrated on
 half-period panels with a Fresnel-integral completion below the last panel
 (exact for a frozen signal, with a bound on the freezing error).
 
+The datum enters only through its piecewise-linear interpolant on a uniform
+grid and the kernel depends on t - t' alone, so the sum over the complete
+panels is a causal convolution (convolution quadrature, Lubich 1988): output
+times at the same offset on the datum grid read every quadrature node in the
+same datum interval at a fixed lag behind them.  Per offset, the node
+weights are binned once by completion level and lag into weights on each
+interval's left sample and on its step; the complete panels at time t are a
+prefix of the ladder, so each time sums the bins up to its own level against
+the samples at those lags.  Times on the datum grid form one offset group.
+Each time then adds its partial top panel and the Fresnel tail.  A column
+depends on x only through x^2, so each |x| is evaluated once per field.
+Nothing is cached across calls: the panel ladder depends on the datum's sup
+and derivative sup.
+
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
 by product integration (exact on the piecewise-linear interpolant, reusing
@@ -27,7 +41,7 @@ from .errors import (LambdaOutOfRange, NonPositiveA, SingularQuadratureFail,
                      SupportViolation, WindowViolation)
 from .fractional import _integrate, rl_apply
 from .grids import SpaceTimeField, TimeSeries
-from .quadrature import panel_sums
+from .quadrature import _panel_nodes, panel_sums
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
 
 
@@ -103,10 +117,11 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
                    rel_tol: float = 1e-5) -> np.ndarray:
     """Base-operator values at one x for all times, sharing the sigma ladder.
 
-    At fixed x the oscillation edges and phases are time-independent; only
-    the interpolated signal changes, so all times share one node set masked
-    per time by sigma <= sqrt(t), plus a partial top panel and the Fresnel
-    tail below the deepest edge.  `bounds` is `_datum_bounds(m)`.
+    At fixed x the oscillation edges and phases are time-independent; the
+    panels complete at time t (sigma <= sqrt(t)) are summed by the
+    lag-binned convolution of `_full_panels`, then each time adds its
+    partial top panel and the Fresnel tail below the deepest edge.
+    `bounds` is `_datum_bounds(m)`.
     """
     m_sup, m_dsup = bounds
     ts = np.asarray(ts, dtype=float)
@@ -135,13 +150,7 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
                                     np.linspace(edges[-1], math.sqrt(t_max),
                                                 n_top + 1)[1:]])
 
-    def ladder(sig):
-        phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
-        return m(t_live[:, None] - sig[None, :] ** 2) * phase[None, :]
-
-    panel_vals = panel_sums(ladder, edges, 8)
-    complete = edges[1:][None, :] <= rt[:, None] + 1e-15
-    vals = np.sum(np.where(complete, panel_vals, 0.0), axis=1)
+    vals = _full_panels(m, edges, B, t_live, rt)
 
     # partial top panel [last complete edge, sqrt(t)], one per time, on the
     # reference panel [-1, 1]
@@ -170,13 +179,94 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
     return out
 
 
+def _full_panels(m: TimeSeries, edges: np.ndarray, B: float, t_live: np.ndarray,
+                 rt: np.ndarray) -> np.ndarray:
+    """Sum over the panels [edges[p], edges[p+1]] with edges[p+1] <= sqrt(t).
+
+    Each node sigma reads the datum's linear interpolant at t - sigma^2.
+    Times t = (k + phi) dt at the same offset phi on the datum grid see each
+    node in the same datum interval, at the same lag behind k and with the
+    same interpolation fraction.  So, per offset, the node weights are
+    binned once by (level slot, lag) into weights on the interval's left
+    sample and on its step; the complete panels at a time are a prefix of
+    the ladder, so each time sums the bins of its offset up to its own
+    level against the samples at those lags.  Offsets are compared after
+    rounding to 1e-9 dt: the times on the datum grid form one group.
+    """
+    level = np.searchsorted(edges[1:], rt + 1e-15, side="right")
+    n_pan = int(level.max())
+    if n_pan == 0:
+        return np.zeros(t_live.size, dtype=complex)
+    pts, weights, half = _panel_nodes(edges[:n_pan + 1], 8)
+    order = weights.size
+    phase = np.exp(1j * B / (pts * pts)) if B > 0 else 1.0 + 0.0j
+    w = weights[None, :] * half[:, None] * phase
+    u = (t_live - m.t0) / m.dt
+    k = np.rint(u)
+    phis, group = np.unique(np.round(u - k, 9), return_inverse=True)
+    k = k.astype(np.intp)
+
+    # one slot per distinct (offset, level), ordered by offset, then level
+    stride = n_pan + 1
+    keys, slot = np.unique(group * stride + level, return_inverse=True)
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(keys // stride)) + 1,
+                           [keys.size]))
+    top = keys[runs[1:] - 1] % stride          # panels each offset needs
+    # every (offset, panel) pair below the offset's top level; a node of
+    # panel p counts at each level above p, so it is binned at the first
+    # slot of its offset above p
+    pair_g = np.repeat(np.arange(phis.size), top)
+    pair_p = np.arange(pair_g.size) - np.repeat(np.cumsum(top) - top, top)
+    first = np.repeat(np.searchsorted(keys, pair_g * stride + pair_p, side="right"),
+                      order)
+    node = (order * pair_p[:, None] + np.arange(order)).ravel()
+    # node at datum position (k + phi) - s: interval k - lag, fraction frac
+    s = ((pts * pts).ravel() / m.dt)[node] - np.repeat(phis[pair_g], order)
+    lag = np.ceil(s)
+    frac = lag - s
+    lag = lag.astype(np.intp)
+    # bin the node weights by (slot, lag); within an offset the nodes run up
+    # the ladder, so slot and lag never decrease and each bin is one run
+    width = int(lag.max()) + 1
+    cell = first * width + lag
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    cells = cell[starts]
+    wn = w.ravel()[node]
+    on_left = np.add.reduceat(wn, starts)
+    on_step = np.add.reduceat(wn * frac, starts)
+
+    # each time sums the bins of its offset up to its own slot: a run of
+    # `cells` from the offset's first slot
+    lo_c = np.searchsorted(cells, runs[group] * width)
+    n_c = np.searchsorted(cells, (slot + 1) * width) - lo_c
+    t_of = np.repeat(np.arange(t_live.size), n_c)
+    c = np.arange(t_of.size) - np.repeat(np.cumsum(n_c) - n_c - lo_c, n_c)
+
+    # interval i reads the datum for 0 <= i <= n-2 and zero elsewhere, with
+    # no ramp into the sampled window; `ext` holds the left samples, then the
+    # steps, each padded by zeros on both sides
+    c_lag = cells % width
+    pad = max(int(c_lag.max() - k.min()), 0)
+    span = pad + m.n - 1 + max(int(k.max() - c_lag.min()) - (m.n - 2), 0)
+    ext = np.zeros(2 * span, dtype=complex)
+    ext[pad:pad + m.n - 1] = m.samples[:-1]
+    ext[span + pad:span + pad + m.n - 1] = np.diff(m.samples)
+    idx = (k + pad)[t_of] - c_lag[c]
+    terms = on_left[c] * ext[idx] + on_step[c] * ext[idx + span]
+    return (np.bincount(t_of, terms.real, t_live.size)
+            + 1j * np.bincount(t_of, terms.imag, t_live.size))
+
+
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts,
                 rel_tol: float = 1e-5) -> np.ndarray:
-    out = np.empty((len(ys), len(ts)), dtype=complex)
+    """Base-operator field on ys x ts; the kernel sees y only through y^2,
+    so each |y| is evaluated once."""
     ts = np.asarray(ts, dtype=float)
-    for i, y in enumerate(ys):
-        out[i, :] = _column_values(m, bounds, a, float(y), ts, rel_tol)
-    return out
+    ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
+    cols = np.empty((ay.size, ts.size), dtype=complex)
+    for i, y in enumerate(ay):
+        cols[i, :] = _column_values(m, bounds, a, float(y), ts, rel_tol)
+    return cols[inv]
 
 
 def _ray_grid(xs: np.ndarray, spec: ForcingSpec, n_pad: int | None = None):

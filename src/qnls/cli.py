@@ -157,6 +157,9 @@ def _cmd_verify_bilinear(cfg, rng, out: Path, jobs: int):
     if not (isinstance(cfg["n_pairs"], int) and cfg["n_pairs"] >= 1):
         raise InvalidConfig("n_pairs must be a positive integer")
     _require_pow2_grid(cfg)
+    if not (isinstance(cfg["which"], list)
+            and all(isinstance(w, str) for w in cfg["which"])):
+        raise InvalidConfig("which must be a list of estimate names")
     unknown = [w for w in cfg["which"] if w not in bilinear.ESTIMATES]
     if unknown:
         raise InvalidConfig(f"unknown estimates {unknown}; "

@@ -28,14 +28,24 @@ def panel_sums(fvec, edges: np.ndarray, order: int) -> np.ndarray:
     values per integrand of a batch; the result then has one row of panel
     integrals per integrand.
     """
+    pts, weights, half = _panel_nodes(edges, order)
+    vals = fvec(pts.ravel())
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    return (vals @ weights) * half
+
+
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes of each panel [edges[i], edges[i+1]].
+
+    Returns (pts, weights, half): the nodes, shape (panels, order), the
+    reference weights on [-1, 1] and the panel half-widths, so the rule on
+    panel i is sum(weights * f(pts[i])) * half[i].
+    """
     nodes, weights = _gl(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = fvec(pts.ravel())
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    return (vals @ weights) * half
+    return mid[:, None] + half[:, None] * nodes[None, :], weights, half
 
 
 def adaptive_panels(fvec, lo: float, hi: float, breakpoints=(),

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
-from qnls.boundary import (ForcingSpec, boundary_estimate_ratio,
-                           delta_coefficient, forcing_eval, forcing_field,
-                           kernel_constant, pde_residual, trace_check,
-                           trace_residual)
-from qnls.errors import (LambdaOutOfRange, NonPositiveA, SupportViolation,
+from qnls.boundary import (ForcingSpec, _column_values, _datum_bounds,
+                           _half_order_series, _osc_tail_factor,
+                           boundary_estimate_ratio, delta_coefficient,
+                           forcing_eval, forcing_field, kernel_constant,
+                           pde_residual, trace_check, trace_residual)
+from qnls.errors import (LambdaOutOfRange, NonPositiveA,
+                         SingularQuadratureFail, SupportViolation,
                          WindowViolation)
 from qnls.grids import SpaceTimeField, TimeSeries
 from qnls.profiles import smooth_bump
+from qnls.quadrature import panel_sums
 
 
 def bump_series(n=2048, t_end=1.0):
@@ -190,3 +195,124 @@ def test_estimate_ratio_windows():
         boundary_estimate_ratio(ForcingSpec(1.0, 0.0, f), 0.0, "Bourgain", b=0.7)
     with pytest.raises(WindowViolation):
         boundary_estimate_ratio(ForcingSpec(1.0, 0.0, f), 0.0, "Nope")
+
+
+def _ladder_column_values(m, bounds, a, x, ts, rel_tol=1e-5):
+    """Reference evaluator: every output time interpolates the datum at every
+    node of the sigma ladder, masked per time by sigma <= sqrt(t)."""
+    m_sup, m_dsup = bounds
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros(ts.size, dtype=complex)
+    live = ts > 0.0
+    if not np.any(live) or m_sup == 0.0:
+        return out
+    t_live = ts[live]
+    rt = np.sqrt(t_live)
+    t_max = float(np.max(t_live))
+    B = x * x / (4.0 * a)
+    scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
+
+    if B < 1e-300:
+        edges = math.sqrt(t_max) * np.linspace(0.0, 1.0, 65)
+    else:
+        md = m_dsup + 1e-300
+        k_min = max(1, math.ceil(B / (np.pi * t_max)))
+        K = math.ceil((0.4 * md * B ** 1.5 / (rel_tol * scale0)) ** 0.4 / np.pi)
+        K = min(max(K, k_min + 8), k_min + 4096)
+        edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
+        gap = math.sqrt(t_max) - edges[-1]
+        if gap > 1e-14:
+            n_top = max(8, min(48, int(np.ceil(48 * gap / math.sqrt(t_max)))))
+            edges = np.concatenate([edges,
+                                    np.linspace(edges[-1], math.sqrt(t_max),
+                                                n_top + 1)[1:]])
+
+    def ladder(sig):
+        phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
+        return m(t_live[:, None] - sig[None, :] ** 2) * phase[None, :]
+
+    panel_vals = panel_sums(ladder, edges, 8)
+    complete = edges[1:][None, :] <= rt[:, None] + 1e-15
+    vals = np.sum(np.where(complete, panel_vals, 0.0), axis=1)
+
+    idx = np.searchsorted(edges, rt + 1e-15, side="right") - 1
+    has = idx >= 0
+    lo_t = np.where(has, edges[np.clip(idx, 0, edges.size - 1)], 0.0)
+    half_t = 0.5 * np.maximum(rt - lo_t, 0.0) * has
+
+    def top(u):
+        sig_t = (lo_t + half_t)[:, None] + half_t[:, None] * u[None, :]
+        ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else np.ones_like(sig_t)
+        return m(t_live[:, None] - sig_t ** 2) * ph_t
+
+    vals += panel_sums(top, np.array([-1.0, 1.0]), 8)[:, 0] * half_t
+
+    s_eff = np.minimum(edges[0], rt)
+    if B > 0:
+        tail = m(t_live - s_eff ** 2) * s_eff * _osc_tail_factor(B / (s_eff ** 2 + 1e-300))
+        vals += tail
+        err = 0.4 * (m_dsup + 1e-300) * float(np.max(s_eff)) ** 5 / B
+        if err > 0.01 * max(float(np.max(np.abs(vals))), 0.1 * scale0):
+            raise SingularQuadratureFail(
+                f"freezing error {err:.2e} above 1% at x={x:.3g}")
+    out[live] = (2.0 / math.sqrt(np.pi)) * vals
+    return out
+
+
+def _oracle_cases():
+    """(datum, output-time sets) on the datum grid, past its end and off it.
+
+    The first set of each datum spans its window; its column max scales the
+    error of the later sets too, since a single point of a column that
+    cancels to 1e-10 of the datum carries rounding noise of that order.
+    """
+    dtc = 0.5 / 64
+    tc = dtc * np.arange(64)
+    yield TimeSeries(0.0, dtc, smooth_bump(tc, 0.02, 0.4)
+                     * np.exp(2j * np.pi * 3.0 * tc)), [tc]
+    trace = bump_series(n=4096)
+    ts = trace.times[np.unique(np.linspace(1, trace.n - 1, 48).astype(int))]
+    # ts + dt reaches t_end + dt, past the sampled window
+    yield trace, [ts, ts + trace.dt, ts - trace.dt]
+    f = bump_series(n=2048)
+    mixed = np.concatenate([f.times[[100, 701, 1500, 2047]],
+                            [0.1234, 0.5, 0.8765, f.times[900] + 0.5 * f.dt]])
+    yield f, [(f.t_end / 64) * np.arange(64), np.array([0.5]),
+              np.array([0.7331]), np.array([f.t_end]), mixed]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, -0.25])
+def test_lag_binned_columns_match_per_time_ladder(lam):
+    for f, time_sets in _oracle_cases():
+        m = _half_order_series(ForcingSpec(1.0, lam, f))
+        bounds = _datum_bounds(m)
+        for a in (0.25, 1.0, 2.0):
+            for x in (0.0, 0.3, 2.0, 7.5, 19.8):
+                col_max = 0.0
+                for ts in time_sets:
+                    try:
+                        ref = _ladder_column_values(m, bounds, a, x, ts)
+                    except SingularQuadratureFail:
+                        with pytest.raises(SingularQuadratureFail):
+                            _column_values(m, bounds, a, x, ts)
+                        continue
+                    got = _column_values(m, bounds, a, x, ts)
+                    col_max = max(col_max, float(np.max(np.abs(ref))))
+                    err = float(np.max(np.abs(got - ref)))
+                    assert err <= 1e-8 * col_max, (f.n, a, x, ts.size, err / col_max)
+
+
+def test_field_rows_at_plus_and_minus_x_are_equal():
+    spec = ForcingSpec(1.0, 0.0, bump_series(n=256))
+    xs = -4.0 + 0.25 * np.arange(32)
+    field = forcing_field(spec, xs, spec.f.times[::8])
+    for i in range(1, xs.size):
+        assert np.array_equal(field[i], field[xs.size - i])
+
+
+def test_freezing_error_guard_raises():
+    t = np.linspace(0.0, 1.0, 2048)
+    f = TimeSeries(0.0, t[1] - t[0], np.sin(2 * np.pi * 200 * t) * t * (1 - t))
+    spec = ForcingSpec(0.25, 0.0, f)
+    with pytest.raises(SingularQuadratureFail, match="freezing error"):
+        forcing_field(spec, np.array([40.0, 100.0, 300.0]), f.times[1024::256])

@@ -45,23 +45,33 @@ def test_invalid_config_exits_2(tmp_path):
     assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
 
-@pytest.mark.parametrize("command,cfg", [
-    ("verify-bilinear", {"n_pairs": 0}),
-    ("verify-bilinear", {"nx": 48}),
-    ("contraction", {"nx": 128}),                   # not 2*(nx_sim-1)
-    ("contraction", {"nx": 200, "nx_sim": 101}),
-    ("contraction", {"nt": 48}),
-    ("contraction", {"k_iters": 2}),
-    ("contraction", {"T": 0.6, "k_iters": 3, "nx": 64, "nx_sim": 33, "nt": 16}),
-    ("verify-bilinear", {"which": ["L5.9"], "n_pairs": 2}),
-    ("simulate", {"dt": 0.5}),
-    ("contraction", {"t_span": 0.0}),
-])
-def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+_BAD_CONFIGS = [
+    ("verify-bilinear", {"n_pairs": 0}, "n_pairs must be a positive integer"),
+    ("verify-bilinear", {"nx": 48}, "nx and nt must be powers of two"),
+    ("contraction", {"nx": 128}, "nx must equal 2*(nx_sim-1)"),
+    ("contraction", {"nx": 200, "nx_sim": 101}, "nx and nt must be powers of two"),
+    ("contraction", {"nt": 48}, "nx and nt must be powers of two"),
+    ("contraction", {"k_iters": 2}, "k_iters must be an integer >= 3"),
+    ("contraction", {"T": 0.6, "k_iters": 3, "nx": 64, "nx_sim": 33, "nt": 16},
+     "T=0.6 must be below t_span=0.5"),
+    ("verify-bilinear", {"which": ["L5.9"], "n_pairs": 2}, "unknown estimates ['L5.9']"),
+    ("simulate", {"dt": 0.5}, "dt above 0.1 is not accepted"),
+    ("contraction", {"t_span": 0.0}, "t_span must be positive"),
+    # a single name, not a list: read as its characters, it was four unknown names
+    ("verify-bilinear", {"which": "L5.1", "n_pairs": 2},
+     "which must be a list of estimate names"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    pytest.param(*case, id=f"{case[0]}-cfg{i}") for i, case in enumerate(_BAD_CONFIGS)])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, message):
     code = main([command, "--config", str(_dump(tmp_path, cfg)),
                  "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert message in err
 
 
 def test_dispersion_sweep_cli(tmp_path):

@@ -1,10 +1,13 @@
-"""The benchmark's tracer must find every by-name import it wraps.
+"""The benchmark must keep running against the package under test.
 
 `perfbench/tracing.instrument` raises when a module no longer imports one of
 its IMPORTED_BINDINGS (e.g. `bilinear.integrate_with_tail`), which stops a
-traced benchmark run; this test runs it against the package under test.
+traced benchmark run.  The benchmark also checks every output against its
+committed reference, so a drift in the boundary numerics fails here as well
+as in a benchmark run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +31,13 @@ def test_tracer_binds_every_imported_name():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_contraction_benchmark_matches_reference():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "contraction",
+         "--seed", "3", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, proc.stdout[-2000:]
