@@ -28,6 +28,8 @@ from .spectral import BourgainParams, _bracket, bourgain_norm
 
 J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
 ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
+#: relative tolerance of every J evaluation in a boundedness sweep
+SWEEP_REL_TOL = 3e-4
 
 
 @dataclass
@@ -50,20 +52,14 @@ class EstimateParams:
 
 @dataclass
 class JSpec:
-    """One J integral: index, base point, and region-scheme binding."""
+    """One J integral: index and base point; `scheme_for` binds its scheme."""
 
     index: str
     base: tuple
-    scheme: str | None = None
 
     def __post_init__(self):
         if self.index not in J_INDICES:
             raise ParamDomainViolated(f"unknown J index {self.index!r}")
-
-    def bound_scheme(self, a: float) -> str:
-        if self.scheme is not None:
-            return self.scheme
-        return scheme_for(self.index, a)
 
 
 def scheme_for(index: str, a: float) -> str:
@@ -106,7 +102,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
     """Prefactor, vectorized integrand, breakpoints and zero-flag for a 1-d J."""
     P, Q = spec.base
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    scheme = spec.bound_scheme(a)
+    scheme = scheme_for(spec.index, a)
     idx = spec.index
     c = (2.0 * a - 1.0) / 4.0
     one = lambda y: np.ones_like(np.asarray(y, dtype=float))
@@ -264,8 +260,7 @@ def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
 
 
 def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
-           return_tail: bool = False, ignore_region: bool = False,
-           rel_tol: float = 1e-6):
+           ignore_region: bool = False, rel_tol: float = 1e-6) -> float:
     """Evaluate one J integral at its base point.
 
     With `window`, the integration variable is restricted to |y| <= window
@@ -276,13 +271,13 @@ def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
     """
     idx = spec.index
     if idx == "A-J":
-        return _appendix_j(spec, p, window, return_tail, rel_tol)
+        return _appendix_j(spec, p, window, rel_tol)
     if idx in ("A-J1", "A-J2", "A-J3"):
-        return _appendix_2d(spec, p, window, return_tail, rel_tol)
+        return _appendix_2d(spec, p, window, rel_tol)
 
     pref, f, bps, empty = _pieces(spec, p, ignore_region)
     if empty:
-        return (0.0, 0.0) if return_tail else 0.0
+        return 0.0
     bps = sorted({float(b) for b in bps if np.isfinite(b)})
     value, tail = integrate_with_tail(f, bps, window=window, rel_tol=rel_tol)
     value *= pref
@@ -291,17 +286,16 @@ def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
         raise QuadratureNonConvergent(
             f"{idx} at base {spec.base}: tail estimate {tail:.3g} "
             f"exceeds 5% of value {value:.3g}")
-    return (value, tail) if return_tail else value
+    return value
 
 
-def _appendix_j(spec, p, window, return_tail, rel_tol):
+def _appendix_j(spec, p, window, rel_tol):
     """Appendix integral for kappa >= 0; defers below the |tau| > 10 xi^2 cut."""
     if p.kappa < 0:
         raise ParamDomainViolated("appendix A-J branch requires kappa >= 0")
     P, Q = spec.base
     if abs(Q) <= 10.0 * P * P:
-        return j_eval(JSpec("J1", spec.base, spec.scheme), p, window,
-                      return_tail, rel_tol=rel_tol)
+        return j_eval(JSpec("J1", spec.base), p, window, rel_tol=rel_tol)
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     pref = _bracket(Q + P * P) ** (-(2 * d - kappa))
     A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
@@ -314,10 +308,10 @@ def _appendix_j(spec, p, window, return_tail, rel_tol):
     tail *= pref
     if window is None and tail > 0.05 * max(abs(value), 1e-300):
         raise QuadratureNonConvergent("A-J tail exceeds 5% of value")
-    return (value, tail) if return_tail else value
+    return value
 
 
-def _appendix_2d(spec, p, window, return_tail, rel_tol):
+def _appendix_2d(spec, p, window, rel_tol):
     """Two-dimensional appendix integrals of the kappa <= -1/2 branch.
 
     The outer frequency runs over fixed dyadic Gauss panels (the inner time
@@ -329,9 +323,9 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
     P, Q = spec.base
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[spec.index]
-    scheme = spec.bound_scheme(a)
+    scheme = scheme_for(spec.index, a)
     if scheme == "RES" and region > 1:
-        return (0.0, 0.0) if return_tail else 0.0
+        return 0.0
     t_window = None if window is None else window * window
 
     if spec.index == "A-J1":
@@ -352,7 +346,7 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
     elif spec.index == "A-J2":
         pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
         if abs(P) < 1.0:    # region needs |xi2| >= 1
-            return (0.0, 0.0) if return_tail else 0.0
+            return 0.0
 
         def inner(xi):
             def g(tau):
@@ -402,7 +396,7 @@ def _appendix_2d(spec, p, window, return_tail, rel_tol):
     tail *= pref
     if window is None and tail > 0.05 * max(abs(value), 1e-300):
         raise QuadratureNonConvergent(f"{spec.index} tail exceeds 5% of value")
-    return (value, tail) if return_tail else value
+    return value
 
 
 def applicable_indices(p: EstimateParams) -> list[str]:
@@ -441,7 +435,7 @@ def _peak_anchors(index: str, p: EstimateParams, x: float) -> list[float]:
 
 
 def j_sup_sweep(index: str, p: EstimateParams, radii,
-                n_base: int = 9, rel_tol: float = 3e-4) -> list[dict]:
+                n_base: int = 9) -> list[dict]:
     """Sup of a J integral over base grids of growing radius.
 
     Base points cover |xi| <= R uniformly and |tau| <= R^2 uniformly,
@@ -468,9 +462,9 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
             for tau in np.concatenate([taus, surf]):
                 spec = JSpec(index, (float(x), float(tau)))
                 try:
-                    val = j_eval(spec, p, rel_tol=rel_tol)
+                    val = j_eval(spec, p, rel_tol=SWEEP_REL_TOL)
                 except QuadratureNonConvergent:
-                    val = j_eval(spec, p, window=R, rel_tol=rel_tol)
+                    val = j_eval(spec, p, window=R, rel_tol=SWEEP_REL_TOL)
                 if val > best:
                     best, arg = val, (float(x), float(tau))
         records.append({"index": index, "R": float(R), "sup": float(best),

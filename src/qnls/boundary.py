@@ -44,6 +44,9 @@ from .grids import SpaceTimeField, TimeSeries
 from .quadrature import _panel_nodes, panel_sums
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
 
+#: relative accuracy the sigma ladder of the kernel quadrature is sized for
+KERNEL_REL_TOL = 1e-5
+
 
 def kernel_constant(a: float) -> complex:
     """Normalization making the base operator reproduce the datum at x = 0."""
@@ -113,8 +116,8 @@ def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
     return m.sup(), float(np.max(np.abs(grad)))
 
 
-def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
-                   rel_tol: float = 1e-5) -> np.ndarray:
+def _column_values(m: TimeSeries, bounds, a: float, x: float,
+                   ts: np.ndarray) -> np.ndarray:
     """Base-operator values at one x for all times, sharing the sigma ladder.
 
     At fixed x the oscillation edges and phases are time-independent; the
@@ -140,7 +143,7 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float, ts: np.ndarray,
     else:
         md = m_dsup + 1e-300
         k_min = max(1, math.ceil(B / (np.pi * t_max)))
-        K = math.ceil((0.4 * md * B ** 1.5 / (rel_tol * scale0)) ** 0.4 / np.pi)
+        K = math.ceil((0.4 * md * B ** 1.5 / (KERNEL_REL_TOL * scale0)) ** 0.4 / np.pi)
         K = min(max(K, k_min + 8), k_min + 4096)
         edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
         gap = math.sqrt(t_max) - edges[-1]
@@ -257,19 +260,18 @@ def _full_panels(m: TimeSeries, edges: np.ndarray, B: float, t_live: np.ndarray,
             + 1j * np.bincount(t_of, terms.imag, t_live.size))
 
 
-def _base_field(m: TimeSeries, bounds, a: float, ys, ts,
-                rel_tol: float = 1e-5) -> np.ndarray:
+def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     """Base-operator field on ys x ts; the kernel sees y only through y^2,
     so each |y| is evaluated once."""
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
     cols = np.empty((ay.size, ts.size), dtype=complex)
     for i, y in enumerate(ay):
-        cols[i, :] = _column_values(m, bounds, a, float(y), ts, rel_tol)
+        cols[i, :] = _column_values(m, bounds, a, float(y), ts)
     return cols[inv]
 
 
-def _ray_grid(xs: np.ndarray, spec: ForcingSpec, n_pad: int | None = None):
+def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     """Uniform y-grid extending xs to the right for the spatial convolution.
 
     The spacing resolves the propagator's spatial oscillation where the
@@ -284,7 +286,7 @@ def _ray_grid(xs: np.ndarray, spec: ForcingSpec, n_pad: int | None = None):
     else:
         dy = float(np.clip(0.1 * math.sqrt(spec.a * t_max), 0.01, 0.1))
     pad = max(12.0 * math.sqrt(spec.a * t_max), 6.0, 32 * dy)
-    n_extra = int(np.ceil(pad / dy)) if n_pad is None else n_pad
+    n_extra = int(np.ceil(pad / dy))
     return np.concatenate([xs, xs[-1] + dy * np.arange(1, n_extra + 1)]), dy
 
 
@@ -313,11 +315,7 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
             raise LambdaOutOfRange("def0 representation needs lambda > 0")
         ys, dy = _ray_grid(xs, spec)
         G = _base_field(m, bounds, spec.a, ys, ts)
-        out = np.empty((xs.size, ts.size), dtype=complex)
-        for j in range(ts.size):
-            conv = _integrate(G[::-1, j], dy, lam)[::-1]
-            out[:, j] = conv[:xs.size]
-        return out
+        return _integrate(G[::-1], dy, lam)[::-1][:xs.size]
 
     if representation != "alt":
         raise ValueError(f"unknown representation {representation!r}")
@@ -328,10 +326,7 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
     g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
     g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
     dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
-    out = np.empty((xs.size, ts.size), dtype=complex)
-    for j in range(ts.size):
-        conv = _integrate(dt_term[::-1, j], dy, lam + 2.0)[::-1]
-        out[:, j] = -conv[:xs.size] / spec.a
+    out = -_integrate(dt_term[::-1], dy, lam + 2.0)[::-1][:xs.size] / spec.a
     # explicit one-sided boundary term C' / a * x_-^{lambda+1}/Gamma(lambda+2)
     if lam <= -1.0 and np.any(xs == 0.0):
         raise LambdaOutOfRange("boundary term singular at x = 0 for lambda <= -1")
@@ -378,10 +373,6 @@ def trace_check(spec: ForcingSpec, n_samples: int = 48) -> TraceReport:
     return TraceReport(residuals[phase], phase, residuals, spec.a, spec.lam)
 
 
-def trace_residual(spec: ForcingSpec) -> float:
-    return trace_check(spec).residual
-
-
 def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
     """Weak-form defect of the forced Schrodinger identity against a test field.
 
@@ -426,10 +417,7 @@ def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
         if np.count_nonzero(neg) < 2:
             rhs = 0.0
         else:
-            block = z[neg, :]
-            kernel_vals = np.empty(ts_grid.size, dtype=complex)
-            for j in range(ts_grid.size):
-                kernel_vals[j] = _integrate(block[:, j], testfn.dx, lam)[-1]
+            kernel_vals = _integrate(z[neg, :], testfn.dx, lam)[-1]
             rhs = C * np.sum(m_src * kernel_vals) * testfn.dt
     else:
         rhs = 0.0       # support check above guarantees the source is absent
@@ -469,15 +457,10 @@ def boundary_estimate_ratio(spec: ForcingSpec, s: float, which: str,
     ts = dt * np.arange(nt)
     field = forcing_field(spec, xs, ts)
     if which == "SpaceTraces":
-        half = field.copy()
-        half[xs < 0.0, :] = 0.0
-        norms = [sobolev_norm_1d(half[:, j], dx, s) for j in range(nt)]
-        return float(np.max(norms)) / den
-    if which == "TimeTraces":
-        loc = field * cutoff(ts)[None, :]
-        r = (2.0 * s + 1.0) / 4.0
-        norms = [sobolev_norm_1d(loc[i, :], dt, r) for i in range(nx)]
-        return float(np.max(norms)) / den
+        half = np.where(xs[:, None] < 0.0, 0.0, field)
+        return float(np.max(sobolev_norm_1d(half.T, dx, s))) / den
     loc = field * cutoff(ts)[None, :]
+    if which == "TimeTraces":
+        return float(np.max(sobolev_norm_1d(loc, dt, (2.0 * s + 1.0) / 4.0))) / den
     u = SpaceTimeField(xs[0], dx, 0.0, dt, loc)
     return bourgain_norm(u, BourgainParams(s, b, spec.a)) / den

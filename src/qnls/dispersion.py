@@ -24,6 +24,8 @@ from .spectral import _bracket
 
 REGIMES = ("SecondNonResonant", "Resonant", "FirstNonResonant")
 SCHEMES = ("R", "A", "S", "B", "RES")
+#: scale of the Cauchy draws of sample_quadruples
+CAUCHY_SCALE = 5.0
 
 
 @dataclass
@@ -166,10 +168,9 @@ def classify_region(fp: FrequencyPoint, a: float, scheme: str):
     return out if out.ndim else int(out)
 
 
-def sample_quadruples(n: int, rng: np.random.Generator,
-                      scale: float = 5.0) -> FrequencyPoint:
+def sample_quadruples(n: int, rng: np.random.Generator) -> FrequencyPoint:
     """Heavy-tailed (Cauchy) random quadruples for asymptotic bound probing."""
-    draw = lambda: scale * rng.standard_cauchy(n)
+    draw = lambda: CAUCHY_SCALE * rng.standard_cauchy(n)
     return FrequencyPoint(draw(), draw(), draw(), draw())
 
 

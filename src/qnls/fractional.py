@@ -38,10 +38,12 @@ def product_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate(samples: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    n = samples.size
+    """Product-trapezoid integral of order alpha along axis 0 of samples."""
+    n = samples.shape[0]
     b, c = product_weights(alpha, n)
-    out = fftconvolve(samples, b)[:n]
-    out[1:] += c * samples[0]
+    col = (slice(None),) + (None,) * (samples.ndim - 1)
+    out = fftconvolve(samples, b[col], axes=0)[:n]
+    out[1:] += c[col] * samples[0]
     out[0] = 0.0
     return out * dt ** alpha / math.gamma(alpha + 2.0)
 
@@ -68,10 +70,7 @@ def rl_apply(f: TimeSeries, alpha: float) -> TimeSeries:
     k = math.ceil(-alpha)
     if alpha + k <= 0.0:
         k += 1
-    y = _integrate(f.samples, f.dt, alpha + k) if alpha + k < 1.0 else None
-    if y is None:
-        # alpha + k == 1 exactly: plain running integral
-        y = _integrate(f.samples, f.dt, 1.0)
+    y = _integrate(f.samples, f.dt, alpha + k)
     for _ in range(k):
         y = np.gradient(y, f.dt, edge_order=2)
     return TimeSeries(f.t0, f.dt, y)

@@ -72,12 +72,6 @@ class TimeSeries:
             for t, z in zip(self.times, self.samples):
                 w.writerow([_FMT % t, _FMT % z.real, _FMT % z.imag])
 
-    @staticmethod
-    def from_csv(path) -> "TimeSeries":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        t = data[:, 0]
-        return TimeSeries(t[0], t[1] - t[0], data[:, 1] + 1j * data[:, 2])
-
 
 @dataclass
 class GridFunction:
@@ -170,11 +164,3 @@ class SpaceTimeField:
                 for j, t in enumerate(self.t):
                     z = self.samples[i, j]
                     w.writerow([_FMT % x, _FMT % t, _FMT % z.real, _FMT % z.imag])
-
-    @staticmethod
-    def from_csv(path) -> "SpaceTimeField":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        xs = np.unique(data[:, 0])
-        ts = np.unique(data[:, 1])
-        z = (data[:, 2] + 1j * data[:, 3]).reshape(xs.size, ts.size)
-        return SpaceTimeField(xs[0], xs[1] - xs[0], ts[0], ts[1] - ts[0], z)

@@ -24,8 +24,8 @@ from scipy.linalg import solve_banded
 from . import boundary, spectral
 from .errors import (BlowUpDetected, CompatibilityViolation, DivergentIteration,
                      EmptyLedger, NonConvergentNonlinearIteration)
-from .grids import GridFunction, TimeSeries
-from .grids import SpaceTimeField
+from .grids import GridFunction, SpaceTimeField, TimeSeries
+from .profiles import sech
 
 COMPAT_RTOL = 1e-6
 
@@ -38,15 +38,12 @@ class SolverConfig:
     T: float
     a: float
     nonlinearity_iters: int = 2
-    forcing_mode: str = "none"
 
     def __post_init__(self):
         if min(self.L, self.nx, self.dt, self.T, self.a) <= 0:
             raise ValueError("L, nx, dt, T, a must be positive")
         if self.dt > 0.1:
             raise ValueError("dt above 0.1 is not accepted (accuracy guard)")
-        if self.forcing_mode not in ("none", "manufactured"):
-            raise ValueError(f"unknown forcing mode {self.forcing_mode!r}")
 
 
 @dataclass
@@ -88,8 +85,6 @@ def mass_identity_residual(ledger: MassLedger) -> float:
 
 def default_manufactured(a: float) -> dict:
     """Exact solution pair (e^{it} sech x, e^{2it} sech x) with its sources."""
-    sech = lambda x: 1.0 / np.cosh(x)
-
     def u_exact(x, t):
         return np.exp(1j * t) * sech(x)
 
@@ -126,13 +121,14 @@ def _boundary_deriv(w: np.ndarray, h: float) -> complex:
 def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
              f: TimeSeries, g: TimeSeries, kappa: float = 0.0, s: float = 0.0,
              sources=None, snapshot_stride: int = 1):
-    """Advance the coupled system; returns (trajectory, mass ledger)."""
+    """Advance the coupled system; returns (trajectory, mass ledger).
+
+    `sources` is None or a pair (F1, F2) of callables of (x, t), e.g. the
+    sources of `default_manufactured`.
+    """
     if not compatibility_check(u0, f, kappa, v0, g, s):
         raise CompatibilityViolation(
             "endpoint data mismatch for the declared regularity class")
-    if cfg.forcing_mode == "manufactured" and sources is None:
-        man = default_manufactured(cfg.a)
-        sources = (man["F1"], man["F2"])
 
     nx = cfg.nx
     h = cfg.L / (nx - 1)

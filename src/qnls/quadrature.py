@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import QuadratureNonConvergent
 
+#: adaptive_panels budget: edges and bisection rounds
+MAX_PANELS, MAX_ROUNDS = 4000, 60
+#: integrate_with_tail: smallest first half-width, dyadic blocks beyond it
+TAIL_START, MAX_DOUBLINGS = 8.0, 24
+
 
 @lru_cache(maxsize=None)
 def _gl(order: int):
@@ -49,15 +54,17 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 
 def adaptive_panels(fvec, lo: float, hi: float, breakpoints=(),
-                    rel_tol: float = 1e-7, abs_tol: float = 0.0,
-                    max_panels: int = 4000) -> float:
-    """Adaptively integrate fvec on [lo, hi], bisecting error-carrying panels."""
+                    rel_tol: float = 1e-7):
+    """Adaptively integrate fvec on [lo, hi], bisecting error-carrying panels.
+
+    Raises QuadratureNonConvergent past MAX_PANELS edges or MAX_ROUNDS rounds.
+    """
     if hi <= lo:
         return 0.0
     pts = [lo, hi] + [float(b) for b in np.atleast_1d(breakpoints)
                       if lo < b < hi]
     edges = np.unique(np.asarray(pts, dtype=float))
-    for _ in range(60):
+    for _ in range(MAX_ROUNDS):
         coarse = panel_sums(fvec, edges, 8)
         fine_mid = 0.5 * (edges[:-1] + edges[1:])
         split = np.sort(np.concatenate([edges, fine_mid]))
@@ -65,21 +72,22 @@ def adaptive_panels(fvec, lo: float, hi: float, breakpoints=(),
         fine_per_panel = fine[0::2] + fine[1::2]
         err = np.abs(fine_per_panel - coarse)
         total = np.sum(fine_per_panel)
-        tol = max(rel_tol * abs(total), abs_tol)
-        if np.sum(err) <= tol or edges.size > max_panels:
+        if np.sum(err) <= rel_tol * abs(total):
             return complex(total) if np.iscomplexobj(fine) else float(total)
+        if edges.size > MAX_PANELS:
+            break
         # bisect the panels holding the top share of the error
         order = np.argsort(err)[::-1]
         cum = np.cumsum(err[order])
         keep = order[:np.searchsorted(cum, 0.95 * cum[-1]) + 1]
         new_edges = fine_mid[keep]
         edges = np.sort(np.concatenate([edges, new_edges]))
-    return float(np.sum(fine_per_panel))
+    raise QuadratureNonConvergent(
+        f"error {np.sum(err):.3g} on [{lo:.6g}, {hi:.6g}] after {edges.size} edges")
 
 
 def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
-                        rel_tol: float = 1e-6, start: float = 8.0,
-                        max_doublings: int = 24):
+                        rel_tol: float = 1e-6):
     """Integrate fvec over the real line (or |y| <= window).
 
     Returns (value, tail_estimate).  Without a window the domain grows in
@@ -89,7 +97,7 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
     QuadratureNonConvergent.
     """
     bre = np.atleast_1d(breakpoints) if len(np.atleast_1d(breakpoints)) else np.array([0.0])
-    x0 = max(start, 2.0 * float(np.max(np.abs(bre))) + 1.0)
+    x0 = max(TAIL_START, 2.0 * float(np.max(np.abs(bre))) + 1.0)
     if window is not None and window < x0:
         value = adaptive_panels(fvec, -window, window, breakpoints, rel_tol)
         tail = tail_probe(fvec, window)
@@ -98,7 +106,7 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
     scale = abs(value)
     blocks = []
     x = x0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if window is not None and x >= window:
             return value, tail_probe(fvec, window)
         nxt = 2.0 * x if window is None else min(2.0 * x, window)

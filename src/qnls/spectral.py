@@ -19,6 +19,10 @@ from .grids import GridFunction, SpaceTimeField
 
 #: fraction of L^2 energy tolerated within 1% of the Nyquist band
 ALIAS_ENERGY_TOL = 1e-6
+#: smoothing_ratio's time grid: SMOOTHING_NT samples on
+#: [-SMOOTHING_T_HALF, SMOOTHING_T_HALF), beyond the cutoff's support
+SMOOTHING_T_HALF = 4.0
+SMOOTHING_NT = 512
 
 
 def cutoff(t, scale: float = 1.0):
@@ -42,7 +46,7 @@ def cutoff(t, scale: float = 1.0):
 class BourgainParams:
     """Weight parameters for the discrete Bourgain-type norms.
 
-    family "X": L^2 of <xi>^s <tau + sign*a*xi^2>^b |u_hat|.
+    family "X": L^2 of <xi>^s <tau + a*xi^2>^b |u_hat|.
     family "W": sqrt of the integral of <tau>^(s/2) <tau - a*xi^2>^(2b) |u_hat|^2;
     the s/2 power sits inside the squared integrand and the bracket sign
     differs from X, both deliberately.
@@ -51,7 +55,6 @@ class BourgainParams:
     s: float
     b: float
     a: float
-    sign: int = 1
     family: str = "X"
 
     def __post_init__(self):
@@ -69,23 +72,17 @@ def _xi_grid(n: int, dx: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
 
 
-def linear_group(phi: GridFunction, a: float, t: float,
-                 check_alias: bool = True) -> GridFunction:
+def linear_group(phi: GridFunction, a: float, t: float) -> GridFunction:
     """Evolve phi by the free group at dispersion a for time t."""
-    if a <= 0:
-        raise NonPositiveA(f"a must be positive, got {a}")
-    xi = _xi_grid(phi.n, phi.dx)
     phi_hat = np.fft.fft(phi.samples)
-    if check_alias:
-        total = np.sum(np.abs(phi_hat) ** 2)
-        if total > 0:
-            near_nyquist = np.abs(xi) >= 0.99 * np.pi / phi.dx
-            frac = np.sum(np.abs(phi_hat[near_nyquist]) ** 2) / total
-            if frac > ALIAS_ENERGY_TOL:
-                raise AliasRisk(
-                    f"{frac:.2e} of the energy sits within 1% of Nyquist")
-    out = np.fft.ifft(np.exp(-1j * a * t * xi ** 2) * phi_hat)
-    return GridFunction(phi.x0, phi.dx, out)
+    total = np.sum(np.abs(phi_hat) ** 2)
+    if total > 0:
+        near_nyquist = np.abs(_xi_grid(phi.n, phi.dx)) >= 0.99 * np.pi / phi.dx
+        frac = np.sum(np.abs(phi_hat[near_nyquist]) ** 2) / total
+        if frac > ALIAS_ENERGY_TOL:
+            raise AliasRisk(
+                f"{frac:.2e} of the energy sits within 1% of Nyquist")
+    return GridFunction(phi.x0, phi.dx, group_field(phi, a, np.array([t]))[:, 0])
 
 
 def group_field(phi: GridFunction, a: float, ts: np.ndarray) -> np.ndarray:
@@ -128,22 +125,27 @@ def bourgain_norm(u: SpaceTimeField, p: BourgainParams) -> float:
         raise ValueError("field transform is not finite")
     measure = u.dx * u.dt / (u.nx * u.nt)
     if p.family == "X":
-        w2 = _bracket(xi) ** (2.0 * p.s) * _bracket(tau + p.sign * p.a * xi ** 2) ** (2.0 * p.b)
+        w2 = _bracket(xi) ** (2.0 * p.s) * _bracket(tau + p.a * xi ** 2) ** (2.0 * p.b)
     else:
         w2 = _bracket(tau) ** (p.s / 2.0) * _bracket(tau - p.a * xi ** 2) ** (2.0 * p.b)
     return float(np.sqrt(np.sum(w2 * np.abs(u_hat) ** 2) * measure))
 
 
-def sobolev_norm_1d(samples: np.ndarray, step: float, r: float) -> float:
-    """Discrete H^r norm of a uniformly sampled signal via Fourier weights."""
-    freq = 2.0 * np.pi * np.fft.fftfreq(samples.size, d=step)
-    hat = np.fft.fft(samples)
+def sobolev_norm_1d(samples: np.ndarray, step: float, r: float):
+    """Discrete H^r norm of uniformly sampled signals via Fourier weights.
+
+    The signal runs along the last axis: a 1-d input gives a float, an
+    (m, n) input one norm per row.
+    """
+    n = samples.shape[-1]
+    freq = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
+    hat = np.fft.fft(samples, axis=-1)
     w2 = _bracket(freq) ** (2.0 * r)
-    return float(np.sqrt(np.sum(w2 * np.abs(hat) ** 2) * step / samples.size))
+    norms = np.sqrt(np.sum(w2 * np.abs(hat) ** 2, axis=-1) * step / n)
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def smoothing_ratio(phi: GridFunction, s: float, a: float,
-                    t_half: float = 4.0, nt: int = 512) -> float:
+def smoothing_ratio(phi: GridFunction, s: float, a: float) -> float:
     """Empirical constant of the local smoothing trace estimate.
 
     sup over grid x of the discrete H^{(2s+1)/4} time norm of the cutoff
@@ -154,14 +156,10 @@ def smoothing_ratio(phi: GridFunction, s: float, a: float,
     den = sobolev_norm_1d(phi.samples, phi.dx, s)
     if den == 0.0:
         return 0.0
-    ts = -t_half + (2.0 * t_half / nt) * np.arange(nt)
+    dt = 2.0 * SMOOTHING_T_HALF / SMOOTHING_NT
+    ts = -SMOOTHING_T_HALF + dt * np.arange(SMOOTHING_NT)
     field = group_field(phi, a, ts) * cutoff(ts)[None, :]
-    r = (2.0 * s + 1.0) / 4.0
-    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=2.0 * t_half / nt)
-    w2 = _bracket(tau) ** (2.0 * r)
-    hat = np.fft.fft(field, axis=1)
-    norms = np.sqrt(np.sum(w2[None, :] * np.abs(hat) ** 2, axis=1)
-                    * (2.0 * t_half / nt) / nt)
+    norms = sobolev_norm_1d(field, dt, (2.0 * s + 1.0) / 4.0)
     return float(np.max(norms)) / den
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qnls.boundary import (ForcingSpec, _column_values, _datum_bounds,
-                           _half_order_series, _osc_tail_factor,
-                           boundary_estimate_ratio, delta_coefficient,
-                           forcing_eval, forcing_field, kernel_constant,
-                           pde_residual, trace_check, trace_residual)
+from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _column_values,
+                           _datum_bounds, _half_order_series,
+                           _osc_tail_factor, boundary_estimate_ratio,
+                           delta_coefficient, forcing_eval, forcing_field,
+                           kernel_constant, pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)
@@ -51,7 +51,7 @@ def test_vanishes_at_initial_time():
 def test_base_trace_reproduces_datum():
     f = bump_series(n=4096)
     for a in (0.25, 0.5, 1.0, 2.0):
-        assert trace_residual(ForcingSpec(a, 0.0, f)) < 5e-3
+        assert trace_check(ForcingSpec(a, 0.0, f)).residual < 5e-3
 
 
 def test_pointwise_value_matches_brute_force_quadrature():
@@ -197,7 +197,7 @@ def test_estimate_ratio_windows():
         boundary_estimate_ratio(ForcingSpec(1.0, 0.0, f), 0.0, "Nope")
 
 
-def _ladder_column_values(m, bounds, a, x, ts, rel_tol=1e-5):
+def _ladder_column_values(m, bounds, a, x, ts):
     """Reference evaluator: every output time interpolates the datum at every
     node of the sigma ladder, masked per time by sigma <= sqrt(t)."""
     m_sup, m_dsup = bounds
@@ -217,7 +217,7 @@ def _ladder_column_values(m, bounds, a, x, ts, rel_tol=1e-5):
     else:
         md = m_dsup + 1e-300
         k_min = max(1, math.ceil(B / (np.pi * t_max)))
-        K = math.ceil((0.4 * md * B ** 1.5 / (rel_tol * scale0)) ** 0.4 / np.pi)
+        K = math.ceil((0.4 * md * B ** 1.5 / (KERNEL_REL_TOL * scale0)) ** 0.4 / np.pi)
         K = min(max(K, k_min + 8), k_min + 4096)
         edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
         gap = math.sqrt(t_max) - edges[-1]

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from qnls.errors import NonPositiveStep, OrderOutOfRange, UnsupportedSupport
-from qnls.fractional import rl_apply, semigroup_residual
+from qnls.fractional import _integrate, rl_apply, semigroup_residual
 from qnls.grids import TimeSeries
 from qnls.profiles import smooth_bump
 
@@ -100,3 +100,16 @@ def test_unsupported_support():
     f = TimeSeries(0.0, 1.0 / n, np.ones(n))
     with pytest.raises(UnsupportedSupport):
         rl_apply(f, -0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.75])
+def test_integrate_along_axis_0_equals_per_column_calls(alpha):
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(300, 9)) + 1j * rng.normal(size=(300, 9))
+    got = _integrate(block, 0.01, alpha)
+    for j in range(block.shape[1]):
+        assert np.array_equal(got[:, j], _integrate(block[:, j], 0.01, alpha))
+    # a reversed view, as the spatial convolution of the boundary layer uses
+    rev = _integrate(block[::-1], 0.01, alpha)
+    for j in range(block.shape[1]):
+        assert np.array_equal(rev[:, j], _integrate(block[::-1, j], 0.01, alpha))

@@ -90,8 +90,9 @@ def _manufactured_error(nx, dt, a=1.0, T=0.5, L=30.0):
     tg = dt * np.arange(nt)
     f = TimeSeries(0.0, dt, man["u"](0.0, tg))
     g = TimeSeries(0.0, dt, man["v"](0.0, tg))
-    cfg = SolverConfig(L=L, nx=nx, dt=dt, T=T, a=a, forcing_mode="manufactured")
-    states, _ = simulate(cfg, u0, v0, f, g, snapshot_stride=10 ** 9)
+    cfg = SolverConfig(L=L, nx=nx, dt=dt, T=T, a=a)
+    states, _ = simulate(cfg, u0, v0, f, g, sources=(man["F1"], man["F2"]),
+                         snapshot_stride=10 ** 9)
     fin = states[-1]
     return (np.sqrt(np.sum(np.abs(fin.u.samples - man["u"](x, T)) ** 2) * h)
             + np.sqrt(np.sum(np.abs(fin.v.samples - man["v"](x, T)) ** 2) * h))
@@ -137,8 +138,7 @@ def test_blow_up_guard():
     h = x[1] - x[0]
     tiny = GridFunction(0.0, h, 1e-8 * gaussian(x, center=5.0, width=1.0))
     pump = lambda xx, tt: np.ones_like(xx, dtype=complex)
-    cfg = SolverConfig(L=L, nx=nx, dt=0.01, T=1.0, a=1.0,
-                       forcing_mode="manufactured")
+    cfg = SolverConfig(L=L, nx=nx, dt=0.01, T=1.0, a=1.0)
     with pytest.raises(BlowUpDetected):
         simulate(cfg, tiny, tiny, zero_series(), zero_series(),
                  sources=(pump, pump), snapshot_stride=10 ** 9)

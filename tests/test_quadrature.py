@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qnls.quadrature import panel_sums, tail_probe
+from qnls.errors import QuadratureNonConvergent
+from qnls.quadrature import adaptive_panels, panel_sums, tail_probe
 
 
 def test_panel_sums_exact_on_degree_15_polynomial():
@@ -33,3 +34,16 @@ def test_tail_probe_on_cubic_decay():
     for W in (4.0, 12.0, 100.0):
         est = tail_probe(lambda y: np.abs(y) ** -3.0, W)
         assert est == pytest.approx(W ** -2, rel=0.02)
+
+
+def test_adaptive_rule_keeps_the_imaginary_part():
+    got = adaptive_panels(lambda y: np.exp(1j * y), 0.0, np.pi)
+    assert isinstance(got, complex)
+    assert got == pytest.approx(2j, abs=1e-12)
+
+
+def test_adaptive_rule_raises_past_its_panel_budget():
+    # the value is ~0.0627+0.0627i; a rule that stops at its budget and
+    # returns the running sum gives 0.454-0.336i here
+    with pytest.raises(QuadratureNonConvergent):
+        adaptive_panels(lambda y: np.exp(400j * y * y), -50.0, 50.0)

@@ -6,7 +6,7 @@ from qnls.grids import GridFunction, SpaceTimeField
 from qnls.profiles import gaussian
 from qnls.spectral import (BourgainParams, bourgain_norm, cutoff, duhamel,
                            group_field, inhomog_estimate_ratio, linear_group,
-                           smoothing_ratio)
+                           smoothing_ratio, sobolev_norm_1d)
 
 
 def make_grid(n=256, half=20.0):
@@ -52,7 +52,7 @@ def test_group_single_mode_phase():
     x0, dx, x = make_grid()
     k = 2.0 * np.pi * 8 / (dx * 256)   # exact lattice mode
     phi = GridFunction(x0, dx, np.exp(1j * k * x))
-    out = linear_group(phi, 1.0, 0.3, check_alias=False)
+    out = linear_group(phi, 1.0, 0.3)
     expect = np.exp(-1j * k ** 2 * 0.3) * np.exp(1j * k * x)
     assert np.max(np.abs(out.samples - expect)) < 1e-12
 
@@ -223,3 +223,15 @@ def test_duhamel_rejects_nonzero_t0():
     F = SpaceTimeField(x[0], dx, 0.5, dt, np.ones((32, 32)))
     with pytest.raises(ValueError):
         duhamel(F, 1.0)
+
+
+@pytest.mark.parametrize("r", [-0.5, 0.0, 0.25, 1.0])
+def test_sobolev_norm_along_last_axis_equals_per_row_calls(r):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(7, 128)) + 1j * rng.normal(size=(7, 128))
+    got = sobolev_norm_1d(rows, 0.05, r)
+    assert got.shape == (7,)
+    for i in range(rows.shape[0]):
+        one = sobolev_norm_1d(rows[i], 0.05, r)
+        assert isinstance(one, float)
+        assert abs(got[i] - one) <= 1e-15 * one
