@@ -52,7 +52,11 @@ class EstimateParams:
 
 @dataclass
 class JSpec:
-    """One J integral: index and base point; `scheme_for` binds its scheme."""
+    """One J integral: index and base point; `scheme_for` binds its scheme.
+
+    `base` may also be an (n, 2) array of base points, which `j_eval`
+    evaluates as one batch.
+    """
 
     index: str
     base: tuple
@@ -72,18 +76,24 @@ def scheme_for(index: str, a: float) -> str:
 
 
 def _quad_roots(A, B, C):
-    if abs(A) < 1e-14:
-        return [] if abs(B) < 1e-14 else [-C / B]
+    """Real roots of A y^2 + B y + C per base point: two columns, NaN where
+    a root is missing (one root when A vanishes, none when B does too)."""
+    A, B, C = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (A, B, C)))
+    out = np.full(A.shape + (2,), np.nan)
+    lin = np.abs(A) < 1e-14
+    one = lin & (np.abs(B) >= 1e-14)
+    out[one, 0] = -C[one] / B[one]
     disc = B * B - 4.0 * A * C
-    if disc < 0:
-        return []
-    r = np.sqrt(disc)
-    return [(-B - r) / (2 * A), (-B + r) / (2 * A)]
+    two = ~lin & (disc >= 0)
+    r = np.sqrt(disc[two])
+    out[two, 0] = (-B[two] - r) / (2 * A[two])
+    out[two, 1] = (-B[two] + r) / (2 * A[two])
+    return out
 
 
 def _level_roots(A, B, C, K):
     """Roots of |A y^2 + B y + C| = K."""
-    return _quad_roots(A, B, C - K) + _quad_roots(A, B, C + K)
+    return np.hstack([_quad_roots(A, B, C - K), _quad_roots(A, B, C + K)])
 
 
 def _ball_roots2(pc, q, r, s, c):
@@ -98,169 +108,200 @@ def _ball_roots(pc, q, c):
     return _ball_roots2(pc, q, 1.0, 0.0, c)
 
 
-def _pieces(spec: JSpec, p: EstimateParams, ignore_region: bool):
-    """Prefactor, vectorized integrand, breakpoints and zero-flag for a 1-d J."""
-    P, Q = spec.base
+def _vertex(A, B):
+    """Vertex -B/(2A) of A y^2 + B y + C, NaN where |A| <= 1e-14."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    out = np.full(A.shape, np.nan)
+    ok = np.abs(A) > 1e-14
+    out[ok] = -B[ok] / (2 * A[ok])
+    return out
+
+
+def _bp_table(n, *cols):
+    """(n, m) breakpoint table from scalars, per-point values and root
+    columns; non-finite entries become NaN (no breakpoint)."""
+    table = np.column_stack([c if np.ndim(c) == 2 else np.broadcast_to(c, (n,))
+                             for c in cols])
+    return np.where(np.isfinite(table), table, np.nan)
+
+
+def _rowpow(x, e):
+    """x ** e per base point with the scalar pow of a one-point evaluation;
+    numpy's vectorized pow may round differently."""
+    return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
+
+
+def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
+    """Prefactors, batch integrand, breakpoints and empty rows of a 1-d J.
+
+    P, Q hold the base points.  Returns (pref, f, bps, empty): f(y, rows)
+    evaluates base point rows[k]'s integrand at y[k] in the operation order
+    of a lone evaluation, powers of a base point alone come from _rowpow,
+    bps is the (n, m) breakpoint table and `empty` marks base points whose
+    region is empty (value 0).
+    """
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    scheme = scheme_for(spec.index, a)
-    idx = spec.index
+    scheme = scheme_for(index, a)
+    n = P.size
     c = (2.0 * a - 1.0) / 4.0
-    one = lambda y: np.ones_like(np.asarray(y, dtype=float))
+    region = not ignore_region and scheme != "RES"
+    nowhere = np.zeros(n, dtype=bool)
+    # the RES scheme leaves the regions of J2, J3, J5 and J6 empty
+    res_empty = np.full(n, scheme == "RES" and not ignore_region)
 
-    if idx == "J1":
+    if index == "J1":
         omega = Q + P * P
-        pref = _bracket(omega) ** (-2 * d)
-        # bracket tau - (a-1)y^2 - 2 xi y + xi^2 as A y^2 + B y + C
-        A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        weight = lambda y: _bracket(y) ** (-2 * s + 2 * abs(kappa))
-        # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2
-        sA, sB, sC = a - 1.0, 2.0 * P, Q - P * P
-        msum = lambda y: sA * y * y + sB * y + sC
-        if scheme == "RES" or ignore_region:
-            chi = one
-        elif scheme == "R":
-            chi = lambda y: ((np.abs(y) <= 1.0)
-                             | (2 * abs(omega) >= np.abs(msum(y)))).astype(float)
-        else:  # A
-            chi = lambda y: ((np.abs(y) <= 1.0)
-                             | (np.abs((1 - a) * y - P) >= c * np.abs(y))
-                             | ((np.abs(P - 0.5 * y) >= c * np.abs(y))
-                                & (2 * abs(omega) >= np.abs(msum(y))))).astype(float)
-        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(4 * b - 1)) * chi(y)
-        bps = ([-1.0, 1.0] + _quad_roots(A2_, B2_, C2_)
-               + _level_roots(sA, sB, sC, 2 * abs(omega))
-               + _ball_roots(1 - a, -P, c) + _ball_roots(-0.5, P, c))
-        if abs(A2_) > 1e-14:
-            bps.append(-B2_ / (2 * A2_))
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(omega), -2 * d)
+        A2_ = -(a - 1.0)
 
-    if idx == "J2":
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            # bracket tau - (a-1)y^2 - 2 xi y + xi^2 as A y^2 + B y + C
+            val = (_bracket(y) ** (-2 * s + 2 * abs(kappa))
+                   * _bracket(A2_ * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)) ** (-(4 * b - 1)))
+            if not region:
+                return val
+            # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2
+            dom = 2 * np.abs(Qr + Pr * Pr) >= np.abs((a - 1.0) * y * y + 2.0 * Pr * y
+                                                      + (Qr - Pr * Pr))
+            if scheme == "R":
+                chi = (np.abs(y) <= 1.0) | dom
+            else:  # A
+                chi = ((np.abs(y) <= 1.0)
+                       | (np.abs((1 - a) * y - Pr) >= c * np.abs(y))
+                       | ((np.abs(Pr - 0.5 * y) >= c * np.abs(y)) & dom))
+            return val * chi.astype(float)
+        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, -2.0 * P, Q + P * P),
+                        _level_roots(a - 1.0, 2.0 * P, Q - P * P, 2 * np.abs(omega)),
+                        _ball_roots(1 - a, -P, c), _ball_roots(-0.5, P, c),
+                        _vertex(A2_, -2.0 * P))
+        return pref, f, bps, nowhere
+
+    if index == "J2":
         omega2 = Q + a * P * P
-        pref = _bracket(omega2) ** (-2 * b)
-        wconst = _bracket(P) ** (-2 * s + 2 * abs(kappa))
-        A2_, B2_, C2_ = 2.0, -2.0 * P, Q + P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        if scheme == "RES" and not ignore_region:
-            return pref, one, [], True
-        if not ignore_region and abs(P) < 1.0:
-            return pref, one, [], True          # region needs |xi2| >= 1
-        if scheme == "A" and not ignore_region:
-            chi = lambda y: ((np.abs(y - 0.5 * P) >= c * abs(P))
-                             & (2 * abs(omega2) >= np.abs(bracket(y)))).astype(float)
-        else:
-            chi = one
-        f = lambda y: wconst * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
-        bps = (_quad_roots(A2_, B2_, C2_) + [-B2_ / (2 * A2_)]
-               + _level_roots(A2_, B2_, C2_, 2 * abs(omega2))
-               + [0.5 * P - c * abs(P), 0.5 * P + c * abs(P)])
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(omega2), -2 * b)
+        wconst = _rowpow(_bracket(P), -2 * s + 2 * abs(kappa))
 
-    if idx == "J3":
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            bracket = 2.0 * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)
+            val = wconst[r] * _bracket(bracket) ** (-(2 * b + 2 * d - 1))
+            if not (region and scheme == "A"):
+                return val
+            chi = ((np.abs(y - 0.5 * Pr) >= c * np.abs(Pr))
+                   & (2 * np.abs(Qr + a * Pr * Pr) >= np.abs(bracket)))
+            return val * chi.astype(float)
+        B2_, C2_ = -2.0 * P, Q + P * P
+        bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
+                        _level_roots(2.0, B2_, C2_, 2 * np.abs(omega2)),
+                        0.5 * P - c * np.abs(P), 0.5 * P + c * np.abs(P))
+        # the region needs |xi2| >= 1
+        return pref, f, bps, res_empty | (not ignore_region) & (np.abs(P) < 1.0)
+
+    if index == "J3":
         omega1 = Q - P * P
-        pref = _bracket(omega1) ** (-2 * b)
-        weight = lambda y: _bracket(y) ** (-2 * s + 2 * abs(kappa))
-        A2_, B2_, C2_ = 1.0 - a, 2.0 * P, Q + P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        if scheme == "RES" and not ignore_region:
-            return pref, one, [], True
-        if scheme == "A" and not ignore_region:
-            chi = lambda y: ((np.abs(y) >= 1.0)
-                             & (np.abs(P + 0.5 * y) >= c * np.abs(y))
-                             & (2 * abs(omega1) >= np.abs(bracket(y)))).astype(float)
-        elif scheme == "R" and not ignore_region:
-            chi = lambda y: (np.abs(y) >= 1.0).astype(float)
-        else:
-            chi = one
-        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
-        bps = ([-1.0, 1.0] + _quad_roots(A2_, B2_, C2_)
-               + _level_roots(A2_, B2_, C2_, 2 * abs(omega1))
-               + _ball_roots(0.5, P, c))
-        if abs(A2_) > 1e-14:
-            bps.append(-B2_ / (2 * A2_))
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(omega1), -2 * b)
+        A2_ = 1.0 - a
 
-    if idx == "J4":
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            bracket = A2_ * y * y + 2.0 * Pr * y + (Qr + Pr * Pr)
+            val = (_bracket(y) ** (-2 * s + 2 * abs(kappa))
+                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            if not region:
+                return val
+            if scheme == "A":
+                chi = ((np.abs(y) >= 1.0)
+                       & (np.abs(Pr + 0.5 * y) >= c * np.abs(y))
+                       & (2 * np.abs(Qr - Pr * Pr) >= np.abs(bracket)))
+            else:  # R
+                chi = np.abs(y) >= 1.0
+            return val * chi.astype(float)
+        B2_, C2_ = 2.0 * P, Q + P * P
+        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
+                        _level_roots(A2_, B2_, C2_, 2 * np.abs(omega1)),
+                        _ball_roots(0.5, P, c), _vertex(A2_, B2_))
+        return pref, f, bps, res_empty
+
+    if index == "J4":
         lam = Q + a * P * P
-        pref = _bracket(lam) ** (-2 * d)
-        weight = lambda y: (_bracket(P) ** (2 * s) * _bracket(P - y) ** (-2 * kappa)
-                            * _bracket(y) ** (-2 * kappa))
-        A2_, B2_, C2_ = 2.0, -2.0 * P, Q + P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        if scheme == "RES" or ignore_region or abs(P) <= 1.0:
-            chi = one
-        elif scheme == "S":
-            chi = lambda y: (2 * abs(lam) >= np.abs(bracket(y))).astype(float)
-        else:  # B
-            chi = lambda y: ((np.abs(y - 0.5 * P) >= c * abs(P))
-                             | ((np.abs((1 - a) * P - y) >= c * abs(P))
-                                & (2 * abs(lam) >= np.abs(bracket(y))))).astype(float)
-        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(4 * b - 1)) * chi(y)
-        bps = (_quad_roots(A2_, B2_, C2_) + [-B2_ / (2 * A2_), P]
-               + _level_roots(A2_, B2_, C2_, 2 * abs(lam))
-               + [0.5 * P - c * abs(P), 0.5 * P + c * abs(P),
-                  (1 - a) * P - c * abs(P), (1 - a) * P + c * abs(P)])
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(lam), -2 * d)
+        w0 = _rowpow(_bracket(P), 2 * s)
 
-    if idx == "J5":
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            bracket = 2.0 * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)
+            val = (w0[r] * _bracket(Pr - y) ** (-2 * kappa) * _bracket(y) ** (-2 * kappa)
+                   * _bracket(bracket) ** (-(4 * b - 1)))
+            if not region:
+                return val
+            dom = 2 * np.abs(Qr + a * Pr * Pr) >= np.abs(bracket)
+            if scheme == "S":
+                chi = dom
+            else:  # B
+                chi = ((np.abs(y - 0.5 * Pr) >= c * np.abs(Pr))
+                       | ((np.abs((1 - a) * Pr - y) >= c * np.abs(Pr)) & dom))
+            return val * np.where(np.abs(Pr) <= 1.0, 1.0, chi.astype(float))
+        B2_, C2_ = -2.0 * P, Q + P * P
+        cP = c * np.abs(P)
+        bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_), P,
+                        _level_roots(2.0, B2_, C2_, 2 * np.abs(lam)),
+                        0.5 * P - cP, 0.5 * P + cP, (1 - a) * P - cP, (1 - a) * P + cP)
+        return pref, f, bps, nowhere
+
+    if index == "J5":
         lam2 = Q + P * P
-        pref = _bracket(lam2) ** (-2 * b)
-        weight = lambda y: (_bracket(y) ** (2 * s) * _bracket(y - P) ** (-2 * kappa)
-                            * _bracket(P) ** (-2 * kappa))
-        A2_, B2_, C2_ = a - 1.0, 2.0 * P, Q - P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        if scheme == "RES" and not ignore_region:
-            return pref, one, [], True
-        if ignore_region:
-            chi = one
-        elif scheme == "S":
-            chi = lambda y: ((np.abs(y) >= 1.0)
-                             & (2 * abs(lam2) >= np.abs(bracket(y)))).astype(float)
-        else:  # B
-            chi = lambda y: ((np.abs(y) >= 1.0)
-                             & (np.abs((1 - a) * y - P) >= c * np.abs(y))
-                             & (2 * abs(lam2) >= np.abs(bracket(y)))).astype(float)
-        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
-        bps = ([-1.0, 1.0, P] + _quad_roots(A2_, B2_, C2_)
-               + _level_roots(A2_, B2_, C2_, 2 * abs(lam2))
-               + _ball_roots(1 - a, -P, c))
-        if abs(A2_) > 1e-14:
-            bps.append(-B2_ / (2 * A2_))
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(lam2), -2 * b)
+        w1 = _rowpow(_bracket(P), -2 * kappa)
+        A2_ = a - 1.0
 
-    if idx == "J6":
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            bracket = A2_ * y * y + 2.0 * Pr * y + (Qr - Pr * Pr)
+            val = (_bracket(y) ** (2 * s) * _bracket(y - Pr) ** (-2 * kappa) * w1[r]
+                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            if ignore_region:
+                return val
+            chi = (np.abs(y) >= 1.0) & (2 * np.abs(Qr + Pr * Pr) >= np.abs(bracket))
+            if scheme == "B":
+                chi &= np.abs((1 - a) * y - Pr) >= c * np.abs(y)
+            return val * chi.astype(float)
+        B2_, C2_ = 2.0 * P, Q - P * P
+        bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
+                        _level_roots(A2_, B2_, C2_, 2 * np.abs(lam2)),
+                        _ball_roots(1 - a, -P, c), _vertex(A2_, B2_))
+        return pref, f, bps, res_empty
+
+    if index == "J6":
         lam1 = Q + P * P
-        pref = _bracket(lam1) ** (-2 * b)
-        weight = lambda y: (_bracket(P + y) ** (2 * s) * _bracket(P) ** (-2 * kappa)
-                            * _bracket(y) ** (-2 * kappa))
-        A2_, B2_, C2_ = a + 1.0, 2.0 * a * P, Q + a * P * P
-        bracket = lambda y: A2_ * y * y + B2_ * y + C2_
-        dA, dB, dC = a - 1.0, 2.0 * a * P, Q + a * P * P
-        dom = lambda y: dA * y * y + dB * y + dC
-        if scheme == "RES" and not ignore_region:
-            return pref, one, [], True
-        if ignore_region:
-            chi = one
-        elif scheme == "S":
-            chi = lambda y: ((np.abs(P + y) >= 1.0)
-                             & (2 * abs(lam1) >= np.abs(dom(y)))).astype(float)
-        else:  # B
-            chi = lambda y: ((np.abs(P + y) >= 1.0)
-                             & (np.abs((1 - a) * (P + y) - y) >= c * np.abs(P + y))
-                             & (2 * abs(lam1) >= np.abs(dom(y)))).astype(float)
-        f = lambda y: weight(y) * _bracket(bracket(y)) ** (-(2 * b + 2 * d - 1)) * chi(y)
-        bps = ([-P - 1.0, -P + 1.0, -P] + _quad_roots(A2_, B2_, C2_)
-               + _level_roots(dA, dB, dC, 2 * abs(lam1))
-               + _ball_roots2(-a, (1 - a) * P, 1.0, P, c))
-        if abs(A2_) > 1e-14:
-            bps.append(-B2_ / (2 * A2_))
-        return pref, f, bps, False
+        pref = _rowpow(_bracket(lam1), -2 * b)
+        w1 = _rowpow(_bracket(P), -2 * kappa)
+        A2_, dA = a + 1.0, a - 1.0
 
-    raise ParamDomainViolated(f"index {idx} has no 1-d reduction")
+        def f(y, r):
+            Pr, Qr = P[r], Q[r]
+            bracket = A2_ * y * y + 2.0 * a * Pr * y + (Qr + a * Pr * Pr)
+            val = (_bracket(Pr + y) ** (2 * s) * w1[r] * _bracket(y) ** (-2 * kappa)
+                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            if ignore_region:
+                return val
+            dom = dA * y * y + 2.0 * a * Pr * y + (Qr + a * Pr * Pr)
+            chi = (np.abs(Pr + y) >= 1.0) & (2 * np.abs(Qr + Pr * Pr) >= np.abs(dom))
+            if scheme == "B":
+                chi &= np.abs((1 - a) * (Pr + y) - y) >= c * np.abs(Pr + y)
+            return val * chi.astype(float)
+        bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
+                        _quad_roots(A2_, 2.0 * a * P, Q + a * P * P),
+                        _level_roots(dA, 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)),
+                        _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
+                        _vertex(A2_, 2.0 * a * P))
+        return pref, f, bps, res_empty
+
+    raise ParamDomainViolated(f"index {index} has no 1-d reduction")
 
 
 def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
-           ignore_region: bool = False, rel_tol: float = 1e-6) -> float:
+           ignore_region: bool = False, rel_tol: float = 1e-6):
     """Evaluate one J integral at its base point.
 
     With `window`, the integration variable is restricted to |y| <= window
@@ -268,47 +309,82 @@ def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
     Without it, the domain grows until the quadrature converges; a verified
     lack of decay raises QuadratureNonConvergent, as does an estimated tail
     above 5% of the value.
+
+    A spec whose base is an (n, 2) array of base points evaluates them as
+    one batch and returns their n values, each bit for bit its lone call's;
+    where the lone call raises QuadratureNonConvergent the value is NaN.
     """
-    idx = spec.index
-    if idx == "A-J":
-        return _appendix_j(spec, p, window, rel_tol)
-    if idx in ("A-J1", "A-J2", "A-J3"):
-        return _appendix_2d(spec, p, window, rel_tol)
-
-    pref, f, bps, empty = _pieces(spec, p, ignore_region)
-    if empty:
-        return 0.0
-    bps = sorted({float(b) for b in bps if np.isfinite(b)})
-    value, tail = integrate_with_tail(f, bps, window=window, rel_tol=rel_tol)
-    value *= pref
-    tail *= pref
-    if window is None and tail > 0.05 * max(abs(value), 1e-300):
-        raise QuadratureNonConvergent(
-            f"{idx} at base {spec.base}: tail estimate {tail:.3g} "
-            f"exceeds 5% of value {value:.3g}")
-    return value
+    base = np.asarray(spec.base, dtype=float)
+    values, failed = _j_rows(spec.index, base.reshape(-1, 2), p, window,
+                             ignore_region, rel_tol)
+    if base.ndim == 2:
+        return values
+    if failed:
+        raise QuadratureNonConvergent(failed[0])
+    return values[0]
 
 
-def _appendix_j(spec, p, window, rel_tol):
+def _j_rows(index, base, p, window, ignore_region, rel_tol):
+    """Values and failure messages of one J index at each base point."""
+    P, Q = np.ascontiguousarray(base[:, 0]), np.ascontiguousarray(base[:, 1])
+    if index == "A-J":
+        return _appendix_j(P, Q, p, window, rel_tol)
+    if index in ("A-J1", "A-J2", "A-J3"):
+        values, failed = np.zeros(P.size), {}
+        for i, pq in enumerate(zip(P.tolist(), Q.tolist())):
+            try:
+                values[i] = _appendix_2d(JSpec(index, pq), p, window, rel_tol)
+            except QuadratureNonConvergent as exc:
+                values[i], failed[i] = np.nan, str(exc)
+        return values, failed
+    pref, f, bps, empty = _pieces(index, P, Q, p, ignore_region)
+    return _scaled_integrals(index, P, Q, pref, f, bps, ~empty, window, rel_tol)
+
+
+def _scaled_integrals(index, P, Q, pref, f, bps, live, window, rel_tol):
+    """pref times the integral of f at the base points `live` (0 elsewhere).
+
+    Failures are integrate_with_tail's plus, without a window, an estimated
+    tail above 5% of the value.
+    """
+    values, failed = np.zeros(P.size), {}
+    rows = np.flatnonzero(live)
+    if not rows.size:
+        return values, failed
+    integral, tail, bad = integrate_with_tail(lambda y, r: f(y, rows[r]), bps[rows],
+                                              window=window, rel_tol=rel_tol)
+    value, tail = integral * pref[rows], tail * pref[rows]
+    values[rows] = value
+    failed.update((rows[k], msg) for k, msg in bad.items())
+    if window is None:
+        for k in np.flatnonzero(tail > 0.05 * np.maximum(np.abs(value), 1e-300)):
+            failed[rows[k]] = (f"{index} at base ({P[rows[k]]}, {Q[rows[k]]}): tail "
+                               f"estimate {tail[k]:.3g} exceeds 5% of value {value[k]:.3g}")
+    values[list(failed)] = np.nan
+    return values, failed
+
+
+def _appendix_j(P, Q, p, window, rel_tol):
     """Appendix integral for kappa >= 0; defers below the |tau| > 10 xi^2 cut."""
     if p.kappa < 0:
         raise ParamDomainViolated("appendix A-J branch requires kappa >= 0")
-    P, Q = spec.base
-    if abs(Q) <= 10.0 * P * P:
-        return j_eval(JSpec("J1", spec.base), p, window, rel_tol=rel_tol)
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    pref = _bracket(Q + P * P) ** (-(2 * d - kappa))
-    A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
-    f = lambda y: (_bracket(P - y) ** (-2 * kappa) * _bracket(y) ** (-2 * s)
-                   * _bracket(A2_ * y * y + B2_ * y + C2_) ** (-(4 * b - 1)))
-    bps = sorted({float(r) for r in
-                  _quad_roots(A2_, B2_, C2_) + [P, -B2_ / (2 * A2_) if abs(A2_) > 1e-14 else 0.0]})
-    value, tail = integrate_with_tail(f, bps, window=window, rel_tol=rel_tol)
-    value *= pref
-    tail *= pref
-    if window is None and tail > 0.05 * max(abs(value), 1e-300):
-        raise QuadratureNonConvergent("A-J tail exceeds 5% of value")
-    return value
+    lemma = np.abs(Q) <= 10.0 * P * P
+    pref = _rowpow(_bracket(Q + P * P), -(2 * d - kappa))
+    A2_ = -(a - 1.0)
+    f = lambda y, r: (_bracket(P[r] - y) ** (-2 * kappa) * _bracket(y) ** (-2 * s)
+                      * _bracket(A2_ * y * y + -2.0 * P[r] * y + (Q[r] + P[r] * P[r]))
+                      ** (-(4 * b - 1)))
+    vertex = _vertex(A2_, -2.0 * P)
+    bps = _bp_table(P.size, _quad_roots(A2_, -2.0 * P, Q + P * P), P,
+                    np.where(np.isnan(vertex), 0.0, vertex))
+    values, failed = _scaled_integrals("A-J", P, Q, pref, f, bps, ~lemma, window, rel_tol)
+    rows = np.flatnonzero(lemma)
+    if rows.size:
+        values[rows], bad = _j_rows("J1", np.column_stack([P[rows], Q[rows]]), p,
+                                    window, False, rel_tol)
+        failed.update((rows[k], msg) for k, msg in bad.items())
+    return values, failed
 
 
 def _appendix_2d(spec, p, window, rel_tol):
@@ -447,28 +523,37 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
     than a property of the integral.  Each J
     is evaluated to convergence when its tail decays; a divergent integrand
     falls back to the frequency window |y| <= R, so negative controls
-    report finite, R-growing surrogates instead of failing.
+    report finite, R-growing surrogates instead of failing.  The unwindowed J
+    does not depend on R, so each distinct base point is evaluated once, in
+    one batch for all radii.
     """
     offsets = (0.0, -2.0, 2.0, -8.0, 8.0)
     xi_anchors = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
-    records = []
+    grids = []      # base points of each radius, in scan order
     for R in radii:
         xs = np.unique(np.concatenate([np.linspace(-R, R, n_base), xi_anchors]))
         taus = np.linspace(-R * R, R * R, n_base)
-        best, arg = -np.inf, (0.0, 0.0)
-        for x in xs:
-            surf = [anchor + off for anchor in _peak_anchors(index, p, x)
-                    for off in offsets]
-            for tau in np.concatenate([taus, surf]):
-                spec = JSpec(index, (float(x), float(tau)))
-                try:
-                    val = j_eval(spec, p, rel_tol=SWEEP_REL_TOL)
-                except QuadratureNonConvergent:
-                    val = j_eval(spec, p, window=R, rel_tol=SWEEP_REL_TOL)
-                if val > best:
-                    best, arg = val, (float(x), float(tau))
-        records.append({"index": index, "R": float(R), "sup": float(best),
-                        "argmax_xi": arg[0], "argmax_tau": arg[1]})
+        grids.append(np.array([
+            (x, tau) for x in xs for tau in np.concatenate(
+                [taus, [anchor + off for anchor in _peak_anchors(index, p, x)
+                        for off in offsets]])]))
+    # the unwindowed J does not depend on R: each distinct point once
+    points, where = np.unique(np.concatenate(grids), axis=0, return_inverse=True)
+    values = j_eval(JSpec(index, points), p, rel_tol=SWEEP_REL_TOL)
+    records, start = [], 0
+    for R, grid in zip(radii, grids):
+        vals = values[where[start:start + len(grid)]]
+        start += len(grid)
+        miss = np.isnan(vals)
+        if miss.any():
+            vals[miss] = j_eval(JSpec(index, grid[miss]), p, window=R,
+                                rel_tol=SWEEP_REL_TOL)
+            if np.isnan(vals).any():
+                raise QuadratureNonConvergent(
+                    f"{index}: the windowed J does not converge at R = {R}")
+        k = int(np.argmax(vals))        # the first of equal maxima in scan order
+        records.append({"index": index, "R": float(R), "sup": float(vals[k]),
+                        "argmax_xi": float(grid[k, 0]), "argmax_tau": float(grid[k, 1])})
     return records
 
 

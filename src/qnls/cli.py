@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +38,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_pow2_grid(cfg) -> None:
@@ -90,7 +81,7 @@ def _boundary_pair(cfg, dt, T):
 
 # --- command handlers -------------------------------------------------------
 
-def _cmd_simulate(cfg, rng, out: Path, jobs: int):
+def _cmd_simulate(cfg, rng, out: Path):
     defaults = {"L": 24.0, "nx": 257, "dt": 2e-3, "T": 0.5, "a": 1.0,
                 "drift_tol_per_time": 1e-6}
     cfg = {**defaults, **cfg}
@@ -126,7 +117,7 @@ def _cmd_simulate(cfg, rng, out: Path, jobs: int):
     return outputs, contracts
 
 
-def _cmd_mass_track(cfg, rng, out: Path, jobs: int):
+def _cmd_mass_track(cfg, rng, out: Path):
     defaults = {"L": 24.0, "nx": 241, "dt": 4e-3, "T": 0.5, "a": 0.8,
                 "boundary": "bump", "levels": 2, "ratio_min": 3.0}
     cfg = {**defaults, **cfg}
@@ -149,7 +140,7 @@ def _cmd_mass_track(cfg, rng, out: Path, jobs: int):
     return [path], {"identity_residual_refines": bool(ok)}
 
 
-def _cmd_verify_bilinear(cfg, rng, out: Path, jobs: int):
+def _cmd_verify_bilinear(cfg, rng, out: Path):
     defaults = {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
                 "n_pairs": 100, "nx": 64, "nt": 64, "lx": 32.0, "lt": 16.0,
                 "which": ["L5.1", "L5.2"], "stability_tol": 0.2}
@@ -185,25 +176,26 @@ def _cmd_verify_bilinear(cfg, rng, out: Path, jobs: int):
     return [path], contracts
 
 
-def _sweep_one(args):
-    index, params, radii = args
-    p = bilinear.EstimateParams(**params)
-    return bilinear.j_sup_sweep(index, p, radii)
-
-
-def _cmd_j_sweep(cfg, rng, out: Path, jobs: int):
+def _cmd_j_sweep(cfg, rng, out: Path):
     defaults = {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
                 "radii": [10.0, 20.0, 40.0], "stability_tol": 0.1,
                 "expect_growth": False}
     cfg = {**defaults, **cfg}
-    params = {k: cfg[k] for k in ("a", "b", "d", "kappa", "s")}
-    indices = cfg.get("indices") or bilinear.applicable_indices(
-        bilinear.EstimateParams(**params))
-    results = _parallel_map(_sweep_one,
-                            [(idx, params, cfg["radii"]) for idx in indices],
-                            jobs)
+    indices = cfg.get("indices")
+    if indices is not None and not isinstance(indices, list):
+        raise InvalidConfig("indices must be a list of J index names")
+    unknown = [i for i in indices or [] if i not in bilinear.J_INDICES]
+    if unknown:
+        raise InvalidConfig(f"unknown J indices {unknown}; "
+                            f"known: {list(bilinear.J_INDICES)}")
+    # the stabilisation contract compares the last two radii
+    if not (isinstance(cfg["radii"], list) and len(cfg["radii"]) >= 2):
+        raise InvalidConfig("radii must be a list of at least two radii")
+    p = bilinear.EstimateParams(cfg["a"], cfg["b"], cfg["d"], cfg["kappa"], cfg["s"])
+    indices = indices or bilinear.applicable_indices(p)
     rows, contracts = [], {}
-    for idx, recs in zip(indices, results):
+    for idx in indices:
+        recs = bilinear.j_sup_sweep(idx, p, cfg["radii"])
         for r in recs:
             rows.append([idx, cfg["a"], cfg["b"], cfg["d"], cfg["kappa"],
                          cfg["s"], r["R"], r["sup"], r["argmax_xi"],
@@ -221,7 +213,7 @@ def _cmd_j_sweep(cfg, rng, out: Path, jobs: int):
     return [path], contracts
 
 
-def _cmd_trace_check(cfg, rng, out: Path, jobs: int):
+def _cmd_trace_check(cfg, rng, out: Path):
     defaults = {"a_list": [1.0], "lambda_list": [0.0], "n": 2048,
                 "tol_zero": 5e-3, "tol_frac": 1e-2, "dump_field": False}
     cfg = {**defaults, **cfg}
@@ -257,7 +249,7 @@ def _cmd_trace_check(cfg, rng, out: Path, jobs: int):
     return [path] + outputs, contracts
 
 
-def _cmd_dispersion_sweep(cfg, rng, out: Path, jobs: int):
+def _cmd_dispersion_sweep(cfg, rng, out: Path):
     defaults = {"a_list": [0.1, 0.25, 0.4, 0.75, 1.0, 2.0, 5.0],
                 "n_samples": 100_000}
     cfg = {**defaults, **cfg}
@@ -278,7 +270,7 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path, jobs: int):
     return [path], {"lower_bound_no_violations": violations == 0}
 
 
-def _cmd_region_map(cfg, rng, out: Path, jobs: int):
+def _cmd_region_map(cfg, rng, out: Path):
     defaults = {"a": 1.0, "lo": -1.0, "hi": 1.0, "step": 0.05}
     cfg = {**defaults, **cfg}
     # round the lattice so index values like 0, 1/2 are hit exactly
@@ -299,7 +291,7 @@ def _cmd_region_map(cfg, rng, out: Path, jobs: int):
     return [path], {"origin_admissible": bool(origin_ok)}
 
 
-def _cmd_contraction(cfg, rng, out: Path, jobs: int):
+def _cmd_contraction(cfg, rng, out: Path):
     defaults = {"L": 20.0, "nx_sim": 129, "T": 0.1, "a": 1.0,
                 "lambda1": 0.0, "lambda2": 0.0, "k_iters": 7,
                 "nx": 256, "nt": 64, "t_span": 0.5,
@@ -370,7 +362,11 @@ COMMANDS = {
 
 def run_experiment(command: str, config: dict, seed: int, out_dir,
                    jobs: int = 1) -> dict:
-    """Execute one named experiment; returns the manifest dictionary."""
+    """Execute one named experiment; returns the manifest dictionary.
+
+    `jobs` is accepted for callers that pass it and has no effect: every
+    experiment runs in this process.
+    """
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown experiment {command!r}")
     if not isinstance(config, dict):
@@ -379,7 +375,7 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    outputs, contracts = COMMANDS[command](dict(config), rng, out, jobs)
+    outputs, contracts = COMMANDS[command](dict(config), rng, out)
     manifest = {
         "command": command,
         "config": config,
@@ -426,8 +422,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, default=Path("qnls-out"))
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("QNLS_JOBS", "1")))
     args = parser.parse_args(argv)
 
     try:
@@ -441,8 +435,7 @@ def main(argv=None) -> int:
                 config = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise InvalidConfig(f"cannot read config: {exc}") from exc
-        manifest = run_experiment(args.command, config, args.seed, args.out,
-                                  args.jobs)
+        manifest = run_experiment(args.command, config, args.seed, args.out)
         for name, ok in manifest["contracts"].items():
             print(f"[{'PASS' if ok else 'FAIL'}] {args.command}: {name}")
         return 0 if manifest["passed"] else 1

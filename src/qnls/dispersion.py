@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (BelowResonance, NonPositiveA, ParamDomainViolated,
                      ResonantA, SchemeMismatch)
@@ -181,6 +180,9 @@ def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
     claimed right-side shape with unit constant.  The empirical constant of a
     sweep is the running max of lhs/rhs_shape over its parameter grid.
     """
+    # imported here: scipy.integrate costs every command its import time
+    from scipy.integrate import quad
+
     if kind == "GTV":
         b1, b2 = params["b1"], params["b2"]
         alpha, beta = params["alpha"], params["beta"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import OrderOutOfRange, UnsupportedSupport
 from .grids import TimeSeries
@@ -42,7 +42,11 @@ def _integrate(samples: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     n = samples.shape[0]
     b, c = product_weights(alpha, n)
     col = (slice(None),) + (None,) * (samples.ndim - 1)
-    out = fftconvolve(samples, b[col], axes=0)[:n]
+    # the causal convolution with b, as scipy.signal.fftconvolve computes it
+    real = not np.iscomplexobj(samples)
+    size = sp_fft.next_fast_len(2 * n - 1, real)
+    fwd, inv = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
+    out = inv(fwd(samples, size, axis=0) * fwd(b[col], size, axis=0), size, axis=0)[:n]
     out[1:] += c[col] * samples[0]
     out[0] = 0.0
     return out * dt ** alpha / math.gamma(alpha + 2.0)

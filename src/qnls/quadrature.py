@@ -4,6 +4,14 @@ Built for integrands mixing polynomial weights, bracket decay and indicator
 edges: the caller seeds panels at known breakpoints (indicator roots, bracket
 vertices), refinement bisects the panels carrying the error, and infinite
 tails extend dyadically with a geometric remainder estimate.
+
+`adaptive_panels` and `integrate_with_tail` take one integral or a batch of
+them.  A batch is a ragged (integral, panel) table: `fvec(y, rows)` evaluates
+integral rows[i] at y[i], breakpoints come as an (n, m) array padded with
+NaN, and each round evaluates the panels of every unfinished row at once.
+Converged rows retire after each round.  Each row makes its lone call's
+refinement decisions and gets its value bit for bit; a lone call is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -26,17 +34,55 @@ def _gl(order: int):
     return nodes, weights
 
 
-def panel_sums(fvec, edges: np.ndarray, order: int) -> np.ndarray:
+def _starts(counts: np.ndarray) -> np.ndarray:
+    return np.cumsum(counts) - counts
+
+
+def _runs(counts: np.ndarray):
+    """Runs of a flat array grouped by length: (run numbers, arange(n)) per n."""
+    for n in np.unique(counts):
+        yield np.flatnonzero(counts == n), np.arange(n)
+
+
+def _run_sums(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.sum of each run of counts[r] values.  Runs of one length are
+    reduced together along axis 1, which rounds as np.sum of each alone."""
+    out = np.empty(counts.size, dtype=vals.dtype)
+    starts = _starts(counts)
+    for runs, offs in _runs(counts):
+        out[runs] = vals[starts[runs, None] + offs].sum(axis=1)
+    return out
+
+
+def panel_sums(fvec, edges: np.ndarray, order: int, panels=None) -> np.ndarray:
     """Gauss-Legendre integral on each panel [edges[i], edges[i+1]].
 
     fvec maps the flat node array to one value per node, or to one row of
     values per integrand of a batch; the result then has one row of panel
     integrals per integrand.
+
+    With `panels`, edges holds the edge arrays of len(panels) integrals one
+    after another, integral r with panels[r] panels, and fvec(y, owner)
+    gets the integral owning each node.  The panel joining two integrals is
+    evaluated and dropped.  The result is each integral's panel sums in
+    turn, equal bit for bit to a call with its edges alone: BLAS rounds a
+    panel's sum by its place in the product, so integrals with one panel
+    count share one stacked product.
     """
     pts, weights, half = _panel_nodes(edges, order)
-    vals = fvec(pts.ravel())
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    return (vals @ weights) * half
+    if panels is None:
+        vals = fvec(pts.ravel())
+        vals = vals.reshape(vals.shape[:-1] + pts.shape)
+        return (vals @ weights) * half
+    panels = np.asarray(panels)
+    owner = np.repeat(np.arange(panels.size), panels + 1)[:-1]
+    vals = fvec(pts.ravel(), np.repeat(owner, order)).reshape(pts.shape)
+    out = np.empty(int(panels.sum()), dtype=vals.dtype)
+    src, dst = _starts(panels + 1), _starts(panels)
+    for runs, offs in _runs(panels):
+        at = src[runs, None] + offs
+        out[dst[runs, None] + offs] = (vals[at] @ weights) * half[at]
+    return out
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
@@ -53,37 +99,107 @@ def _panel_nodes(edges: np.ndarray, order: int):
     return mid[:, None] + half[:, None] * nodes[None, :], weights, half
 
 
-def adaptive_panels(fvec, lo: float, hi: float, breakpoints=(),
-                    rel_tol: float = 1e-7):
+def _as_batch(fvec):
+    """A one-integral fvec(y) as the integrand of a batch of one."""
+    return lambda y, rows: fvec(y)
+
+
+def _on(f, rows):
+    """Batch integrand f on its rows `rows`, renumbered 0, 1, ..."""
+    return lambda y, r: f(y, rows[r])
+
+
+def _unpack(values, failed):
+    """The lone row of a batch of one: raise its failure or return its value."""
+    if failed:
+        raise QuadratureNonConvergent(failed[0])
+    return complex(values[0]) if np.iscomplexobj(values) else float(values[0])
+
+
+def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
     """Adaptively integrate fvec on [lo, hi], bisecting error-carrying panels.
 
     Raises QuadratureNonConvergent past MAX_PANELS edges or MAX_ROUNDS rounds.
+    With arrays lo, hi of n rows (see the module docstring) it returns
+    (values, failed) instead: failed maps each row that does not converge to
+    the message of its lone call, and that row's value is NaN.
     """
+    if np.ndim(lo):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        bps = np.asarray(breakpoints, dtype=float)
+        return _adaptive_rows(fvec, lo, hi, bps if bps.size else
+                              np.empty((lo.size, 0)), rel_tol)
     if hi <= lo:
         return 0.0
-    pts = [lo, hi] + [float(b) for b in np.atleast_1d(breakpoints)
-                      if lo < b < hi]
-    edges = np.unique(np.asarray(pts, dtype=float))
+    bps = np.asarray(breakpoints, dtype=float).reshape(1, -1)
+    return _unpack(*_adaptive_rows(_as_batch(fvec), np.array([lo], dtype=float),
+                                   np.array([hi], dtype=float), bps, rel_tol))
+
+
+def _adaptive_rows(f, lo, hi, bps, rel_tol):
+    """Batch body of adaptive_panels; bps is (n, m), NaN-padded."""
+    n = lo.size
+    done, failed = [], {}     # rows with hi <= lo keep the value 0
+    rows = np.flatnonzero(hi > lo)
+    # seed edges: lo, hi and the breakpoints strictly inside, sorted, unique
+    cand = np.column_stack([lo[rows], hi[rows], bps[rows]])
+    inside = (cand > lo[rows, None]) & (cand < hi[rows, None])
+    inside[:, :2] = True
+    cand = np.sort(np.where(inside, cand, np.nan), axis=1)
+    keep = ~np.isnan(cand)
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    edges, counts = cand[keep], keep.sum(axis=1)
+    err_sum = np.zeros(rows.size)
     for _ in range(MAX_ROUNDS):
-        coarse = panel_sums(fvec, edges, 8)
-        fine_mid = 0.5 * (edges[:-1] + edges[1:])
-        split = np.sort(np.concatenate([edges, fine_mid]))
-        fine = panel_sums(fvec, split, 8)
+        if not rows.size:
+            break
+        g, panels = _on(f, rows), counts - 1
+        coarse = panel_sums(g, edges, 8, panels)
+        # fine split: each row's edges interleaved with its panel midpoints
+        at = 2 * np.arange(edges.size) - np.repeat(np.arange(rows.size), counts)
+        left = np.delete(np.arange(edges.size - 1), _starts(counts)[1:] - 1)
+        split = np.empty(2 * edges.size - rows.size)
+        split[at] = edges
+        split[at[left] + 1] = 0.5 * (edges[left] + edges[left + 1])
+        fine = panel_sums(g, split, 8, 2 * panels)
         fine_per_panel = fine[0::2] + fine[1::2]
         err = np.abs(fine_per_panel - coarse)
-        total = np.sum(fine_per_panel)
-        if np.sum(err) <= rel_tol * abs(total):
-            return complex(total) if np.iscomplexobj(fine) else float(total)
-        if edges.size > MAX_PANELS:
-            break
-        # bisect the panels holding the top share of the error
-        order = np.argsort(err)[::-1]
-        cum = np.cumsum(err[order])
-        keep = order[:np.searchsorted(cum, 0.95 * cum[-1]) + 1]
-        new_edges = fine_mid[keep]
-        edges = np.sort(np.concatenate([edges, new_edges]))
-    raise QuadratureNonConvergent(
-        f"error {np.sum(err):.3g} on [{lo:.6g}, {hi:.6g}] after {edges.size} edges")
+        total = _run_sums(fine_per_panel, panels)
+        err_sum = _run_sums(err, panels)
+        conv = err_sum <= rel_tol * np.abs(total)
+        done.append((rows[conv], total[conv]))
+        over = ~conv & (counts > MAX_PANELS)
+        for i in np.flatnonzero(over):
+            failed[rows[i]] = _budget_message(err_sum[i], lo[rows[i]], hi[rows[i]],
+                                              counts[i])
+        go = ~conv & ~over
+        # bisect, per row, the panels holding the top share of the error
+        pick = np.zeros(err.size, dtype=bool)
+        starts = _starts(panels)
+        for runs, offs in _runs(panels):
+            runs = runs[go[runs]]
+            idx = starts[runs, None] + offs
+            order = np.argsort(err[idx], axis=1)[:, ::-1]
+            cum = np.cumsum(np.take_along_axis(err[idx], order, axis=1), axis=1)
+            n_keep = np.sum(cum < 0.95 * cum[:, -1:], axis=1) + 1
+            chosen = offs < n_keep[:, None]
+            pick[np.take_along_axis(idx, order, axis=1)[chosen]] = True
+        keep = np.repeat(go, 2 * counts - 1)
+        keep[at[left] + 1] &= pick
+        edges = split[keep]
+        counts = (counts + np.add.reduceat(pick.astype(np.intp), starts))[go]
+        rows, err_sum = rows[go], err_sum[go]
+    for r, e, k in zip(rows, err_sum, counts):
+        failed[r] = _budget_message(e, lo[r], hi[r], k)
+    values = np.zeros(n, dtype=np.result_type(float, *(v for _, v in done)))
+    for r, v in done:
+        values[r] = v
+    values[list(failed)] = np.nan
+    return values, failed
+
+
+def _budget_message(err, lo, hi, n_edges):
+    return f"error {err:.3g} on [{lo:.6g}, {hi:.6g}] after {n_edges} edges"
 
 
 def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
@@ -94,61 +210,117 @@ def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
     dyadic blocks; once the block ratio stabilizes below 1, the (exact for
     power laws) geometric completion finishes the tail and the ratio drift
     bounds the remainder.  A non-shrinking block sequence raises
-    QuadratureNonConvergent.
+    QuadratureNonConvergent.  With an (n, m) breakpoint array it integrates
+    n rows (see the module docstring) and returns (values, tails, failed),
+    with failed as in adaptive_panels.
     """
-    bre = np.atleast_1d(breakpoints) if len(np.atleast_1d(breakpoints)) else np.array([0.0])
-    x0 = max(TAIL_START, 2.0 * float(np.max(np.abs(bre))) + 1.0)
-    if window is not None and window < x0:
-        value = adaptive_panels(fvec, -window, window, breakpoints, rel_tol)
-        tail = tail_probe(fvec, window)
-        return value, tail
-    value = adaptive_panels(fvec, -x0, x0, breakpoints, rel_tol)
-    scale = abs(value)
+    bps = np.asarray(breakpoints, dtype=float)
+    if bps.ndim == 2:
+        return _tail_rows(fvec, bps, window, rel_tol)
+    values, tails, failed = _tail_rows(_as_batch(fvec), bps.reshape(1, -1),
+                                       window, rel_tol)
+    return _unpack(values, failed), float(tails[0])
+
+
+def _tail_rows(f, bps, window, rel_tol):
+    """Batch body of integrate_with_tail; one window for every row."""
+    n = bps.shape[0]
+    bound = np.where(np.isnan(bps), 0.0, np.abs(bps)).max(axis=1, initial=0.0)
+    x0 = np.maximum(TAIL_START, 2.0 * bound + 1.0)
+    done, failed = [], {}     # done: (rows, values, tails) as each row ends
+
+    def probe(rows):
+        return tail_probe(lambda y: f(np.tile(y, rows.size), np.repeat(rows, y.size))
+                          .reshape(rows.size, y.size), window)
+
+    def adaptive(rows, lo, hi, row_bps):
+        """adaptive_panels on rows; their failures are recorded."""
+        values, bad = adaptive_panels(_on(f, rows), lo, hi, row_bps, rel_tol)
+        for i in sorted(bad):
+            failed.setdefault(rows[i], bad[i])
+        return values
+
+    rows = np.arange(n)
+    if window is not None:
+        short = rows[window < x0]
+        if short.size:
+            wide = np.full(short.size, float(window))
+            done.append((short, adaptive(short, -wide, wide, bps[short]),
+                         probe(short)))
+        rows = rows[window >= x0]
+    value = adaptive(rows, -x0[rows], x0[rows], bps[rows])
+    ok = ~np.isnan(value)
+    rows, value, x = rows[ok], value[ok], x0[rows][ok]
+    scale = np.abs(value)
     blocks = []
-    x = x0
     for _ in range(MAX_DOUBLINGS):
-        if window is not None and x >= window:
-            return value, tail_probe(fvec, window)
-        nxt = 2.0 * x if window is None else min(2.0 * x, window)
-        block = (adaptive_panels(fvec, x, nxt, (), rel_tol)
-                 + adaptive_panels(fvec, -nxt, -x, (), rel_tol))
-        value += block
-        scale = max(scale, abs(value))
-        if abs(block) <= 0.5 * rel_tol * max(scale, 1e-300):
-            return value, abs(block)
+        if window is not None:
+            out = x >= window
+            if out.any():
+                done.append((rows[out], value[out], probe(rows[out])))
+                rows, value, x, scale = rows[~out], value[~out], x[~out], scale[~out]
+                blocks = [b[~out] for b in blocks]
+        if not rows.size:
+            break
+        nxt = 2.0 * x if window is None else np.minimum(2.0 * x, window)
+        # both halves of each block in one batch; a lone call reports the
+        # first failing half
+        k = rows.size
+        halves = adaptive(np.concatenate([rows, rows]), np.concatenate([x, -nxt]),
+                          np.concatenate([nxt, -x]), np.empty((2 * k, 0)))
+        block = halves[:k] + halves[k:]
+        ok = ~np.isnan(block)
+        value = value + block
+        scale = np.maximum(scale, np.abs(value))
+        stop = ok & (np.abs(block) <= 0.5 * rel_tol * np.maximum(scale, 1e-300))
+        done.append((rows[stop], value[stop], np.abs(block[stop])))
+        ok &= ~stop
         blocks.append(block)
         if len(blocks) >= 3:
-            r1 = abs(blocks[-1]) / max(abs(blocks[-2]), 1e-300)
-            r0 = abs(blocks[-2]) / max(abs(blocks[-3]), 1e-300)
-            if window is None and r1 >= 1.0 and r0 >= 1.0:
-                raise QuadratureNonConvergent(
-                    f"blocks not decaying (ratio {r1:.3f}) beyond |y| = {x:.3g}")
-            if r1 < 0.98 and abs(r1 - r0) < 0.1 * (1.0 - r1):
-                geo = block * r1 / (1.0 - r1)
-                value += geo
-                drift = abs(geo) * abs(r1 - r0) / (1.0 - r1)
-                return value, max(drift, rel_tol * abs(block))
-        x = nxt
-    if window is not None:
-        return value, tail_probe(fvec, window)
-    raise QuadratureNonConvergent(
-        f"no stable block decay out to |y| = {x:.3g}")
+            r1 = np.abs(blocks[-1]) / np.maximum(np.abs(blocks[-2]), 1e-300)
+            r0 = np.abs(blocks[-2]) / np.maximum(np.abs(blocks[-3]), 1e-300)
+            if window is None:
+                grow = ok & (r1 >= 1.0) & (r0 >= 1.0)
+                for i in np.flatnonzero(grow):
+                    failed[rows[i]] = (f"blocks not decaying (ratio {r1[i]:.3f}) "
+                                       f"beyond |y| = {x[i]:.3g}")
+                ok &= ~grow
+            geo = ok & (r1 < 0.98) & (np.abs(r1 - r0) < 0.1 * (1.0 - r1))
+            g1, g0, blk = r1[geo], r0[geo], block[geo]
+            tail = blk * g1 / (1.0 - g1)
+            drift = np.abs(tail) * np.abs(g1 - g0) / (1.0 - g1)
+            done.append((rows[geo], value[geo] + tail,
+                         np.maximum(drift, rel_tol * np.abs(blk))))
+            ok &= ~geo
+        rows, value, x, scale = rows[ok], value[ok], nxt[ok], scale[ok]
+        blocks = [b[ok] for b in blocks[-2:]]
+    if window is None:
+        for r, xr in zip(rows, x):
+            failed[r] = f"no stable block decay out to |y| = {xr:.3g}"
+    elif rows.size:
+        done.append((rows, value, probe(rows)))
+    values = np.zeros(n, dtype=np.result_type(float, *(v for _, v, _ in done)))
+    tails = np.zeros(n)
+    for r, v, t in done:
+        values[r], tails[r] = v, t
+    values[list(failed)] = tails[list(failed)] = np.nan
+    return values, tails, failed
 
 
-def tail_probe(fvec, window: float) -> float:
-    """Crude one-octave power-law estimate of the mass beyond the window."""
+def tail_probe(fvec, window: float):
+    """Crude one-octave power-law estimate of the mass beyond the window.
+
+    fvec may return one row of values per integrand of a batch; the result
+    then has one estimate per integrand.
+    """
     ys = np.array([window * 1.01, window * 2.0, -window * 1.01, -window * 2.0])
     v = np.abs(fvec(ys))
     est = 0.0
-    for inner, outer in ((v[0], v[1]), (v[2], v[3])):
-        if inner <= 0.0:
-            continue
-        if outer >= inner:      # not decaying: report one octave of mass
-            est += inner * window
-            continue
-        p = np.log2(inner / max(outer, 1e-300))   # local decay exponent
-        if p <= 1.0:
-            est += inner * window
-        else:
-            est += inner * window / (p - 1.0)
+    for inner, outer in ((v[..., 0], v[..., 1]), (v[..., 2], v[..., 3])):
+        mass = inner * window
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.log2(inner / np.maximum(outer, 1e-300))   # local decay exponent
+            # not decaying, or too slowly to sum: report one octave of mass
+            mass = np.where((outer >= inner) | (p <= 1.0), mass, mass / (p - 1.0))
+        est = est + np.where(inner <= 0.0, 0.0, mass)
     return est

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import AliasRisk, NonPositiveA, ParamOrderViolated
 from .grids import GridFunction, SpaceTimeField
@@ -111,7 +110,10 @@ def duhamel(F: SpaceTimeField, a: float) -> SpaceTimeField:
     ts = F.t
     F_hat = np.fft.fft(F.samples, axis=0)
     phase = np.exp(1j * a * np.outer(xi ** 2, ts))
-    running = cumulative_trapezoid(F_hat * phase, dx=F.dt, axis=1, initial=0.0)
+    g = F_hat * phase
+    # the cumulative trapezoid along t, in scipy.integrate.cumulative_trapezoid's order
+    running = np.zeros_like(g)
+    running[:, 1:] = np.cumsum(F.dt * (g[:, 1:] + g[:, :-1]) / 2.0, axis=1)
     out = np.fft.ifft(np.conj(phase) * running, axis=0)
     return SpaceTimeField(F.x0, F.dx, F.t0, F.dt, out)
 

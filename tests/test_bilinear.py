@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from qnls.bilinear import (EstimateParams, JSpec, applicable_indices,
+from qnls.bilinear import (SWEEP_REL_TOL, EstimateParams, JSpec, applicable_indices,
                            bilinear_ratio, j_eval, j_sup_sweep, scheme_for)
-from qnls.errors import ParamDomainViolated, ZeroDenominator
+from qnls.errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from qnls.grids import SpaceTimeField
 from qnls.profiles import band_limited_pair
 
@@ -104,6 +105,101 @@ def test_scheme_binding():
     assert scheme_for("J4", 0.5) == "RES"
     assert applicable_indices(params(a=0.5)) == ["J1", "J4", "A-J"]
     assert "A-J1" in applicable_indices(params(kappa=-0.5))
+
+
+# --- batches of base points ---
+
+# (-1, 25/3) is a J3 bracket-vertex point whose blocks never settle at
+# a = 1/4; (-4, 400) an A-J point above the cut whose tail is too heavy;
+# A-J defers to J1 at (0, 0), (1.5, -2.25) and (4, -16)
+BATCH_BASES = np.array([(0.0, 0.0), (-1.0, 8.333333333333334), (0.5, -3.0),
+                        (1.5, -2.25), (-4.0, 400.0), (2.5, 10.0), (4.0, -16.0),
+                        (-0.75, 0.5)])
+
+
+def lone(index, base, p, **kw):
+    try:
+        return j_eval(JSpec(index, tuple(base)), p, **kw)
+    except QuadratureNonConvergent:
+        return np.nan
+
+
+@pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6", "A-J"])
+@pytest.mark.parametrize("a,kappa,s", [(0.25, 0.0, 0.0), (0.5, 0.1, 0.2),
+                                       (2.0, 0.1, 0.2), (2.0, 0.3, 0.0)])
+@pytest.mark.parametrize("window", [None, 12.0])
+def test_batch_equals_lone_calls(index, a, kappa, s, window):
+    # at a = 1/2 the regions of J2, J3, J5 and J6 are empty, and at every a
+    # J2's is for |xi| < 1; at a = 2, kappa = 0.3 no unwindowed J1 converges
+    p = params(a=a, kappa=kappa, s=s)
+    got = j_eval(JSpec(index, BATCH_BASES), p, window=window, rel_tol=SWEEP_REL_TOL)
+    want = [lone(index, base, p, window=window, rel_tol=SWEEP_REL_TOL)
+            for base in BATCH_BASES]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6"])
+def test_batch_equals_lone_calls_without_region(index):
+    p = params(a=0.5)
+    got = j_eval(JSpec(index, BATCH_BASES), p, ignore_region=True)
+    want = [lone(index, base, p, ignore_region=True) for base in BATCH_BASES]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_non_convergent_row_leaves_its_neighbours_alone():
+    p = params()
+    bad = (-1.0, 8.333333333333334)
+    with pytest.raises(QuadratureNonConvergent):
+        j_eval(JSpec("J3", bad), p, rel_tol=SWEEP_REL_TOL)
+    good = np.array([(0.0, 0.0), (2.5, 10.0)])
+    alone = j_eval(JSpec("J3", good), p, rel_tol=SWEEP_REL_TOL)
+    mixed = j_eval(JSpec("J3", np.array([good[0], bad, good[1]])), p,
+                   rel_tol=SWEEP_REL_TOL)
+    assert np.isnan(mixed[1])
+    assert np.array_equal(mixed[[0, 2]], alone)
+
+
+def _quad_on_window(g, W, cuts):
+    points = sorted(c for c in cuts if -W < c < W)
+    return quad(g, -W, W, points=points, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def _real_roots(*coef):
+    return [r.real for r in np.roots(coef) if abs(r.imag) < 1e-12]
+
+
+@pytest.mark.parametrize("base", [(0.5, 3.0), (-1.5, -2.0), (2.0, 10.0)])
+def test_windowed_j1_matches_scipy_quad(base):
+    # scheme R at a = 1/4: the region is |y| <= 1 or 2|tau + xi^2| >= |msum|
+    a, b, d, W = 0.25, 0.49, 0.49, 12.0
+    P, Q = base
+    br = lambda z: np.sqrt(1.0 + z * z)
+    msum = lambda y: (a - 1.0) * y * y + 2.0 * P * y + Q - P * P
+    K = 2.0 * abs(Q + P * P)
+    g = lambda y: (br(-(a - 1.0) * y * y - 2.0 * P * y + Q + P * P) ** (-(4 * b - 1))
+                   * float(abs(y) <= 1.0 or K >= abs(msum(y))))
+    cuts = [-1.0, 1.0] + _real_roots(a - 1.0, 2.0 * P, Q - P * P - K) \
+        + _real_roots(a - 1.0, 2.0 * P, Q - P * P + K)
+    want = br(Q + P * P) ** (-2 * d) * _quad_on_window(g, W, cuts)
+    got = j_eval(JSpec("J1", base), params(a=a, b=b, d=d), window=W, rel_tol=1e-10)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("base", [(2.0, 1.0), (-3.0, -5.0)])
+def test_windowed_j4_matches_scipy_quad(base):
+    # scheme S at a = 1/4 for |xi| > 1: the region is 2|lam| >= |bracket|
+    a, b, d, kappa, s, W = 0.25, 0.45, 0.45, 0.1, 0.2, 12.0
+    P, Q = base
+    br = lambda z: np.sqrt(1.0 + z * z)
+    lam = Q + a * P * P
+    bracket = lambda y: 2.0 * y * y - 2.0 * P * y + Q + P * P
+    g = lambda y: (br(P) ** (2 * s) * br(P - y) ** (-2 * kappa) * br(y) ** (-2 * kappa)
+                   * br(bracket(y)) ** (-(4 * b - 1)) * float(2 * abs(lam) >= abs(bracket(y))))
+    cuts = _real_roots(2.0, -2.0 * P, Q + P * P - 2 * abs(lam)) + [P]
+    want = br(lam) ** (-2 * d) * _quad_on_window(g, W, cuts)
+    got = j_eval(JSpec("J4", base), params(a=a, b=b, d=d, kappa=kappa, s=s),
+                 window=W, rel_tol=1e-10)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 # --- sweeps ---

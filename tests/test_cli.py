@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,8 +67,20 @@ _BAD_CONFIGS = [
 ]
 
 
+_BAD_J_SWEEP_CONFIGS = [
+    pytest.param("j-sweep", {"indices": ["J9"], "radii": [1.0, 2.0]},
+                 "unknown J indices ['J9']", id="j-sweep-unknown-index"),
+    pytest.param("j-sweep", {"indices": "J1", "radii": [1.0, 2.0]},
+                 "indices must be a list of J index names", id="j-sweep-indices-not-a-list"),
+    # the stabilisation contract compares the last two radii
+    pytest.param("j-sweep", {"indices": ["J1"], "radii": [5.0]},
+                 "radii must be a list of at least two radii", id="j-sweep-one-radius"),
+]
+
+
 @pytest.mark.parametrize("command,cfg,message", [
-    pytest.param(*case, id=f"{case[0]}-cfg{i}") for i, case in enumerate(_BAD_CONFIGS)])
+    pytest.param(*case, id=f"{case[0]}-cfg{i}") for i, case in enumerate(_BAD_CONFIGS)]
+    + _BAD_J_SWEEP_CONFIGS)
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, message):
     code = main([command, "--config", str(_dump(tmp_path, cfg)),
                  "--out", str(tmp_path / "o")])
@@ -138,10 +154,25 @@ def test_seeded_outputs_reproduce(tmp_path):
     assert b1 == b2
 
 
-def test_j_sweep_cli_with_jobs(tmp_path):
+def test_j_sweep_cli(tmp_path):
     cfg = {"a": 0.5, "radii": [8.0, 16.0], "indices": ["J1", "J4"]}
     code = main(["j-sweep", "--config", str(_dump(tmp_path, cfg)),
-                 "--out", str(tmp_path / "res"), "--jobs", "2"])
+                 "--out", str(tmp_path / "res")])
     assert code == 0
     text = (tmp_path / "res" / "j_sweep.csv").read_text()
     assert text.count("J1") == 2 and text.count("J4") == 2
+
+
+def test_import_leaves_scipy_signal_and_integrate_unloaded():
+    # each costs every command about 0.5 s of start-up; qnls uses scipy.fft
+    # and imports quad where an integral lemma is checked
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, qnls.cli; print([m for m in ('scipy.signal', "
+            "'scipy.integrate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import fftconvolve
 
 from qnls.errors import NonPositiveStep, OrderOutOfRange, UnsupportedSupport
-from qnls.fractional import _integrate, rl_apply, semigroup_residual
+from qnls.fractional import _integrate, product_weights, rl_apply, semigroup_residual
 from qnls.grids import TimeSeries
 from qnls.profiles import smooth_bump
 
@@ -113,3 +116,26 @@ def test_integrate_along_axis_0_equals_per_column_calls(alpha):
     rev = _integrate(block[::-1], 0.01, alpha)
     for j in range(block.shape[1]):
         assert np.array_equal(rev[:, j], _integrate(block[::-1, j], 0.01, alpha))
+
+
+def _integrate_by_fftconvolve(samples, dt, alpha):
+    n = samples.shape[0]
+    b, c = product_weights(alpha, n)
+    col = (slice(None),) + (None,) * (samples.ndim - 1)
+    out = fftconvolve(samples, b[col], axes=0)[:n]
+    out[1:] += c[col] * samples[0]
+    out[0] = 0.0
+    return out * dt ** alpha / math.gamma(alpha + 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 1025, 4096])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.75])
+def test_integrate_equals_fftconvolve_bit_for_bit(n, alpha):
+    # _integrate calls scipy.fft directly so that importing qnls does not
+    # load scipy.signal; the numbers must not move
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=(n, 5))
+    cplx = real + 1j * rng.normal(size=(n, 5))
+    for block in (real, cplx, real[:, 0], cplx[:, 0], cplx[::-1]):
+        assert np.array_equal(_integrate(block, 0.01, alpha),
+                              _integrate_by_fftconvolve(block, 0.01, alpha))

@@ -3,8 +3,8 @@
 `perfbench/tracing.instrument` raises when a module no longer imports one of
 its IMPORTED_BINDINGS (e.g. `bilinear.integrate_with_tail`), which stops a
 traced benchmark run.  The benchmark also checks every output against its
-committed reference, so a drift in the boundary numerics fails here as well
-as in a benchmark run.
+committed reference, so a drift in the boundary or J-sweep numerics fails
+here as well as in a benchmark run.
 """
 
 import json
@@ -33,11 +33,21 @@ def test_tracer_binds_every_imported_name():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_contraction_benchmark_matches_reference():
+def _traced_benchmark_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "contraction",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, proc.stdout[-2000:]
+
+
+def test_traced_contraction_benchmark_matches_reference():
+    _traced_benchmark_is_correct("contraction")
+
+
+def test_traced_jsweep_benchmark_matches_reference():
+    # the traced pass also fails (exit 3) when a quadrature function the
+    # benchmark counts, e.g. panel_sums, is bypassed and reads zero calls
+    _traced_benchmark_is_correct("jsweep")

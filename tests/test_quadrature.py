@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnls.errors import QuadratureNonConvergent
-from qnls.quadrature import adaptive_panels, panel_sums, tail_probe
+from qnls.quadrature import adaptive_panels, integrate_with_tail, panel_sums, tail_probe
 
 
 def test_panel_sums_exact_on_degree_15_polynomial():
@@ -47,3 +49,81 @@ def test_adaptive_rule_raises_past_its_panel_budget():
     # returns the running sum gives 0.454-0.336i here
     with pytest.raises(QuadratureNonConvergent):
         adaptive_panels(lambda y: np.exp(400j * y * y), -50.0, 50.0)
+
+
+# --- batches: a ragged table of integrals, one row each ---
+
+def test_ragged_panel_sums_equal_lone_calls():
+    shifts = np.array([0.0, 0.3, -1.2, 2.5])
+    row_edges = [np.linspace(-4.0, 5.0, 13), np.array([-1.0, 2.0]),
+                 np.linspace(0.0, 9.0, 13), np.array([-3.0, -1.0, 0.5])]
+    f = lambda y, rows: np.exp(1j * shifts[rows] * y) / (1.0 + (y - shifts[rows]) ** 2)
+    got = panel_sums(f, np.concatenate(row_edges), 8, [e.size - 1 for e in row_edges])
+    want = [panel_sums(lambda y: f(y, np.full(y.size, r)), e, 8)
+            for r, e in enumerate(row_edges)]
+    assert np.array_equal(got, np.concatenate(want))
+
+
+def _batch_integrand(shift, wiggle):
+    """Lorentzian rows, and cos(400 y^2) rows that exceed the panel budget."""
+    def f(y, rows):
+        return np.where(wiggle[rows], np.cos(400.0 * y * y),
+                        (np.abs(y) > 0.5) / (1.0 + (y - shift[rows]) ** 2))
+    return f
+
+
+def _lone(fn, *args, **kw):
+    try:
+        return fn(*args, **kw), None
+    except QuadratureNonConvergent as exc:
+        return np.nan, str(exc)
+
+
+def test_adaptive_batch_equals_lone_calls():
+    shift = np.array([0.0, 1.3, -2.0, 0.4, 3.0])
+    wiggle = np.array([False, False, True, False, False])
+    lo = np.array([-5.0, -1.0, -50.0, 2.0, -10.0])
+    hi = np.array([5.0, 7.5, 50.0, 2.0, 10.0])        # row 3 is empty
+    bps = np.array([[-0.5, 0.5], [-0.5, np.nan], [np.nan, np.nan],
+                    [np.nan, np.nan], [0.5, 30.0]])
+    f = _batch_integrand(shift, wiggle)
+    values, failed = adaptive_panels(f, lo, hi, bps, rel_tol=1e-9)
+    for r in range(lo.size):
+        fr = lambda y, r=r: f(y, np.full(y.size, r))
+        want, msg = _lone(adaptive_panels, fr, lo[r], hi[r],
+                          bps[r][~np.isnan(bps[r])], rel_tol=1e-9)
+        assert np.array_equal(values[r], want, equal_nan=True)
+        assert failed.get(r) == msg
+    assert list(failed) == [2]          # its neighbours are untouched
+
+
+@pytest.mark.parametrize("window", [None, 4.0, 40.0])
+def test_tail_batch_equals_lone_calls(window):
+    shift = np.array([0.0, 1.3, -2.0, 6.0])
+    wiggle = np.zeros(4, dtype=bool)
+    lorentz = _batch_integrand(shift, wiggle)
+    # row 2 does not decay, so without a window its blocks never shrink
+    f = lambda y, rows: np.where(rows == 2, 1.0, lorentz(y, rows))
+    bps = np.array([[-0.5, 0.5], [-0.5, 0.5], [np.nan, np.nan], [0.5, -0.5]])
+    values, tails, failed = integrate_with_tail(f, bps, window=window, rel_tol=1e-8)
+    for r in range(shift.size):
+        fr = lambda y, r=r: f(y, np.full(y.size, r))
+        want, msg = _lone(integrate_with_tail, fr, bps[r][~np.isnan(bps[r])],
+                          window=window, rel_tol=1e-8)
+        want = (np.nan, np.nan) if msg else want
+        assert np.array_equal([values[r], tails[r]], want, equal_nan=True)
+        assert failed.get(r) == msg
+    assert (2 in failed) == (window is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(-5.0, 5.0), w=st.floats(0.2, 3.0),
+       extra=st.lists(st.floats(-40.0, 40.0), max_size=6))
+def test_value_invariant_under_extra_breakpoints(c, w, extra):
+    # 1/(1 + (y-c)^2) off |y - c| <= w, on [-30, 30]
+    f = lambda y: (np.abs(y - c) > w) / (1.0 + (y - c) ** 2)
+    value = adaptive_panels(f, -30.0, 30.0, [c - w, c + w], rel_tol=1e-10)
+    more = adaptive_panels(f, -30.0, 30.0, [c - w, c + w] + extra, rel_tol=1e-10)
+    assert more == pytest.approx(value, rel=1e-9)
+    exact = np.arctan(30.0 - c) + np.arctan(30.0 + c) - 2.0 * np.arctan(w)
+    assert value == pytest.approx(exact, rel=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from qnls.errors import AliasRisk, NonPositiveA, ParamOrderViolated
 from qnls.grids import GridFunction, SpaceTimeField
@@ -125,6 +126,21 @@ def test_duhamel_solves_inhomogeneous_equation():
     coarse = _duhamel_fd_residual(128, 64)
     fine = _duhamel_fd_residual(256, 128)
     assert coarse / fine > 3.0
+
+
+def test_duhamel_running_integral_is_cumulative_trapezoid():
+    # duhamel sums its running integral with np.cumsum so that importing
+    # qnls does not load scipy.integrate; the numbers must not move
+    rng = np.random.default_rng(4)
+    dx, dt, x, _ = field_grid(nx=64, nt=32)
+    F = SpaceTimeField(x[0], dx, 0.0, dt, rng.normal(size=(64, 32))
+                       + 1j * rng.normal(size=(64, 32)))
+    xi = 2.0 * np.pi * np.fft.fftfreq(64, d=dx)
+    phase = np.exp(1j * 0.7 * np.outer(xi ** 2, F.t))
+    running = cumulative_trapezoid(np.fft.fft(F.samples, axis=0) * phase, dx=dt,
+                                   axis=1, initial=0.0)
+    expect = np.fft.ifft(np.conj(phase) * running, axis=0)
+    assert np.array_equal(duhamel(F, 0.7).samples, expect)
 
 
 # --- bourgain norms ---
