@@ -10,7 +10,6 @@ numerical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
@@ -22,140 +21,175 @@ import scipy
 
 from . import __version__, bilinear, boundary, dispersion, ibvp
 from .errors import EmptyDirectory, InvalidConfig, QnlsError, UnknownCommand
-from .grids import GridFunction, SpaceTimeField, TimeSeries
+from .grids import GridFunction, SpaceTimeField, TimeSeries, write_csv
 from .profiles import band_limited_pair, gaussian, smooth_bump
 
-_FMT = "%.17g"
+# Every key each command reads, with its default.  A config sets some of
+# these keys, each to a value of its default's kind (see `_validate`).
+CONFIGS = {
+    "simulate": {"L": 24.0, "nx": 257, "dt": 2e-3, "T": 0.5, "a": 1.0,
+                 "boundary": "zero"},
+    "mass-track": {"L": 24.0, "nx": 241, "dt": 4e-3, "T": 0.5, "a": 0.8,
+                   "boundary": "bump", "levels": 2},
+    "verify-bilinear": {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
+                        "n_pairs": 100, "nx": 64, "nt": 64, "lx": 32.0,
+                        "lt": 16.0, "which": ["L5.1", "L5.2"]},
+    # null indices: those `bilinear.applicable_indices` selects
+    "j-sweep": {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
+                "radii": [10.0, 20.0, 40.0], "indices": None,
+                "expect_growth": False},
+    "trace-check": {"a_list": [1.0], "lambda_list": [0.0], "n": 2048,
+                    "dump_field": False},
+    "dispersion-sweep": {"a_list": [0.1, 0.25, 0.4, 0.75, 1.0, 2.0, 5.0],
+                         "n_samples": 100_000},
+    "region-map": {"a": 1.0, "lo": -1.0, "hi": 1.0, "step": 0.05},
+    "contraction": {"L": 20.0, "nx_sim": 129, "T": 0.1, "a": 1.0,
+                    "lambda1": 0.0, "lambda2": 0.0, "k_iters": 7, "nx": 256,
+                    "nt": 64, "t_span": 0.5},
+}
+# Keys whose items name library entries: (what a list holds, noun, names).
+_NAMED = {"which": ("estimate names", "estimates", bilinear.ESTIMATES),
+          "indices": ("J index names", "J indices", bilinear.J_INDICES)}
+_CHOICES = {"boundary": ("zero", "bump")}
+
+# Contract thresholds.
+DRIFT_TOL_PER_TIME = 1e-6       # simulate: relative mass drift per unit time
+REFINE_RATIO_MIN = 3.0          # mass-track: residual ratio per refinement
+BILINEAR_STABILITY_TOL = 0.2    # verify-bilinear: max-ratio change on doubling
+J_STABILITY_TOL = 0.1           # j-sweep: sup change between the last radii
+TRACE_TOL_ZERO = 5e-3           # trace-check: residual at lambda = 0
+TRACE_TOL_FRAC = 1e-2           # trace-check: residual at lambda != 0
+CONTRACTION_RATIO_MAX = 0.9     # contraction: iterate distance ratios 2..5
+DISCREPANCY_MAX = 0.05          # contraction against the time stepper
+# Stock data: Gaussians and bump boundary of simulate and mass-track; contraction's.
+STOCK_WIDTH, STOCK_AMP_U, STOCK_AMP_V, BUMP_AMP = 1.0, 1.0, 0.7, 0.3
+CONTRACTION_AMP_U, CONTRACTION_AMP_V = 1.0, 0.8
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_FMT % v if isinstance(v, float) else v for v in row])
+def _output(out: Path, name: str) -> Path:
+    """Path of one artifact; the first one makes the output directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _require_pow2_grid(cfg) -> None:
-    if not all(isinstance(n, int) and n > 0 and n & (n - 1) == 0
-               for n in (cfg["nx"], cfg["nt"])):
-        raise InvalidConfig("nx and nt must be powers of two")
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidConfig(message)
 
 
-def _solver_config(L, nx, dt, T, a) -> ibvp.SolverConfig:
+def _fits(value, default) -> bool:
+    """Whether value is of its default's kind: an int is a float, a bool no number,
+    and a list is not empty and its items are of the kind of the default's first."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_fits(v, default[0]) for v in value))
+    return type(value) is type(default) or (type(default) is float
+                                            and type(value) is int)
+
+
+def _validate(command: str, config: dict) -> dict:
+    """The command's defaults updated by `config`, each key and kind checked."""
+    table = CONFIGS[command]
+    unknown = sorted(set(config) - set(table))
+    _require(not unknown, f"unknown keys {unknown} for {command}; "
+                          f"known: {list(table)}")
+    for key, value in config.items():
+        if key not in _NAMED:
+            _require(_fits(value, table[key]),
+                     f"{key}={value!r} is not of the kind of its default {table[key]!r}")
+        elif value is not None or table[key] is not None:
+            held, noun, names = _NAMED[key]
+            _require(_fits(value, [""]), f"{key} must be a list of {held}")
+            bad = [w for w in value if w not in names]
+            _require(not bad, f"unknown {noun} {bad}; known: {list(names)}")
+        if key in _CHOICES:
+            _require(value in _CHOICES[key], f"{key} must be one of {list(_CHOICES[key])}")
+    return {**table, **config}
+
+
+def _params(make, *args):
+    """make(*args), where a library parameter object's rejection is a usage error."""
     try:
-        return ibvp.SolverConfig(L, nx, dt, T, a)
-    except ValueError as exc:
-        raise InvalidConfig(f"solver config: {exc}") from exc
+        return make(*args)
+    except (ValueError, QnlsError) as exc:
+        raise InvalidConfig(f"{make.__name__}: {exc}") from exc
 
 
-def _gaussian_pair(cfg):
-    L, nx = cfg["L"], cfg["nx"]
+def _require_pow2_grid(cfg) -> None:
+    _require(all(n > 0 and n & (n - 1) == 0 for n in (cfg["nx"], cfg["nt"])),
+             "nx and nt must be powers of two")
+
+
+def _gaussian_pair(L, nx):
     x = np.linspace(0.0, L, nx)
     h = x[1] - x[0]
-    u0 = GridFunction(0.0, h, gaussian(x, cfg.get("center_u", L / 3),
-                                       cfg.get("width", 1.0),
-                                       cfg.get("amp_u", 1.0)))
-    v0 = GridFunction(0.0, h, gaussian(x, cfg.get("center_v", L / 2.4),
-                                       cfg.get("width", 1.0),
-                                       cfg.get("amp_v", 0.7)))
-    return u0, v0
+    return (GridFunction(0.0, h, gaussian(x, L / 3, STOCK_WIDTH, STOCK_AMP_U)),
+            GridFunction(0.0, h, gaussian(x, L / 2.4, STOCK_WIDTH, STOCK_AMP_V)))
 
 
-def _boundary_pair(cfg, dt, T):
+def _boundary_pair(kind, dt, T):
     nt = int(round(T / dt)) + 1
     tg = dt * np.arange(nt)
-    if cfg.get("boundary", "zero") == "bump":
-        amp = cfg.get("bump_amp", 0.3)
-        f = TimeSeries(0.0, dt, amp * smooth_bump(tg, 0.1 * T, 0.9 * T))
-        g = TimeSeries(0.0, dt, 1j * amp * smooth_bump(tg, 0.2 * T, 0.8 * T))
+    if kind == "bump":
+        f = TimeSeries(0.0, dt, BUMP_AMP * smooth_bump(tg, 0.1 * T, 0.9 * T))
+        g = TimeSeries(0.0, dt, 1j * BUMP_AMP * smooth_bump(tg, 0.2 * T, 0.8 * T))
     else:
-        f = TimeSeries(0.0, dt, np.zeros(nt))
-        g = TimeSeries(0.0, dt, np.zeros(nt))
+        f = g = TimeSeries(0.0, dt, np.zeros(nt))
     return f, g
 
 
 # --- command handlers -------------------------------------------------------
 
 def _cmd_simulate(cfg, rng, out: Path):
-    defaults = {"L": 24.0, "nx": 257, "dt": 2e-3, "T": 0.5, "a": 1.0,
-                "drift_tol_per_time": 1e-6}
-    cfg = {**defaults, **cfg}
-    sc = _solver_config(cfg["L"], cfg["nx"], cfg["dt"], cfg["T"], cfg["a"])
-    u0, v0 = _gaussian_pair(cfg)
-    f, g = _boundary_pair(cfg, cfg["dt"], cfg["T"])
-    stride = cfg.get("snapshot_stride", 10 ** 9)
-    states, ledger = ibvp.simulate(sc, u0, v0, f, g, snapshot_stride=stride)
-    ledger_path = out / "simulate_ledger.csv"
-    ledger.to_csv(ledger_path)
-    outputs = [ledger_path]
-    final_u, final_v = out / "simulate_final_u.csv", out / "simulate_final_v.csv"
-    states[-1].u.to_csv(final_u)
-    states[-1].v.to_csv(final_v)
-    outputs += [final_u, final_v]
-    if len(states) > 2:     # trajectory snapshots as (x, t, re, im) rows
-        for tag in ("u", "v"):
-            path = out / f"simulate_trajectory_{tag}.csv"
-            rows = []
-            for st in states:
-                w = getattr(st, tag)
-                for xv, zv in zip(w.x, w.samples):
-                    rows.append([float(xv), float(st.t), float(zv.real),
-                                 float(zv.imag)])
-            _write_csv(path, ["x", "t", "re", "im"], rows)
-            outputs.append(path)
+    sc = _params(ibvp.SolverConfig, cfg["L"], cfg["nx"], cfg["dt"], cfg["T"], cfg["a"])
+    u0, v0 = _gaussian_pair(cfg["L"], cfg["nx"])
+    f, g = _boundary_pair(cfg["boundary"], cfg["dt"], cfg["T"])
+    states, ledger = ibvp.simulate(sc, u0, v0, f, g, snapshot_stride=10 ** 9)
+    outputs = [_output(out, f"simulate_{name}.csv")
+               for name in ("ledger", "final_u", "final_v")]
+    ledger.to_csv(outputs[0])
+    states[-1].u.to_csv(outputs[1])
+    states[-1].v.to_csv(outputs[2])
     contracts = {"finite_run": bool(np.all(np.isfinite(ledger.mass)))}
-    if cfg.get("boundary", "zero") == "zero":
+    if cfg["boundary"] == "zero":
         drift = float(np.max(np.abs(ledger.mass - ledger.mass[0]))
                       / max(ledger.mass[0], 1e-300))
         contracts["mass_drift_within_tolerance"] = \
-            drift <= cfg["drift_tol_per_time"] * cfg["T"]
+            drift <= DRIFT_TOL_PER_TIME * cfg["T"]
     return outputs, contracts
 
 
 def _cmd_mass_track(cfg, rng, out: Path):
-    defaults = {"L": 24.0, "nx": 241, "dt": 4e-3, "T": 0.5, "a": 0.8,
-                "boundary": "bump", "levels": 2, "ratio_min": 3.0}
-    cfg = {**defaults, **cfg}
+    # the refinement contract compares consecutive levels
+    _require(cfg["levels"] >= 2, "levels must be an integer >= 2")
     rows = []
     residuals = []
     for lvl in range(cfg["levels"]):
         nx = (cfg["nx"] - 1) * 2 ** lvl + 1
         dt = cfg["dt"] / 2 ** lvl
-        sc = _solver_config(cfg["L"], nx, dt, cfg["T"], cfg["a"])
-        u0, v0 = _gaussian_pair({**cfg, "nx": nx})
-        f, g = _boundary_pair(cfg, dt, cfg["T"])
+        sc = _params(ibvp.SolverConfig, cfg["L"], nx, dt, cfg["T"], cfg["a"])
+        u0, v0 = _gaussian_pair(cfg["L"], nx)
+        f, g = _boundary_pair(cfg["boundary"], dt, cfg["T"])
         _, ledger = ibvp.simulate(sc, u0, v0, f, g, snapshot_stride=10 ** 9)
         res = ibvp.mass_identity_residual(ledger)
         residuals.append(res)
         rows.append([lvl, float(nx), dt, res])
-    path = out / "mass_track.csv"
-    _write_csv(path, ["level", "nx", "dt", "identity_residual"], rows)
-    ok = all(residuals[i] / residuals[i + 1] >= cfg["ratio_min"]
+    path = _output(out, "mass_track.csv")
+    write_csv(path, ["level", "nx", "dt", "identity_residual"], rows)
+    ok = all(residuals[i] / residuals[i + 1] >= REFINE_RATIO_MIN
              for i in range(len(residuals) - 1))
     return [path], {"identity_residual_refines": bool(ok)}
 
 
 def _cmd_verify_bilinear(cfg, rng, out: Path):
-    defaults = {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
-                "n_pairs": 100, "nx": 64, "nt": 64, "lx": 32.0, "lt": 16.0,
-                "which": ["L5.1", "L5.2"], "stability_tol": 0.2}
-    cfg = {**defaults, **cfg}
-    if not (isinstance(cfg["n_pairs"], int) and cfg["n_pairs"] >= 1):
-        raise InvalidConfig("n_pairs must be a positive integer")
+    _require(cfg["n_pairs"] >= 1, "n_pairs must be a positive integer")
     _require_pow2_grid(cfg)
-    if not (isinstance(cfg["which"], list)
-            and all(isinstance(w, str) for w in cfg["which"])):
-        raise InvalidConfig("which must be a list of estimate names")
-    unknown = [w for w in cfg["which"] if w not in bilinear.ESTIMATES]
-    if unknown:
-        raise InvalidConfig(f"unknown estimates {unknown}; "
-                            f"known: {list(bilinear.ESTIMATES)}")
-    p = bilinear.EstimateParams(cfg["a"], cfg["b"], cfg["d"], cfg["kappa"], cfg["s"])
+    p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
+                cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
     rows, contracts = [], {}
     for which in cfg["which"]:
@@ -170,31 +204,19 @@ def _cmd_verify_bilinear(cfg, rng, out: Path):
             rows.append([which, int(double), float(len(ratios)), maxima[-1]])
         change = abs(maxima[1] - maxima[0]) / maxima[0]
         contracts[f"{which}_stable_under_doubling"] = \
-            bool(change < cfg["stability_tol"])
-    path = out / "bilinear_ratios.csv"
-    _write_csv(path, ["which", "doubled", "n_pairs", "max_ratio"], rows)
+            bool(change < BILINEAR_STABILITY_TOL)
+    path = _output(out, "bilinear_ratios.csv")
+    write_csv(path, ["which", "doubled", "n_pairs", "max_ratio"], rows)
     return [path], contracts
 
 
 def _cmd_j_sweep(cfg, rng, out: Path):
-    defaults = {"a": 0.25, "b": 0.4, "d": 0.4, "kappa": 0.0, "s": 0.0,
-                "radii": [10.0, 20.0, 40.0], "stability_tol": 0.1,
-                "expect_growth": False}
-    cfg = {**defaults, **cfg}
-    indices = cfg.get("indices")
-    if indices is not None and not isinstance(indices, list):
-        raise InvalidConfig("indices must be a list of J index names")
-    unknown = [i for i in indices or [] if i not in bilinear.J_INDICES]
-    if unknown:
-        raise InvalidConfig(f"unknown J indices {unknown}; "
-                            f"known: {list(bilinear.J_INDICES)}")
     # the stabilisation contract compares the last two radii
-    if not (isinstance(cfg["radii"], list) and len(cfg["radii"]) >= 2):
-        raise InvalidConfig("radii must be a list of at least two radii")
-    p = bilinear.EstimateParams(cfg["a"], cfg["b"], cfg["d"], cfg["kappa"], cfg["s"])
-    indices = indices or bilinear.applicable_indices(p)
+    _require(len(cfg["radii"]) >= 2, "radii must be a list of at least two radii")
+    p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
+                cfg["kappa"], cfg["s"])
     rows, contracts = [], {}
-    for idx in indices:
+    for idx in cfg["indices"] or bilinear.applicable_indices(p):
         recs = bilinear.j_sup_sweep(idx, p, cfg["radii"])
         for r in recs:
             rows.append([idx, cfg["a"], cfg["b"], cfg["d"], cfg["kappa"],
@@ -205,44 +227,44 @@ def _cmd_j_sweep(cfg, rng, out: Path):
             ok = all(sups[i] < sups[i + 1] for i in range(len(sups) - 1))
             contracts[f"{idx}_grows"] = bool(ok)
         else:
-            ok = abs(sups[-1] - sups[-2]) < cfg["stability_tol"] * sups[-2]
+            ok = abs(sups[-1] - sups[-2]) < J_STABILITY_TOL * sups[-2]
             contracts[f"{idx}_sup_stabilizes"] = bool(ok)
-    path = out / "j_sweep.csv"
-    _write_csv(path, ["index", "a", "b", "d", "kappa", "s", "R", "sup",
-                      "argmax_xi", "argmax_tau"], rows)
+    path = _output(out, "j_sweep.csv")
+    write_csv(path, ["index", "a", "b", "d", "kappa", "s", "R", "sup",
+                     "argmax_xi", "argmax_tau"], rows)
     return [path], contracts
 
 
 def _cmd_trace_check(cfg, rng, out: Path):
-    defaults = {"a_list": [1.0], "lambda_list": [0.0], "n": 2048,
-                "tol_zero": 5e-3, "tol_frac": 1e-2, "dump_field": False}
-    cfg = {**defaults, **cfg}
+    _require(cfg["n"] >= 2, "n must be an integer >= 2")
+    _require(all(lam > -1.0 for lam in cfg["lambda_list"]),
+             "lambda_list: the trace identity needs lambda > -1")
     tg = np.linspace(0.0, 1.0, cfg["n"])
     f = TimeSeries(0.0, tg[1] - tg[0], smooth_bump(tg, 0.15, 0.85))
+    specs = [_params(boundary.ForcingSpec, a, lam, f)
+             for lam in cfg["lambda_list"] for a in cfg["a_list"]]
     records, phases = [], set()
     outputs = []
     ok = True
-    for lam in cfg["lambda_list"]:
-        for a in cfg["a_list"]:
-            spec = boundary.ForcingSpec(a, lam, f)
-            rep = boundary.trace_check(spec)
-            tol = cfg["tol_zero"] if lam == 0.0 else cfg["tol_frac"]
-            ok &= rep.residual < tol
-            if lam != 0.0:
-                phases.add(rep.phase)
-            records.append({"lambda": lam, "a": a, "branch": "trace",
-                            "residual": rep.residual,
-                            "phase_selected": rep.phase})
-            if cfg["dump_field"]:
-                nx, nt = 64, 32
-                xs = -4.0 + (8.0 / nx) * np.arange(nx)
-                ts = (1.0 / nt) * np.arange(nt)
-                field = SpaceTimeField(xs[0], 8.0 / nx, 0.0, 1.0 / nt,
-                                       boundary.forcing_field(spec, xs, ts))
-                fpath = out / f"forcing_field_a{a}_lam{lam}.csv"
-                field.to_csv(fpath)
-                outputs.append(fpath)
-    path = out / "trace_check.json"
+    for spec in specs:
+        rep = boundary.trace_check(spec)
+        tol = TRACE_TOL_ZERO if spec.lam == 0.0 else TRACE_TOL_FRAC
+        ok &= rep.residual < tol
+        if spec.lam != 0.0:
+            phases.add(rep.phase)
+        records.append({"lambda": spec.lam, "a": spec.a, "branch": "trace",
+                        "residual": rep.residual,
+                        "phase_selected": rep.phase})
+        if cfg["dump_field"]:
+            nx, nt = 64, 32
+            xs = -4.0 + (8.0 / nx) * np.arange(nx)
+            ts = (1.0 / nt) * np.arange(nt)
+            field = SpaceTimeField(xs[0], 8.0 / nx, 0.0, 1.0 / nt,
+                                   boundary.forcing_field(spec, xs, ts))
+            fpath = _output(out, f"forcing_field_a{spec.a}_lam{spec.lam}.csv")
+            field.to_csv(fpath)
+            outputs.append(fpath)
+    path = _output(out, "trace_check.json")
     _write_json(path, {"records": records})
     contracts = {"trace_within_tolerance": bool(ok),
                  "phase_consistent": len(phases) <= 1}
@@ -250,29 +272,27 @@ def _cmd_trace_check(cfg, rng, out: Path):
 
 
 def _cmd_dispersion_sweep(cfg, rng, out: Path):
-    defaults = {"a_list": [0.1, 0.25, 0.4, 0.75, 1.0, 2.0, 5.0],
-                "n_samples": 100_000}
-    cfg = {**defaults, **cfg}
+    _require(cfg["n_samples"] >= 1, "n_samples must be a positive integer")
+    schemes = [_params(dispersion.classify_regime, a) for a in cfg["a_list"]]
     rows = []
     violations = 0
-    for a in cfg["a_list"]:
+    for a, scheme in zip(cfg["a_list"], schemes):
         fp = dispersion.sample_quadruples(cfg["n_samples"], rng)
         res = dispersion.lower_bound_residual(fp, a)
         tol = 1e-9 * (1.0 + fp.max_freq_sq())
         violations += int(np.sum(res < -tol))
         i = int(np.argmin(res + tol))
-        rows.append([a, dispersion.classify_regime(a), float(np.min(res)),
+        rows.append([a, scheme, float(np.min(res)),
                      float(fp.xi[i]), float(fp.tau[i]), float(fp.xi2[i]),
                      float(fp.tau2[i])])
-    path = out / "dispersion_sweep.csv"
-    _write_csv(path, ["a", "scheme", "min_residual", "argmin_xi",
-                      "argmin_tau", "argmin_xi2", "argmin_tau2"], rows)
+    path = _output(out, "dispersion_sweep.csv")
+    write_csv(path, ["a", "scheme", "min_residual", "argmin_xi",
+                     "argmin_tau", "argmin_xi2", "argmin_tau2"], rows)
     return [path], {"lower_bound_no_violations": violations == 0}
 
 
 def _cmd_region_map(cfg, rng, out: Path):
-    defaults = {"a": 1.0, "lo": -1.0, "hi": 1.0, "step": 0.05}
-    cfg = {**defaults, **cfg}
+    _require(cfg["step"] > 0, "step must be positive")
     # round the lattice so index values like 0, 1/2 are hit exactly
     grid = np.round(np.arange(cfg["lo"], cfg["hi"] + cfg["step"] / 2,
                               cfg["step"]), 10)
@@ -286,38 +306,30 @@ def _cmd_region_map(cfg, rng, out: Path):
                 origin_ok = ok
             rows.append([float(kappa), float(s), int(ok),
                          ";".join(constraints)])
-    path = out / "region_map.csv"
-    _write_csv(path, ["kappa", "s", "admissible", "constraints"], rows)
+    path = _output(out, "region_map.csv")
+    write_csv(path, ["kappa", "s", "admissible", "constraints"], rows)
     return [path], {"origin_admissible": bool(origin_ok)}
 
 
 def _cmd_contraction(cfg, rng, out: Path):
-    defaults = {"L": 20.0, "nx_sim": 129, "T": 0.1, "a": 1.0,
-                "lambda1": 0.0, "lambda2": 0.0, "k_iters": 7,
-                "nx": 256, "nt": 64, "t_span": 0.5,
-                "amp_u": 1.0, "amp_v": 0.8, "ratio_max": 0.9,
-                "discrepancy_max": 0.05}
-    cfg = {**defaults, **cfg}
     _require_pow2_grid(cfg)
     # the x >= 0 half of the contraction grid is compared with the simulate grid
-    if cfg["nx"] != 2 * (cfg["nx_sim"] - 1):
-        raise InvalidConfig("nx must equal 2*(nx_sim-1)")
+    _require(cfg["nx"] == 2 * (cfg["nx_sim"] - 1), "nx must equal 2*(nx_sim-1)")
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
-    if not (isinstance(cfg["k_iters"], int) and cfg["k_iters"] >= 3):
-        raise InvalidConfig("k_iters must be an integer >= 3")
-    if not cfg["t_span"] > 0:
-        raise InvalidConfig("t_span must be positive")
+    _require(cfg["k_iters"] >= 3, "k_iters must be an integer >= 3")
+    _require(cfg["t_span"] > 0, "t_span must be positive")
     dtc = cfg["t_span"] / cfg["nt"]
     # the time-stepper comparison reads the n_cmp + 1 grid times up to T
     n_cmp = int(cfg["T"] / dtc)
-    if n_cmp + 1 > cfg["nt"]:
-        raise InvalidConfig(f"T={cfg['T']} must be below t_span={cfg['t_span']}")
+    _require(n_cmp + 1 <= cfg["nt"],
+             f"T={cfg['T']} must be below t_span={cfg['t_span']}")
+    sc = _params(ibvp.SolverConfig, cfg["L"], cfg["nx_sim"], dtc / 8.0,
+                 cfg["T"], cfg["a"])
     x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
     h = x[1] - x[0]
-    u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, cfg["amp_u"]))
-    v0 = GridFunction(0.0, h, gaussian(x, 7.0, 1.2, cfg["amp_v"]))
+    u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, CONTRACTION_AMP_U))
+    v0 = GridFunction(0.0, h, gaussian(x, 7.0, 1.2, CONTRACTION_AMP_V))
     zero = TimeSeries(0.0, 0.01, np.zeros(101))
-    sc = _solver_config(cfg["L"], cfg["nx_sim"], dtc / 8.0, cfg["T"], cfg["a"])
     res = ibvp.contraction_iterate(sc, u0, v0, zero, zero, cfg["lambda1"],
                                    cfg["lambda2"], cfg["k_iters"],
                                    nx=cfg["nx"], nt=cfg["nt"],
@@ -326,8 +338,8 @@ def _cmd_contraction(cfg, rng, out: Path):
     ratios = [d[k + 1] / d[k] if d[k] > 0 else 0.0 for k in range(len(d) - 1)]
     rows = [[k + 1, d[k], ratios[k] if k < len(ratios) else ""]
             for k in range(len(d))]
-    path = out / "contraction_distances.csv"
-    _write_csv(path, ["k", "distance", "ratio_to_next"], rows)
+    path = _output(out, "contraction_distances.csv")
+    write_csv(path, ["k", "distance", "ratio_to_next"], rows)
 
     states, _ = ibvp.simulate(sc, u0, v0, zero, zero, snapshot_stride=8)
     half = cfg["nx"] // 2
@@ -338,11 +350,11 @@ def _cmd_contraction(cfg, rng, out: Path):
     rel = ((np.linalg.norm(Uc - us) + np.linalg.norm(Vc - vs))
            / (np.linalg.norm(us) + np.linalg.norm(vs)))
     contracts = {
-        "contraction_ratio": bool(all(r <= cfg["ratio_max"]
+        "contraction_ratio": bool(all(r <= CONTRACTION_RATIO_MAX
                                       for r in ratios[1:5])),
-        "matches_time_stepper": bool(rel <= cfg["discrepancy_max"]),
+        "matches_time_stepper": bool(rel <= DISCREPANCY_MAX),
     }
-    summary = out / "contraction_summary.json"
+    summary = _output(out, "contraction_summary.json")
     _write_json(summary, {"distances": d, "ratios": ratios,
                           "solver_discrepancy": float(rel)})
     return [path, summary], contracts
@@ -371,11 +383,11 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
         raise UnknownCommand(f"unknown experiment {command!r}")
     if not isinstance(config, dict):
         raise InvalidConfig("config must be a JSON object")
+    cfg = _validate(command, config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    outputs, contracts = COMMANDS[command](dict(config), rng, out)
+    outputs, contracts = COMMANDS[command](cfg, rng, out)
     manifest = {
         "command": command,
         "config": config,
@@ -388,7 +400,7 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
         "contracts": contracts,
         "passed": all(contracts.values()),
     }
-    _write_json(out / f"manifest_{command}.json", manifest)
+    _write_json(_output(out, f"manifest_{command}.json"), manifest)
     return manifest
 
 

@@ -18,6 +18,15 @@ from .errors import NonPositiveStep
 _FMT = "%.17g"
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """One header row, then the rows; floats as %.17g, which round-trips them."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_FMT % v if isinstance(v, float) else v for v in row])
+
+
 def _as_complex(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(arr)):
@@ -65,13 +74,6 @@ class TimeSeries:
         im = np.interp(t, self.times, self.samples.imag, left=0.0, right=0.0)
         return re + 1j * im
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "re", "im"])
-            for t, z in zip(self.times, self.samples):
-                w.writerow([_FMT % t, _FMT % z.real, _FMT % z.imag])
-
 
 @dataclass
 class GridFunction:
@@ -99,15 +101,9 @@ class GridFunction:
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.dx))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.x0, self.dx, self.samples.copy())
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "re", "im"])
-            for x, z in zip(self.x, self.samples):
-                w.writerow([_FMT % x, _FMT % z.real, _FMT % z.imag])
+        write_csv(path, ["x", "re", "im"],
+                  zip(self.x, self.samples.real, self.samples.imag))
 
 
 @dataclass
@@ -149,18 +145,7 @@ class SpaceTimeField:
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.dx * self.dt))
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.x0, self.dx, self.t0, self.dt, self.samples.copy())
-
-    def zeros_like(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.x0, self.dx, self.t0, self.dt,
-                              np.zeros_like(self.samples))
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "t", "re", "im"])
-            for i, x in enumerate(self.x):
-                for j, t in enumerate(self.t):
-                    z = self.samples[i, j]
-                    w.writerow([_FMT % x, _FMT % t, _FMT % z.real, _FMT % z.imag])
+        write_csv(path, ["x", "t", "re", "im"],
+                  ((x, t, z.real, z.imag) for x, row in zip(self.x, self.samples)
+                   for t, z in zip(self.t, row)))

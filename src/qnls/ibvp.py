@@ -42,8 +42,10 @@ class SolverConfig:
     def __post_init__(self):
         if min(self.L, self.nx, self.dt, self.T, self.a) <= 0:
             raise ValueError("L, nx, dt, T, a must be positive")
-        if self.dt > 0.1:
-            raise ValueError("dt above 0.1 is not accepted (accuracy guard)")
+        if self.dt > min(0.1, self.T):
+            raise ValueError("dt above 0.1 is not accepted (accuracy guard), nor above T")
+        if self.nx < 3:
+            raise ValueError("nx must be at least 3 (one-sided boundary stencil)")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qnls.cli import emit_report, main, run_experiment
+from qnls.cli import CONFIGS, _validate, emit_report, main, run_experiment
 from qnls.errors import EmptyDirectory, UnknownCommand
 
 
@@ -78,9 +79,58 @@ _BAD_J_SWEEP_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("command,cfg,message", [
-    pytest.param(*case, id=f"{case[0]}-cfg{i}") for i, case in enumerate(_BAD_CONFIGS)]
-    + _BAD_J_SWEEP_CONFIGS)
+# Checked against `cli.CONFIGS`, a library parameter object or a window the
+# command needs, before any work.
+_BAD_CONFIGS_UP_FRONT = [
+    pytest.param("region-map", {"bogus_key": 1},
+                 "unknown keys ['bogus_key'] for region-map", id="region-map-unknown-key"),
+    # one level compares nothing: the refinement contract passed vacuously
+    pytest.param("mass-track", {"levels": 1}, "levels must be an integer >= 2",
+                 id="mass-track-one-level"),
+    # an unknown kind silently ran the zero boundary
+    pytest.param("simulate", {"boundary": "bumpy"}, "boundary must be one of ['zero', 'bump']",
+                 id="simulate-unknown-boundary"),
+    # a contract threshold is not a config key
+    pytest.param("verify-bilinear", {"stability_tol": 10.0},
+                 "unknown keys ['stability_tol'] for verify-bilinear",
+                 id="verify-bilinear-threshold-key"),
+    pytest.param("region-map", {"step": 0}, "step must be positive", id="region-map-zero-step"),
+    pytest.param("simulate", {"nx": 2.5}, "nx=2.5 is not of the kind of its default 257",
+                 id="simulate-float-nx"),
+    pytest.param("dispersion-sweep", {"n_samples": "10"},
+                 "n_samples='10' is not of the kind of its default 100000",
+                 id="dispersion-sweep-string-n-samples"),
+    pytest.param("j-sweep", {"radii": ["a", "b"], "indices": ["J1"]},
+                 "radii=['a', 'b'] is not of the kind of its default [10.0, 20.0, 40.0]",
+                 id="j-sweep-string-radii"),
+    pytest.param("trace-check", {"n": 1}, "n must be an integer >= 2",
+                 id="trace-check-one-sample"),
+    pytest.param("j-sweep", {"b": 0.6, "radii": [1.0, 2.0], "indices": ["J1"]},
+                 "b, d must lie in (3/8, 1/2)", id="j-sweep-b-outside-window"),
+    pytest.param("trace-check", {"a_list": [0.0]}, "a must be positive",
+                 id="trace-check-zero-a"),
+    pytest.param("trace-check", {"lambda_list": [-1.5]}, "trace identity needs lambda > -1",
+                 id="trace-check-lambda-below-window"),
+    # the one-sided boundary derivative reads three grid points
+    pytest.param("simulate", {"nx": 2}, "nx must be at least 3", id="simulate-two-points"),
+    # a single time sample is no boundary datum
+    pytest.param("simulate", {"T": 0.001, "dt": 0.004}, "nor above T",
+                 id="simulate-dt-above-T"),
+    pytest.param("dispersion-sweep", {"a_list": [0.0], "n_samples": 10},
+                 "a must be positive", id="dispersion-sweep-zero-a"),
+    # an empty list checks nothing and passes
+    pytest.param("trace-check", {"a_list": []}, "a_list=[] is not of the kind",
+                 id="trace-check-empty-a-list"),
+    pytest.param("j-sweep", {"expect_growth": 1}, "expect_growth=1 is not of the kind",
+                 id="j-sweep-int-expect-growth"),
+]
+
+_ALL_BAD_CONFIGS = ([pytest.param(*case, id=f"{case[0]}-cfg{i}")
+                     for i, case in enumerate(_BAD_CONFIGS)]
+                    + _BAD_J_SWEEP_CONFIGS + _BAD_CONFIGS_UP_FRONT)
+
+
+@pytest.mark.parametrize("command,cfg,message", _ALL_BAD_CONFIGS)
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, message):
     code = main([command, "--config", str(_dump(tmp_path, cfg)),
                  "--out", str(tmp_path / "o")])
@@ -88,6 +138,27 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, message):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert message in err
+
+
+@pytest.mark.parametrize("command,cfg,message", _ALL_BAD_CONFIGS)
+def test_bad_config_writes_nothing(tmp_path, capsys, command, cfg, message):
+    # every check runs before the output directory is made
+    assert main([command, "--config", str(_dump(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_benchmark_config_passes_the_validator():
+    # an over-strict CONFIGS table fails here before it fails the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    commands = [c for cmds in workloads.WORKLOADS.values() for c in cmds]
+    assert commands
+    for c in commands:
+        assert _validate(c.name, c.config) == {**CONFIGS[c.name], **c.config}
 
 
 def test_dispersion_sweep_cli(tmp_path):
@@ -113,6 +184,16 @@ def test_trace_check_cli_and_report(tmp_path):
     summary = emit_report(out)
     assert summary == {"experiments": {"trace-check": "pass"},
                        "overall": "pass"}
+
+
+def test_trace_check_dump_field(tmp_path):
+    cfg = {"a_list": [1.0], "lambda_list": [0.25], "n": 1024, "dump_field": True}
+    manifest = run_experiment("trace-check", cfg, 0, tmp_path)
+    name = "forcing_field_a1.0_lam0.25.csv"
+    assert name in manifest["outputs"]
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[0] == "x,t,re,im"
+    assert len(lines) - 1 == 64 * 32
 
 
 def test_report_determinism_and_mixed_status(tmp_path):
