@@ -8,18 +8,19 @@ half-period panels with a Fresnel-integral completion below the last panel
 (exact for a frozen signal, with a bound on the freezing error).
 
 The datum enters only through its piecewise-linear interpolant on a uniform
-grid and the kernel depends on t - t' alone, so the sum over the complete
-panels is a causal convolution (convolution quadrature, Lubich 1988): output
-times at the same offset on the datum grid read every quadrature node in the
-same datum interval at a fixed lag behind them.  Per offset, the node
-weights are binned once by completion level and lag into weights on each
-interval's left sample and on its step; the complete panels at time t are a
-prefix of the ladder, so each time sums the bins up to its own level against
-the samples at those lags.  Times on the datum grid form one offset group.
-Each time then adds its partial top panel and the Fresnel tail.  A column
-depends on x only through x^2, so each |x| is evaluated once per field.
-Nothing is cached across calls: the panel ladder depends on the datum's sup
-and derivative sup.
+grid, which reads zero before t = 0, and the kernel depends on t - t' alone.
+So every panel above sqrt(t) adds nothing, the complete panels at time t are
+the whole ladder minus the one panel that straddles sqrt(t), and their sum
+is a causal convolution (convolution quadrature, Lubich 1988): output times
+at the same offset on the datum grid read every quadrature node in the same
+datum interval at a fixed lag behind them.  Per offset, the node weights are
+binned once by lag into weights on each interval's left sample and on its
+step, and every time of the offset sums the same bins; times on the datum
+grid form one offset group.  Each time then removes its straddling panel and
+adds its partial top panel and the Fresnel tail.  A column depends on x only
+through x^2, so each |x| is evaluated once per field, and the datum is laid
+out for the output times once per field.  Nothing is cached across calls:
+the panel ladder depends on the datum's sup and derivative sup.
 
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
@@ -116,9 +117,48 @@ def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
     return m.sup(), float(np.max(np.abs(grad)))
 
 
-def _column_values(m: TimeSeries, bounds, a: float, x: float,
-                   ts: np.ndarray) -> np.ndarray:
-    """Base-operator values at one x for all times, sharing the sigma ladder.
+class _DatumGrid:
+    """The datum's interpolant laid out for the live output times t.
+
+    t = (k + phi) dt is kept as its offset phi, rounded to 1e-9 dt so the
+    times on the datum grid form one group, and as `base`, k's index into
+    `ext`.  `ext` holds each datum interval's left sample, then its step,
+    padded by zeros on both sides: interval i reads the datum for
+    0 <= i <= n-2 and zero elsewhere, with no ramp into the sampled window.
+    """
+
+    def __init__(self, m: TimeSeries, t: np.ndarray):
+        self.t, self.rt, self.dt = t, np.sqrt(t), m.dt
+        self.t_max = float(np.max(t))
+        u = (t - m.t0) / m.dt
+        k = np.rint(u)
+        self.phis, self.group = np.unique(np.round(u - k, 9), return_inverse=True)
+        self.members = [np.flatnonzero(self.group == g) for g in range(self.phis.size)]
+        k = k.astype(np.intp)
+        # nodes sigma <= sqrt(t) lie at lags below ceil(t / dt) + 3
+        pad = max(math.ceil(self.t_max / m.dt) + 3 - int(k.min()), 0)
+        self.span = pad + max(m.n - 1, int(k.max()) + 1)
+        self.base = k + pad
+        self.ext = np.zeros(2 * self.span, dtype=complex)
+        self.ext[pad:pad + m.n - 1] = m.samples[:-1]
+        self.ext[self.span + pad:self.span + pad + m.n - 1] = np.diff(m.samples)
+
+    def lags(self, sig, groups):
+        """Where node sigma reads at time (k + phi) dt: interval k - lag, at
+        fraction lag - s, with s = sigma^2 / dt - phi."""
+        s = sig * sig / self.dt - self.phis[groups]
+        lag = np.ceil(s)
+        return lag.astype(np.intp), lag - s
+
+    def read(self, sig, at=slice(None)):
+        """The interpolant at t - sig^2 for the times `at`; sig is (times, nodes)."""
+        lag, frac = self.lags(sig, self.group[at, None])
+        i = self.base[at, None] - lag
+        return self.ext[i] + frac * self.ext[i + self.span]
+
+
+def _column_values(grid: _DatumGrid, bounds, a: float, x: float) -> np.ndarray:
+    """Base-operator values at one x for all live times, sharing the sigma ladder.
 
     At fixed x the oscillation edges and phases are time-independent; the
     panels complete at time t (sigma <= sqrt(t)) are summed by the
@@ -127,14 +167,8 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float,
     `bounds` is `_datum_bounds(m)`.
     """
     m_sup, m_dsup = bounds
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.size, dtype=complex)
-    live = ts > 0.0
-    if not np.any(live) or m_sup == 0.0:
-        return out
-    t_live = ts[live]
-    rt = np.sqrt(t_live)
-    t_max = float(np.max(t_live))
+    rt = grid.rt
+    t_max = grid.t_max
     B = x * x / (4.0 * a)
     scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
 
@@ -153,121 +187,82 @@ def _column_values(m: TimeSeries, bounds, a: float, x: float,
                                     np.linspace(edges[-1], math.sqrt(t_max),
                                                 n_top + 1)[1:]])
 
-    vals = _full_panels(m, edges, B, t_live, rt)
+    vals = _full_panels(grid, edges, B)
 
     # partial top panel [last complete edge, sqrt(t)], one per time, on the
     # reference panel [-1, 1]
     idx = np.searchsorted(edges, rt + 1e-15, side="right") - 1
-    has = idx >= 0
-    lo_t = np.where(has, edges[np.clip(idx, 0, edges.size - 1)], 0.0)
-    half_t = 0.5 * np.maximum(rt - lo_t, 0.0) * has
+    lo_t = np.minimum(edges[np.maximum(idx, 0)], rt)
+    half_t = 0.5 * (rt - lo_t)
 
     def top(u):
         sig_t = (lo_t + half_t)[:, None] + half_t[:, None] * u[None, :]
-        ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else np.ones_like(sig_t)
-        return m(t_live[:, None] - sig_t ** 2) * ph_t
+        ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else 1.0
+        return grid.read(sig_t) * ph_t
 
     vals += panel_sums(top, np.array([-1.0, 1.0]), 8)[:, 0] * half_t
 
     # Fresnel completion below the deepest covered edge
     s_eff = np.minimum(edges[0], rt)
     if B > 0:
-        tail = m(t_live - s_eff ** 2) * s_eff * _osc_tail_factor(B / (s_eff ** 2 + 1e-300))
-        vals += tail
+        vals += (grid.read(s_eff[:, None])[:, 0] * s_eff
+                 * _osc_tail_factor(B / (s_eff ** 2 + 1e-300)))
         err = 0.4 * (m_dsup + 1e-300) * float(np.max(s_eff)) ** 5 / B
         if err > 0.01 * max(float(np.max(np.abs(vals))), 0.1 * scale0):
             raise SingularQuadratureFail(
                 f"freezing error {err:.2e} above 1% at x={x:.3g}")
-    out[live] = (2.0 / math.sqrt(np.pi)) * vals
-    return out
+    return (2.0 / math.sqrt(np.pi)) * vals
 
 
-def _full_panels(m: TimeSeries, edges: np.ndarray, B: float, t_live: np.ndarray,
-                 rt: np.ndarray) -> np.ndarray:
+def _full_panels(grid: _DatumGrid, edges: np.ndarray, B: float) -> np.ndarray:
     """Sum over the panels [edges[p], edges[p+1]] with edges[p+1] <= sqrt(t).
 
-    Each node sigma reads the datum's linear interpolant at t - sigma^2.
-    Times t = (k + phi) dt at the same offset phi on the datum grid see each
-    node in the same datum interval, at the same lag behind k and with the
-    same interpolation fraction.  So, per offset, the node weights are
-    binned once by (level slot, lag) into weights on the interval's left
-    sample and on its step; the complete panels at a time are a prefix of
-    the ladder, so each time sums the bins of its offset up to its own
-    level against the samples at those lags.  Offsets are compared after
-    rounding to 1e-9 dt: the times on the datum grid form one group.
+    The interpolant reads zero before t = 0, so every panel above sqrt(t)
+    adds nothing: the complete panels at t are the ladder up to the top
+    level of t's offset group, minus the one panel that straddles sqrt(t).
+    Times at the same offset on the datum grid see each node in the same
+    datum interval, at the same lag behind them and with the same
+    interpolation fraction.  So, per offset, the node weights are binned
+    once by lag into weights on the interval's left sample and on its step,
+    and every time of the offset sums the same bins: one dense (times x
+    lags) gather and two mat-vecs.  Each time below its offset's top level
+    then subtracts the 8 nodes of its straddling panel, read the same way.
     """
-    level = np.searchsorted(edges[1:], rt + 1e-15, side="right")
-    n_pan = int(level.max())
-    if n_pan == 0:
-        return np.zeros(t_live.size, dtype=complex)
-    pts, weights, half = _panel_nodes(edges[:n_pan + 1], 8)
-    order = weights.size
+    level = np.searchsorted(edges[1:], grid.rt + 1e-15, side="right")
+    pts, weights, half = _panel_nodes(edges[:int(level.max()) + 1], 8)
     phase = np.exp(1j * B / (pts * pts)) if B > 0 else 1.0 + 0.0j
     w = weights[None, :] * half[:, None] * phase
-    u = (t_live - m.t0) / m.dt
-    k = np.rint(u)
-    phis, group = np.unique(np.round(u - k, 9), return_inverse=True)
-    k = k.astype(np.intp)
-
-    # one slot per distinct (offset, level), ordered by offset, then level
-    stride = n_pan + 1
-    keys, slot = np.unique(group * stride + level, return_inverse=True)
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(keys // stride)) + 1,
-                           [keys.size]))
-    top = keys[runs[1:] - 1] % stride          # panels each offset needs
-    # every (offset, panel) pair below the offset's top level; a node of
-    # panel p counts at each level above p, so it is binned at the first
-    # slot of its offset above p
-    pair_g = np.repeat(np.arange(phis.size), top)
-    pair_p = np.arange(pair_g.size) - np.repeat(np.cumsum(top) - top, top)
-    first = np.repeat(np.searchsorted(keys, pair_g * stride + pair_p, side="right"),
-                      order)
-    node = (order * pair_p[:, None] + np.arange(order)).ravel()
-    # node at datum position (k + phi) - s: interval k - lag, fraction frac
-    s = ((pts * pts).ravel() / m.dt)[node] - np.repeat(phis[pair_g], order)
-    lag = np.ceil(s)
-    frac = lag - s
-    lag = lag.astype(np.intp)
-    # bin the node weights by (slot, lag); within an offset the nodes run up
-    # the ladder, so slot and lag never decrease and each bin is one run
-    width = int(lag.max()) + 1
-    cell = first * width + lag
-    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    cells = cell[starts]
-    wn = w.ravel()[node]
-    on_left = np.add.reduceat(wn, starts)
-    on_step = np.add.reduceat(wn * frac, starts)
-
-    # each time sums the bins of its offset up to its own slot: a run of
-    # `cells` from the offset's first slot
-    lo_c = np.searchsorted(cells, runs[group] * width)
-    n_c = np.searchsorted(cells, (slot + 1) * width) - lo_c
-    t_of = np.repeat(np.arange(t_live.size), n_c)
-    c = np.arange(t_of.size) - np.repeat(np.cumsum(n_c) - n_c - lo_c, n_c)
-
-    # interval i reads the datum for 0 <= i <= n-2 and zero elsewhere, with
-    # no ramp into the sampled window; `ext` holds the left samples, then the
-    # steps, each padded by zeros on both sides
-    c_lag = cells % width
-    pad = max(int(c_lag.max() - k.min()), 0)
-    span = pad + m.n - 1 + max(int(k.max() - c_lag.min()) - (m.n - 2), 0)
-    ext = np.zeros(2 * span, dtype=complex)
-    ext[pad:pad + m.n - 1] = m.samples[:-1]
-    ext[span + pad:span + pad + m.n - 1] = np.diff(m.samples)
-    idx = (k + pad)[t_of] - c_lag[c]
-    terms = on_left[c] * ext[idx] + on_step[c] * ext[idx + span]
-    return (np.bincount(t_of, terms.real, t_live.size)
-            + 1j * np.bincount(t_of, terms.imag, t_live.size))
+    vals = np.empty(grid.t.size, dtype=complex)
+    for g, at in enumerate(grid.members):
+        # the nodes run up the ladder, so the lag never decreases and each
+        # lag bin is one run of nodes
+        top = int(level[at].max())
+        lag, frac = grid.lags(pts[:top].ravel(), g)
+        starts = np.flatnonzero(np.diff(lag, prepend=-1))
+        on_left = np.add.reduceat(w[:top].ravel(), starts)
+        on_step = np.add.reduceat(w[:top].ravel() * frac, starts)
+        i = grid.base[at, None] - lag[starts]
+        # one dot per time: OpenBLAS runs a mat-vec this small on threads
+        # that then spin, doubling the CPU time without saving wall time
+        vals[at] = (np.vecdot(on_left.conj(), grid.ext[i])
+                    + np.vecdot(on_step.conj(), grid.ext[i + grid.span]))
+        st = at[level[at] < top]
+        vals[st] -= np.sum(w[level[st]] * grid.read(pts[level[st]], st), axis=1)
+    return vals
 
 
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
-    """Base-operator field on ys x ts; the kernel sees y only through y^2,
-    so each |y| is evaluated once."""
+    """Base-operator field on ys x ts.  The kernel sees y only through y^2,
+    so each |y| is evaluated once; the datum grid depends only on m and ts,
+    so it is laid out once.  `bounds` is `_datum_bounds(m)`."""
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
-    cols = np.empty((ay.size, ts.size), dtype=complex)
-    for i, y in enumerate(ay):
-        cols[i, :] = _column_values(m, bounds, a, float(y), ts)
+    cols = np.zeros((ay.size, ts.size), dtype=complex)
+    live = ts > 0.0
+    if np.any(live) and bounds[0] > 0.0:
+        grid = _DatumGrid(m, ts[live])
+        for i, y in enumerate(ay):
+            cols[i, live] = _column_values(grid, bounds, a, float(y))
     return cols[inv]
 
 

@@ -188,6 +188,7 @@ def _cmd_mass_track(cfg, rng, out: Path):
 def _cmd_verify_bilinear(cfg, rng, out: Path):
     _require(cfg["n_pairs"] >= 1, "n_pairs must be a positive integer")
     _require_pow2_grid(cfg)
+    _require(cfg["lx"] > 0 and cfg["lt"] > 0, "lx and lt must be positive")
     p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
                 cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
@@ -274,6 +275,8 @@ def _cmd_trace_check(cfg, rng, out: Path):
 def _cmd_dispersion_sweep(cfg, rng, out: Path):
     _require(cfg["n_samples"] >= 1, "n_samples must be a positive integer")
     schemes = [_params(dispersion.classify_regime, a) for a in cfg["a_list"]]
+    _require("Resonant" not in schemes,
+             "a_list: no lower bound is claimed at the resonant a = 1/2")
     rows = []
     violations = 0
     for a, scheme in zip(cfg["a_list"], schemes):
@@ -293,9 +296,12 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path):
 
 def _cmd_region_map(cfg, rng, out: Path):
     _require(cfg["step"] > 0, "step must be positive")
+    _require(cfg["lo"] <= cfg["hi"], "lo must not exceed hi")
     # round the lattice so index values like 0, 1/2 are hit exactly
     grid = np.round(np.arange(cfg["lo"], cfg["hi"] + cfg["step"] / 2,
                               cfg["step"]), 10)
+    # the origin_admissible contract reads the lattice point (0, 0)
+    _require(0.0 in grid, "the lattice lo + k*step must contain 0")
     rows = []
     origin_ok = False
     for kappa in grid:

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _column_values,
+from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _base_field,
                            _datum_bounds, _half_order_series,
                            _osc_tail_factor, boundary_estimate_ratio,
                            delta_coefficient, forcing_eval, forcing_field,
@@ -285,21 +286,55 @@ def _oracle_cases():
 def test_lag_binned_columns_match_per_time_ladder(lam):
     for f, time_sets in _oracle_cases():
         m = _half_order_series(ForcingSpec(1.0, lam, f))
-        bounds = _datum_bounds(m)
-        for a in (0.25, 1.0, 2.0):
-            for x in (0.0, 0.3, 2.0, 7.5, 19.8):
-                col_max = 0.0
-                for ts in time_sets:
-                    try:
-                        ref = _ladder_column_values(m, bounds, a, x, ts)
-                    except SingularQuadratureFail:
-                        with pytest.raises(SingularQuadratureFail):
-                            _column_values(m, bounds, a, x, ts)
-                        continue
-                    got = _column_values(m, bounds, a, x, ts)
-                    col_max = max(col_max, float(np.max(np.abs(ref))))
-                    err = float(np.max(np.abs(got - ref)))
-                    assert err <= 1e-8 * col_max, (f.n, a, x, ts.size, err / col_max)
+        _assert_columns_match_ladder(m, (0.25, 1.0, 2.0), (0.0, 0.3, 2.0, 7.5, 19.8),
+                                     time_sets)
+
+
+def test_columns_match_per_time_ladder_when_the_datum_starts_nonzero():
+    # the interpolant jumps from 0 to m(0) at t = 0: the panels above sqrt(t)
+    # still read zero and the straddling panel is removed node by node
+    dt = 1.0 / 511
+    m = TimeSeries(0.0, dt, (1.0 + dt * np.arange(512))
+                   * np.exp(2j * np.pi * 3.0 * dt * np.arange(512)))
+    assert m(0.0) != 0.0
+    on_grid = m.times[1::7]
+    off_grid = np.concatenate([(m.t_end / 64) * np.arange(1, 65),
+                               m.times[[3, 200]] + 0.37 * dt])
+    _assert_columns_match_ladder(m, (0.5, 1.0), (0.0, 0.3, 2.0, 7.5),
+                                 [on_grid, off_grid])
+
+
+def _assert_columns_match_ladder(m, a_values, x_values, time_sets):
+    bounds = _datum_bounds(m)
+    for a in a_values:
+        for x in x_values:
+            col_max = 0.0
+            for ts in time_sets:
+                try:
+                    ref = _ladder_column_values(m, bounds, a, x, ts)
+                except SingularQuadratureFail:
+                    with pytest.raises(SingularQuadratureFail):
+                        _base_field(m, bounds, a, [x], ts)
+                    continue
+                got = _base_field(m, bounds, a, [x], ts)[0]
+                col_max = max(col_max, float(np.max(np.abs(ref))))
+                err = float(np.max(np.abs(got - ref)))
+                assert err <= 1e-8 * col_max, (m.n, a, x, ts.size, err / col_max)
+
+
+def test_trace_sized_def0_field_has_no_column_by_datum_table():
+    # 171 ray columns of 48 times from a 4096-sample datum; a table of
+    # columns x datum samples (11 MB) would raise the benchmark's peak RSS
+    f = bump_series(n=4096)
+    spec = ForcingSpec(2.0, 0.25, f)
+    ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
+    tracemalloc.start()
+    try:
+        forcing_field(spec, np.array([0.0]), ts, "def0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_field_rows_at_plus_and_minus_x_are_equal():

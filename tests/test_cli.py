@@ -123,6 +123,20 @@ _BAD_CONFIGS_UP_FRONT = [
                  id="trace-check-empty-a-list"),
     pytest.param("j-sweep", {"expect_growth": 1}, "expect_growth=1 is not of the kind",
                  id="j-sweep-int-expect-growth"),
+    # the lemma claims no lower bound at a = 1/2; this sampled, then exited 1
+    pytest.param("dispersion-sweep", {"a_list": [0.25, 0.5], "n_samples": 10},
+                 "no lower bound is claimed at the resonant a = 1/2",
+                 id="dispersion-sweep-resonant-a"),
+    # a zero box length divided by zero in the field synthesis, then exited 1
+    pytest.param("verify-bilinear", {"lx": 0.0, "n_pairs": 2}, "lx and lt must be positive",
+                 id="verify-bilinear-zero-lx"),
+    pytest.param("verify-bilinear", {"lt": -16.0, "n_pairs": 2},
+                 "lx and lt must be positive", id="verify-bilinear-negative-lt"),
+    # these wrote a header-only or origin-free map, then exited 1
+    pytest.param("region-map", {"lo": 1.0, "hi": -1.0}, "lo must not exceed hi",
+                 id="region-map-lo-above-hi"),
+    pytest.param("region-map", {"lo": -1.0, "hi": 1.0, "step": 0.3},
+                 "the lattice lo + k*step must contain 0", id="region-map-lattice-misses-origin"),
 ]
 
 _ALL_BAD_CONFIGS = ([pytest.param(*case, id=f"{case[0]}-cfg{i}")
