@@ -84,7 +84,7 @@ class SupportViolation(QnlsError):
 # --- IBVP solver ---
 
 class BlowUpDetected(QnlsError):
-    """Solution norm exceeded 1e6 times its initial scale."""
+    """Solution norm exceeded 1e6 times its initial scale, or a step met a non-finite value."""
 
 
 class NonConvergentNonlinearIteration(QnlsError):

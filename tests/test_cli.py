@@ -113,6 +113,9 @@ _BAD_CONFIGS_UP_FRONT = [
                  id="trace-check-lambda-below-window"),
     # the one-sided boundary derivative reads three grid points
     pytest.param("simulate", {"nx": 2}, "nx must be at least 3", id="simulate-two-points"),
+    # LAPACK's tridiagonal factorisation takes no fewer than 3 unknowns
+    pytest.param("simulate", {"nx": 3}, "nx must be at least 5", id="simulate-three-points"),
+    pytest.param("simulate", {"nx": 4}, "nx must be at least 5", id="simulate-four-points"),
     # a single time sample is no boundary datum
     pytest.param("simulate", {"T": 0.001, "dt": 0.004}, "nor above T",
                  id="simulate-dt-above-T"),

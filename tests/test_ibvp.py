@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from qnls.errors import (BlowUpDetected, CompatibilityViolation, EmptyLedger,
                          NonConvergentNonlinearIteration)
 from qnls.grids import GridFunction, TimeSeries
-from qnls.ibvp import (MassLedger, SolverConfig, compatibility_check,
-                       contraction_iterate, default_manufactured,
-                       mass_identity_residual, regularity_region, simulate)
+from qnls.ibvp import (MassLedger, SolverConfig, _boundary_deriv, _cayley_solver,
+                       compatibility_check, contraction_iterate,
+                       default_manufactured, mass_identity_residual,
+                       regularity_region, simulate)
 from qnls.profiles import gaussian, smooth_bump
 
 
@@ -152,6 +154,149 @@ def test_nonconvergent_iteration_guard():
     cfg = SolverConfig(L=L, nx=nx, dt=0.1, T=0.5, a=1.0, nonlinearity_iters=4)
     with pytest.raises((NonConvergentNonlinearIteration, BlowUpDetected)):
         simulate(cfg, big, big, zero_series(), zero_series())
+
+
+def test_non_finite_source_raises_blow_up_with_time():
+    # a NaN from a user source reached scipy's bare ValueError before
+    L, nx = 10.0, 65
+    x = np.linspace(0, L, nx)
+    h = x[1] - x[0]
+    u0 = GridFunction(0.0, h, gaussian(x, center=5.0, width=1.0))
+    zero_src = lambda xx, tt: np.zeros_like(xx, dtype=complex)
+    nan_src = lambda xx, tt: np.full_like(xx, np.nan if tt > 0.03 else 0.0,
+                                          dtype=complex)
+    cfg = SolverConfig(L=L, nx=nx, dt=0.01, T=0.1, a=1.0)
+    with pytest.raises(BlowUpDetected, match="non-finite right-hand side .* t=0.04"):
+        simulate(cfg, u0, u0, zero_series(), zero_series(),
+                 sources=(nan_src, zero_src))
+
+
+# --- the factored Cayley solve against scipy.linalg.solve_banded ---
+
+def _banded(nx, theta):
+    """Banded form of I - theta*T on the interior, for solve_banded."""
+    n = nx - 2
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = -theta
+    ab[1, :] = 1.0 + 2.0 * theta
+    ab[2, :-1] = -theta
+    return ab
+
+
+# (L, nx, dt): `lab`'s simulate, both mass-track levels, contraction's stepper
+_CLI_GRIDS = [(24.0, 4097, 5e-4), (24.0, 241, 4e-3), (24.0, 481, 2e-3),
+              (20.0, 129, 0.5 / 64 / 8), (10.0, 5, 0.01)]
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 5.0])
+@pytest.mark.parametrize("L,nx,dt", _CLI_GRIDS)
+def test_factored_solve_matches_solve_banded_bitwise(L, nx, dt, a):
+    h = L / (nx - 1)
+    theta = a * 1j * dt / (2.0 * h * h)
+    solve = _cayley_solver(nx, theta)
+    rng = np.random.default_rng(nx)
+    for scale in (1.0, 1e-8, 1e6):
+        b = scale * (rng.normal(size=nx - 2) + 1j * rng.normal(size=nx - 2))
+        expected = solve_banded((1, 1), _banded(nx, theta), b)
+        np.testing.assert_array_equal(solve(b.copy()), expected)
+
+
+def _parent_simulate(cfg, u0, v0, f, g, sources=None):
+    """The stepper as it was with one solve_banded call per sweep and field."""
+    nx = cfg.nx
+    h = cfg.L / (nx - 1)
+    x = h * np.arange(nx)
+    n_steps = int(round(cfg.T / cfg.dt))
+    dt = cfg.dt
+    theta_u = 1j * dt / (2.0 * h * h)
+    theta_v = cfg.a * theta_u
+    ab_u, ab_v = _banded(nx, theta_u), _banded(nx, theta_v)
+    u = np.interp(x, u0.x, u0.samples.real) + 1j * np.interp(x, u0.x, u0.samples.imag)
+    v = np.interp(x, v0.x, v0.samples.real) + 1j * np.interp(x, v0.x, v0.samples.imag)
+    u[0], v[0] = f(0.0), g(0.0)
+    u[-1] = v[-1] = 0.0
+    trap = np.ones(nx)
+    trap[0] = trap[-1] = 0.5
+
+    def mass(uu, vv):
+        return float(np.sum(trap * (np.abs(uu) ** 2 + np.abs(vv) ** 2)) * h)
+
+    def flux_density(uu, vv):
+        return (2.0 * np.imag(np.conj(uu[0]) * _boundary_deriv(uu, h)),
+                2.0 * np.imag(np.conj(vv[0]) * _boundary_deriv(vv, h)))
+
+    masses, flux_u, flux_v, snaps = [mass(u, v)], [0.0], [0.0], [(u.copy(), v.copy())]
+    phi_u_prev, phi_v_prev = flux_density(u, v)
+    for n in range(n_steps):
+        t_next = n * dt + dt
+        t_mid = n * dt + 0.5 * dt
+        if sources is not None:
+            F1_mid, F2_mid = sources[0](x, t_mid), sources[1](x, t_mid)
+        else:
+            F1_mid = F2_mid = 0.0
+        lin_u = u + theta_u * (np.roll(u, -1) - 2 * u + np.roll(u, 1))
+        lin_v = v + theta_v * (np.roll(v, -1) - 2 * v + np.roll(v, 1))
+        u_new, v_new = u.copy(), v.copy()
+        for sweep in range(cfg.nonlinearity_iters):
+            u_mid = 0.5 * (u + u_new)
+            v_mid = 0.5 * (v + v_new)
+            rhs_u = (lin_u + 1j * dt * (np.conj(u_mid) * v_mid - F1_mid))[1:-1]
+            rhs_v = (lin_v + 1j * dt * (u_mid * u_mid - F2_mid))[1:-1]
+            rhs_u[0] += theta_u * f(t_next)
+            rhs_v[0] += theta_v * g(t_next)
+            u_new[1:-1] = solve_banded((1, 1), ab_u, rhs_u)
+            v_new[1:-1] = solve_banded((1, 1), ab_v, rhs_v)
+            u_new[0], v_new[0] = f(t_next), g(t_next)
+            u_new[-1] = v_new[-1] = 0.0
+        u, v = u_new, v_new
+        phi_u, phi_v = flux_density(u, v)
+        masses.append(mass(u, v))
+        flux_u.append(flux_u[-1] + 0.5 * dt * (phi_u_prev + phi_u))
+        flux_v.append(flux_v[-1] + 0.5 * dt * (phi_v_prev + phi_v))
+        phi_u_prev, phi_v_prev = phi_u, phi_v
+        snaps.append((u.copy(), v.copy()))
+    masses, flux_u, flux_v = map(np.array, (masses, flux_u, flux_v))
+    residual = masses - masses[0] - flux_u - cfg.a * flux_v
+    return snaps, masses, flux_u, flux_v, residual
+
+
+def _assert_matches_parent(cfg, u0, v0, f, g, sources=None):
+    states, ledger = simulate(cfg, u0, v0, f, g, sources=sources)
+    snaps, masses, flux_u, flux_v, residual = _parent_simulate(cfg, u0, v0, f, g, sources)
+    assert len(states) == len(snaps)
+    for st, (u, v) in zip(states, snaps):
+        np.testing.assert_array_equal(st.u.samples, u)
+        np.testing.assert_array_equal(st.v.samples, v)
+    np.testing.assert_array_equal(ledger.mass, masses)
+    np.testing.assert_array_equal(ledger.flux_u, flux_u)
+    np.testing.assert_array_equal(ledger.flux_v, flux_v)
+    np.testing.assert_array_equal(ledger.residual, residual)
+
+
+def test_simulate_matches_parent_stepper_bump_boundary():
+    L, nx, dt, T = 24.0, 241, 4e-3, 0.2
+    x = np.linspace(0.0, L, nx)
+    h = x[1] - x[0]
+    u0 = GridFunction(0.0, h, gaussian(x, center=6.0, width=1.0))
+    v0 = GridFunction(0.0, h, gaussian(x, center=9.0, width=1.0, amplitude=0.6))
+    tg = dt * np.arange(int(round(T / dt)) + 1)
+    f = TimeSeries(0.0, dt, 0.3 * smooth_bump(tg, 0.02, 0.18))
+    g = TimeSeries(0.0, dt, 0.2j * smooth_bump(tg, 0.04, 0.16))
+    _assert_matches_parent(SolverConfig(L=L, nx=nx, dt=dt, T=T, a=2.0), u0, v0, f, g)
+
+
+def test_simulate_matches_parent_stepper_manufactured_sources():
+    a, L, nx, dt, T = 0.7, 30.0, 121, 0.02, 0.3
+    man = default_manufactured(a)
+    x = np.linspace(0.0, L, nx)
+    h = x[1] - x[0]
+    tg = dt * np.arange(int(round(T / dt)) + 1)
+    f = TimeSeries(0.0, dt, man["u"](0.0, tg))
+    g = TimeSeries(0.0, dt, man["v"](0.0, tg))
+    cfg = SolverConfig(L=L, nx=nx, dt=dt, T=T, a=a, nonlinearity_iters=4)
+    _assert_matches_parent(cfg, GridFunction(0.0, h, man["u"](x, 0.0)),
+                           GridFunction(0.0, h, man["v"](x, 0.0)), f, g,
+                           sources=(man["F1"], man["F2"]))
 
 
 def test_empty_ledger():

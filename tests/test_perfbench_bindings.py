@@ -47,6 +47,11 @@ def test_traced_contraction_benchmark_matches_reference():
     _traced_benchmark_is_correct("contraction")
 
 
+def test_traced_lab_benchmark_matches_reference():
+    # simulate and mass-track are held to rounding level (rtol 1e-9)
+    _traced_benchmark_is_correct("lab")
+
+
 def test_traced_jsweep_benchmark_matches_reference():
     # the traced pass also fails (exit 3) when a quadrature function the
     # benchmark counts, e.g. panel_sums, is bypassed and reads zero calls
