@@ -23,7 +23,8 @@ import numpy as np
 from .dispersion import FrequencyPoint, classify_region
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
-from .quadrature import integrate_with_tail, panel_sums, tail_probe
+from .quadrature import (_panel_nodes, _probe_points, integrate_with_tail, panel_sums,
+                         tail_probe)
 from .spectral import BourgainParams, _bracket, bourgain_norm
 
 J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
@@ -330,13 +331,7 @@ def _j_rows(index, base, p, window, ignore_region, rel_tol):
     if index == "A-J":
         return _appendix_j(P, Q, p, window, rel_tol)
     if index in ("A-J1", "A-J2", "A-J3"):
-        values, failed = np.zeros(P.size), {}
-        for i, pq in enumerate(zip(P.tolist(), Q.tolist())):
-            try:
-                values[i] = _appendix_2d(JSpec(index, pq), p, window, rel_tol)
-            except QuadratureNonConvergent as exc:
-                values[i], failed[i] = np.nan, str(exc)
-        return values, failed
+        return _appendix_2d(index, P, Q, p, window, rel_tol)
     pref, f, bps, empty = _pieces(index, P, Q, p, ignore_region)
     return _scaled_integrals(index, P, Q, pref, f, bps, ~empty, window, rel_tol)
 
@@ -387,74 +382,35 @@ def _appendix_j(P, Q, p, window, rel_tol):
     return values, failed
 
 
-def _appendix_2d(spec, p, window, rel_tol):
+def _appendix_2d(index, P, Q, p, window, rel_tol):
     """Two-dimensional appendix integrals of the kappa <= -1/2 branch.
 
-    The outer frequency runs over fixed dyadic Gauss panels (the inner time
-    frequency is integrated adaptively per node); without an explicit window
-    the outer domain is sized from the region indicator's support bound.
+    The outer frequency runs over fixed dyadic Gauss panels; without an
+    explicit window the outer domain is sized from the region indicator's
+    support bound.  Each base point is one batch: the inner time frequency
+    is integrated adaptively at all its outer nodes and tail probe points
+    at once, one row per node.  A failing row fails its base point with the
+    message of the first failing node.
     """
     if p.kappa > 0:
         raise ParamDomainViolated("appendix 2-d branch requires kappa <= 0")
-    P, Q = spec.base
+    values, failed = np.zeros(P.size), {}
+    for i, pq in enumerate(zip(P.tolist(), Q.tolist())):
+        values[i], msg = _appendix_point(index, *pq, p, window, rel_tol)
+        if msg:
+            failed[i] = msg
+    return values, failed
+
+
+def _appendix_point(index, P, Q, p, window, rel_tol):
+    """(value, None) of one appendix 2-d integral at base (P, Q), or
+    (NaN, message) when it fails."""
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[spec.index]
-    scheme = scheme_for(spec.index, a)
-    if scheme == "RES" and region > 1:
-        return 0.0
-    t_window = None if window is None else window * window
-
-    if spec.index == "A-J1":
-        pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
-
-        def inner(xi2):
-            def g(tau2):
-                fp = FrequencyPoint(P, Q, np.full_like(tau2, xi2), tau2)
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
-                w1 = (Q - tau2) - (P - xi2) ** 2
-                w2 = tau2 + a * xi2 ** 2
-                return (_bracket(P - xi2) ** (-2 * kappa) * _bracket(xi2) ** (-2 * s)
-                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w2) ** (-2 * b))
-            bps = [Q - (P - xi2) ** 2, -a * xi2 ** 2]
-            val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
-            return val
-        outer_bps = [-1.0, 1.0, P]
-    elif spec.index == "A-J2":
-        pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
-        if abs(P) < 1.0:    # region needs |xi2| >= 1
-            return 0.0
-
-        def inner(xi):
-            def g(tau):
-                # quadruple (xi, tau, xi2=P, tau2=Q), integrating (xi, tau)
-                fp = FrequencyPoint(np.full_like(tau, xi), tau,
-                                    np.full_like(tau, P), np.full_like(tau, Q))
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
-                w = tau + xi ** 2
-                w1 = (tau - Q) - (xi - P) ** 2
-                return (_bracket(xi - P) ** (-2 * kappa) * _bracket(tau) ** kappa
-                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w) ** (-2 * d))
-            bps = [-xi ** 2, Q + (xi - P) ** 2, 0.0]
-            val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
-            return val
-        outer_bps = [P - 1.0, P + 1.0, P]
-    else:  # A-J3
-        pref = _bracket(P) ** (-2 * kappa) * _bracket(Q - P * P) ** (-2 * b)
-
-        def inner(xi2):
-            def g(tau2):
-                fp = FrequencyPoint(np.full_like(tau2, P + xi2), Q + tau2,
-                                    np.full_like(tau2, xi2), tau2)
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
-                w2 = tau2 + a * xi2 ** 2
-                return (_bracket(Q + tau2) ** kappa * _bracket(xi2) ** (-2 * s)
-                        * chi * _bracket(P + xi2) ** (-4 * d) * _bracket(w2) ** (-2 * b))
-            bps = [-a * xi2 ** 2, -Q]
-            val, _ = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
-            return val
-        outer_bps = [-1.0, 1.0, -P]
-
-    fvec = lambda ys: np.array([inner(float(y)) for y in np.atleast_1d(ys)])
+    region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[index]
+    scheme = scheme_for(index, a)
+    # A-J2's region needs |xi2| >= 1
+    if scheme == "RES" and region > 1 or index == "A-J2" and abs(P) < 1.0:
+        return 0.0, None
     if window is None:
         # support bound from the dominance condition of the region indicator
         fixed_mod = abs(Q + P * P)
@@ -462,17 +418,68 @@ def _appendix_2d(spec, p, window, rel_tol):
         W = max(16.0, 2.0 * np.sqrt(12.0 * (1.0 + fixed_mod) / gap))
     else:
         W = window
+    outer_bps = {"A-J1": [-1.0, 1.0, P], "A-J2": [P - 1.0, P + 1.0, P],
+                 "A-J3": [-1.0, 1.0, -P]}[index]
     ladder = [2.0 ** k for k in range(1, int(np.ceil(np.log2(W))) + 1) if 2.0 ** k < W]
-    edges = sorted({float(e) for e in
-                    [-W, W] + ladder + [-l for l in ladder]
-                    + [b_ for b_ in outer_bps if abs(b_) < W]})
-    value = float(np.sum(panel_sums(fvec, np.asarray(edges), 12)))
-    tail = tail_probe(fvec, W)
-    value *= pref
-    tail *= pref
+    edges = np.array(sorted({float(e) for e in
+                             [-W, W] + ladder + [-l for l in ladder]
+                             + [b_ for b_ in outer_bps if abs(b_) < W]}))
+
+    # the inner integrand g(tau, rows) at the outer nodes and tail probe
+    # points x[rows] (xi2, or xi for A-J2), one row per point; factors of a
+    # point alone come from _rowpow
+    x = np.concatenate([_panel_nodes(edges, 12)[0].ravel(), _probe_points(W)])
+    if index == "A-J1":
+        pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
+        w0 = _rowpow(_bracket(P - x), -2 * kappa) * _rowpow(_bracket(x), -2 * s)
+        sq, axx = _rowpow(P - x, 2), a * _rowpow(x, 2)
+
+        def g(tau2, r):
+            fp = FrequencyPoint(P, Q, x[r], tau2)
+            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            w1 = (Q - tau2) - sq[r]
+            w2 = tau2 + axx[r]
+            return w0[r] * chi * _bracket(w1) ** (-2 * b) * _bracket(w2) ** (-2 * b)
+        bps = np.column_stack([Q - sq, -axx])
+    elif index == "A-J2":
+        pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
+        w0 = _rowpow(_bracket(x - P), -2 * kappa)
+        xx, sq = _rowpow(x, 2), _rowpow(x - P, 2)
+
+        def g(tau, r):
+            # quadruple (xi, tau, xi2=P, tau2=Q), integrating (xi, tau)
+            fp = FrequencyPoint(x[r], tau, np.full_like(tau, P), np.full_like(tau, Q))
+            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            w = tau + xx[r]
+            w1 = (tau - Q) - sq[r]
+            return (w0[r] * _bracket(tau) ** kappa
+                    * chi * _bracket(w1) ** (-2 * b) * _bracket(w) ** (-2 * d))
+        bps = np.column_stack([-xx, Q + sq, np.zeros(x.size)])
+    else:  # A-J3
+        pref = _bracket(P) ** (-2 * kappa) * _bracket(Q - P * P) ** (-2 * b)
+        ws, wd = _rowpow(_bracket(x), -2 * s), _rowpow(_bracket(P + x), -4 * d)
+        axx = a * _rowpow(x, 2)
+
+        def g(tau2, r):
+            fp = FrequencyPoint(P + x[r], Q + tau2, x[r], tau2)
+            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            w2 = tau2 + axx[r]
+            return (_bracket(Q + tau2) ** kappa * ws[r]
+                    * chi * wd[r] * _bracket(w2) ** (-2 * b))
+        bps = np.column_stack([-axx, np.full(x.size, -Q)])
+
+    t_window = None if window is None else window * window
+    inner, _, bad = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
+    if bad:
+        return np.nan, bad[min(bad)]
+    # the outer rule and the tail probe read the inner integrals at their points
+    at = dict(zip(x.tolist(), inner.tolist()))
+    fvec = lambda ys: np.array([at[y] for y in ys.tolist()])
+    value = float(np.sum(panel_sums(fvec, edges, 12))) * pref
+    tail = tail_probe(fvec, W) * pref
     if window is None and tail > 0.05 * max(abs(value), 1e-300):
-        raise QuadratureNonConvergent(f"{spec.index} tail exceeds 5% of value")
-    return value
+        return np.nan, f"{index} tail exceeds 5% of value"
+    return value, None
 
 
 def applicable_indices(p: EstimateParams) -> list[str]:

@@ -212,13 +212,16 @@ def _cmd_verify_bilinear(cfg, rng, out: Path):
 
 
 def _cmd_j_sweep(cfg, rng, out: Path):
+    radii = cfg["radii"]
     # the stabilisation contract compares the last two radii
-    _require(len(cfg["radii"]) >= 2, "radii must be a list of at least two radii")
+    _require(len(radii) >= 2, "radii must be a list of at least two radii")
+    _require(radii[0] > 0 and all(r0 < r1 for r0, r1 in zip(radii, radii[1:])),
+             "radii must be positive and strictly increasing")
     p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
                 cfg["kappa"], cfg["s"])
     rows, contracts = [], {}
     for idx in cfg["indices"] or bilinear.applicable_indices(p):
-        recs = bilinear.j_sup_sweep(idx, p, cfg["radii"])
+        recs = bilinear.j_sup_sweep(idx, p, radii)
         for r in recs:
             rows.append([idx, cfg["a"], cfg["b"], cfg["d"], cfg["kappa"],
                          cfg["s"], r["R"], r["sup"], r["argmax_xi"],

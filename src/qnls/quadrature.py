@@ -5,13 +5,14 @@ edges: the caller seeds panels at known breakpoints (indicator roots, bracket
 vertices), refinement bisects the panels carrying the error, and infinite
 tails extend dyadically with a geometric remainder estimate.
 
-`adaptive_panels` and `integrate_with_tail` take one integral or a batch of
-them.  A batch is a ragged (integral, panel) table: `fvec(y, rows)` evaluates
+`adaptive_panels` and `integrate_with_tail` integrate a batch of rows.  A
+batch is a ragged (integral, panel) table: `fvec(y, rows)` evaluates
 integral rows[i] at y[i], breakpoints come as an (n, m) array padded with
 NaN, and each round evaluates the panels of every unfinished row at once.
-Converged rows retire after each round.  Each row makes its lone call's
-refinement decisions and gets its value bit for bit; a lone call is a batch
-of one.
+Converged rows retire after each round.  Each row makes the refinement
+decisions it would make alone and gets its value bit for bit, so a single
+integral is a batch of one.  A row that does not converge is a failure,
+never a value: its value is NaN and its message is returned.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import QuadratureNonConvergent
 
 #: adaptive_panels budget: edges and bisection rounds
 MAX_PANELS, MAX_ROUNDS = 4000, 60
@@ -99,45 +98,22 @@ def _panel_nodes(edges: np.ndarray, order: int):
     return mid[:, None] + half[:, None] * nodes[None, :], weights, half
 
 
-def _as_batch(fvec):
-    """A one-integral fvec(y) as the integrand of a batch of one."""
-    return lambda y, rows: fvec(y)
-
-
 def _on(f, rows):
     """Batch integrand f on its rows `rows`, renumbered 0, 1, ..."""
     return lambda y, r: f(y, rows[r])
 
 
-def _unpack(values, failed):
-    """The lone row of a batch of one: raise its failure or return its value."""
-    if failed:
-        raise QuadratureNonConvergent(failed[0])
-    return complex(values[0]) if np.iscomplexobj(values) else float(values[0])
-
-
 def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
-    """Adaptively integrate fvec on [lo, hi], bisecting error-carrying panels.
+    """Adaptively integrate the n rows of fvec, row i on [lo[i], hi[i]],
+    bisecting error-carrying panels; breakpoints is an (n, m) table.
 
-    Raises QuadratureNonConvergent past MAX_PANELS edges or MAX_ROUNDS rounds.
-    With arrays lo, hi of n rows (see the module docstring) it returns
-    (values, failed) instead: failed maps each row that does not converge to
-    the message of its lone call, and that row's value is NaN.
+    Returns (values, failed): failed maps each row that exceeds MAX_PANELS
+    edges or MAX_ROUNDS rounds to its message, and that row's value is NaN.
     """
-    if np.ndim(lo):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        bps = np.asarray(breakpoints, dtype=float)
-        return _adaptive_rows(fvec, lo, hi, bps if bps.size else
-                              np.empty((lo.size, 0)), rel_tol)
-    if hi <= lo:
-        return 0.0
-    bps = np.asarray(breakpoints, dtype=float).reshape(1, -1)
-    return _unpack(*_adaptive_rows(_as_batch(fvec), np.array([lo], dtype=float),
-                                   np.array([hi], dtype=float), bps, rel_tol))
-
-
-def _adaptive_rows(f, lo, hi, bps, rel_tol):
-    """Batch body of adaptive_panels; bps is (n, m), NaN-padded."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bps = np.asarray(breakpoints, dtype=float)
+    if not bps.size:
+        bps = np.empty((lo.size, 0))
     n = lo.size
     done, failed = [], {}     # rows with hi <= lo keep the value 0
     rows = np.flatnonzero(hi > lo)
@@ -153,7 +129,7 @@ def _adaptive_rows(f, lo, hi, bps, rel_tol):
     for _ in range(MAX_ROUNDS):
         if not rows.size:
             break
-        g, panels = _on(f, rows), counts - 1
+        g, panels = _on(fvec, rows), counts - 1
         coarse = panel_sums(g, edges, 8, panels)
         # fine split: each row's edges interleaved with its panel midpoints
         at = 2 * np.arange(edges.size) - np.repeat(np.arange(rows.size), counts)
@@ -202,40 +178,31 @@ def _budget_message(err, lo, hi, n_edges):
     return f"error {err:.3g} on [{lo:.6g}, {hi:.6g}] after {n_edges} edges"
 
 
-def integrate_with_tail(fvec, breakpoints=(), window: float | None = None,
+def integrate_with_tail(fvec, breakpoints, window: float | None = None,
                         rel_tol: float = 1e-6):
-    """Integrate fvec over the real line (or |y| <= window).
+    """Integrate the rows of fvec over the real line (or |y| <= window).
 
-    Returns (value, tail_estimate).  Without a window the domain grows in
-    dyadic blocks; once the block ratio stabilizes below 1, the (exact for
-    power laws) geometric completion finishes the tail and the ratio drift
-    bounds the remainder.  A non-shrinking block sequence raises
-    QuadratureNonConvergent.  With an (n, m) breakpoint array it integrates
-    n rows (see the module docstring) and returns (values, tails, failed),
-    with failed as in adaptive_panels.
+    breakpoints is an (n, m) table of n rows.  Returns (values, tails,
+    failed): the integrals, their tail estimates, and failed as in
+    adaptive_panels.  The domain grows in dyadic blocks.  With a window
+    they march out to it and tail_probe estimates the mass beyond.  Without
+    one, once the block ratio stabilizes below 1, the (exact for power
+    laws) geometric completion finishes the tail and the ratio drift bounds
+    the remainder; a non-shrinking block sequence fails its row.
     """
     bps = np.asarray(breakpoints, dtype=float)
-    if bps.ndim == 2:
-        return _tail_rows(fvec, bps, window, rel_tol)
-    values, tails, failed = _tail_rows(_as_batch(fvec), bps.reshape(1, -1),
-                                       window, rel_tol)
-    return _unpack(values, failed), float(tails[0])
-
-
-def _tail_rows(f, bps, window, rel_tol):
-    """Batch body of integrate_with_tail; one window for every row."""
     n = bps.shape[0]
     bound = np.where(np.isnan(bps), 0.0, np.abs(bps)).max(axis=1, initial=0.0)
     x0 = np.maximum(TAIL_START, 2.0 * bound + 1.0)
     done, failed = [], {}     # done: (rows, values, tails) as each row ends
 
     def probe(rows):
-        return tail_probe(lambda y: f(np.tile(y, rows.size), np.repeat(rows, y.size))
+        return tail_probe(lambda y: fvec(np.tile(y, rows.size), np.repeat(rows, y.size))
                           .reshape(rows.size, y.size), window)
 
     def adaptive(rows, lo, hi, row_bps):
         """adaptive_panels on rows; their failures are recorded."""
-        values, bad = adaptive_panels(_on(f, rows), lo, hi, row_bps, rel_tol)
+        values, bad = adaptive_panels(_on(fvec, rows), lo, hi, row_bps, rel_tol)
         for i in sorted(bad):
             failed.setdefault(rows[i], bad[i])
         return values
@@ -253,47 +220,52 @@ def _tail_rows(f, bps, window, rel_tol):
     rows, value, x = rows[ok], value[ok], x0[rows][ok]
     scale = np.abs(value)
     blocks = []
-    for _ in range(MAX_DOUBLINGS):
+    # under a window the blocks march all the way out to it
+    doublings = MAX_DOUBLINGS if window is None else \
+        max(MAX_DOUBLINGS, int(np.log2(window / TAIL_START)) + 1)
+    for _ in range(doublings):
         if window is not None:
             out = x >= window
             if out.any():
                 done.append((rows[out], value[out], probe(rows[out])))
-                rows, value, x, scale = rows[~out], value[~out], x[~out], scale[~out]
-                blocks = [b[~out] for b in blocks]
+                rows, value, x = rows[~out], value[~out], x[~out]
         if not rows.size:
             break
         nxt = 2.0 * x if window is None else np.minimum(2.0 * x, window)
-        # both halves of each block in one batch; a lone call reports the
-        # first failing half
+        # both halves of each block in one batch; a row reports its first
+        # failing half, the right one before the left
         k = rows.size
         halves = adaptive(np.concatenate([rows, rows]), np.concatenate([x, -nxt]),
                           np.concatenate([nxt, -x]), np.empty((2 * k, 0)))
         block = halves[:k] + halves[k:]
         ok = ~np.isnan(block)
         value = value + block
-        scale = np.maximum(scale, np.abs(value))
-        stop = ok & (np.abs(block) <= 0.5 * rel_tol * np.maximum(scale, 1e-300))
-        done.append((rows[stop], value[stop], np.abs(block[stop])))
-        ok &= ~stop
-        blocks.append(block)
-        if len(blocks) >= 3:
-            r1 = np.abs(blocks[-1]) / np.maximum(np.abs(blocks[-2]), 1e-300)
-            r0 = np.abs(blocks[-2]) / np.maximum(np.abs(blocks[-3]), 1e-300)
-            if window is None:
+        if window is None:
+            # a negligible block ends the row; so does a settled geometric
+            # decay, whose completion is the tail out to infinity
+            scale = np.maximum(scale, np.abs(value))
+            stop = ok & (np.abs(block) <= 0.5 * rel_tol * np.maximum(scale, 1e-300))
+            done.append((rows[stop], value[stop], np.abs(block[stop])))
+            ok &= ~stop
+            blocks.append(block)
+            if len(blocks) >= 3:
+                r1 = np.abs(blocks[-1]) / np.maximum(np.abs(blocks[-2]), 1e-300)
+                r0 = np.abs(blocks[-2]) / np.maximum(np.abs(blocks[-3]), 1e-300)
                 grow = ok & (r1 >= 1.0) & (r0 >= 1.0)
                 for i in np.flatnonzero(grow):
                     failed[rows[i]] = (f"blocks not decaying (ratio {r1[i]:.3f}) "
                                        f"beyond |y| = {x[i]:.3g}")
                 ok &= ~grow
-            geo = ok & (r1 < 0.98) & (np.abs(r1 - r0) < 0.1 * (1.0 - r1))
-            g1, g0, blk = r1[geo], r0[geo], block[geo]
-            tail = blk * g1 / (1.0 - g1)
-            drift = np.abs(tail) * np.abs(g1 - g0) / (1.0 - g1)
-            done.append((rows[geo], value[geo] + tail,
-                         np.maximum(drift, rel_tol * np.abs(blk))))
-            ok &= ~geo
-        rows, value, x, scale = rows[ok], value[ok], nxt[ok], scale[ok]
-        blocks = [b[ok] for b in blocks[-2:]]
+                geo = ok & (r1 < 0.98) & (np.abs(r1 - r0) < 0.1 * (1.0 - r1))
+                g1, g0, blk = r1[geo], r0[geo], block[geo]
+                tail = blk * g1 / (1.0 - g1)
+                drift = np.abs(tail) * np.abs(g1 - g0) / (1.0 - g1)
+                done.append((rows[geo], value[geo] + tail,
+                             np.maximum(drift, rel_tol * np.abs(blk))))
+                ok &= ~geo
+            scale = scale[ok]
+            blocks = [b[ok] for b in blocks[-2:]]
+        rows, value, x = rows[ok], value[ok], nxt[ok]
     if window is None:
         for r, xr in zip(rows, x):
             failed[r] = f"no stable block decay out to |y| = {xr:.3g}"
@@ -307,14 +279,18 @@ def _tail_rows(f, bps, window, rel_tol):
     return values, tails, failed
 
 
+def _probe_points(window: float) -> np.ndarray:
+    """The points tail_probe evaluates fvec at: one octave out on each side."""
+    return np.array([window * 1.01, window * 2.0, -window * 1.01, -window * 2.0])
+
+
 def tail_probe(fvec, window: float):
     """Crude one-octave power-law estimate of the mass beyond the window.
 
     fvec may return one row of values per integrand of a batch; the result
     then has one estimate per integrand.
     """
-    ys = np.array([window * 1.01, window * 2.0, -window * 1.01, -window * 2.0])
-    v = np.abs(fvec(ys))
+    v = np.abs(fvec(_probe_points(window)))
     est = 0.0
     for inner, outer in ((v[..., 0], v[..., 1]), (v[..., 2], v[..., 3])):
         mass = inner * window

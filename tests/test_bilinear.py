@@ -4,9 +4,12 @@ from scipy.integrate import quad
 
 from qnls.bilinear import (SWEEP_REL_TOL, EstimateParams, JSpec, applicable_indices,
                            bilinear_ratio, j_eval, j_sup_sweep, scheme_for)
+from qnls.dispersion import FrequencyPoint, classify_region
 from qnls.errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from qnls.grids import SpaceTimeField
 from qnls.profiles import band_limited_pair
+from qnls.quadrature import integrate_with_tail, panel_sums, tail_probe
+from qnls.spectral import _bracket
 
 
 def params(a=0.25, b=0.4, d=0.4, kappa=0.0, s=0.0):
@@ -157,6 +160,114 @@ def test_non_convergent_row_leaves_its_neighbours_alone():
                    rel_tol=SWEEP_REL_TOL)
     assert np.isnan(mixed[1])
     assert np.array_equal(mixed[[0, 2]], alone)
+
+
+def _appendix_2d_oracle(index, base, p, window, rel_tol):
+    """The appendix 2-d integral at one base point, node by node: each outer
+    node's inner integral is its own batch of one.  Returns (value, message),
+    the message of the first node that fails or of the failed tail check."""
+    P, Q = base
+    a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
+    region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[index]
+    scheme = scheme_for(index, a)
+    if scheme == "RES" and region > 1:
+        return 0.0, None
+    t_window = None if window is None else window * window
+
+    def integral(g, bps):
+        val, _, failed = integrate_with_tail(lambda y, rows: g(y), np.reshape(bps, (1, -1)),
+                                             window=t_window, rel_tol=10 * rel_tol)
+        if failed:
+            raise QuadratureNonConvergent(failed[0])
+        return float(val[0])
+
+    if index == "A-J1":
+        pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
+
+        def inner(xi2):
+            def g(tau2):
+                fp = FrequencyPoint(P, Q, np.full_like(tau2, xi2), tau2)
+                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                w1 = (Q - tau2) - (P - xi2) ** 2
+                w2 = tau2 + a * xi2 ** 2
+                return (_bracket(P - xi2) ** (-2 * kappa) * _bracket(xi2) ** (-2 * s)
+                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w2) ** (-2 * b))
+            return integral(g, [Q - (P - xi2) ** 2, -a * xi2 ** 2])
+        outer_bps = [-1.0, 1.0, P]
+    elif index == "A-J2":
+        pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
+        if abs(P) < 1.0:
+            return 0.0, None
+
+        def inner(xi):
+            def g(tau):
+                fp = FrequencyPoint(np.full_like(tau, xi), tau,
+                                    np.full_like(tau, P), np.full_like(tau, Q))
+                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                w = tau + xi ** 2
+                w1 = (tau - Q) - (xi - P) ** 2
+                return (_bracket(xi - P) ** (-2 * kappa) * _bracket(tau) ** kappa
+                        * chi * _bracket(w1) ** (-2 * b) * _bracket(w) ** (-2 * d))
+            return integral(g, [-xi ** 2, Q + (xi - P) ** 2, 0.0])
+        outer_bps = [P - 1.0, P + 1.0, P]
+    else:
+        pref = _bracket(P) ** (-2 * kappa) * _bracket(Q - P * P) ** (-2 * b)
+
+        def inner(xi2):
+            def g(tau2):
+                fp = FrequencyPoint(np.full_like(tau2, P + xi2), Q + tau2,
+                                    np.full_like(tau2, xi2), tau2)
+                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                w2 = tau2 + a * xi2 ** 2
+                return (_bracket(Q + tau2) ** kappa * _bracket(xi2) ** (-2 * s)
+                        * chi * _bracket(P + xi2) ** (-4 * d) * _bracket(w2) ** (-2 * b))
+            return integral(g, [-a * xi2 ** 2, -Q])
+        outer_bps = [-1.0, 1.0, -P]
+
+    fvec = lambda ys: np.array([inner(float(y)) for y in np.atleast_1d(ys)])
+    if window is None:
+        gap = max(abs(1.0 - 2.0 * a), 0.05)
+        W = max(16.0, 2.0 * np.sqrt(12.0 * (1.0 + abs(Q + P * P)) / gap))
+    else:
+        W = window
+    ladder = [2.0 ** k for k in range(1, int(np.ceil(np.log2(W))) + 1) if 2.0 ** k < W]
+    edges = sorted({float(e) for e in [-W, W] + ladder + [-l for l in ladder]
+                    + [e for e in outer_bps if abs(e) < W]})
+    try:
+        value = float(np.sum(panel_sums(fvec, np.asarray(edges), 12))) * pref
+        tail = tail_probe(fvec, W) * pref
+    except QuadratureNonConvergent as exc:
+        return np.nan, str(exc)
+    if window is None and tail > 0.05 * max(abs(value), 1e-300):
+        return np.nan, f"{index} tail exceeds 5% of value"
+    return value, None
+
+
+# Without a window A-J2 at (2, 1) and A-J1 at a = 1/2 fail the 5% tail
+# check, and at kappa = 0 the A-J3 inner integrals decay like |tau|^(-2b)
+# and fail node by node.  A-J2 is empty at (0.5, 1), where |xi| < 1, and
+# A-J2 and A-J3 are empty at a = 1/2.
+@pytest.mark.parametrize("index,a,kappa,bases", [
+    ("A-J1", 0.25, -0.75, [(2.0, 1.0)]),
+    ("A-J2", 0.25, -0.75, [(2.0, 1.0), (0.5, 1.0)]),
+    ("A-J3", 0.25, -0.75, [(-2.0, 3.0)]),
+    ("A-J3", 0.25, 0.0, [(2.0, 1.0)]),
+    ("A-J1", 0.5, -0.75, [(2.0, 1.0)]),
+    ("A-J2", 0.5, -0.75, [(2.0, 1.0)]),
+    ("A-J3", 0.5, -0.75, [(2.0, 1.0)]),
+])
+@pytest.mark.parametrize("window", [None, 12.0])
+def test_appendix_2d_equals_node_by_node_oracle(index, a, kappa, bases, window):
+    p = params(a=a, kappa=kappa)
+    want = [_appendix_2d_oracle(index, base, p, window, SWEEP_REL_TOL) for base in bases]
+    got = j_eval(JSpec(index, np.array(bases)), p, window=window, rel_tol=SWEEP_REL_TOL)
+    assert np.array_equal(got, [v for v, _ in want], equal_nan=True)
+    for base, (_, msg) in zip(bases, want):
+        if msg is None:
+            continue
+        with pytest.raises(QuadratureNonConvergent) as exc:
+            j_eval(JSpec(index, base), p, window=window, rel_tol=SWEEP_REL_TOL)
+        assert str(exc.value) == msg
 
 
 def _quad_on_window(g, W, cuts):

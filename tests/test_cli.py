@@ -76,6 +76,12 @@ _BAD_J_SWEEP_CONFIGS = [
     # the stabilisation contract compares the last two radii
     pytest.param("j-sweep", {"indices": ["J1"], "radii": [5.0]},
                  "radii must be a list of at least two radii", id="j-sweep-one-radius"),
+    # the radii are frequency balls of growing size; these passed vacuously
+    pytest.param("j-sweep", {"radii": [-5.0, -10.0], "indices": ["J1"]},
+                 "radii must be positive and strictly increasing",
+                 id="j-sweep-negative-radii"),
+    pytest.param("j-sweep", {"radii": [0.0, 5.0], "indices": ["J1"]},
+                 "radii must be positive and strictly increasing", id="j-sweep-zero-radius"),
 ]
 
 

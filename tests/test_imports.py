@@ -1,0 +1,35 @@
+"""Every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # names re-exported through __all__ count as used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert _unused_imports("import numpy as np\nfrom .errors import A, B\nA()\n") == \
+        ["B", "np"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path.read_text()) == []

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls.errors import QuadratureNonConvergent
 from qnls.quadrature import adaptive_panels, integrate_with_tail, panel_sums, tail_probe
 
 
@@ -38,17 +37,23 @@ def test_tail_probe_on_cubic_decay():
         assert est == pytest.approx(W ** -2, rel=0.02)
 
 
+def _alone(f):
+    """A one-integral f(y) as the integrand of a batch of one."""
+    return lambda y, rows: f(y)
+
+
 def test_adaptive_rule_keeps_the_imaginary_part():
-    got = adaptive_panels(lambda y: np.exp(1j * y), 0.0, np.pi)
-    assert isinstance(got, complex)
-    assert got == pytest.approx(2j, abs=1e-12)
+    got, failed = adaptive_panels(_alone(lambda y: np.exp(1j * y)), [0.0], [np.pi])
+    assert got.dtype == complex and not failed
+    assert got[0] == pytest.approx(2j, abs=1e-12)
 
 
-def test_adaptive_rule_raises_past_its_panel_budget():
+def test_adaptive_rule_fails_past_its_panel_budget():
     # the value is ~0.0627+0.0627i; a rule that stops at its budget and
     # returns the running sum gives 0.454-0.336i here
-    with pytest.raises(QuadratureNonConvergent):
-        adaptive_panels(lambda y: np.exp(400j * y * y), -50.0, 50.0)
+    got, failed = adaptive_panels(_alone(lambda y: np.exp(400j * y * y)), [-50.0], [50.0])
+    assert list(failed) == [0]
+    assert np.isnan(got[0])
 
 
 # --- batches: a ragged table of integrals, one row each ---
@@ -72,13 +77,6 @@ def _batch_integrand(shift, wiggle):
     return f
 
 
-def _lone(fn, *args, **kw):
-    try:
-        return fn(*args, **kw), None
-    except QuadratureNonConvergent as exc:
-        return np.nan, str(exc)
-
-
 def test_adaptive_batch_equals_lone_calls():
     shift = np.array([0.0, 1.3, -2.0, 0.4, 3.0])
     wiggle = np.array([False, False, True, False, False])
@@ -89,11 +87,11 @@ def test_adaptive_batch_equals_lone_calls():
     f = _batch_integrand(shift, wiggle)
     values, failed = adaptive_panels(f, lo, hi, bps, rel_tol=1e-9)
     for r in range(lo.size):
-        fr = lambda y, r=r: f(y, np.full(y.size, r))
-        want, msg = _lone(adaptive_panels, fr, lo[r], hi[r],
-                          bps[r][~np.isnan(bps[r])], rel_tol=1e-9)
-        assert np.array_equal(values[r], want, equal_nan=True)
-        assert failed.get(r) == msg
+        fr = lambda y, rows, r=r: f(y, np.full(y.size, r))
+        want, msg = adaptive_panels(fr, lo[r:r + 1], hi[r:r + 1],
+                                    bps[r:r + 1, ~np.isnan(bps[r])], rel_tol=1e-9)
+        assert np.array_equal(values[r], want[0], equal_nan=True)
+        assert failed.get(r) == msg.get(0)
     assert list(failed) == [2]          # its neighbours are untouched
 
 
@@ -107,13 +105,24 @@ def test_tail_batch_equals_lone_calls(window):
     bps = np.array([[-0.5, 0.5], [-0.5, 0.5], [np.nan, np.nan], [0.5, -0.5]])
     values, tails, failed = integrate_with_tail(f, bps, window=window, rel_tol=1e-8)
     for r in range(shift.size):
-        fr = lambda y, r=r: f(y, np.full(y.size, r))
-        want, msg = _lone(integrate_with_tail, fr, bps[r][~np.isnan(bps[r])],
-                          window=window, rel_tol=1e-8)
-        want = (np.nan, np.nan) if msg else want
-        assert np.array_equal([values[r], tails[r]], want, equal_nan=True)
-        assert failed.get(r) == msg
+        fr = lambda y, rows, r=r: f(y, np.full(y.size, r))
+        want, tail, msg = integrate_with_tail(fr, bps[r:r + 1, ~np.isnan(bps[r])],
+                                              window=window, rel_tol=1e-8)
+        assert np.array_equal([values[r], tails[r]], [want[0], tail[0]], equal_nan=True)
+        assert failed.get(r) == msg.get(0)
     assert (2 in failed) == (window is None)
+
+
+@pytest.mark.parametrize("window", [100.0, 1000.0, 1e9])
+def test_windowed_integral_stops_at_the_window(window):
+    # the blocks settle geometrically long before |y| = window; a completion
+    # out to infinity gives pi, not 2 atan(window).  1e9 lies beyond the
+    # MAX_DOUBLINGS blocks that end an unwindowed integral.
+    lorentz = _alone(lambda y: 1.0 / (1.0 + y * y))
+    value, _, failed = integrate_with_tail(lorentz, np.empty((1, 0)), window=window,
+                                           rel_tol=1e-10)
+    assert not failed
+    assert value[0] == pytest.approx(2.0 * np.arctan(window), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,9 +130,11 @@ def test_tail_batch_equals_lone_calls(window):
        extra=st.lists(st.floats(-40.0, 40.0), max_size=6))
 def test_value_invariant_under_extra_breakpoints(c, w, extra):
     # 1/(1 + (y-c)^2) off |y - c| <= w, on [-30, 30]
-    f = lambda y: (np.abs(y - c) > w) / (1.0 + (y - c) ** 2)
-    value = adaptive_panels(f, -30.0, 30.0, [c - w, c + w], rel_tol=1e-10)
-    more = adaptive_panels(f, -30.0, 30.0, [c - w, c + w] + extra, rel_tol=1e-10)
+    f = _alone(lambda y: (np.abs(y - c) > w) / (1.0 + (y - c) ** 2))
+    (value,), failed = adaptive_panels(f, [-30.0], [30.0], [[c - w, c + w]], rel_tol=1e-10)
+    (more,), more_failed = adaptive_panels(f, [-30.0], [30.0], [[c - w, c + w] + extra],
+                                           rel_tol=1e-10)
+    assert not failed and not more_failed
     assert more == pytest.approx(value, rel=1e-9)
     exact = np.arctan(30.0 - c) + np.arctan(30.0 + c) - 2.0 * np.arctan(w)
     assert value == pytest.approx(exact, rel=1e-9)
