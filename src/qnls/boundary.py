@@ -285,37 +285,37 @@ def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     return np.concatenate([xs, xs[-1] + dy * np.arange(1, n_extra + 1)]), dy
 
 
-def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np.ndarray:
+def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     """Class-operator field on the tensor grid xs x ts, shape (nx, nt).
 
-    representation: "auto" picks the direct kernel at lambda = 0, the
-    right-sided fractional convolution for lambda > 0, and the
-    integrated-by-parts form for lambda < 0; "def0"/"alt" force a branch.
+    The order lambda alone picks the form: the direct kernel at lambda = 0,
+    the right-sided fractional convolution of the base field along a ray
+    for lambda > 0, and the integrated-by-parts form (`_alt_field`) for
+    lambda < 0.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     lam = spec.lam
-    if representation == "auto":
-        representation = "kernel" if lam == 0.0 else ("def0" if lam > 0 else "alt")
+    if lam < 0.0:
+        return _alt_field(spec, xs, ts)
     m = _half_order_series(spec)
     bounds = _datum_bounds(m)
-
-    if representation == "kernel":
-        if lam != 0.0:
-            raise LambdaOutOfRange("direct kernel representation needs lambda = 0")
+    if lam == 0.0:
         return _base_field(m, bounds, spec.a, xs, ts)
+    ys, dy = _ray_grid(xs, spec)
+    G = _base_field(m, bounds, spec.a, ys, ts)
+    return _integrate(G[::-1], dy, lam)[::-1][:xs.size]
 
-    if representation == "def0":
-        if lam <= 0.0:
-            raise LambdaOutOfRange("def0 representation needs lambda > 0")
-        ys, dy = _ray_grid(xs, spec)
-        G = _base_field(m, bounds, spec.a, ys, ts)
-        return _integrate(G[::-1], dy, lam)[::-1][:xs.size]
 
-    if representation != "alt":
-        raise ValueError(f"unknown representation {representation!r}")
-    if not (-2.0 < lam):
-        raise LambdaOutOfRange(f"alt representation needs lambda > -2, got {lam}")
+def _alt_field(spec: ForcingSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Integrated-by-parts form of the class operator, for every lambda > -2.
+
+    The order-(lambda + 2) ray convolution of the base field's central time
+    difference, plus the explicit one-sided boundary term at x < 0.
+    """
+    lam = spec.lam
+    m = _half_order_series(spec)
+    bounds = _datum_bounds(m)
     ys, dy = _ray_grid(xs, spec)
     delta = spec.f.dt
     g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
@@ -331,13 +331,6 @@ def forcing_field(spec: ForcingSpec, xs, ts, representation: str = "auto") -> np
     out += (delta_coefficient(spec.a) / spec.a / math.gamma(lam + 2.0)
             * np.outer(x_neg, m(ts)))
     return out
-
-
-def forcing_eval(spec: ForcingSpec, x: float, t: float,
-                 representation: str = "auto"):
-    """Class-operator value at a single point."""
-    field = forcing_field(spec, np.array([x]), np.array([t]), representation)
-    return complex(field[0, 0])
 
 
 def trace_check(spec: ForcingSpec, n_samples: int = 48) -> TraceReport:
@@ -374,6 +367,9 @@ def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
     Pairs the operator field with (-i d_t + a d_xx) of the test function and
     subtracts the paired source term; all integrations by parts sit on the
     test function, so the result is pure discretization error, O(dx^2+dt^2).
+    For lambda >= 0 the source term is C sum_t m(t) (I_lambda z)(0, t) dt
+    (I_0 the identity), interpolated between the nodes around x = 0, which
+    the grid must contain; for lambda < 0 z must vanish on x <= 0.
     """
     z = testfn.samples
     edge_mass = (np.abs(z[0, :]).max() + np.abs(z[-1, :]).max()
@@ -385,6 +381,12 @@ def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
     if lam < 0.0 and np.any((np.abs(z) > 0) & (xs[:, None] <= 0.0)):
         raise SupportViolation(
             "for lambda < 0 the source pairing needs support in x > 0")
+    # the nodes x[j] <= 0 < x[j+1] the source pairing interpolates between;
+    # side="right" reads an origin on the grid at its own node
+    j = int(np.searchsorted(xs, 0.0, side="right")) - 1
+    if lam >= 0.0 and not 0 <= j < xs.size - 1:
+        raise SupportViolation("for lambda >= 0 the source pairing needs x = 0 "
+                               "inside the grid")
     field = forcing_field(spec, xs, ts_grid)
     dt_z = np.zeros_like(z)
     dt_z[:, 1:-1] = (z[:, 2:] - z[:, :-2]) / (2.0 * testfn.dt)
@@ -393,29 +395,13 @@ def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
     adj = -1j * dt_z + spec.a * dxx_z
     lhs = np.sum(field * adj) * testfn.dx * testfn.dt
 
-    C = delta_coefficient(spec.a)
+    if lam < 0.0:
+        return complex(lhs)     # the support check above leaves no source
+    iz = z if lam == 0.0 else _integrate(z, testfn.dx, lam)
+    w = -xs[j] / testfn.dx
+    line = (1 - w) * iz[j, :] + w * iz[j + 1, :]
     m_src = _half_order_series(spec)(ts_grid)
-    if lam == 0.0:
-        # line source on x = 0: interpolate the test function there
-        if np.any(xs == 0.0):
-            line = z[int(np.argwhere(xs == 0.0)[0, 0]), :]
-        else:
-            right = int(np.searchsorted(xs, 0.0))
-            if right == 0 or right == xs.size:
-                line = np.zeros(ts_grid.size)
-            else:
-                w = -xs[right - 1] / testfn.dx
-                line = (1 - w) * z[right - 1, :] + w * z[right, :]
-        rhs = C * np.sum(m_src * line) * testfn.dt
-    elif lam > 0.0:
-        neg = xs <= 0.0
-        if np.count_nonzero(neg) < 2:
-            rhs = 0.0
-        else:
-            kernel_vals = _integrate(z[neg, :], testfn.dx, lam)[-1]
-            rhs = C * np.sum(m_src * kernel_vals) * testfn.dt
-    else:
-        rhs = 0.0       # support check above guarantees the source is absent
+    rhs = delta_coefficient(spec.a) * np.sum(m_src * line) * testfn.dt
     return complex(lhs - rhs)
 
 

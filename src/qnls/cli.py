@@ -1,7 +1,8 @@
 """Command-line laboratory driver: seeded experiments, CSV/JSON artifacts.
 
 Every run writes its outputs plus one manifest (config echo, versions, seed,
-wall time, per-contract pass/fail).  Exit status: 0 all contracts pass, 1 a
+wall time, per-contract pass/fail; a run that raises after validation gets
+`passed: false` and its error).  Exit status: 0 all contracts pass, 1 a
 contract fails or a module raises, 2 usage errors.  JSON carries config,
 CSV carries bulk numerics; identical config + seed reproduce identical
 numerical outputs.
@@ -322,6 +323,11 @@ def _cmd_region_map(cfg, rng, out: Path):
 
 def _cmd_contraction(cfg, rng, out: Path):
     _require_pow2_grid(cfg)
+    # nx is even, so x = 0 is a node of the contraction grid, where the
+    # boundary term of an order <= -1 is singular
+    _require(cfg["lambda1"] > -1.0 and cfg["lambda2"] > -1.0,
+             "lambda1 and lambda2 must exceed -1: the boundary term is "
+             "singular at the node x = 0")
     # the x >= 0 half of the contraction grid is compared with the simulate grid
     _require(cfg["nx"] == 2 * (cfg["nx_sim"] - 1), "nx must equal 2*(nx_sim-1)")
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
@@ -395,8 +401,6 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
     cfg = _validate(command, config)
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    outputs, contracts = COMMANDS[command](cfg, rng, out)
     manifest = {
         "command": command,
         "config": config,
@@ -404,11 +408,21 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__,
                      "qnls": __version__},
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": [Path(p).name for p in outputs],
-        "contracts": contracts,
-        "passed": all(contracts.values()),
     }
+    t0 = time.perf_counter()
+    try:
+        outputs, contracts = COMMANDS[command](cfg, rng, out)
+    except (InvalidConfig, UnknownCommand):
+        raise       # a rejected config leaves no output directory
+    except Exception as exc:
+        # a failed run still leaves a manifest, which `report` counts
+        manifest.update(wall_time_s=round(time.perf_counter() - t0, 3), passed=False,
+                        error={"type": type(exc).__name__, "message": str(exc)})
+        _write_json(_output(out, f"manifest_{command}.json"), manifest)
+        raise
+    manifest.update(wall_time_s=round(time.perf_counter() - t0, 3),
+                    outputs=[Path(p).name for p in outputs], contracts=contracts,
+                    passed=all(contracts.values()))
     _write_json(_output(out, f"manifest_{command}.json"), manifest)
     return manifest
 

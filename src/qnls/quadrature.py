@@ -194,6 +194,10 @@ def integrate_with_tail(fvec, breakpoints, window: float | None = None,
     n = bps.shape[0]
     bound = np.where(np.isnan(bps), 0.0, np.abs(bps)).max(axis=1, initial=0.0)
     x0 = np.maximum(TAIL_START, 2.0 * bound + 1.0)
+    if window is not None:
+        # a window inside the first block is the whole domain: the row ends
+        # at the march's first exit check
+        x0 = np.minimum(x0, window)
     done, failed = [], {}     # done: (rows, values, tails) as each row ends
 
     def probe(rows):
@@ -207,22 +211,15 @@ def integrate_with_tail(fvec, breakpoints, window: float | None = None,
             failed.setdefault(rows[i], bad[i])
         return values
 
-    rows = np.arange(n)
-    if window is not None:
-        short = rows[window < x0]
-        if short.size:
-            wide = np.full(short.size, float(window))
-            done.append((short, adaptive(short, -wide, wide, bps[short]),
-                         probe(short)))
-        rows = rows[window >= x0]
-    value = adaptive(rows, -x0[rows], x0[rows], bps[rows])
-    ok = ~np.isnan(value)
-    rows, value, x = rows[ok], value[ok], x0[rows][ok]
+    value = adaptive(np.arange(n), -x0, x0, bps)
+    rows = np.flatnonzero(~np.isnan(value))
+    value, x = value[rows], x0[rows]
     scale = np.abs(value)
     blocks = []
-    # under a window the blocks march all the way out to it
+    # under a window the blocks march all the way out to it, and the exit
+    # check at the top of the loop runs once more after the last block
     doublings = MAX_DOUBLINGS if window is None else \
-        max(MAX_DOUBLINGS, int(np.log2(window / TAIL_START)) + 1)
+        max(MAX_DOUBLINGS, int(np.log2(window / TAIL_START)) + 2)
     for _ in range(doublings):
         if window is not None:
             out = x >= window
@@ -266,11 +263,9 @@ def integrate_with_tail(fvec, breakpoints, window: float | None = None,
             scale = scale[ok]
             blocks = [b[ok] for b in blocks[-2:]]
         rows, value, x = rows[ok], value[ok], nxt[ok]
-    if window is None:
-        for r, xr in zip(rows, x):
-            failed[r] = f"no stable block decay out to |y| = {xr:.3g}"
-    elif rows.size:
-        done.append((rows, value, probe(rows)))
+    # only an unwindowed row can be left: a windowed one exits in the loop
+    for r, xr in zip(rows, x):
+        failed[r] = f"no stable block decay out to |y| = {xr:.3g}"
     values = np.zeros(n, dtype=np.result_type(float, *(v for _, v, _ in done)))
     tails = np.zeros(n)
     for r, v, t in done:

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _base_field,
+from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
                            _datum_bounds, _half_order_series,
                            _osc_tail_factor, boundary_estimate_ratio,
-                           delta_coefficient, forcing_eval, forcing_field,
-                           kernel_constant, pde_residual, trace_check)
+                           delta_coefficient, forcing_field, kernel_constant,
+                           pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)
@@ -40,13 +40,13 @@ def test_kernel_constants():
 def test_zero_datum_gives_zero_field():
     f = TimeSeries(0.0, 0.01, np.zeros(128))
     spec = ForcingSpec(1.0, 0.0, f)
-    assert forcing_eval(spec, 0.7, 0.9) == 0.0
-    assert forcing_eval(spec, 0.0, 0.5) == 0.0
+    assert forcing_field(spec, [0.7], [0.9])[0, 0] == 0.0
+    assert forcing_field(spec, [0.0], [0.5])[0, 0] == 0.0
 
 
 def test_vanishes_at_initial_time():
     spec = ForcingSpec(1.0, 0.0, bump_series(n=512))
-    assert forcing_eval(spec, 0.8, 0.0) == 0.0
+    assert forcing_field(spec, [0.8], [0.0])[0, 0] == 0.0
 
 
 def test_base_trace_reproduces_datum():
@@ -59,7 +59,7 @@ def test_pointwise_value_matches_brute_force_quadrature():
     f = bump_series(n=2048)
     spec = ForcingSpec(1.0, 0.0, f)
     x, t = 1.0, 0.5
-    got = forcing_eval(spec, x, t)
+    got = forcing_field(spec, [x], [t])[0, 0]
     # oracle: composite midpoint rule in the sigma variable at 10x resolution
     from qnls.fractional import rl_apply
     m = rl_apply(f, -0.5)
@@ -87,10 +87,10 @@ def test_linearity_in_datum():
     f = bump_series(n=1024)
     g = TimeSeries(f.t0, f.dt, f.samples * np.exp(1j * 2.0 * f.times))
     both = TimeSeries(f.t0, f.dt, 2.0 * f.samples + 1j * g.samples)
-    pt = (0.7, 0.6)
-    va = forcing_eval(ForcingSpec(1.0, 0.0, f), *pt)
-    vb = forcing_eval(ForcingSpec(1.0, 0.0, g), *pt)
-    vc = forcing_eval(ForcingSpec(1.0, 0.0, both), *pt)
+    pt = ([0.7], [0.6])
+    va = forcing_field(ForcingSpec(1.0, 0.0, f), *pt)[0, 0]
+    vb = forcing_field(ForcingSpec(1.0, 0.0, g), *pt)[0, 0]
+    vc = forcing_field(ForcingSpec(1.0, 0.0, both), *pt)[0, 0]
     # panel structure adapts to each signal, so exact linearity is not expected
     assert abs(vc - (2.0 * va + 1j * vb)) < 1e-6 * abs(vc)
 
@@ -101,33 +101,29 @@ def test_continuity_in_x_at_origin():
     f = bump_series(n=1024)
     for lam, eps in ((0.0, 0.02), (0.25, 1e-6), (-0.5, 1e-6)):
         spec = ForcingSpec(1.0, lam, f)
-        mid = forcing_eval(spec, 0.0, 0.5)
-        left = forcing_eval(spec, -eps, 0.5)
-        right = forcing_eval(spec, eps, 0.5)
+        mid = forcing_field(spec, [0.0], [0.5])[0, 0]
+        left = forcing_field(spec, [-eps], [0.5])[0, 0]
+        right = forcing_field(spec, [eps], [0.5])[0, 0]
         assert abs(left - right) < 1e-2 * max(abs(mid), abs(right))
 
 
-def test_point_value_is_the_one_by_one_field():
-    f = bump_series(n=1024)
-    for lam in (0.0, 0.25, -0.5):
-        spec = ForcingSpec(1.0, lam, f)
-        for x, t in ((0.7, 0.6), (0.0, 0.5), (-0.3, 0.9)):
-            assert forcing_eval(spec, x, t) == forcing_field(spec, [x], [t])[0, 0]
-
-
 def test_representation_consistency_at_quarter():
+    # the integrated-by-parts form holds for every lambda > -2; at 1/4 it is
+    # the reference for the ray convolution forcing_field runs there
     f = bump_series(n=2048)
     spec = ForcingSpec(1.0, 0.25, f)
     for x, t in ((0.5, 0.5), (0.0, 0.6), (-0.8, 0.5)):
-        v1 = forcing_eval(spec, x, t, "def0")
-        v2 = forcing_eval(spec, x, t, "alt")
+        v1 = forcing_field(spec, [x], [t])[0, 0]
+        v2 = _alt_field(spec, np.array([x]), np.array([t]))[0, 0]
         assert abs(v1 - v2) < 5e-2 * abs(v1)
 
 
-def _test_field(nx, nt, x_center=0.0):
+def _test_field(nx, nt, x_center=0.0, shift=0.0):
+    """Bump test field; shift moves the grid by that fraction of a cell, so
+    shift = 0.5 leaves x = 0 halfway between two nodes."""
     xh, T = 6.0, 1.0
     dx, dt = 2 * xh / nx, T / nt
-    x = -xh + dx * np.arange(nx)
+    x = -xh + dx * (np.arange(nx) + shift)
     t = dt * np.arange(nt)
     z = (smooth_bump(x, x_center - 2.5, x_center + 2.5)[:, None]
          * smooth_bump(t, 0.2, 0.8)[None, :]).astype(complex)
@@ -140,10 +136,15 @@ def test_pde_residual_zero_datum():
     assert pde_residual(spec, _test_field(32, 32)) == 0.0
 
 
-def test_pde_residual_refines_at_second_order():
-    spec = ForcingSpec(1.0, 0.0, bump_series(n=2048))
-    coarse = abs(pde_residual(spec, _test_field(64, 64)))
-    fine = abs(pde_residual(spec, _test_field(128, 128)))
+@pytest.mark.parametrize("lam", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("shift", [0.0, 0.5], ids=["on-node", "off-node"])
+def test_pde_residual_refines_at_second_order(lam, shift):
+    # with x = 0 between two nodes the source pairing interpolates
+    # (I_lam z)(0, t); pairing about the last node x <= 0 instead refined at
+    # first order for lam > 0
+    spec = ForcingSpec(1.0, lam, bump_series(n=2048))
+    coarse = abs(pde_residual(spec, _test_field(32, 32, shift=shift)))
+    fine = abs(pde_residual(spec, _test_field(64, 64, shift=shift)))
     assert coarse / fine >= 3.0
 
 
@@ -165,6 +166,11 @@ def test_pde_residual_support_guards():
     neg_spec = ForcingSpec(1.0, -0.5, bump_series(n=512))
     with pytest.raises(SupportViolation):
         pde_residual(neg_spec, _test_field(32, 32, x_center=0.0))
+    # for lambda >= 0 the source at x = 0 is read between two nodes
+    test = _test_field(32, 32)
+    moved = SpaceTimeField(1.0, test.dx, 0.0, test.dt, test.samples)
+    with pytest.raises(SupportViolation, match="x = 0 inside the grid"):
+        pde_residual(ForcingSpec(1.0, 0.25, bump_series(n=512)), moved)
 
 
 def test_estimate_ratio_zero_datum():
@@ -172,10 +178,12 @@ def test_estimate_ratio_zero_datum():
     assert boundary_estimate_ratio(ForcingSpec(1.0, 0.0, f), 0.0, "SpaceTraces") == 0.0
 
 
-def test_estimate_ratio_space_traces_stable():
+@pytest.mark.parametrize("which,b", [("SpaceTraces", None), ("Bourgain", 0.4)],
+                         ids=["SpaceTraces", "Bourgain"])
+def test_estimate_ratio_space_traces_stable(which, b):
     spec = ForcingSpec(1.0, 0.0, bump_series(n=2048))
-    r1 = boundary_estimate_ratio(spec, 0.0, "SpaceTraces", nx=128, nt=64)
-    r2 = boundary_estimate_ratio(spec, 0.0, "SpaceTraces", nx=256, nt=128)
+    r1 = boundary_estimate_ratio(spec, 0.0, which, b, nx=128, nt=64)
+    r2 = boundary_estimate_ratio(spec, 0.0, which, b, nx=256, nt=128)
     assert np.isfinite(r1) and r1 > 0
     assert abs(r2 - r1) < 0.25 * r1
 
@@ -330,7 +338,7 @@ def test_trace_sized_def0_field_has_no_column_by_datum_table():
     ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
     tracemalloc.start()
     try:
-        forcing_field(spec, np.array([0.0]), ts, "def0")
+        forcing_field(spec, np.array([0.0]), ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from qnls import cli
 from qnls.cli import CONFIGS, _validate, emit_report, main, run_experiment
-from qnls.errors import EmptyDirectory, UnknownCommand
+from qnls.errors import EmptyDirectory, SingularQuadratureFail, UnknownCommand
 
 
 def test_region_map_marks_origin_admissible(tmp_path):
@@ -146,6 +147,11 @@ _BAD_CONFIGS_UP_FRONT = [
                  id="region-map-lo-above-hi"),
     pytest.param("region-map", {"lo": -1.0, "hi": 1.0, "step": 0.3},
                  "the lattice lo + k*step must contain 0", id="region-map-lattice-misses-origin"),
+    # x = 0 is a node of the contraction grid: these ran an iterate, then exited 1
+    pytest.param("contraction", {"lambda1": -1.5, "k_iters": 3},
+                 "lambda1 and lambda2 must exceed -1", id="contraction-lambda1-below-minus-one"),
+    pytest.param("contraction", {"lambda2": -2.5, "k_iters": 3},
+                 "lambda1 and lambda2 must exceed -1", id="contraction-lambda2-below-minus-two"),
 ]
 
 _ALL_BAD_CONFIGS = ([pytest.param(*case, id=f"{case[0]}-cfg{i}")
@@ -236,6 +242,30 @@ def test_report_determinism_and_mixed_status(tmp_path):
     assert s1["experiments"]["simulate"] == "fail"
     assert s1["experiments"]["region-map"] == "pass"
     assert s1["overall"] == "fail"
+
+
+def test_failed_run_writes_a_manifest_that_report_counts(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "res"
+    manifest = run_experiment("region-map", {"step": 0.5}, 3, out)
+    # a successful run's manifest keeps its keys: the benchmark digests them
+    assert set(manifest) == {"command", "config", "seed", "versions", "wall_time_s",
+                             "outputs", "contracts", "passed"}
+
+    def fails_after_validation(cfg, rng, out):
+        raise SingularQuadratureFail("freezing error 1.00e+00 above 1% at x=3")
+
+    monkeypatch.setitem(cli.COMMANDS, "contraction", fails_after_validation)
+    assert main(["contraction", "--out", str(out)]) == 1
+    assert "contract violation: freezing error" in capsys.readouterr().err
+    failed = json.loads((out / "manifest_contraction.json").read_text())
+    assert failed["passed"] is False
+    assert failed["error"] == {"type": "SingularQuadratureFail",
+                               "message": "freezing error 1.00e+00 above 1% at x=3"}
+    assert failed["wall_time_s"] >= 0.0
+    assert main(["report", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"experiments": {"contraction": "fail", "region-map": "pass"},
+                       "overall": "fail"}
 
 
 def test_report_empty_directory(tmp_path):

@@ -24,13 +24,41 @@ instrument(Recorder())
 """
 
 
-def test_tracer_binds_every_imported_name():
+# One small call to each function whose work the tracer counts from its
+# arguments; a signature change that breaks a counter lands in count_errors.
+WORK_SCRIPT = SCRIPT.replace("instrument(Recorder())", """
+recorder = Recorder()
+instrument(recorder)
+import numpy as np
+from qnls import boundary, quadrature
+from qnls.grids import TimeSeries
+f = TimeSeries(0.0, 1 / 63, np.sin(np.pi * np.arange(64) / 63) ** 2)
+boundary.forcing_field(boundary.ForcingSpec(1.0, 0.0, f), np.array([0.0, 0.5]),
+                       f.times[1::8])
+quadrature.panel_sums(np.cos, np.array([0.0, 1.0, 2.0]), 8)
+assert not recorder.count_errors, recorder.count_errors
+roots = {s.name: s.work for s in recorder.spans if s.parent < 0}
+assert roots.keys() == {"boundary.forcing_field", "quadrature.panel_sums"}, roots
+assert all(roots.values()), roots
+""")
+
+
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_binds_every_imported_name():
+    _run(SCRIPT)
+
+
+def test_tracer_counts_the_work_of_forcing_field_and_panel_sums():
+    # the traced benchmark tests catch this too, but take about 19 s
+    _run(WORK_SCRIPT)
 
 
 def _traced_benchmark_is_correct(workload):

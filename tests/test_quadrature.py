@@ -113,13 +113,16 @@ def test_tail_batch_equals_lone_calls(window):
     assert (2 in failed) == (window is None)
 
 
-@pytest.mark.parametrize("window", [100.0, 1000.0, 1e9])
-def test_windowed_integral_stops_at_the_window(window):
+@pytest.mark.parametrize("window,bps", [
+    pytest.param(w, bps, id=str(w)) for w, bps in
+    [(4.0, []), (30.0, [-20.0, 20.0]), (100.0, []), (1000.0, []), (1e9, [])]])
+def test_windowed_integral_stops_at_the_window(window, bps):
     # the blocks settle geometrically long before |y| = window; a completion
     # out to infinity gives pi, not 2 atan(window).  1e9 lies beyond the
-    # MAX_DOUBLINGS blocks that end an unwindowed integral.
+    # MAX_DOUBLINGS blocks that end an unwindowed integral.  Windows 4 and 30
+    # (breakpoints +-20) lie inside the first block: the window is the domain.
     lorentz = _alone(lambda y: 1.0 / (1.0 + y * y))
-    value, _, failed = integrate_with_tail(lorentz, np.empty((1, 0)), window=window,
+    value, _, failed = integrate_with_tail(lorentz, np.array([bps]), window=window,
                                            rel_tol=1e-10)
     assert not failed
     assert value[0] == pytest.approx(2.0 * np.arctan(window), rel=1e-9)
