@@ -16,11 +16,19 @@ at the same offset on the datum grid read every quadrature node in the same
 datum interval at a fixed lag behind them.  Per offset, the node weights are
 binned once by lag into weights on each interval's left sample and on its
 step, and every time of the offset sums the same bins; times on the datum
-grid form one offset group.  Each time then removes its straddling panel and
-adds its partial top panel and the Fresnel tail.  A column depends on x only
-through x^2, so each |x| is evaluated once per field, and the datum is laid
-out for the output times once per field.  Nothing is cached across calls:
-the panel ladder depends on the datum's sup and derivative sup.
+grid form one offset group.
+
+A field is one pass over its columns.  A column depends on x only through
+x^2, so each |x| is one column, and the datum is laid out for the output
+times once per field.  The ladder edges sqrt(B/(pi k)) scale with sqrt(B),
+so the phase at panel k, node j depends on (k, j) alone: it is tabulated
+once per field over the union of the columns' k-ranges, and each column
+corrects it to first order for the rounding of its own nodes.  Each column
+then sums its ladder by the lag-binned convolution and removes each time's
+straddling panel.  The per-time terms -- the partial top panel, the Fresnel
+tail and the freezing guard -- run once over (times x columns), one pass per
+Gauss-Legendre node of the top panel.  Nothing is cached across calls: the
+panel ladder depends on the datum's sup and derivative sup.
 
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
@@ -38,11 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fresnel
 
-from .errors import (LambdaOutOfRange, NonPositiveA, SingularQuadratureFail,
-                     SupportViolation, WindowViolation)
+from .errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
+                     SingularQuadratureFail, SupportViolation, WindowViolation)
 from .fractional import _integrate, rl_apply
 from .grids import SpaceTimeField, TimeSeries
-from .quadrature import _panel_nodes, panel_sums
+from .quadrature import _gl, _panel_nodes
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
 
 #: relative accuracy the sigma ladder of the kernel quadrature is sized for
@@ -80,7 +88,7 @@ class ForcingSpec:
         if self.lam <= -2.0:
             raise LambdaOutOfRange(f"lambda must exceed -2, got {self.lam}")
         if self.f.t0 != 0.0:
-            raise ValueError("boundary datum must start at t = 0")
+            raise SupportViolation("boundary datum must start at t = 0")
 
 
 @dataclass
@@ -151,118 +159,142 @@ class _DatumGrid:
         return lag.astype(np.intp), lag - s
 
     def read(self, sig, at=slice(None)):
-        """The interpolant at t - sig^2 for the times `at`; sig is (times, nodes)."""
+        """The interpolant at t - sig^2 for the times `at`, which index
+        sig's first axis."""
         lag, frac = self.lags(sig, self.group[at, None])
         i = self.base[at, None] - lag
         return self.ext[i] + frac * self.ext[i + self.span]
 
 
-def _column_values(grid: _DatumGrid, bounds, a: float, x: float) -> np.ndarray:
-    """Base-operator values at one x for all live times, sharing the sigma ladder.
+def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
+    """(k_min, K): the column's ladder edges are sqrt(B / (pi k)) for
+    k = K, ..., k_min, with K sized for KERNEL_REL_TOL."""
+    k_min = max(1, math.ceil(B / (np.pi * t_max)))
+    K = math.ceil((0.4 * (m_dsup + 1e-300) * B ** 1.5 / (KERNEL_REL_TOL * scale0))
+                  ** 0.4 / np.pi)
+    return k_min, min(max(K, k_min + 8), k_min + 4096)
 
-    At fixed x the oscillation edges and phases are time-independent; the
-    panels complete at time t (sigma <= sqrt(t)) are summed by the
-    lag-binned convolution of `_full_panels`, then each time adds its
-    partial top panel and the Fresnel tail below the deepest edge.
-    `bounds` is `_datum_bounds(m)`.
+
+def _phase_table(ranges):
+    """The phases exp(i B / sigma^2) of the ladder nodes, over the union of
+    the columns' (k_min, K) ranges.
+
+    At B the ladder edges sqrt(B / (pi k)) are sqrt(B) times those at
+    B = 1, so the phase at panel k, node j depends on (k, j) alone.  The
+    table keeps the edges k some range uses, in descending k (ascending
+    sigma); a panel joining two runs of used k belongs to no range and is
+    never read.  Returns theta = 1 / sigma^2 at B = 1 and exp(i theta), one
+    row per panel, and each range's first row: range (k_min, K) owns the
+    K - k_min rows from there.
     """
-    m_sup, m_dsup = bounds
-    rt = grid.rt
-    t_max = grid.t_max
-    B = x * x / (4.0 * a)
-    scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
-
-    if B < 1e-300:
-        edges = math.sqrt(t_max) * np.linspace(0.0, 1.0, 65)
-    else:
-        md = m_dsup + 1e-300
-        k_min = max(1, math.ceil(B / (np.pi * t_max)))
-        K = math.ceil((0.4 * md * B ** 1.5 / (KERNEL_REL_TOL * scale0)) ** 0.4 / np.pi)
-        K = min(max(K, k_min + 8), k_min + 4096)
-        edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
-        gap = math.sqrt(t_max) - edges[-1]
-        if gap > 1e-14:
-            n_top = max(8, min(48, int(np.ceil(48 * gap / math.sqrt(t_max)))))
-            edges = np.concatenate([edges,
-                                    np.linspace(edges[-1], math.sqrt(t_max),
-                                                n_top + 1)[1:]])
-
-    vals = _full_panels(grid, edges, B)
-
-    # partial top panel [last complete edge, sqrt(t)], one per time, on the
-    # reference panel [-1, 1]
-    idx = np.searchsorted(edges, rt + 1e-15, side="right") - 1
-    lo_t = np.minimum(edges[np.maximum(idx, 0)], rt)
-    half_t = 0.5 * (rt - lo_t)
-
-    def top(u):
-        sig_t = (lo_t + half_t)[:, None] + half_t[:, None] * u[None, :]
-        ph_t = np.exp(1j * B / (sig_t ** 2 + 1e-300)) if B > 0 else 1.0
-        return grid.read(sig_t) * ph_t
-
-    vals += panel_sums(top, np.array([-1.0, 1.0]), 8)[:, 0] * half_t
-
-    # Fresnel completion below the deepest covered edge
-    s_eff = np.minimum(edges[0], rt)
-    if B > 0:
-        vals += (grid.read(s_eff[:, None])[:, 0] * s_eff
-                 * _osc_tail_factor(B / (s_eff ** 2 + 1e-300)))
-        err = 0.4 * (m_dsup + 1e-300) * float(np.max(s_eff)) ** 5 / B
-        if err > 0.01 * max(float(np.max(np.abs(vals))), 0.1 * scale0):
-            raise SingularQuadratureFail(
-                f"freezing error {err:.2e} above 1% at x={x:.3g}")
-    return (2.0 / math.sqrt(np.pi)) * vals
-
-
-def _full_panels(grid: _DatumGrid, edges: np.ndarray, B: float) -> np.ndarray:
-    """Sum over the panels [edges[p], edges[p+1]] with edges[p+1] <= sqrt(t).
-
-    The interpolant reads zero before t = 0, so every panel above sqrt(t)
-    adds nothing: the complete panels at t are the ladder up to the top
-    level of t's offset group, minus the one panel that straddles sqrt(t).
-    Times at the same offset on the datum grid see each node in the same
-    datum interval, at the same lag behind them and with the same
-    interpolation fraction.  So, per offset, the node weights are binned
-    once by lag into weights on the interval's left sample and on its step,
-    and every time of the offset sums the same bins: one dense (times x
-    lags) gather and two mat-vecs.  Each time below its offset's top level
-    then subtracts the 8 nodes of its straddling panel, read the same way.
-    """
-    level = np.searchsorted(edges[1:], grid.rt + 1e-15, side="right")
-    pts, weights, half = _panel_nodes(edges[:int(level.max()) + 1], 8)
-    phase = np.exp(1j * B / (pts * pts)) if B > 0 else 1.0 + 0.0j
-    w = weights[None, :] * half[:, None] * phase
-    vals = np.empty(grid.t.size, dtype=complex)
-    for g, at in enumerate(grid.members):
-        # the nodes run up the ladder, so the lag never decreases and each
-        # lag bin is one run of nodes
-        top = int(level[at].max())
-        lag, frac = grid.lags(pts[:top].ravel(), g)
-        starts = np.flatnonzero(np.diff(lag, prepend=-1))
-        on_left = np.add.reduceat(w[:top].ravel(), starts)
-        on_step = np.add.reduceat(w[:top].ravel() * frac, starts)
-        i = grid.base[at, None] - lag[starts]
-        # one dot per time: OpenBLAS runs a mat-vec this small on threads
-        # that then spin, doubling the CPU time without saving wall time
-        vals[at] = (np.vecdot(on_left.conj(), grid.ext[i])
-                    + np.vecdot(on_step.conj(), grid.ext[i + grid.span]))
-        st = at[level[at] < top]
-        vals[st] -= np.sum(w[level[st]] * grid.read(pts[level[st]], st), axis=1)
-    return vals
+    k_hi = max((K for _, K in ranges), default=0)
+    used = np.zeros(k_hi + 1 - min((k for k, _ in ranges), default=1), dtype=bool)
+    for k_min, K in ranges:
+        used[k_hi - K:k_hi - k_min + 1] = True      # edge k at k_hi - k
+    row = np.cumsum(used) - 1
+    ks = k_hi - np.flatnonzero(used).astype(float)
+    pts = _panel_nodes(np.sqrt(1.0 / (np.pi * ks)), 8)[0]
+    theta = 1.0 / (pts * pts)
+    return theta, np.exp(1j * theta), {r: int(row[k_hi - r[1]]) for r in ranges}
 
 
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
-    """Base-operator field on ys x ts.  The kernel sees y only through y^2,
-    so each |y| is evaluated once; the datum grid depends only on m and ts,
-    so it is laid out once.  `bounds` is `_datum_bounds(m)`."""
+    """Base-operator field on ys x ts, every |y| column in one pass.
+
+    Per column, the panels complete at each time (sigma <= sqrt(t)) are the
+    ladder up to the top level of t's offset group, read by one dense
+    (times x lags) gather of the lag bins and two dots per time, minus each
+    time's straddling panel.  Then, over (times x columns), each time adds
+    its partial top panel and its Fresnel tail, and the freezing guard
+    raises for the smallest failing |y|.  `bounds` is `_datum_bounds(m)`.
+    """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
     cols = np.zeros((ay.size, ts.size), dtype=complex)
     live = ts > 0.0
-    if np.any(live) and bounds[0] > 0.0:
-        grid = _DatumGrid(m, ts[live])
-        for i, y in enumerate(ay):
-            cols[i, live] = _column_values(grid, bounds, a, float(y))
+    if not np.any(live) or not bounds[0] > 0.0:
+        return cols[inv]
+    m_sup, m_dsup = bounds
+    grid = _DatumGrid(m, ts[live])
+    rt, root_max = grid.rt, math.sqrt(grid.t_max)
+    scale0 = m_sup * min(root_max, 1.0) + 1e-300
+    Bs = [float(y) * float(y) / (4.0 * a) for y in ay]
+    ranges = [_ladder_range(B, grid.t_max, m_dsup, scale0) if B >= 1e-300 else None
+              for B in Bs]
+    theta, table, first = _phase_table([r for r in ranges if r])
+
+    vals = np.empty((rt.size, ay.size), dtype=complex)
+    lo = np.empty((rt.size, ay.size))
+    deep = np.empty(ay.size)
+    for c, B in enumerate(Bs):
+        if B < 1e-300:
+            edges, r0, n = root_max * np.linspace(0.0, 1.0, 65), 0, 0
+        else:
+            k_min, K = ranges[c]
+            r0, n = first[k_min, K], K - k_min
+            edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
+            gap = root_max - edges[-1]
+            if gap > 1e-14:
+                n_top = max(8, min(48, int(np.ceil(48 * gap / root_max))))
+                edges = np.concatenate([edges, np.linspace(edges[-1], root_max,
+                                                           n_top + 1)[1:]])
+        pts, weights, half = _panel_nodes(edges, 8)
+        # The ladder's phases come from the table.  This column's nodes,
+        # rounded at B, sit a few ulp off sqrt(B) times the table's, which
+        # moves the argument by d ~ 1e-16 theta, and exp(i d) = 1 + i d to
+        # rounding.  B * (1 / sigma^2) rounds as the complex argument
+        # 1j * B / sigma^2 of the top panels does, so every phase is
+        # exp(i B / sigma^2) at this column's own nodes.
+        lad, top_pts = pts[:n], pts[n:]
+        d = B * (1.0 / (lad * lad)) - theta[r0:r0 + n]
+        w = weights * half[:, None] * np.concatenate(
+            [table[r0:r0 + n] * (1.0 + 1j * d), np.exp(1j * B / (top_pts * top_pts))])
+
+        level = np.searchsorted(edges[1:], rt + 1e-15, side="right")
+        col = vals[:, c]
+        for g, at in enumerate(grid.members):
+            # the nodes run up the ladder, so the lag never decreases and
+            # each lag bin is one run of nodes
+            top = int(level[at].max())
+            lag, frac = grid.lags(pts[:top].ravel(), g)
+            starts = np.flatnonzero(np.diff(lag, prepend=-1))
+            on_left = np.add.reduceat(w[:top].ravel(), starts)
+            on_step = np.add.reduceat(w[:top].ravel() * frac, starts)
+            i = grid.base[at, None] - lag[starts]
+            # one dot per time: OpenBLAS runs a mat-vec this small on threads
+            # that then spin, doubling the CPU time without saving wall time
+            col[at] = (np.vecdot(on_left.conj(), grid.ext[i])
+                       + np.vecdot(on_step.conj(), grid.ext[i + grid.span]))
+            st = at[level[at] < top]
+            col[st] -= np.sum(w[level[st]] * grid.read(pts[level[st]], st), axis=1)
+        below = np.searchsorted(edges, rt + 1e-15, side="right") - 1
+        lo[:, c] = np.minimum(edges[np.maximum(below, 0)], rt)
+        deep[c] = edges[0]
+
+    # partial top panel [last complete edge, sqrt(t)] on the reference
+    # panel [-1, 1], one node of every (time, column) at a time
+    half = 0.5 * (rt[:, None] - lo)
+    mid = lo + half
+    Bv = np.array(Bs)
+    part = np.zeros_like(vals)
+    for u, wu in zip(*_gl(8)):
+        sig = mid + half * u
+        part += wu * (grid.read(sig) * np.exp(1j * Bv / (sig ** 2 + 1e-300)))
+    vals += part * half
+
+    # Fresnel completion below the deepest covered edge
+    osc = np.flatnonzero(Bv > 0)
+    if osc.size:
+        s_eff = np.minimum(deep[osc], rt[:, None])
+        vals[:, osc] += (grid.read(s_eff) * s_eff
+                         * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
+        err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
+        bad = np.flatnonzero(err > 0.01 * np.maximum(np.max(np.abs(vals[:, osc]), axis=0),
+                                                     0.1 * scale0))
+        if bad.size:
+            raise SingularQuadratureFail(f"freezing error {err[bad[0]]:.2e} above 1% "
+                                         f"at x={ay[osc[bad[0]]]:.3g}")
+    cols[:, live] = (2.0 / math.sqrt(np.pi)) * vals.T
     return cols[inv]
 
 
@@ -276,8 +308,9 @@ def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     t_max = spec.f.t_end
     if xs.size > 1:
         dy = xs[1] - xs[0]
-        if not np.allclose(np.diff(xs), dy):
-            raise ValueError("xs must be uniformly spaced")
+        # the ray extends past xs[-1] with step dy, so dy must be positive
+        if not (dy > 0.0 and np.allclose(np.diff(xs), dy)):
+            raise NonUniformGrid("xs must be uniformly spaced and increasing")
     else:
         dy = float(np.clip(0.1 * math.sqrt(spec.a * t_max), 0.01, 0.1))
     pad = max(12.0 * math.sqrt(spec.a * t_max), 6.0, 32 * dy)

@@ -78,7 +78,11 @@ class WindowViolation(QnlsError):
 
 
 class SupportViolation(QnlsError):
-    """Test function support leaves the region where the pairing is defined."""
+    """Test function or datum support leaves the region where the operator is defined."""
+
+
+class NonUniformGrid(QnlsError):
+    """The ray convolution of a lambda != 0 class needs uniformly spaced, increasing xs."""
 
 
 # --- IBVP solver ---

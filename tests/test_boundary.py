@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
                            _osc_tail_factor, boundary_estimate_ratio,
                            delta_coefficient, forcing_field, kernel_constant,
                            pde_residual, trace_check)
-from qnls.errors import (LambdaOutOfRange, NonPositiveA,
+from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)
 from qnls.grids import SpaceTimeField, TimeSeries
@@ -28,6 +29,23 @@ def test_spec_validation():
         ForcingSpec(0.0, 0.0, f)
     with pytest.raises(LambdaOutOfRange):
         ForcingSpec(1.0, -2.0, f)
+
+
+def test_datum_must_start_at_zero():
+    with pytest.raises(SupportViolation, match="start at t = 0"):
+        ForcingSpec(1.0, 0.0, TimeSeries(0.1, 0.01, np.ones(64)))
+
+
+@pytest.mark.parametrize("xs", [[0.0, 0.5, 1.5], [1.0, 0.5, 0.0], [0.5, 0.5]],
+                         ids=["uneven", "descending", "repeated"])
+def test_ray_needs_uniformly_spaced_increasing_xs(xs):
+    # a descending grid gave NaN columns and a repeated one an overflow
+    f = bump_series(n=64)
+    # at lambda = 0 there is no ray, so any xs will do
+    assert np.all(np.isfinite(forcing_field(ForcingSpec(1.0, 0.0, f), xs, [0.5])))
+    for lam in (0.25, -0.25):
+        with pytest.raises(NonUniformGrid, match="uniformly spaced and increasing"):
+            forcing_field(ForcingSpec(1.0, lam, f), xs, [0.5])
 
 
 def test_kernel_constants():
@@ -313,21 +331,44 @@ def test_columns_match_per_time_ladder_when_the_datum_starts_nonzero():
 
 
 def _assert_columns_match_ladder(m, a_values, x_values, time_sets):
+    """Each x alone, then every x and its negative in one field, against the
+    ladder; a field with a failing column raises for the smallest one."""
     bounds = _datum_bounds(m)
+    xs = np.concatenate([x_values, np.negative(x_values)])
     for a in a_values:
-        for x in x_values:
-            col_max = 0.0
-            for ts in time_sets:
+        col_max = dict.fromkeys(x_values, 0.0)
+        for ts in time_sets:
+            refs = {}
+            for x in x_values:
                 try:
-                    ref = _ladder_column_values(m, bounds, a, x, ts)
+                    refs[x] = _ladder_column_values(m, bounds, a, x, ts)
                 except SingularQuadratureFail:
                     with pytest.raises(SingularQuadratureFail):
                         _base_field(m, bounds, a, [x], ts)
                     continue
+                col_max[x] = max(col_max[x], float(np.max(np.abs(refs[x]))))
                 got = _base_field(m, bounds, a, [x], ts)[0]
-                col_max = max(col_max, float(np.max(np.abs(ref))))
-                err = float(np.max(np.abs(got - ref)))
-                assert err <= 1e-8 * col_max, (m.n, a, x, ts.size, err / col_max)
+                err = float(np.max(np.abs(got - refs[x])))
+                assert err <= 1e-8 * col_max[x], (m.n, a, x, ts.size, err / col_max[x])
+            failing = [x for x in x_values if x not in refs]
+            if failing:
+                with pytest.raises(SingularQuadratureFail,
+                                   match=re.escape(f"at x={min(failing):.3g}") + "$"):
+                    _base_field(m, bounds, a, xs, ts)
+                continue
+            field = _base_field(m, bounds, a, xs, ts)
+            for row, x in zip(field, [*x_values, *x_values]):
+                err = float(np.max(np.abs(row - refs[x])))
+                assert err <= 1e-8 * col_max[x], (m.n, a, x, xs.size, err / col_max[x])
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_trace_sized_def0_field_has_no_column_by_datum_table():
@@ -336,12 +377,17 @@ def test_trace_sized_def0_field_has_no_column_by_datum_table():
     f = bump_series(n=4096)
     spec = ForcingSpec(2.0, 0.25, f)
     ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
-    tracemalloc.start()
-    try:
-        forcing_field(spec, np.array([0.0]), ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: forcing_field(spec, np.array([0.0]), ts))
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_contraction_sized_field_has_no_whole_field_node_table():
+    # 129 |x| columns of 64 datum times, 670 k ladder nodes in all; node,
+    # weight and lag arrays over all of them at once (about 27 MB) would
+    # raise the benchmark's peak RSS
+    f, _ = next(_oracle_cases())
+    xs = -20.0 + (40.0 / 256) * np.arange(256)
+    peak = _peak_bytes(lambda: forcing_field(ForcingSpec(1.0, 0.0, f), xs, f.times))
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
@@ -357,5 +403,8 @@ def test_freezing_error_guard_raises():
     t = np.linspace(0.0, 1.0, 2048)
     f = TimeSeries(0.0, t[1] - t[0], np.sin(2 * np.pi * 200 * t) * t * (1 - t))
     spec = ForcingSpec(0.25, 0.0, f)
-    with pytest.raises(SingularQuadratureFail, match="freezing error"):
-        forcing_field(spec, np.array([40.0, 100.0, 300.0]), f.times[1024::256])
+    # each of the three columns fails alone; the field names the smallest |x|
+    for xs in ([40.0, 100.0, 300.0], [300.0, -100.0, -40.0]):
+        with pytest.raises(SingularQuadratureFail,
+                           match=r"^freezing error .* above 1% at x=40$"):
+            forcing_field(spec, np.array(xs), f.times[1024::256])
