@@ -31,6 +31,9 @@ J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
 ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
 #: relative tolerance of every J evaluation in a boundedness sweep
 SWEEP_REL_TOL = 3e-4
+#: a sweep's argmax is the first base point within this relative distance of
+#: the sup, so maxima equal up to rounding (J1 is symmetric in xi) tie
+ARGMAX_REL_TOL = 1e-12
 
 
 @dataclass
@@ -558,8 +561,10 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
             if np.isnan(vals).any():
                 raise QuadratureNonConvergent(
                     f"{index}: the windowed J does not converge at R = {R}")
-        k = int(np.argmax(vals))        # the first of equal maxima in scan order
-        records.append({"index": index, "R": float(R), "sup": float(vals[k]),
+        sup = vals.max()
+        # the first of the maxima equal up to rounding, in scan order
+        k = int(np.argmax(vals >= sup - ARGMAX_REL_TOL * abs(sup)))
+        records.append({"index": index, "R": float(R), "sup": float(sup),
                         "argmax_xi": float(grid[k, 0]), "argmax_tau": float(grid[k, 1])})
     return records
 

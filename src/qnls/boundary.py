@@ -324,10 +324,12 @@ def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     The order lambda alone picks the form: the direct kernel at lambda = 0,
     the right-sided fractional convolution of the base field along a ray
     for lambda > 0, and the integrated-by-parts form (`_alt_field`) for
-    lambda < 0.
+    lambda < 0.  An empty xs gives the empty (0, nt) field.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
+    if not xs.size:
+        return np.zeros((0, ts.size), dtype=complex)
     lam = spec.lam
     if lam < 0.0:
         return _alt_field(spec, xs, ts)

@@ -8,11 +8,15 @@ tails extend dyadically with a geometric remainder estimate.
 `adaptive_panels` and `integrate_with_tail` integrate a batch of rows.  A
 batch is a ragged (integral, panel) table: `fvec(y, rows)` evaluates
 integral rows[i] at y[i], breakpoints come as an (n, m) array padded with
-NaN, and each round evaluates the panels of every unfinished row at once.
-Converged rows retire after each round.  Each row makes the refinement
-decisions it would make alone and gets its value bit for bit, so a single
-integral is a batch of one.  A row that does not converge is a failure,
-never a value: its value is NaN and its message is returned.
+NaN, and each round evaluates the new panels of every unfinished row at
+once.  Each live panel carries its coarse sum and its two half sums from
+round to round, and a bisected panel's half sums are its children's coarse
+sums, so a round evaluates only the halves of the panels it just made.
+`panel_sums` reduces each panel alone, so a carried sum equals a recomputed
+one bit for bit.  Converged rows retire after each round.  Each row makes
+the refinement decisions it would make alone and gets its value bit for
+bit, so a single integral is a batch of one.  A row that does not converge
+is a failure, never a value: its value is NaN and its message is returned.
 """
 
 from __future__ import annotations
@@ -64,24 +68,20 @@ def panel_sums(fvec, edges: np.ndarray, order: int, panels=None) -> np.ndarray:
     after another, integral r with panels[r] panels, and fvec(y, owner)
     gets the integral owning each node.  The panel joining two integrals is
     evaluated and dropped.  The result is each integral's panel sums in
-    turn, equal bit for bit to a call with its edges alone: BLAS rounds a
-    panel's sum by its place in the product, so integrals with one panel
-    count share one stacked product.
+    turn.  Each panel is reduced alone, so its sum does not depend on its
+    place in the call: a ragged call, a batch row and a lone call agree bit
+    for bit.
     """
     pts, weights, half = _panel_nodes(edges, order)
     if panels is None:
         vals = fvec(pts.ravel())
         vals = vals.reshape(vals.shape[:-1] + pts.shape)
-        return (vals @ weights) * half
+        return (vals * weights).sum(axis=-1) * half
     panels = np.asarray(panels)
     owner = np.repeat(np.arange(panels.size), panels + 1)[:-1]
     vals = fvec(pts.ravel(), np.repeat(owner, order)).reshape(pts.shape)
-    out = np.empty(int(panels.sum()), dtype=vals.dtype)
-    src, dst = _starts(panels + 1), _starts(panels)
-    for runs, offs in _runs(panels):
-        at = src[runs, None] + offs
-        out[dst[runs, None] + offs] = (vals[at] @ weights) * half[at]
-    return out
+    sums = (vals * weights).sum(axis=-1) * half
+    return np.delete(sums, np.cumsum(panels + 1)[:-1] - 1)
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
@@ -126,19 +126,25 @@ def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
     keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
     edges, counts = cand[keep], keep.sum(axis=1)
     err_sum = np.zeros(rows.size)
+    # per live panel: its coarse sum and its two half sums; `todo` marks the
+    # panels whose half sums the round has yet to evaluate
+    coarse = halves = todo = None
     for _ in range(MAX_ROUNDS):
         if not rows.size:
             break
-        g, panels = _on(fvec, rows), counts - 1
-        coarse = panel_sums(g, edges, 8, panels)
+        panels = counts - 1
         # fine split: each row's edges interleaved with its panel midpoints
         at = 2 * np.arange(edges.size) - np.repeat(np.arange(rows.size), counts)
         left = np.delete(np.arange(edges.size - 1), _starts(counts)[1:] - 1)
         split = np.empty(2 * edges.size - rows.size)
         split[at] = edges
         split[at[left] + 1] = 0.5 * (edges[left] + edges[left + 1])
-        fine = panel_sums(g, split, 8, 2 * panels)
-        fine_per_panel = fine[0::2] + fine[1::2]
+        if coarse is None:      # the first round evaluates every panel
+            coarse = panel_sums(_on(fvec, rows), edges, 8, panels)
+            todo = np.ones(coarse.size, dtype=bool)
+            halves = np.empty((coarse.size, 2), dtype=coarse.dtype)
+        halves[todo] = _half_sums(fvec, rows, split, at[left], panels, todo)
+        fine_per_panel = halves[:, 0] + halves[:, 1]
         err = np.abs(fine_per_panel - coarse)
         total = _run_sums(fine_per_panel, panels)
         err_sum = _run_sums(err, panels)
@@ -165,6 +171,15 @@ def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
         edges = split[keep]
         counts = (counts + np.add.reduceat(pick.astype(np.intp), starts))[go]
         rows, err_sum = rows[go], err_sum[go]
+        # an unpicked panel carries its sums; a picked one's half sums become
+        # its two children's coarse sums, and the children's halves are todo
+        live = np.repeat(go, panels)
+        n_new = 1 + pick[live]
+        src = np.repeat(np.flatnonzero(live), n_new)
+        todo = np.repeat(pick[live], n_new)
+        right = np.r_[False, src[1:] == src[:-1]]
+        coarse = np.where(todo, halves[src, right.astype(np.intp)], coarse[src])
+        halves = halves[src]
     for r, e, k in zip(rows, err_sum, counts):
         failed[r] = _budget_message(e, lo[r], hi[r], k)
     values = np.zeros(n, dtype=np.result_type(float, *(v for _, v in done)))
@@ -172,6 +187,26 @@ def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
         values[r] = v
     values[list(failed)] = np.nan
     return values, failed
+
+
+def _half_sums(fvec, rows, split, first, panels, todo):
+    """Half sums, shape (todo panels, 2), of the panels marked in `todo`.
+
+    split holds each row's edges interleaved with its panel midpoints, and
+    split[first[p]] is panel p's left edge.  Each run of consecutive todo
+    panels of a row is one integral of the ragged call.
+    """
+    row_of = np.repeat(np.arange(rows.size), panels)
+    opens = todo.copy()
+    opens[1:] &= ~todo[:-1] | (row_of[1:] != row_of[:-1])
+    run_of = np.cumsum(opens)[todo] - 1
+    at = first[todo]
+    used = np.zeros(split.size, dtype=bool)
+    used[at] = used[at + 1] = used[at + 2] = True
+    owner = rows[row_of[opens]]
+    sums = panel_sums(lambda y, r: fvec(y, owner[r]), split[used], 8,
+                      2 * np.bincount(run_of))
+    return sums.reshape(-1, 2)
 
 
 def _budget_message(err, lo, hi, n_edges):

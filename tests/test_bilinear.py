@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qnls import bilinear
 from qnls.bilinear import (SWEEP_REL_TOL, EstimateParams, JSpec, applicable_indices,
                            bilinear_ratio, j_eval, j_sup_sweep, scheme_for)
 from qnls.dispersion import FrequencyPoint, classify_region
@@ -338,6 +339,21 @@ def test_sup_sweep_trend_in_b_d():
         sups.append(recs[0]["sup"])
     # larger b,d weaken the weights, so the sup decreases monotonically
     assert sups[0] > sups[1] > sups[2]
+
+
+def test_sup_sweep_argmax_ties_maxima_equal_up_to_rounding(monkeypatch):
+    # values symmetric in xi, the xi > 0 side 1 ulp larger: the sup is the
+    # larger value, the argmax the first of the two in scan order (xi < 0)
+    def stub(spec, p, window=None, rel_tol=None):
+        xi, tau = np.asarray(spec.base, dtype=float).T
+        v = 1.0 / (1.0 + (np.abs(xi) - 1.5) ** 2 + (tau / 100.0) ** 2)
+        return np.where(xi > 0, np.nextafter(v, np.inf), v)
+
+    monkeypatch.setattr(bilinear, "j_eval", stub)
+    for rec in j_sup_sweep("J1", params(), (10.0, 20.0), n_base=5):
+        # the peak is 1 at (-1.5, 0) and its neighbour 1 ulp above at (1.5, 0)
+        assert rec["sup"] == np.nextafter(1.0, 2.0)
+        assert (rec["argmax_xi"], rec["argmax_tau"]) == (-1.5, 0.0)
 
 
 # --- bilinear ratios ---

@@ -48,6 +48,13 @@ def test_ray_needs_uniformly_spaced_increasing_xs(xs):
             forcing_field(ForcingSpec(1.0, lam, f), xs, [0.5])
 
 
+@pytest.mark.parametrize("lam", [-0.25, 0.0, 0.25])
+def test_empty_xs_gives_the_empty_field(lam):
+    # lambda = +-1/4 raised a bare IndexError from the ray's last x
+    got = forcing_field(ForcingSpec(1.0, lam, bump_series(n=64)), [], [0.5, 0.75])
+    assert got.shape == (0, 2) and got.dtype == complex
+
+
 def test_kernel_constants():
     assert kernel_constant(1.0) == pytest.approx(2.0 * np.exp(-0.75j * np.pi))
     assert abs(kernel_constant(4.0)) == pytest.approx(4.0)

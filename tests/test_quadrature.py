@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls.quadrature import adaptive_panels, integrate_with_tail, panel_sums, tail_probe
+from qnls import quadrature
+from qnls.quadrature import (MAX_PANELS, MAX_ROUNDS, _budget_message, _on, _run_sums, _runs,
+                             _starts, adaptive_panels, integrate_with_tail, panel_sums,
+                             tail_probe)
 
 
 def test_panel_sums_exact_on_degree_15_polynomial():
@@ -93,6 +96,142 @@ def test_adaptive_batch_equals_lone_calls():
         assert np.array_equal(values[r], want[0], equal_nan=True)
         assert failed.get(r) == msg.get(0)
     assert list(failed) == [2]          # its neighbours are untouched
+
+
+def _reevaluating_panels(fvec, lo, hi, breakpoints, rel_tol):
+    """adaptive_panels as it was before it carried panel sums: each round
+    evaluates the coarse and fine rule on every live panel afresh."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bps = np.asarray(breakpoints, dtype=float)
+    if not bps.size:
+        bps = np.empty((lo.size, 0))
+    n = lo.size
+    done, failed = [], {}
+    rows = np.flatnonzero(hi > lo)
+    cand = np.column_stack([lo[rows], hi[rows], bps[rows]])
+    inside = (cand > lo[rows, None]) & (cand < hi[rows, None])
+    inside[:, :2] = True
+    cand = np.sort(np.where(inside, cand, np.nan), axis=1)
+    keep = ~np.isnan(cand)
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    edges, counts = cand[keep], keep.sum(axis=1)
+    err_sum = np.zeros(rows.size)
+    for _ in range(MAX_ROUNDS):
+        if not rows.size:
+            break
+        g, panels = _on(fvec, rows), counts - 1
+        coarse = panel_sums(g, edges, 8, panels)
+        at = 2 * np.arange(edges.size) - np.repeat(np.arange(rows.size), counts)
+        left = np.delete(np.arange(edges.size - 1), _starts(counts)[1:] - 1)
+        split = np.empty(2 * edges.size - rows.size)
+        split[at] = edges
+        split[at[left] + 1] = 0.5 * (edges[left] + edges[left + 1])
+        fine = panel_sums(g, split, 8, 2 * panels)
+        fine_per_panel = fine[0::2] + fine[1::2]
+        err = np.abs(fine_per_panel - coarse)
+        total = _run_sums(fine_per_panel, panels)
+        err_sum = _run_sums(err, panels)
+        conv = err_sum <= rel_tol * np.abs(total)
+        done.append((rows[conv], total[conv]))
+        over = ~conv & (counts > MAX_PANELS)
+        for i in np.flatnonzero(over):
+            failed[rows[i]] = _budget_message(err_sum[i], lo[rows[i]], hi[rows[i]],
+                                              counts[i])
+        go = ~conv & ~over
+        pick = np.zeros(err.size, dtype=bool)
+        starts = _starts(panels)
+        for runs, offs in _runs(panels):
+            runs = runs[go[runs]]
+            idx = starts[runs, None] + offs
+            order = np.argsort(err[idx], axis=1)[:, ::-1]
+            cum = np.cumsum(np.take_along_axis(err[idx], order, axis=1), axis=1)
+            n_keep = np.sum(cum < 0.95 * cum[:, -1:], axis=1) + 1
+            chosen = offs < n_keep[:, None]
+            pick[np.take_along_axis(idx, order, axis=1)[chosen]] = True
+        keep = np.repeat(go, 2 * counts - 1)
+        keep[at[left] + 1] &= pick
+        edges = split[keep]
+        counts = (counts + np.add.reduceat(pick.astype(np.intp), starts))[go]
+        rows, err_sum = rows[go], err_sum[go]
+    for r, e, k in zip(rows, err_sum, counts):
+        failed[r] = _budget_message(e, lo[r], hi[r], k)
+    values = np.zeros(n, dtype=np.result_type(float, *(v for _, v in done)))
+    for r, v in done:
+        values[r] = v
+    values[list(failed)] = np.nan
+    return values, failed
+
+
+def _mixed_batch():
+    """Lorentzian rows and two cos(400 y^2) rows that exceed the panel budget."""
+    shift = np.array([0.0, 1.3, -2.0, 0.4, 3.0, 0.0])
+    wiggle = np.array([False, False, True, False, False, True])
+    lo = np.array([-5.0, -1.0, -50.0, 2.0, -10.0, -20.0])
+    hi = np.array([5.0, 7.5, 50.0, 2.0, 10.0, 40.0])
+    bps = np.array([[-0.5, 0.5], [-0.5, np.nan], [np.nan, np.nan],
+                    [np.nan, np.nan], [0.5, 30.0], [0.0, 3.0]])
+    return _batch_integrand(shift, wiggle), lo, hi, bps
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+def test_carried_sums_equal_reevaluated_ones(rel_tol):
+    f, lo, hi, bps = _mixed_batch()
+    got, failed = adaptive_panels(f, lo, hi, bps, rel_tol)
+    want, want_failed = _reevaluating_panels(f, lo, hi, bps, rel_tol)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert failed == want_failed and set(failed) == {2, 5}
+    # a complex integrand, and a lone row
+    g = _alone(lambda y: np.exp(3j * y) / (1.0 + y * y))
+    for args in (([-40.0, 0.0], [40.0, 9.0], [[-1.0, 2.0], [1.0, np.nan]]),
+                 ([-40.0], [40.0], [[]])):
+        got, failed = adaptive_panels(g, *args, rel_tol)
+        want, want_failed = _reevaluating_panels(g, *args, rel_tol)
+        assert got.dtype == complex and np.array_equal(got, want)
+        assert failed == want_failed
+
+
+def _recorded_calls(monkeypatch, fvec, *args):
+    """Run adaptive_panels on fvec; return, per panel_sums call, its edges,
+    panels and the (rows, y) its integrand saw."""
+    seen, calls = [], []
+
+    def recording(y, rows):
+        seen.append((np.array(rows), np.array(y)))
+        return fvec(y, rows)
+
+    def spy(f, edges, order, panels=None):
+        out = panel_sums(f, edges, order, panels)
+        calls.append((edges, np.asarray(panels), *seen.pop()))
+        assert not seen
+        return out
+
+    monkeypatch.setattr(quadrature, "panel_sums", spy)
+    adaptive_panels(recording, *args)
+    return calls
+
+
+def test_no_node_is_evaluated_twice(monkeypatch):
+    # re-evaluating every live panel each round repeats nodes.  A joining panel
+    # is evaluated and dropped; one between two runs of a row spans the
+    # carried panels between them, so it may repeat nodes and is left out
+    f, lo, hi, bps = _mixed_batch()
+    kept = []       # (row, y) of every node whose panel sum is used
+    for edges, panels, rows, y in _recorded_calls(monkeypatch, f, lo, hi, bps, 1e-9):
+        used = np.ones(edges.size - 1, dtype=bool)
+        used[np.cumsum(panels + 1)[:-1] - 1] = False        # the joining panels
+        used = np.repeat(used, 8)
+        kept.extend(zip(rows[used].tolist(), y[used].tolist()))
+    assert len(kept) == len(set(kept)) > 0
+
+
+def test_panel_sums_node_count_is_the_number_of_nodes_evaluated(monkeypatch):
+    # perfbench reads (len(edges) - 1) * order nodes per panel_sums call:
+    # every panel of a ragged call, the joining ones included, is evaluated
+    f, lo, hi, bps = _mixed_batch()
+    calls = _recorded_calls(monkeypatch, f, lo, hi, bps, 1e-9)
+    assert len(calls) > 2 and any(panels.size > 1 for _, panels, _, _ in calls)
+    for edges, panels, rows, y in calls:
+        assert rows.size == y.size == (edges.size - 1) * 8
 
 
 @pytest.mark.parametrize("window", [None, 4.0, 40.0])
