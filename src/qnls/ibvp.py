@@ -49,6 +49,9 @@ class SolverConfig:
         if self.nx < 5:
             raise ValueError("nx must be at least 5 (the tridiagonal factorisation "
                              "needs 3 interior points)")
+        if self.nonlinearity_iters < 1:
+            raise ValueError("nonlinearity_iters must be at least 1 (with none, "
+                             "no step imposes the boundary datum)")
 
 
 @dataclass
@@ -159,11 +162,45 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     u[-1] = v[-1] = 0.0
 
     scale0 = u0.l2() + v0.l2() + f.sup() + g.sup()
-    trap = np.ones(nx)
-    trap[0] = trap[-1] = 0.5
+    # The loop's own t_next = n*dt + dt, and np.interp works point by point,
+    # so one call per run gives the values of one call per step.
+    t_next_all = np.arange(n_steps) * dt + dt
+    f_all, g_all = f(t_next_all), g(t_next_all)
+
+    # One step writes only into these buffers: the next state (its x = L
+    # entry stays 0), and per field the interior lin, mid and rhs terms.
+    u_new, v_new = np.zeros(nx, dtype=complex), np.zeros(nx, dtype=complex)
+    lin_u, lin_v, mid_u, mid_v, rhs_u, rhs_v = np.empty((6, nx - 2), dtype=complex)
+    dev = np.empty(nx - 2)
+    finite = np.empty(2 * (nx - 2), dtype=bool)
+    dens, dens_v = np.empty((2, nx))
+    idt = 1j * dt
 
     def mass(uu, vv):
-        return float(np.sum(trap * (np.abs(uu) ** 2 + np.abs(vv) ** 2)) * h)
+        # trapezoid rule: halving the end densities is exact, as is the
+        # product by 1 everywhere else
+        np.square(np.abs(uu, out=dens), out=dens)
+        np.add(dens, np.square(np.abs(vv, out=dens_v), out=dens_v), out=dens)
+        dens[0] *= 0.5
+        dens[-1] *= 0.5
+        return float(np.sum(dens) * h)
+
+    def cn_lin(w, theta, out):
+        # w[1:-1] + theta * (w[2:] - 2 * w[1:-1] + w[:-2]), into out
+        np.multiply(2, w[1:-1], out=out)
+        np.subtract(w[2:], out, out=out)
+        np.add(out, w[:-2], out=out)
+        np.multiply(theta, out, out=out)
+        np.add(w[1:-1], out, out=out)
+
+    def finite_rhs(rhs):
+        return np.isfinite(rhs.view(float), out=finite).all()
+
+    def sweep_gap(sol, prev, edge):
+        # max |w_new - w_prev| over the grid: the interior before the
+        # assignment, the datum at x = 0, and 0 at x = L; mid_u is spent
+        np.abs(np.subtract(sol, prev[1:-1], out=mid_u), out=dev)
+        return max(dev.max(), abs(edge - prev[0]))
 
     times = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
@@ -185,43 +222,46 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     for n in range(n_steps):
         t_now = n * dt
         t_next = t_now + dt
-        t_mid = t_now + 0.5 * dt
         if sources is not None:
-            F1_mid = sources[0](x, t_mid)
-            F2_mid = sources[1](x, t_mid)
-        else:
-            F1_mid = F2_mid = 0.0
-        f_next, g_next = f(t_next), g(t_next)
-        lin_u = u[1:-1] + theta_u * (u[2:] - 2 * u[1:-1] + u[:-2])
-        lin_v = v[1:-1] + theta_v * (v[2:] - 2 * v[1:-1] + v[:-2])
+            t_mid = t_now + 0.5 * dt
+            F1_mid = sources[0](x, t_mid)[1:-1]
+            F2_mid = sources[1](x, t_mid)[1:-1]
+        f_next, g_next = f_all[n], g_all[n]
+        cn_lin(u, theta_u, lin_u)
+        cn_lin(v, theta_v, lin_v)
 
-        u_new, v_new = u.copy(), v.copy()
-        gap_first = gap = None
+        # the first sweep's iterate is the current state itself
+        prev_u, prev_v = u, v
+        gap_first = None
         for sweep in range(cfg.nonlinearity_iters):
-            u_mid = 0.5 * (u + u_new)
-            v_mid = 0.5 * (v + v_new)
-            n1 = np.conj(u_mid) * v_mid - F1_mid
-            n2 = u_mid * u_mid - F2_mid
-            rhs_u = lin_u + 1j * dt * n1[1:-1]
-            rhs_v = lin_v + 1j * dt * n2[1:-1]
+            np.multiply(0.5, np.add(u[1:-1], prev_u[1:-1], out=mid_u), out=mid_u)
+            np.multiply(0.5, np.add(v[1:-1], prev_v[1:-1], out=mid_v), out=mid_v)
+            np.multiply(np.conj(mid_u, out=rhs_u), mid_v, out=rhs_u)
+            np.multiply(mid_u, mid_u, out=rhs_v)
+            if sources is not None:
+                np.subtract(rhs_u, F1_mid, out=rhs_u)
+                np.subtract(rhs_v, F2_mid, out=rhs_v)
+            np.add(lin_u, np.multiply(idt, rhs_u, out=rhs_u), out=rhs_u)
+            np.add(lin_v, np.multiply(idt, rhs_v, out=rhs_v), out=rhs_v)
             rhs_u[0] += theta_u * f_next
             rhs_v[0] += theta_v * g_next
-            if not (np.isfinite(rhs_u.view(float)).all()
-                    and np.isfinite(rhs_v.view(float)).all()):
+            if not (finite_rhs(rhs_u) and finite_rhs(rhs_v)):
                 raise BlowUpDetected(
                     f"non-finite right-hand side in the step to t={t_next:.4g}")
-            prev_u, prev_v = u_new.copy(), v_new.copy()
-            u_new[1:-1], v_new[1:-1] = solve_u(rhs_u), solve_v(rhs_v)
+            sol_u, sol_v = solve_u(rhs_u), solve_v(rhs_v)
+            gap = float(sweep_gap(sol_u, prev_u, f_next)
+                        + sweep_gap(sol_v, prev_v, g_next))
+            u_new[1:-1], v_new[1:-1] = sol_u, sol_v
             u_new[0], v_new[0] = f_next, g_next
-            u_new[-1] = v_new[-1] = 0.0
-            gap = float(np.max(np.abs(u_new - prev_u)) + np.max(np.abs(v_new - prev_v)))
+            prev_u, prev_v = u_new, v_new
             if gap_first is None:
                 gap_first = gap
-        if gap_first is not None and gap > 10.0 * gap_first and gap > 1e-10 * max(scale0, 1e-300):
+        if gap > 10.0 * gap_first and gap > 1e-10 * max(scale0, 1e-300):
             raise NonConvergentNonlinearIteration(
                 f"fixed-point gap grew from {gap_first:.3g} to {gap:.3g} at t={t_now:.4g}")
 
-        u, v = u_new, v_new
+        u, u_new = u_new, u
+        v, v_new = v_new, v
         m_now = mass(u, v)
         if not np.isfinite(m_now) or math.sqrt(m_now) > 1e6 * max(scale0, 1e-30):
             raise BlowUpDetected(f"norm exceeded 1e6 x initial scale at t={t_next:.4g}")

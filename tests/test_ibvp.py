@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from qnls import cli
 from qnls.errors import (BlowUpDetected, CompatibilityViolation, EmptyLedger,
                          NonConvergentNonlinearIteration)
 from qnls.grids import GridFunction, TimeSeries
@@ -22,6 +23,14 @@ def gaussian_data(L=24.0, nx=513):
     u0 = GridFunction(0.0, h, gaussian(x, center=8.0, width=1.0))
     v0 = GridFunction(0.0, h, gaussian(x, center=10.0, width=1.5, amplitude=0.7))
     return u0, v0
+
+
+@pytest.mark.parametrize("iters", [0, -1])
+def test_config_rejects_fewer_than_one_sweep(iters):
+    # with no sweep every step returned u unchanged: no boundary datum, and a
+    # ledger of perfect mass conservation
+    with pytest.raises(ValueError, match="nonlinearity_iters must be at least 1"):
+        SolverConfig(L=24.0, nx=241, dt=4e-3, T=0.5, a=0.8, nonlinearity_iters=iters)
 
 
 def test_zero_data_zero_trajectory():
@@ -156,8 +165,7 @@ def test_nonconvergent_iteration_guard():
         simulate(cfg, big, big, zero_series(), zero_series())
 
 
-def test_non_finite_source_raises_blow_up_with_time():
-    # a NaN from a user source reached scipy's bare ValueError before
+def _non_finite_source_run(nan_field):
     L, nx = 10.0, 65
     x = np.linspace(0, L, nx)
     h = x[1] - x[0]
@@ -166,9 +174,19 @@ def test_non_finite_source_raises_blow_up_with_time():
     nan_src = lambda xx, tt: np.full_like(xx, np.nan if tt > 0.03 else 0.0,
                                           dtype=complex)
     cfg = SolverConfig(L=L, nx=nx, dt=0.01, T=0.1, a=1.0)
+    sources = [zero_src, zero_src]
+    sources[nan_field] = nan_src
     with pytest.raises(BlowUpDetected, match="non-finite right-hand side .* t=0.04"):
-        simulate(cfg, u0, u0, zero_series(), zero_series(),
-                 sources=(nan_src, zero_src))
+        simulate(cfg, u0, u0, zero_series(), zero_series(), sources=tuple(sources))
+
+
+def test_non_finite_source_raises_blow_up_with_time():
+    # a NaN from a user source reached scipy's bare ValueError before
+    _non_finite_source_run(0)
+
+
+def test_non_finite_v_source_raises_blow_up_with_time():
+    _non_finite_source_run(1)
 
 
 # --- the factored Cayley solve against scipy.linalg.solve_banded ---
@@ -201,8 +219,9 @@ def test_factored_solve_matches_solve_banded_bitwise(L, nx, dt, a):
         np.testing.assert_array_equal(solve(b.copy()), expected)
 
 
-def _parent_simulate(cfg, u0, v0, f, g, sources=None):
-    """The stepper as it was with one solve_banded call per sweep and field."""
+def _parent_simulate(cfg, u0, v0, f, g, sources=None, snapshot_stride=1):
+    """The stepper as it was: one solve_banded call per sweep and field, the
+    boundary data read per step, and the fixed-point gap taken from copies."""
     nx = cfg.nx
     h = cfg.L / (nx - 1)
     x = h * np.arange(nx)
@@ -215,6 +234,7 @@ def _parent_simulate(cfg, u0, v0, f, g, sources=None):
     v = np.interp(x, v0.x, v0.samples.real) + 1j * np.interp(x, v0.x, v0.samples.imag)
     u[0], v[0] = f(0.0), g(0.0)
     u[-1] = v[-1] = 0.0
+    scale0 = u0.l2() + v0.l2() + f.sup() + g.sup()
     trap = np.ones(nx)
     trap[0] = trap[-1] = 0.5
 
@@ -225,7 +245,8 @@ def _parent_simulate(cfg, u0, v0, f, g, sources=None):
         return (2.0 * np.imag(np.conj(uu[0]) * _boundary_deriv(uu, h)),
                 2.0 * np.imag(np.conj(vv[0]) * _boundary_deriv(vv, h)))
 
-    masses, flux_u, flux_v, snaps = [mass(u, v)], [0.0], [0.0], [(u.copy(), v.copy())]
+    times, masses, flux_u, flux_v = [0.0], [mass(u, v)], [0.0], [0.0]
+    snaps = [(0.0, u.copy(), v.copy())]
     phi_u_prev, phi_v_prev = flux_density(u, v)
     for n in range(n_steps):
         t_next = n * dt + dt
@@ -237,6 +258,7 @@ def _parent_simulate(cfg, u0, v0, f, g, sources=None):
         lin_u = u + theta_u * (np.roll(u, -1) - 2 * u + np.roll(u, 1))
         lin_v = v + theta_v * (np.roll(v, -1) - 2 * v + np.roll(v, 1))
         u_new, v_new = u.copy(), v.copy()
+        gap_first = None
         for sweep in range(cfg.nonlinearity_iters):
             u_mid = 0.5 * (u + u_new)
             v_mid = 0.5 * (v + v_new)
@@ -244,33 +266,43 @@ def _parent_simulate(cfg, u0, v0, f, g, sources=None):
             rhs_v = (lin_v + 1j * dt * (u_mid * u_mid - F2_mid))[1:-1]
             rhs_u[0] += theta_u * f(t_next)
             rhs_v[0] += theta_v * g(t_next)
+            prev_u, prev_v = u_new.copy(), v_new.copy()
             u_new[1:-1] = solve_banded((1, 1), ab_u, rhs_u)
             v_new[1:-1] = solve_banded((1, 1), ab_v, rhs_v)
             u_new[0], v_new[0] = f(t_next), g(t_next)
             u_new[-1] = v_new[-1] = 0.0
+            gap = float(np.max(np.abs(u_new - prev_u)) + np.max(np.abs(v_new - prev_v)))
+            if gap_first is None:
+                gap_first = gap
+        if gap > 10.0 * gap_first and gap > 1e-10 * max(scale0, 1e-300):
+            raise NonConvergentNonlinearIteration(
+                f"fixed-point gap grew from {gap_first:.3g} to {gap:.3g} at t={n * dt:.4g}")
         u, v = u_new, v_new
         phi_u, phi_v = flux_density(u, v)
+        times.append(t_next)
         masses.append(mass(u, v))
         flux_u.append(flux_u[-1] + 0.5 * dt * (phi_u_prev + phi_u))
         flux_v.append(flux_v[-1] + 0.5 * dt * (phi_v_prev + phi_v))
         phi_u_prev, phi_v_prev = phi_u, phi_v
-        snaps.append((u.copy(), v.copy()))
-    masses, flux_u, flux_v = map(np.array, (masses, flux_u, flux_v))
+        if (n + 1) % snapshot_stride == 0 or n + 1 == n_steps:
+            snaps.append((t_next, u.copy(), v.copy()))
+    times, masses, flux_u, flux_v = map(np.array, (times, masses, flux_u, flux_v))
     residual = masses - masses[0] - flux_u - cfg.a * flux_v
-    return snaps, masses, flux_u, flux_v, residual
+    return snaps, times, masses, flux_u, flux_v, residual
 
 
-def _assert_matches_parent(cfg, u0, v0, f, g, sources=None):
-    states, ledger = simulate(cfg, u0, v0, f, g, sources=sources)
-    snaps, masses, flux_u, flux_v, residual = _parent_simulate(cfg, u0, v0, f, g, sources)
+def _assert_matches_parent(cfg, u0, v0, f, g, sources=None, snapshot_stride=1):
+    states, ledger = simulate(cfg, u0, v0, f, g, sources=sources,
+                              snapshot_stride=snapshot_stride)
+    snaps, *columns = _parent_simulate(cfg, u0, v0, f, g, sources, snapshot_stride)
     assert len(states) == len(snaps)
-    for st, (u, v) in zip(states, snaps):
+    for st, (t, u, v) in zip(states, snaps):
+        assert st.t == t
         np.testing.assert_array_equal(st.u.samples, u)
         np.testing.assert_array_equal(st.v.samples, v)
-    np.testing.assert_array_equal(ledger.mass, masses)
-    np.testing.assert_array_equal(ledger.flux_u, flux_u)
-    np.testing.assert_array_equal(ledger.flux_v, flux_v)
-    np.testing.assert_array_equal(ledger.residual, residual)
+    for got, want in zip((ledger.times, ledger.mass, ledger.flux_u, ledger.flux_v,
+                          ledger.residual), columns):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_simulate_matches_parent_stepper_bump_boundary():
@@ -297,6 +329,57 @@ def test_simulate_matches_parent_stepper_manufactured_sources():
     _assert_matches_parent(cfg, GridFunction(0.0, h, man["u"](x, 0.0)),
                            GridFunction(0.0, h, man["v"](x, 0.0)), f, g,
                            sources=(man["F1"], man["F2"]))
+
+
+def _bump_pair(dt, T, t_lo, t_hi):
+    """Bump data on [t_lo, t_hi] (f) and inside it (g), sampled every dt."""
+    tg = dt * np.arange(int(round(T / dt)) + 1)
+    return (TimeSeries(0.0, dt, 0.3 * smooth_bump(tg, t_lo, t_hi)),
+            TimeSeries(0.0, dt, 0.2j * smooth_bump(tg, t_lo + 0.2 * (t_hi - t_lo),
+                                                   t_hi - 0.2 * (t_hi - t_lo))))
+
+
+def _oracle_case(name):
+    if name == "lab-grid":
+        # `lab`'s simulate grid for 20 steps, with cli's stock data and bump
+        u0, v0 = cli._gaussian_pair(24.0, 4097)
+        f, g = cli._boundary_pair("bump", 5e-4, 0.01)
+        return SolverConfig(L=24.0, nx=4097, dt=5e-4, T=0.01, a=1.0), u0, v0, f, g, 1
+    if name == "contraction-stepper":
+        # T/dt = 102.4: the final snapshot falls off the stride of 8
+        x = np.linspace(0.0, 20.0, 129)
+        u0 = GridFunction(0.0, x[1], gaussian(x, 5.0, 1.0, cli.CONTRACTION_AMP_U))
+        v0 = GridFunction(0.0, x[1], gaussian(x, 7.0, 1.2, cli.CONTRACTION_AMP_V))
+        cfg = SolverConfig(L=20.0, nx=129, dt=0.5 / 64 / 8, T=0.1, a=1.0)
+        return cfg, u0, v0, zero_series(), zero_series(), 8
+    u0, v0 = cli._gaussian_pair(24.0, 241)
+    if name == "one-sweep":
+        f, g = _bump_pair(4e-3, 0.2, 0.02, 0.18)
+        cfg = SolverConfig(L=24.0, nx=241, dt=4e-3, T=0.2, a=0.8, nonlinearity_iters=1)
+        return cfg, u0, v0, f, g, 5
+    # off-grid-datum: sampled every 3e-3, read at the stepper's multiples of 2e-3
+    f, g = _bump_pair(3e-3, 0.3, 0.03, 0.27)
+    return SolverConfig(L=24.0, nx=241, dt=2e-3, T=0.3, a=2.0), u0, v0, f, g, 7
+
+
+@pytest.mark.parametrize("name", ["lab-grid", "contraction-stepper", "one-sweep",
+                                  "off-grid-datum"])
+def test_simulate_matches_parent_stepper(name):
+    cfg, u0, v0, f, g, stride = _oracle_case(name)
+    _assert_matches_parent(cfg, u0, v0, f, g, snapshot_stride=stride)
+
+
+def test_nonconvergent_guard_message_matches_parent_stepper():
+    L, nx = 10.0, 65
+    x = np.linspace(0, L, nx)
+    big = GridFunction(0.0, x[1], 20.0 * gaussian(x, center=5.0, width=1.0))
+    cfg = SolverConfig(L=L, nx=nx, dt=0.05, T=0.5, a=1.0)
+    with pytest.raises(NonConvergentNonlinearIteration) as want:
+        _parent_simulate(cfg, big, big, zero_series(), zero_series())
+    with pytest.raises(NonConvergentNonlinearIteration) as got:
+        simulate(cfg, big, big, zero_series(), zero_series())
+    assert str(got.value) == str(want.value)
+    assert str(want.value) == "fixed-point gap grew from 7.69e+03 to 3.72e+05 at t=0.15"
 
 
 def test_empty_ledger():
