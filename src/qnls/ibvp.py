@@ -40,6 +40,10 @@ class SolverConfig:
     nonlinearity_iters: int = 2
 
     def __post_init__(self):
+        for name in ("nx", "nonlinearity_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.L, self.nx, self.dt, self.T, self.a) <= 0:
             raise ValueError("L, nx, dt, T, a must be positive")
         if self.dt > min(0.1, self.T):
@@ -238,11 +242,19 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
             np.multiply(0.5, np.add(v[1:-1], prev_v[1:-1], out=mid_v), out=mid_v)
             np.multiply(np.conj(mid_u, out=rhs_u), mid_v, out=rhs_u)
             np.multiply(mid_u, mid_u, out=rhs_v)
-            if sources is not None:
+            if sources is None:
+                np.multiply(idt, rhs_u, out=rhs_u)
+                np.multiply(idt, rhs_v, out=rhs_v)
+            else:
                 np.subtract(rhs_u, F1_mid, out=rhs_u)
                 np.subtract(rhs_v, F2_mid, out=rhs_v)
-            np.add(lin_u, np.multiply(idt, rhs_u, out=rhs_u), out=rhs_u)
-            np.add(lin_v, np.multiply(idt, rhs_v, out=rhs_v), out=rhs_v)
+                # an inf source makes the product by i*dt invalid (0 * inf);
+                # finite_rhs reports it below
+                with np.errstate(invalid="ignore"):
+                    np.multiply(idt, rhs_u, out=rhs_u)
+                    np.multiply(idt, rhs_v, out=rhs_v)
+            np.add(lin_u, rhs_u, out=rhs_u)
+            np.add(lin_v, rhs_v, out=rhs_v)
             rhs_u[0] += theta_u * f_next
             rhs_v[0] += theta_v * g_next
             if not (finite_rhs(rhs_u) and finite_rhs(rhs_v)):

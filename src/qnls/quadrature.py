@@ -12,11 +12,15 @@ NaN, and each round evaluates the new panels of every unfinished row at
 once.  Each live panel carries its coarse sum and its two half sums from
 round to round, and a bisected panel's half sums are its children's coarse
 sums, so a round evaluates only the halves of the panels it just made.
-`panel_sums` reduces each panel alone, so a carried sum equals a recomputed
-one bit for bit.  Converged rows retire after each round.  Each row makes
-the refinement decisions it would make alone and gets its value bit for
-bit, so a single integral is a batch of one.  A row that does not converge
-is a failure, never a value: its value is NaN and its message is returned.
+Apart from the integrand calls, a round is a fixed number of whole-array
+steps over the ragged table, whatever the rows' panel counts: each row's
+sum and error are one segmented reduction over the row starts, and the
+bisection pick (`_pick`) ranks every live panel at once.  `panel_sums`
+reduces each panel alone, so a carried sum equals a recomputed one bit
+for bit.  Converged rows retire after each round.  Each row makes the
+refinement decisions it would make alone and gets its value bit for bit,
+so a single integral is a batch of one.  A row that does not converge is
+a failure, never a value: its value is NaN and its message is returned.
 """
 
 from __future__ import annotations
@@ -41,20 +45,30 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def _runs(counts: np.ndarray):
-    """Runs of a flat array grouped by length: (run numbers, arange(n)) per n."""
-    for n in np.unique(counts):
-        yield np.flatnonzero(counts == n), np.arange(n)
+def _pick(err: np.ndarray, panels: np.ndarray):
+    """Mark the panels holding the top 95 % of each row's error.
 
+    err holds the panel errors of len(panels) rows one after another, row r
+    with panels[r] of them.  A row ranks its panels by error, the larger
+    first; among equal errors the higher panel index comes first, and a NaN
+    error ranks above every number.  The ranked prefix whose running sum
+    stays below 95 % of the ranked total is picked, plus one panel.  The
+    rows are padded to one table, so each running sum is the row's own.
 
-def _run_sums(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.sum of each run of counts[r] values.  Runs of one length are
-    reduced together along axis 1, which rounds as np.sum of each alone."""
-    out = np.empty(counts.size, dtype=vals.dtype)
-    starts = _starts(counts)
-    for runs, offs in _runs(counts):
-        out[runs] = vals[starts[runs, None] + offs].sum(axis=1)
-    return out
+    Returns (pick, n_picked): the flat mask and each row's count of picks.
+    """
+    row_of = np.repeat(np.arange(panels.size), panels)
+    starts = _starts(panels)
+    table = np.full((panels.size, panels.max(initial=0)), -np.inf)
+    table[row_of, np.arange(err.size) - starts[row_of]] = err
+    # a stable ascending sort, reversed: the tie and NaN rule above, and
+    # the -inf padding last, where it adds nothing to the running sum
+    rank = np.argsort(table, axis=1, kind="stable")[:, ::-1]
+    cum = np.cumsum(np.maximum(np.take_along_axis(table, rank, axis=1), 0.0), axis=1)
+    n_keep = np.sum(cum < 0.95 * cum[:, -1:], axis=1) + 1
+    pick = np.zeros(err.size, dtype=bool)
+    pick[(starts[:, None] + rank)[np.arange(rank.shape[1]) < n_keep[:, None]]] = True
+    return pick, n_keep
 
 
 def panel_sums(fvec, edges: np.ndarray, order: int, panels=None) -> np.ndarray:
@@ -146,8 +160,9 @@ def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
         halves[todo] = _half_sums(fvec, rows, split, at[left], panels, todo)
         fine_per_panel = halves[:, 0] + halves[:, 1]
         err = np.abs(fine_per_panel - coarse)
-        total = _run_sums(fine_per_panel, panels)
-        err_sum = _run_sums(err, panels)
+        starts = _starts(panels)
+        total = np.add.reduceat(fine_per_panel, starts)
+        err_sum = np.add.reduceat(err, starts)
         conv = err_sum <= rel_tol * np.abs(total)
         done.append((rows[conv], total[conv]))
         over = ~conv & (counts > MAX_PANELS)
@@ -156,27 +171,20 @@ def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
                                               counts[i])
         go = ~conv & ~over
         # bisect, per row, the panels holding the top share of the error
+        live = np.repeat(go, panels)
+        picked, n_picked = _pick(err[live], panels[go])
         pick = np.zeros(err.size, dtype=bool)
-        starts = _starts(panels)
-        for runs, offs in _runs(panels):
-            runs = runs[go[runs]]
-            idx = starts[runs, None] + offs
-            order = np.argsort(err[idx], axis=1)[:, ::-1]
-            cum = np.cumsum(np.take_along_axis(err[idx], order, axis=1), axis=1)
-            n_keep = np.sum(cum < 0.95 * cum[:, -1:], axis=1) + 1
-            chosen = offs < n_keep[:, None]
-            pick[np.take_along_axis(idx, order, axis=1)[chosen]] = True
+        pick[live] = picked
         keep = np.repeat(go, 2 * counts - 1)
         keep[at[left] + 1] &= pick
         edges = split[keep]
-        counts = (counts + np.add.reduceat(pick.astype(np.intp), starts))[go]
+        counts = counts[go] + n_picked
         rows, err_sum = rows[go], err_sum[go]
         # an unpicked panel carries its sums; a picked one's half sums become
         # its two children's coarse sums, and the children's halves are todo
-        live = np.repeat(go, panels)
-        n_new = 1 + pick[live]
+        n_new = 1 + picked
         src = np.repeat(np.flatnonzero(live), n_new)
-        todo = np.repeat(pick[live], n_new)
+        todo = np.repeat(picked, n_new)
         right = np.r_[False, src[1:] == src[:-1]]
         coarse = np.where(todo, halves[src, right.astype(np.intp)], coarse[src])
         halves = halves[src]

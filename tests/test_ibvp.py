@@ -25,6 +25,26 @@ def gaussian_data(L=24.0, nx=513):
     return u0, v0
 
 
+@pytest.mark.parametrize("field, value", [("nx", 65.0), ("nx", True),
+                                          ("nonlinearity_iters", 2.5),
+                                          ("nonlinearity_iters", "2")])
+def test_config_rejects_non_integral_counts(field, value):
+    # a float nx or sweep count reached numpy's bare TypeError in simulate
+    kwargs = dict(L=10.0, nx=65, dt=0.01, T=0.1, a=1.0, nonlinearity_iters=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = SolverConfig(L=10.0, nx=np.int64(65), dt=0.01, T=0.1, a=1.0,
+                       nonlinearity_iters=np.int32(2))
+    x = np.linspace(0, 10, 65)
+    zero_gf = GridFunction(0.0, x[1] - x[0], np.zeros(65))
+    states, _ = simulate(cfg, zero_gf, zero_gf, zero_series(), zero_series())
+    assert states[-1].u.samples.size == 65
+
+
 @pytest.mark.parametrize("iters", [0, -1])
 def test_config_rejects_fewer_than_one_sweep(iters):
     # with no sweep every step returned u unchanged: no boundary datum, and a
@@ -165,17 +185,16 @@ def test_nonconvergent_iteration_guard():
         simulate(cfg, big, big, zero_series(), zero_series())
 
 
-def _non_finite_source_run(nan_field):
+def _non_finite_source_run(bad_field, bad=np.nan):
     L, nx = 10.0, 65
     x = np.linspace(0, L, nx)
     h = x[1] - x[0]
     u0 = GridFunction(0.0, h, gaussian(x, center=5.0, width=1.0))
     zero_src = lambda xx, tt: np.zeros_like(xx, dtype=complex)
-    nan_src = lambda xx, tt: np.full_like(xx, np.nan if tt > 0.03 else 0.0,
-                                          dtype=complex)
+    bad_src = lambda xx, tt: np.full_like(xx, bad if tt > 0.03 else 0.0, dtype=complex)
     cfg = SolverConfig(L=L, nx=nx, dt=0.01, T=0.1, a=1.0)
     sources = [zero_src, zero_src]
-    sources[nan_field] = nan_src
+    sources[bad_field] = bad_src
     with pytest.raises(BlowUpDetected, match="non-finite right-hand side .* t=0.04"):
         simulate(cfg, u0, u0, zero_series(), zero_series(), sources=tuple(sources))
 
@@ -187,6 +206,13 @@ def test_non_finite_source_raises_blow_up_with_time():
 
 def test_non_finite_v_source_raises_blow_up_with_time():
     _non_finite_source_run(1)
+
+
+@pytest.mark.parametrize("field", [0, 1])
+def test_inf_source_raises_blow_up_without_a_warning(field):
+    # the product of inf by i*dt was invalid (0 * inf), and numpy's
+    # RuntimeWarning escaped before the guard raised
+    _non_finite_source_run(field, np.inf)
 
 
 # --- the factored Cayley solve against scipy.linalg.solve_banded ---

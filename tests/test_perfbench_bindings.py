@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -71,15 +73,18 @@ def _traced_benchmark_is_correct(workload):
     assert last["correct"] is True, proc.stdout[-2000:]
 
 
+@pytest.mark.perfbench
 def test_traced_contraction_benchmark_matches_reference():
     _traced_benchmark_is_correct("contraction")
 
 
+@pytest.mark.perfbench
 def test_traced_lab_benchmark_matches_reference():
     # simulate and mass-track are held to rounding level (rtol 1e-9)
     _traced_benchmark_is_correct("lab")
 
 
+@pytest.mark.perfbench
 def test_traced_jsweep_benchmark_matches_reference():
     # the traced pass also fails (exit 3) when a quadrature function the
     # benchmark counts, e.g. panel_sums, is bypassed and reads zero calls

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnls import quadrature
-from qnls.quadrature import (MAX_PANELS, MAX_ROUNDS, _budget_message, _on, _run_sums, _runs,
-                             _starts, adaptive_panels, integrate_with_tail, panel_sums,
-                             tail_probe)
+from qnls.quadrature import (MAX_PANELS, MAX_ROUNDS, _budget_message, _on, _pick, _starts,
+                             adaptive_panels, integrate_with_tail, panel_sums, tail_probe)
 
 
 def test_panel_sums_exact_on_degree_15_polynomial():
@@ -129,8 +128,9 @@ def _reevaluating_panels(fvec, lo, hi, breakpoints, rel_tol):
         fine = panel_sums(g, split, 8, 2 * panels)
         fine_per_panel = fine[0::2] + fine[1::2]
         err = np.abs(fine_per_panel - coarse)
-        total = _run_sums(fine_per_panel, panels)
-        err_sum = _run_sums(err, panels)
+        starts = _starts(panels)
+        total = np.add.reduceat(fine_per_panel, starts)
+        err_sum = np.add.reduceat(err, starts)
         conv = err_sum <= rel_tol * np.abs(total)
         done.append((rows[conv], total[conv]))
         over = ~conv & (counts > MAX_PANELS)
@@ -138,16 +138,9 @@ def _reevaluating_panels(fvec, lo, hi, breakpoints, rel_tol):
             failed[rows[i]] = _budget_message(err_sum[i], lo[rows[i]], hi[rows[i]],
                                               counts[i])
         go = ~conv & ~over
+        live = np.repeat(go, panels)
         pick = np.zeros(err.size, dtype=bool)
-        starts = _starts(panels)
-        for runs, offs in _runs(panels):
-            runs = runs[go[runs]]
-            idx = starts[runs, None] + offs
-            order = np.argsort(err[idx], axis=1)[:, ::-1]
-            cum = np.cumsum(np.take_along_axis(err[idx], order, axis=1), axis=1)
-            n_keep = np.sum(cum < 0.95 * cum[:, -1:], axis=1) + 1
-            chosen = offs < n_keep[:, None]
-            pick[np.take_along_axis(idx, order, axis=1)[chosen]] = True
+        pick[live] = _pick(err[live], panels[go])[0]
         keep = np.repeat(go, 2 * counts - 1)
         keep[at[left] + 1] &= pick
         edges = split[keep]
@@ -188,6 +181,65 @@ def test_carried_sums_equal_reevaluated_ones(rel_tol):
         want, want_failed = _reevaluating_panels(g, *args, rel_tol)
         assert got.dtype == complex and np.array_equal(got, want)
         assert failed == want_failed
+
+
+def _reference_pick(rows):
+    """The bisection pick, row by row in plain Python: rank a row's panels by
+    error, the larger first and the higher index first among equal errors,
+    and keep the prefix whose running sum stays below 95 % of the row's
+    ranked sum, plus one panel."""
+    pick = []
+    for row in rows:
+        ranked = sorted(range(len(row)), key=lambda i: (-row[i], -i))
+        total = 0.0
+        for i in ranked:
+            total += row[i]
+        chosen, running = set(), 0.0
+        for i in ranked:
+            chosen.add(i)
+            running += row[i]
+            if not running < 0.95 * total:
+                break
+        pick.extend(i in chosen for i in range(len(row)))
+    return np.array(pick, dtype=bool)
+
+
+def _engine_pick(rows):
+    sizes = [len(r) for r in rows]
+    pick, n_picked = _pick(np.concatenate(rows).astype(float), np.array(sizes))
+    assert np.array_equal(n_picked, [p.sum() for p in np.split(pick, np.cumsum(sizes)[:-1])])
+    return pick
+
+
+def test_pick_matches_the_reference_rule():
+    a, b = 0.00098789, 0.01351327
+    long_row = np.full(21, 0.01)
+    long_row[[0, 2, 3, 5, 7, 8, 9, 11, 12, 14, 15, 17, 18, 19, 20]] = 1.0
+    long_row[10] = 10.0
+    rows = [[0.0, a, b, 0.0, 0.0, b, a, 0.0],        # mirrored equal errors
+            [0.1, 0.2, 0.3, 0.3, 0.2, 0.1],
+            [0.7],
+            [0.0, 0.0, 0.0],                          # no error: one panel
+            list(long_row)]
+    got = _engine_pick(rows)
+    assert np.array_equal(got, _reference_pick(rows))
+    # the 95 % cut falls inside the run of fifteen equal errors: 10 and the
+    # fourteen of them with the highest panel indices are picked
+    long_pick = got[-21:]
+    assert long_pick.sum() == 15 and not long_pick[0]
+    assert np.array_equal(got[:8], [False, False, True, False, False, True, True, False])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0, 2.0]),
+                         min_size=1, max_size=40), min_size=1, max_size=6))
+def test_pick_matches_the_reference_rule_on_tied_rows(rows):
+    assert np.array_equal(_engine_pick(rows), _reference_pick(rows))
+
+
+def test_pick_ranks_a_nan_error_first():
+    assert np.array_equal(_engine_pick([[1.0, np.nan, 2.0], [3.0, 0.1]]),
+                          [False, True, False, True, False])
 
 
 def _recorded_calls(monkeypatch, fvec, *args):
