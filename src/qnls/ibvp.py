@@ -242,17 +242,14 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
             np.multiply(0.5, np.add(v[1:-1], prev_v[1:-1], out=mid_v), out=mid_v)
             np.multiply(np.conj(mid_u, out=rhs_u), mid_v, out=rhs_u)
             np.multiply(mid_u, mid_u, out=rhs_v)
-            if sources is None:
-                np.multiply(idt, rhs_u, out=rhs_u)
-                np.multiply(idt, rhs_v, out=rhs_v)
-            else:
+            if sources is not None:
                 np.subtract(rhs_u, F1_mid, out=rhs_u)
                 np.subtract(rhs_v, F2_mid, out=rhs_v)
-                # an inf source makes the product by i*dt invalid (0 * inf);
-                # finite_rhs reports it below
-                with np.errstate(invalid="ignore"):
-                    np.multiply(idt, rhs_u, out=rhs_u)
-                    np.multiply(idt, rhs_v, out=rhs_v)
+            # an inf entry makes the product by i*dt invalid (0 * inf);
+            # finite_rhs reports it below
+            with np.errstate(invalid="ignore"):
+                np.multiply(idt, rhs_u, out=rhs_u)
+                np.multiply(idt, rhs_v, out=rhs_v)
             np.add(lin_u, rhs_u, out=rhs_u)
             np.add(lin_v, rhs_v, out=rhs_v)
             rhs_u[0] += theta_u * f_next

@@ -54,6 +54,10 @@ def _pick(err: np.ndarray, panels: np.ndarray):
     error ranks above every number.  The ranked prefix whose running sum
     stays below 95 % of the ranked total is picked, plus one panel.  The
     rows are padded to one table, so each running sum is the row's own.
+    A call costs rows x max(panels) in time and memory, not the live panel
+    count: one long row among many short ones pads them all to its length.
+    MAX_PANELS bounds that length; the J sweeps keep the pad small (see
+    test_pick_padding_stays_small_in_a_j_sweep).
 
     Returns (pick, n_picked): the flat mask and each row's count of picks.
     """

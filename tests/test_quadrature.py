@@ -242,6 +242,25 @@ def test_pick_ranks_a_nan_error_first():
                           [False, True, False, True, False])
 
 
+def test_pick_padding_stays_small_in_a_j_sweep(monkeypatch):
+    # _pick pads every live row to the longest one; a J sweep's rows grow
+    # together, so the padded table stays near the live panel count
+    from qnls import bilinear
+    seen = []
+
+    def recording(err, panels):
+        seen.append((panels.size * panels.max(initial=0), panels.sum()))
+        return _pick(err, panels)
+
+    monkeypatch.setattr(quadrature, "_pick", recording)
+    p = bilinear.EstimateParams(a=0.5, b=0.4, d=0.4, kappa=0.4, s=0.0)
+    bilinear.j_sup_sweep("J1", p, (10.0, 20.0, 40.0), n_base=5)
+    cells, live = np.array([s for s in seen if s[1] > 0]).T
+    assert len(live) > 10
+    assert cells.sum() <= 1.5 * live.sum()      # 1.23 when written
+    assert np.all(cells <= 2.0 * live)          # at most 1.48 per round
+
+
 def _recorded_calls(monkeypatch, fvec, *args):
     """Run adaptive_panels on fvec; return, per panel_sums call, its edges,
     panels and the (rows, y) its integrand saw."""
