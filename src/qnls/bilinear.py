@@ -32,7 +32,7 @@ ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
 #: relative tolerance of every J evaluation in a boundedness sweep
 SWEEP_REL_TOL = 3e-4
 #: a sweep's argmax is the first base point within this relative distance of
-#: the sup, so maxima equal up to rounding (J1 is symmetric in xi) tie
+#: the sup, so maxima equal up to rounding tie
 ARGMAX_REL_TOL = 1e-12
 
 
@@ -520,6 +520,12 @@ def _peak_anchors(index: str, p: EstimateParams, x: float) -> list[float]:
     return out
 
 
+def _fold(points):
+    """Base points (xi, tau) mapped to (-|xi|, tau); xi = 0 keeps its sign."""
+    return np.column_stack([np.where(points[:, 0] > 0, -points[:, 0], points[:, 0]),
+                            points[:, 1]])
+
+
 def j_sup_sweep(index: str, p: EstimateParams, radii,
                 n_base: int = 9) -> list[dict]:
     """Sup of a J integral over base grids of growing radius.
@@ -533,9 +539,17 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
     than a property of the integral.  Each J
     is evaluated to convergence when its tail decays; a divergent integrand
     falls back to the frequency window |y| <= R, so negative controls
-    report finite, R-growing surrogates instead of failing.  The unwindowed J
-    does not depend on R, so each distinct base point is evaluated once, in
-    one batch for all radii.
+    report finite, R-growing surrogates instead of failing.
+
+    Every J is even in xi: the dispersion relations tau = -xi^2 and
+    tau = -a xi^2 are, and the regions and weights see the frequencies only
+    through squares and absolute values of linear forms.  So each base point
+    is folded onto xi <= 0, the side scanned first, and a grid point reads
+    the value of its folded point.  The unwindowed J does not depend on R
+    either, so each distinct folded point is evaluated once, in one batch
+    for all radii; the windowed fall-back of a radius evaluates its distinct
+    folded points once.  The argmax is still a point of the grid, the first
+    in scan order among the maxima.
     """
     offsets = (0.0, -2.0, 2.0, -8.0, 8.0)
     xi_anchors = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
@@ -547,8 +561,9 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
             (x, tau) for x in xs for tau in np.concatenate(
                 [taus, [anchor + off for anchor in _peak_anchors(index, p, x)
                         for off in offsets]])]))
-    # the unwindowed J does not depend on R: each distinct point once
-    points, where = np.unique(np.concatenate(grids), axis=0, return_inverse=True)
+    # the unwindowed J depends neither on R nor on the sign of xi: each
+    # distinct folded point once
+    points, where = np.unique(_fold(np.concatenate(grids)), axis=0, return_inverse=True)
     values = j_eval(JSpec(index, points), p, rel_tol=SWEEP_REL_TOL)
     records, start = [], 0
     for R, grid in zip(radii, grids):
@@ -556,8 +571,9 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
         start += len(grid)
         miss = np.isnan(vals)
         if miss.any():
-            vals[miss] = j_eval(JSpec(index, grid[miss]), p, window=R,
-                                rel_tol=SWEEP_REL_TOL)
+            folded, back = np.unique(_fold(grid[miss]), axis=0, return_inverse=True)
+            vals[miss] = j_eval(JSpec(index, folded), p, window=R,
+                                rel_tol=SWEEP_REL_TOL)[back]
             if np.isnan(vals).any():
                 raise QuadratureNonConvergent(
                     f"{index}: the windowed J does not converge at R = {R}")

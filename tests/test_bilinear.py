@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from qnls import bilinear
-from qnls.bilinear import (SWEEP_REL_TOL, EstimateParams, JSpec, applicable_indices,
-                           bilinear_ratio, j_eval, j_sup_sweep, scheme_for)
+from qnls.bilinear import (ARGMAX_REL_TOL, J_INDICES, SWEEP_REL_TOL, EstimateParams, JSpec,
+                           applicable_indices, bilinear_ratio, j_eval, j_sup_sweep,
+                           scheme_for)
 from qnls.dispersion import FrequencyPoint, classify_region
 from qnls.errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from qnls.grids import SpaceTimeField
@@ -148,6 +149,51 @@ def test_batch_equals_lone_calls_without_region(index):
     got = j_eval(JSpec(index, BATCH_BASES), p, ignore_region=True)
     want = [lone(index, base, p, ignore_region=True) for base in BATCH_BASES]
     assert np.array_equal(got, want, equal_nan=True)
+
+
+# mirror pairs: xi > 0 here, -xi in the same batch; (1, 25/3) is a J3
+# bracket-vertex point that fails at a = 1/4, (4, 400) an A-J point whose
+# tail is too heavy
+MIRROR_BASES = np.array([(0.5, -3.0), (1.0, 8.333333333333334), (1.5, -2.25),
+                         (2.5, 10.0), (4.0, -16.0), (4.0, 400.0), (0.75, 0.5),
+                         (3.0, -9.0)])
+
+
+def _assert_even_in_xi(index, bases, p, **kw):
+    mirror = bases * [-1.0, 1.0]
+    values = j_eval(JSpec(index, np.concatenate([bases, mirror])), p,
+                    rel_tol=SWEEP_REL_TOL, **kw)
+    plus, minus = values[:len(bases)], values[len(bases):]
+    assert np.array_equal(np.isnan(plus), np.isnan(minus))
+    live = ~np.isnan(plus)
+    assert np.all(np.abs(minus[live] - plus[live]) <= 1e-12 * np.abs(plus[live]))
+
+
+# the dispersion relations are even in xi, and the regions and weights see
+# xi only through squares and absolute values, so J(-xi, tau) = J(xi, tau);
+# j_sup_sweep evaluates one point of each mirror pair on that ground.
+# Schemes R and S at a = 1/4, A and B at a = 2, RES at a = 1/2; A-J has no
+# region switch.  Every index but the 2-d appendix ones, which are slow.
+APPENDIX_2D = ("A-J1", "A-J2", "A-J3")
+
+
+@pytest.mark.parametrize("index,ignore_region", [
+    (index, off) for index in J_INDICES if index not in APPENDIX_2D
+    for off in ((False, True) if index.startswith("J") else (False,))])
+@pytest.mark.parametrize("a,kappa,s", [(0.25, 0.0, 0.0), (2.0, 0.1, 0.2), (0.5, 0.1, 0.2)])
+@pytest.mark.parametrize("window", [None, 12.0])
+def test_j_is_even_in_xi(index, ignore_region, a, kappa, s, window):
+    _assert_even_in_xi(index, MIRROR_BASES, params(a=a, kappa=kappa, s=s),
+                       window=window, ignore_region=ignore_region)
+
+
+@pytest.mark.parametrize("index", APPENDIX_2D)
+@pytest.mark.parametrize("a", [0.25, 2.0])
+@pytest.mark.parametrize("window", [None, 12.0])
+def test_appendix_2d_is_even_in_xi(index, a, window):
+    bases = np.array([(2.0, 1.0), (0.5, -1.0), (1.5, -2.25), (3.0, -9.0), (2.5, 10.0),
+                      (1.25, 4.0)])
+    _assert_even_in_xi(index, bases, params(a=a, kappa=-0.75), window=window)
 
 
 def test_non_convergent_row_leaves_its_neighbours_alone():
@@ -342,18 +388,89 @@ def test_sup_sweep_trend_in_b_d():
 
 
 def test_sup_sweep_argmax_ties_maxima_equal_up_to_rounding(monkeypatch):
-    # values symmetric in xi, the xi > 0 side 1 ulp larger: the sup is the
-    # larger value, the argmax the first of the two in scan order (xi < 0)
+    # values even in xi, with peaks at |xi| = 1.5 and |xi| = 1, the latter
+    # 1 ulp larger: the sup is the larger value, the argmax the first of the
+    # maxima in scan order (xi = -1.5)
     def stub(spec, p, window=None, rel_tol=None):
         xi, tau = np.asarray(spec.base, dtype=float).T
-        v = 1.0 / (1.0 + (np.abs(xi) - 1.5) ** 2 + (tau / 100.0) ** 2)
-        return np.where(xi > 0, np.nextafter(v, np.inf), v)
+        v = 1.0 / (1.0 + np.minimum((np.abs(xi) - 1.5) ** 2, (np.abs(xi) - 1.0) ** 2)
+                   + (tau / 100.0) ** 2)
+        return np.where(np.abs(xi) == 1.0, np.nextafter(v, np.inf), v)
 
     monkeypatch.setattr(bilinear, "j_eval", stub)
     for rec in j_sup_sweep("J1", params(), (10.0, 20.0), n_base=5):
-        # the peak is 1 at (-1.5, 0) and its neighbour 1 ulp above at (1.5, 0)
+        # the peak is 1 at (-1.5, 0) and its neighbour 1 ulp above at (-1, 0)
         assert rec["sup"] == np.nextafter(1.0, 2.0)
         assert (rec["argmax_xi"], rec["argmax_tau"]) == (-1.5, 0.0)
+
+
+def _unfolded_sweep(index, p, radii, n_base=9):
+    """The sweep without the fold: both points of every mirror pair are
+    evaluated, and the NaN points of each radius are re-evaluated as they are."""
+    offsets = (0.0, -2.0, 2.0, -8.0, 8.0)
+    xi_anchors = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
+    grids = []
+    for R in radii:
+        xs = np.unique(np.concatenate([np.linspace(-R, R, n_base), xi_anchors]))
+        taus = np.linspace(-R * R, R * R, n_base)
+        grids.append(np.array([
+            (x, tau) for x in xs for tau in np.concatenate(
+                [taus, [anchor + off for anchor in bilinear._peak_anchors(index, p, x)
+                        for off in offsets]])]))
+    points, where = np.unique(np.concatenate(grids), axis=0, return_inverse=True)
+    values = j_eval(JSpec(index, points), p, rel_tol=SWEEP_REL_TOL)
+    records, start = [], 0
+    for R, grid in zip(radii, grids):
+        vals = values[where[start:start + len(grid)]]
+        start += len(grid)
+        miss = np.isnan(vals)
+        if miss.any():
+            vals[miss] = j_eval(JSpec(index, grid[miss]), p, window=R,
+                                rel_tol=SWEEP_REL_TOL)
+            if np.isnan(vals).any():
+                raise QuadratureNonConvergent(
+                    f"{index}: the windowed J does not converge at R = {R}")
+        sup = vals.max()
+        k = int(np.argmax(vals >= sup - ARGMAX_REL_TOL * abs(sup)))
+        records.append({"index": index, "R": float(R), "sup": float(sup),
+                        "argmax_xi": float(grid[k, 0]), "argmax_tau": float(grid[k, 1])})
+    return records
+
+
+# j-sweep's defaults (criterion 7's a = 1/4) and the other configs of
+# criterion 7, then one where no unwindowed J1 converges, at radii (10, 20, 40);
+# each runs the windowed fall-back somewhere
+@pytest.mark.parametrize("cfg", [
+    {"a": 0.25}, {"a": 0.5}, {"a": 0.5, "kappa": 0.4, "indices": ["J1"]},
+    {"a": 2.0, "kappa": 0.3, "s": 0.1, "indices": ["J1", "J4", "J5", "A-J"]},
+], ids=["a0.25", "a0.5", "negative-control", "a2"])
+def test_folded_sweep_matches_unfolded_oracle(monkeypatch, cfg):
+    p = params(**{k: v for k, v in cfg.items() if k != "indices"})
+    radii = (10.0, 20.0, 40.0)
+    calls = []
+    real = bilinear.j_eval
+
+    def spy(spec, p, window=None, **kw):
+        calls.append((window, np.asarray(spec.base, dtype=float)))
+        return real(spec, p, window=window, **kw)
+
+    windows = set()
+    for index in cfg.get("indices") or applicable_indices(p):
+        want = _unfolded_sweep(index, p, radii)
+        calls.clear()
+        monkeypatch.setattr(bilinear, "j_eval", spy)
+        got = j_sup_sweep(index, p, radii)
+        monkeypatch.setattr(bilinear, "j_eval", real)
+        for g, w in zip(got, want, strict=True):
+            assert g["sup"] == pytest.approx(w["sup"], rel=1e-12, abs=0.0)
+            assert (g["argmax_xi"], g["argmax_tau"]) == (w["argmax_xi"], w["argmax_tau"])
+        # one unwindowed batch; every batch on xi <= 0, each distinct point once
+        assert [window for window, _ in calls].count(None) == 1
+        for window, base in calls:
+            windows.add(window)
+            assert np.all(base[:, 0] <= 0.0)
+            assert len(np.unique(base, axis=0)) == len(base)
+    assert windows == {None, *radii}
 
 
 # --- bilinear ratios ---

@@ -83,6 +83,20 @@ _BAD_J_SWEEP_CONFIGS = [
                  id="j-sweep-negative-radii"),
     pytest.param("j-sweep", {"radii": [0.0, 5.0], "indices": ["J1"]},
                  "radii must be positive and strictly increasing", id="j-sweep-zero-radius"),
+    # the appendix branches raised mid-run and exited 1
+    pytest.param("j-sweep", {"kappa": -0.2, "radii": [1.0, 2.0], "indices": ["J1", "A-J"]},
+                 "A-J needs kappa >= 0, got kappa=-0.2", id="j-sweep-appendix-negative-kappa"),
+    pytest.param("j-sweep", {"kappa": 0.1, "radii": [1.0, 2.0], "indices": ["A-J1"]},
+                 "['A-J1'] need kappa <= 0, got kappa=0.1", id="j-sweep-appendix-1-positive-kappa"),
+    pytest.param("j-sweep", {"kappa": 0.1, "radii": [1.0, 2.0],
+                             "indices": ["A-J2", "J1", "A-J3"]},
+                 "['A-J2', 'A-J3'] need kappa <= 0, got kappa=0.1",
+                 id="j-sweep-appendix-2-3-positive-kappa"),
+    # every sup of an empty region is 0, so the stabilisation contract failed vacuously
+    pytest.param("j-sweep", {"a": 0.5, "radii": [1.0, 2.0], "indices": ["J1", "J2", "J5"]},
+                 "the regions of ['J2', 'J5'] are empty at a = 0.5", id="j-sweep-resonant-j2-j5"),
+    pytest.param("j-sweep", {"a": 0.5, "radii": [1.0, 2.0], "indices": ["J3", "J6"]},
+                 "the regions of ['J3', 'J6'] are empty at a = 0.5", id="j-sweep-resonant-j3-j6"),
 ]
 
 
