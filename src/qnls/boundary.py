@@ -19,16 +19,16 @@ step, and every time of the offset sums the same bins; times on the datum
 grid form one offset group.
 
 A field is one pass over its columns.  A column depends on x only through
-x^2, so each |x| is one column, and the datum is laid out for the output
-times once per field.  The ladder edges sqrt(B/(pi k)) scale with sqrt(B),
-so the phase at panel k, node j depends on (k, j) alone: it is tabulated
-once per field over the union of the columns' k-ranges, and each column
-corrects it to first order for the rounding of its own nodes.  Each column
-then sums its ladder by the lag-binned convolution and removes each time's
-straddling panel.  The per-time terms -- the partial top panel, the Fresnel
-tail and the freezing guard -- run once over (times x columns), one pass per
-Gauss-Legendre node of the top panel.  Nothing is cached across calls: the
-panel ladder depends on the datum's sup and derivative sup.
+B, so each |x| is one column, and the datum is laid out for the output times
+once per field.  The ladder at B is the B = 1 ladder scaled: edges by
+sqrt(B), sigma^2 by B and weights by sqrt(B), with the same phases.  So one
+table per field holds the B = 1 nodes, weights and phases over the union of
+the columns' k-ranges, and every column's top panels; each column sums its
+rows by the lag-binned convolution.  The per-time terms -- the straddling
+panel each time removes, the partial top panel, the Fresnel tail and the
+freezing guard -- run once over (times x columns), one pass per
+Gauss-Legendre node.  Nothing is cached across calls: the panel ladder
+depends on the datum's sup and derivative sup.
 
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
@@ -136,7 +136,7 @@ class _DatumGrid:
     """
 
     def __init__(self, m: TimeSeries, t: np.ndarray):
-        self.t, self.rt, self.dt = t, np.sqrt(t), m.dt
+        self.rt, self.dt = np.sqrt(t), m.dt
         self.t_max = float(np.max(t))
         u = (t - m.t0) / m.dt
         k = np.rint(u)
@@ -151,19 +151,18 @@ class _DatumGrid:
         self.ext[pad:pad + m.n - 1] = m.samples[:-1]
         self.ext[self.span + pad:self.span + pad + m.n - 1] = np.diff(m.samples)
 
-    def lags(self, sig, groups):
-        """Where node sigma reads at time (k + phi) dt: interval k - lag, at
-        fraction lag - s, with s = sigma^2 / dt - phi."""
-        s = sig * sig / self.dt - self.phis[groups]
+    def lags(self, s2, groups):
+        """Where node sigma^2 = s2 reads at time (k + phi) dt: interval
+        k - lag, at fraction lag - s, with s = s2 / dt - phi."""
+        s = s2 / self.dt - self.phis[groups]
         lag = np.ceil(s)
         return lag.astype(np.intp), lag - s
 
-    def read(self, sig, at=slice(None)):
-        """The interpolant at t - sig^2 for the times `at`, which index
-        sig's first axis."""
-        lag, frac = self.lags(sig, self.group[at, None])
-        i = self.base[at, None] - lag
-        return self.ext[i] + frac * self.ext[i + self.span]
+    def read(self, s2):
+        """The interpolant at t - s2[i, j] for every time t = t[i]."""
+        lag, frac = self.lags(s2, self.group[:, None])
+        i = self.base[:, None] - lag
+        return self.ext[i] + frac * self.ext[self.span:][i]
 
 
 def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
@@ -175,38 +174,55 @@ def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
     return k_min, min(max(K, k_min + 8), k_min + 4096)
 
 
-def _phase_table(ranges):
-    """The phases exp(i B / sigma^2) of the ladder nodes, over the union of
-    the columns' (k_min, K) ranges.
+def _phase_table(Bv, osc, ranges, root_max):
+    """A field's panels: the B = 1 ladder, then every column's top panels.
 
-    At B the ladder edges sqrt(B / (pi k)) are sqrt(B) times those at
-    B = 1, so the phase at panel k, node j depends on (k, j) alone.  The
-    table keeps the edges k some range uses, in descending k (ascending
-    sigma); a panel joining two runs of used k belongs to no range and is
-    never read.  Returns theta = 1 / sigma^2 at B = 1 and exp(i theta), one
-    row per panel, and each range's first row: range (k_min, K) owns the
-    K - k_min rows from there.
+    The ladder edges sqrt(B / (pi k)) are sqrt(B) times those at B = 1, so
+    column c's ladder is the B = 1 edges and panels r0[c] .. r0[c] + n[c],
+    scaled.  The B = 1 ladder keeps the edges k some ranges[i] = (k_min, K),
+    of column osc[i], uses, in descending k.  Column c's n_top[c] top panels
+    run from edge and panel top[c], evenly from its last ladder edge (0 at
+    x = 0) to root_max, at its own B.  A panel joining two runs is never
+    read.  Returns the edges, then sigma^2 and the weights times the phase
+    exp(i B / sigma^2) at the 8 Gauss-Legendre nodes, one row per panel, and
+    r0, n, top and n_top.
     """
     k_hi = max((K for _, K in ranges), default=0)
     used = np.zeros(k_hi + 1 - min((k for k, _ in ranges), default=1), dtype=bool)
     for k_min, K in ranges:
         used[k_hi - K:k_hi - k_min + 1] = True      # edge k at k_hi - k
-    row = np.cumsum(used) - 1
-    ks = k_hi - np.flatnonzero(used).astype(float)
-    pts = _panel_nodes(np.sqrt(1.0 / (np.pi * ks)), 8)[0]
-    theta = 1.0 / (pts * pts)
-    return theta, np.exp(1j * theta), {r: int(row[k_hi - r[1]]) for r in ranges}
+    unit = np.sqrt(1.0 / (np.pi * (k_hi - np.flatnonzero(used).astype(float))))
+    r0, n = np.zeros((2, Bv.size), dtype=np.intp)
+    r0[osc] = (np.cumsum(used) - 1)[[k_hi - K for _, K in ranges]]
+    n[osc] = [K - k_min for k_min, K in ranges]
+    start = np.zeros(Bv.size)
+    start[osc] = np.sqrt(Bv[osc]) * unit[r0[osc] + n[osc]]
+    gap = root_max - start
+    n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
+    n_top = np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
+    # numpy.linspace(start, root_max, n_top + 1), one run per column
+    runs = n_top + 1
+    top = np.cumsum(runs) - runs
+    step = np.repeat((root_max - start) / np.maximum(n_top, 1), runs)
+    edges = (np.arange(runs.sum()) - np.repeat(top, runs)) * step + np.repeat(start, runs)
+    edges[(top + n_top)[n_top > 0]] = root_max
+    edges = np.concatenate((unit, edges))
+    pts, weights, half = _panel_nodes(edges, 8)
+    s2 = pts * pts
+    B = np.concatenate((np.ones(unit.size), np.repeat(Bv, runs)))[:-1, None]
+    return (edges, s2, weights * half[:, None] * np.exp(1j * B / s2), r0, n,
+            unit.size + top, n_top)
 
 
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     """Base-operator field on ys x ts, every |y| column in one pass.
 
-    Per column, the panels complete at each time (sigma <= sqrt(t)) are the
-    ladder up to the top level of t's offset group, read by one dense
-    (times x lags) gather of the lag bins and two dots per time, minus each
-    time's straddling panel.  Then, over (times x columns), each time adds
-    its partial top panel and its Fresnel tail, and the freezing guard
-    raises for the smallest failing |y|.  `bounds` is `_datum_bounds(m)`.
+    Each column starts from its Fresnel tail.  Per column, each offset group
+    adds the panels up to its times' top level, by one dense (times x lags)
+    gather of the lag bins and two dots per time.  Then, over (times x
+    columns), each time removes its straddling panel and adds its partial
+    top panel, and the freezing guard raises for the smallest failing |y|.
+    `bounds` is `_datum_bounds(m)`.
     """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
@@ -218,82 +234,66 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     grid = _DatumGrid(m, ts[live])
     rt, root_max = grid.rt, math.sqrt(grid.t_max)
     scale0 = m_sup * min(root_max, 1.0) + 1e-300
-    Bs = [float(y) * float(y) / (4.0 * a) for y in ay]
-    ranges = [_ladder_range(B, grid.t_max, m_dsup, scale0) if B >= 1e-300 else None
-              for B in Bs]
-    theta, table, first = _phase_table([r for r in ranges if r])
+    Bv = ay * ay / (4.0 * a)
+    rootB = np.sqrt(Bv)
+    osc = np.flatnonzero(Bv >= 1e-300)
+    ranges = [_ladder_range(float(Bv[c]), grid.t_max, m_dsup, scale0) for c in osc]
+    edges_all, node_s2, node_w, r0, n, top, n_top = _phase_table(Bv, osc, ranges, root_max)
 
-    vals = np.empty((rt.size, ay.size), dtype=complex)
-    lo = np.empty((rt.size, ay.size))
-    deep = np.empty(ay.size)
-    for c, B in enumerate(Bs):
-        if B < 1e-300:
-            edges, r0, n = root_max * np.linspace(0.0, 1.0, 65), 0, 0
-        else:
-            k_min, K = ranges[c]
-            r0, n = first[k_min, K], K - k_min
-            edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
-            gap = root_max - edges[-1]
-            if gap > 1e-14:
-                n_top = max(8, min(48, int(np.ceil(48 * gap / root_max))))
-                edges = np.concatenate([edges, np.linspace(edges[-1], root_max,
-                                                           n_top + 1)[1:]])
-        pts, weights, half = _panel_nodes(edges, 8)
-        # The ladder's phases come from the table.  This column's nodes,
-        # rounded at B, sit a few ulp off sqrt(B) times the table's, which
-        # moves the argument by d ~ 1e-16 theta, and exp(i d) = 1 + i d to
-        # rounding.  B * (1 / sigma^2) rounds as the complex argument
-        # 1j * B / sigma^2 of the top panels does, so every phase is
-        # exp(i B / sigma^2) at this column's own nodes.
-        lad, top_pts = pts[:n], pts[n:]
-        d = B * (1.0 / (lad * lad)) - theta[r0:r0 + n]
-        w = weights * half[:, None] * np.concatenate(
-            [table[r0:r0 + n] * (1.0 + 1j * d), np.exp(1j * B / (top_pts * top_pts))])
+    # Fresnel completion below the deepest edge
+    vals = np.zeros((rt.size, ay.size), dtype=complex)
+    s_eff = np.minimum(rootB[osc] * edges_all[r0[osc]], rt[:, None])
+    vals[:, osc] = (grid.read(s_eff * s_eff) * s_eff
+                    * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
 
-        level = np.searchsorted(edges[1:], rt + 1e-15, side="right")
+    level = np.empty((rt.size, ay.size), dtype=np.intp)
+    tops = np.empty((grid.phis.size, ay.size), dtype=np.intp)
+    for c in range(ay.size):
+        lad, up = slice(r0[c], r0[c] + n[c]), slice(top[c], top[c] + n_top[c])
+        edges = np.concatenate((rootB[c] * edges_all[lad], edges_all[up.start:up.stop + 1]))
+        s2 = np.concatenate((Bv[c] * node_s2[lad], node_s2[up]))
+        w = np.concatenate((rootB[c] * node_w[lad], node_w[up]))
+        level[:, c] = np.searchsorted(edges[1:], rt + 1e-15, side="right")
         col = vals[:, c]
         for g, at in enumerate(grid.members):
+            tops[g, c] = k = level[at, c].max()
             # the nodes run up the ladder, so the lag never decreases and
             # each lag bin is one run of nodes
-            top = int(level[at].max())
-            lag, frac = grid.lags(pts[:top].ravel(), g)
+            lag, frac = grid.lags(s2[:k].ravel(), g)
             starts = np.flatnonzero(np.diff(lag, prepend=-1))
-            on_left = np.add.reduceat(w[:top].ravel(), starts)
-            on_step = np.add.reduceat(w[:top].ravel() * frac, starts)
+            on_left = np.add.reduceat(w[:k].ravel(), starts)
+            on_step = np.add.reduceat(w[:k].ravel() * frac, starts)
             i = grid.base[at, None] - lag[starts]
             # one dot per time: OpenBLAS runs a mat-vec this small on threads
             # that then spin, doubling the CPU time without saving wall time
-            col[at] = (np.vecdot(on_left.conj(), grid.ext[i])
-                       + np.vecdot(on_step.conj(), grid.ext[i + grid.span]))
-            st = at[level[at] < top]
-            col[st] -= np.sum(w[level[st]] * grid.read(pts[level[st]], st), axis=1)
-        below = np.searchsorted(edges, rt + 1e-15, side="right") - 1
-        lo[:, c] = np.minimum(edges[np.maximum(below, 0)], rt)
-        deep[c] = edges[0]
+            col[at] += (np.vecdot(on_left.conj(), grid.ext[i])
+                        + np.vecdot(on_step.conj(), grid.ext[grid.span:][i]))
 
-    # partial top panel [last complete edge, sqrt(t)] on the reference
+    def locate(q):      # edge or panel q of each column: ladder, then top run
+        return np.where(q < n, r0 + q, top - n + q), q < n
+    i, on_lad = locate(level)
+    lo = np.minimum(np.where(on_lad, rootB, 1.0) * edges_all[i], rt[:, None])
+    # each straddling panel; where t's group read none, one at weight 0
+    i, on_lad = locate(np.minimum(level, n + n_top - 1))
+    s2_scale = np.where(on_lad, Bv, 1.0)
+    w_scale = np.where(on_lad, rootB, 1.0) * (level < tops[grid.group])
+    # the partial top panel [last complete edge, sqrt(t)] on the reference
     # panel [-1, 1], one node of every (time, column) at a time
     half = 0.5 * (rt[:, None] - lo)
     mid = lo + half
-    Bv = np.array(Bs)
     part = np.zeros_like(vals)
-    for u, wu in zip(*_gl(8)):
+    for j, (u, wu) in enumerate(zip(*_gl(8))):
+        vals -= w_scale * node_w[i, j] * grid.read(s2_scale * node_s2[i, j])
         sig = mid + half * u
-        part += wu * (grid.read(sig) * np.exp(1j * Bv / (sig ** 2 + 1e-300)))
+        part += wu * (grid.read(sig ** 2) * np.exp(1j * Bv / (sig ** 2 + 1e-300)))
     vals += part * half
 
-    # Fresnel completion below the deepest covered edge
-    osc = np.flatnonzero(Bv > 0)
-    if osc.size:
-        s_eff = np.minimum(deep[osc], rt[:, None])
-        vals[:, osc] += (grid.read(s_eff) * s_eff
-                         * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
-        err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
-        bad = np.flatnonzero(err > 0.01 * np.maximum(np.max(np.abs(vals[:, osc]), axis=0),
-                                                     0.1 * scale0))
-        if bad.size:
-            raise SingularQuadratureFail(f"freezing error {err[bad[0]]:.2e} above 1% "
-                                         f"at x={ay[osc[bad[0]]]:.3g}")
+    err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
+    bad = np.flatnonzero(err > 0.01 * np.maximum(np.max(np.abs(vals[:, osc]), axis=0),
+                                                 0.1 * scale0))
+    if bad.size:
+        raise SingularQuadratureFail(f"freezing error {err[bad[0]]:.2e} above 1% "
+                                     f"at x={ay[osc[bad[0]]]:.3g}")
     cols[:, live] = (2.0 / math.sqrt(np.pi)) * vals.T
     return cols[inv]
 

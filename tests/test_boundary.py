@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qnls import boundary
 from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
-                           _datum_bounds, _half_order_series,
-                           _osc_tail_factor, boundary_estimate_ratio,
+                           _datum_bounds, _DatumGrid, _half_order_series,
+                           _ladder_range, _osc_tail_factor, _phase_table,
+                           boundary_estimate_ratio,
                            delta_coefficient, forcing_field, kernel_constant,
                            pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
@@ -233,7 +235,15 @@ def test_estimate_ratio_windows():
 
 def _ladder_column_values(m, bounds, a, x, ts):
     """Reference evaluator: every output time interpolates the datum at every
-    node of the sigma ladder, masked per time by sigma <= sqrt(t)."""
+    node of the sigma ladder, masked per time by sigma <= sqrt(t).
+
+    The ladder panels [sqrt(B / (pi (k + 1))), sqrt(B / (pi k))] are
+    integrated in sigma_hat = sigma / sqrt(B), on the B = 1 edges, where the
+    phase exp(i / sigma_hat^2) does not depend on B; that is the evaluator's
+    rounding of the same rule.  At x = 19.8, a = 1/4 the phases reach 1e4
+    rad and the column cancels to 1e-8 of the datum, so rounding the nodes
+    at B instead moves it by 5e-5 of its max: more than the bound below.
+    """
     m_sup, m_dsup = bounds
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.size, dtype=complex)
@@ -246,6 +256,7 @@ def _ladder_column_values(m, bounds, a, x, ts):
     B = x * x / (4.0 * a)
     scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
 
+    unit = np.empty(0)
     if B < 1e-300:
         edges = math.sqrt(t_max) * np.linspace(0.0, 1.0, 65)
     else:
@@ -253,7 +264,8 @@ def _ladder_column_values(m, bounds, a, x, ts):
         k_min = max(1, math.ceil(B / (np.pi * t_max)))
         K = math.ceil((0.4 * md * B ** 1.5 / (KERNEL_REL_TOL * scale0)) ** 0.4 / np.pi)
         K = min(max(K, k_min + 8), k_min + 4096)
-        edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
+        unit = np.sqrt(1.0 / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
+        edges = math.sqrt(B) * unit
         gap = math.sqrt(t_max) - edges[-1]
         if gap > 1e-14:
             n_top = max(8, min(48, int(np.ceil(48 * gap / math.sqrt(t_max)))))
@@ -261,11 +273,17 @@ def _ladder_column_values(m, bounds, a, x, ts):
                                     np.linspace(edges[-1], math.sqrt(t_max),
                                                 n_top + 1)[1:]])
 
+    def unit_ladder(sig_hat):
+        s = sig_hat * sig_hat
+        return m(t_live[:, None] - B * s[None, :]) * np.exp(1j / s)[None, :]
+
     def ladder(sig):
         phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
         return m(t_live[:, None] - sig[None, :] ** 2) * phase[None, :]
 
-    panel_vals = panel_sums(ladder, edges, 8)
+    panel_vals = np.concatenate([math.sqrt(B) * panel_sums(unit_ladder, unit, 8),
+                                 panel_sums(ladder, edges[max(unit.size - 1, 0):], 8)],
+                                axis=1)
     complete = edges[1:][None, :] <= rt[:, None] + 1e-15
     vals = np.sum(np.where(complete, panel_vals, 0.0), axis=1)
 
@@ -335,6 +353,109 @@ def test_columns_match_per_time_ladder_when_the_datum_starts_nonzero():
                                m.times[[3, 200]] + 0.37 * dt])
     _assert_columns_match_ladder(m, (0.5, 1.0), (0.0, 0.3, 2.0, 7.5),
                                  [on_grid, off_grid])
+
+
+def _grouping_times(build, m):
+    k = np.arange(1, m.n)
+    if build == "arange":
+        return m.dt * k
+    if build == "linspace":
+        return np.linspace(0.0, m.t_end, m.n)[1:]
+    # t0 + k dt, every other time moved by one ulp up or down
+    ts = m.t0 + k * m.dt
+    return np.where(k % 2, np.nextafter(ts, np.inf), np.nextafter(ts, 0.0))
+
+
+@pytest.mark.parametrize("build", ["arange", "linspace", "ulp"])
+def test_datum_times_form_one_offset_group(build):
+    m = bump_series(n=2048)
+    grid = _DatumGrid(m, _grouping_times(build, m))
+    assert grid.phis.tolist() == [0.0]
+    # off the grid, at 0.37 dt past each datum time
+    grid = _DatumGrid(m, _grouping_times(build, m) + 0.37 * m.dt)
+    assert grid.phis.size == 1 and abs(grid.phis[0] - 0.37) < 1e-9
+
+
+@pytest.mark.parametrize("offset", [4.9e-10, -4.9e-10, 5.1e-10, -5.1e-10])
+def test_offset_grouping_rounds_at_half_a_nano_step(offset):
+    # offsets are rounded to 1e-9 dt: within 5e-10 dt of a datum time a time
+    # joins its group, beyond it starts a group of its own.  A CPU whose
+    # last bits of u - k moved a time across the threshold splits the group,
+    # which shows here rather than as a moved number.
+    near = abs(offset) < 5e-10
+    assert np.round(offset, 9) == (0.0 if near else math.copysign(1e-9, offset))
+    m = bump_series(n=64)
+    k = np.arange(10, 20, dtype=float)
+    ts = np.concatenate([k * m.dt, (k + offset) * m.dt])
+    assert _DatumGrid(m, ts).phis.size == (1 if near else 2)
+
+
+def _mixed_field_case():
+    """A datum, a, columns and time sets that mix what one field can hold:
+    the x = 0 column (no ladder rows), columns with and without top panels,
+    times below the deepest ladder edge and off-grid times in several
+    offset groups."""
+    m = _half_order_series(ForcingSpec(1.0, 0.0, bump_series(n=512)))
+    a = 0.5
+    on_grid = np.concatenate([m.times[1:4], m.times[8::16]])
+    t_max = float(on_grid.max())
+    # sqrt(B / (pi k)) = sqrt(t_max) at B = pi k t_max: the ladder ends at
+    # the top time, which leaves no room for top panels
+    flush = [float(np.nextafter(math.sqrt(4 * a * math.pi * k * t_max), 0.0))
+             for k in (3, 7)]
+    off_grid = np.concatenate([[0.0], m.times[[1, 2, 50, 300, 480]]
+                               + np.array([0.25, 0.5, 0.37, 0.25, 0.9]) * m.dt])
+    return m, a, (0.0, 1.0, *flush, 5.0), [on_grid, off_grid]
+
+
+def test_mixed_field_matches_per_time_ladder():
+    m, a, x_values, time_sets = _mixed_field_case()
+    on_grid, off_grid = time_sets
+    m_sup, m_dsup = _datum_bounds(m)
+    t_max = float(on_grid.max())
+    Bv = np.square(x_values) / (4.0 * a)
+    osc = np.flatnonzero(Bv > 0)
+    ranges = [_ladder_range(B, t_max, m_dsup, m_sup * min(math.sqrt(t_max), 1.0))
+              for B in Bv[osc]]
+    edges, _, _, r0, n, _, n_top = _phase_table(Bv, osc, ranges, math.sqrt(t_max))
+    assert n[0] == 0 and n_top[0] == 64
+    assert list(n_top[2:4]) == [0, 0] and n_top[1] > 0 and n_top[4] > 0
+    deep = np.sqrt(Bv[osc]) * edges[r0[osc]]
+    assert np.sqrt(on_grid[0]) < deep.min() and np.sqrt(off_grid[1]) < deep.min()
+    assert _DatumGrid(m, off_grid[1:]).phis.size == 4
+    _assert_columns_match_ladder(m, (a,), x_values, time_sets)
+
+
+class _GuardedGrid(_DatumGrid):
+    """The datum grid with a band of NaN around both halves of `ext`, as
+    wide as each half: a read outside the padded datum gives NaN."""
+
+    made = 0
+
+    def __init__(self, m, t):
+        super().__init__(m, t)
+        band = np.full(self.span, np.nan, dtype=complex)
+        self.ext = np.concatenate([band, self.ext[:self.span], band,
+                                   band, self.ext[self.span:], band])
+        self.base = self.base + self.span
+        self.span *= 3
+        _GuardedGrid.made += 1
+
+
+def test_no_read_leaves_the_padded_datum(monkeypatch):
+    # every straddle slot, the unused ones at weight 0 too, reads a real
+    # node of its column; NaN * 0 is NaN, so a slot that read past the
+    # padding would show in the field
+    monkeypatch.setattr(boundary, "_DatumGrid", _GuardedGrid)
+    monkeypatch.setattr(_GuardedGrid, "made", 0)
+    m, a, x_values, time_sets = _mixed_field_case()
+    xs = np.concatenate([x_values, np.negative(x_values)])
+    grid = _GuardedGrid(m, time_sets[0])
+    assert np.all(np.isnan(grid.read(np.full((time_sets[0].size, 1), 3.0))))
+    for ts in time_sets:
+        field = _base_field(m, _datum_bounds(m), a, xs, ts)
+        assert np.all(np.isfinite(field))
+    assert _GuardedGrid.made == 1 + len(time_sets)
 
 
 def _assert_columns_match_ladder(m, a_values, x_values, time_sets):
