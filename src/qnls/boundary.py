@@ -20,15 +20,15 @@ grid form one offset group.
 
 A field is one pass over its columns.  A column depends on x only through
 B, so each |x| is one column, and the datum is laid out for the output times
-once per field.  The ladder at B is the B = 1 ladder scaled: edges by
-sqrt(B), sigma^2 by B and weights by sqrt(B), with the same phases.  So one
-table per field holds the B = 1 nodes, weights and phases over the union of
-the columns' k-ranges, and every column's top panels; each column sums its
-rows by the lag-binned convolution.  The per-time terms -- the straddling
-panel each time removes, the partial top panel, the Fresnel tail and the
-freezing guard -- run once over (times x columns), one pass per
-Gauss-Legendre node.  Nothing is cached across calls: the panel ladder
-depends on the datum's sup and derivative sup.
+once per field.  The ladder edges sqrt(B/(pi k)) scale with sqrt(B), so the
+phase at ladder panel k, node j depends on (k, j) alone: one table per field
+holds it over the union of the columns' k-ranges, beside every column's top
+panels, and each column corrects it to first order for the rounding of its
+own nodes.  Each column then sums its panels by the lag-binned convolution.
+The per-time terms -- the straddling panel each time removes, the partial
+top panel, the Fresnel tail and the freezing guard -- run once over (times x
+columns), one pass per Gauss-Legendre node.  Nothing is cached across calls:
+the panel ladder depends on the datum's sup and derivative sup.
 
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
@@ -174,55 +174,136 @@ def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
     return k_min, min(max(K, k_min + 8), k_min + 4096)
 
 
-def _phase_table(Bv, osc, ranges, root_max):
-    """A field's panels: the B = 1 ladder, then every column's top panels.
+class _PanelTable:
+    """A field's sigma-panels, one run per |x| column.
 
-    The ladder edges sqrt(B / (pi k)) are sqrt(B) times those at B = 1, so
-    column c's ladder is the B = 1 edges and panels r0[c] .. r0[c] + n[c],
-    scaled.  The B = 1 ladder keeps the edges k some ranges[i] = (k_min, K),
-    of column osc[i], uses, in descending k.  Column c's n_top[c] top panels
-    run from edge and panel top[c], evenly from its last ladder edge (0 at
-    x = 0) to root_max, at its own B.  A panel joining two runs is never
-    read.  Returns the edges, then sigma^2 and the weights times the phase
-    exp(i B / sigma^2) at the 8 Gauss-Legendre nodes, one row per panel, and
-    r0, n, top and n_top.
+    Column c has p[c] panels: n[c] ladder panels on the edges
+    sqrt(B / (pi k)), k = K, ..., k_min, then n_top[c] panels evenly from
+    its last ladder edge (0 at x = 0) up to sqrt(t_max).  Each panel reads a
+    row of `theta`, the phase angles at its 8 Gauss-Legendre nodes, and of
+    `phase` = exp(i theta).  The ladder edges at B are sqrt(B) times those
+    at B = 1, so the angle B / sigma^2 at ladder panel k, node j depends on
+    (k, j) alone: the ladder rows are the B = 1 ladder over the union of the
+    columns' k-ranges, shared by the columns, and each column corrects them
+    to first order for the rounding of its own nodes.  The top rows are each
+    column's own; a row joining two columns' top runs is never read.
     """
-    k_hi = max((K for _, K in ranges), default=0)
-    used = np.zeros(k_hi + 1 - min((k for k, _ in ranges), default=1), dtype=bool)
-    for k_min, K in ranges:
-        used[k_hi - K:k_hi - k_min + 1] = True      # edge k at k_hi - k
-    unit = np.sqrt(1.0 / (np.pi * (k_hi - np.flatnonzero(used).astype(float))))
-    r0, n = np.zeros((2, Bv.size), dtype=np.intp)
-    r0[osc] = (np.cumsum(used) - 1)[[k_hi - K for _, K in ranges]]
-    n[osc] = [K - k_min for k_min, K in ranges]
-    start = np.zeros(Bv.size)
-    start[osc] = np.sqrt(Bv[osc]) * unit[r0[osc] + n[osc]]
-    gap = root_max - start
-    n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
-    n_top = np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
-    # numpy.linspace(start, root_max, n_top + 1), one run per column
-    runs = n_top + 1
-    top = np.cumsum(runs) - runs
-    step = np.repeat((root_max - start) / np.maximum(n_top, 1), runs)
-    edges = (np.arange(runs.sum()) - np.repeat(top, runs)) * step + np.repeat(start, runs)
-    edges[(top + n_top)[n_top > 0]] = root_max
-    edges = np.concatenate((unit, edges))
-    pts, weights, half = _panel_nodes(edges, 8)
-    s2 = pts * pts
-    B = np.concatenate((np.ones(unit.size), np.repeat(Bv, runs)))[:-1, None]
-    return (edges, s2, weights * half[:, None] * np.exp(1j * B / s2), r0, n,
-            unit.size + top, n_top)
+
+    def __init__(self, Bv, t_max: float, m_dsup: float, scale0: float):
+        osc = Bv >= 1e-300
+        self.k_min, self.K = np.ones((2, Bv.size), dtype=np.intp)
+        for c in np.flatnonzero(osc):
+            self.k_min[c], self.K[c] = _ladder_range(float(Bv[c]), t_max, m_dsup, scale0)
+        root_max = math.sqrt(t_max)
+        self.B, self.n = Bv, self.K - self.k_min
+        start = np.sqrt(Bv / (np.pi * self.k_min))
+        gap = root_max - start
+        n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
+        self.n_top = np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
+        self.p = self.n + self.n_top
+        # numpy.linspace(start, root_max, n_top + 1), one run per column
+        runs = self.n_top + 1
+        self.t0 = np.cumsum(runs) - runs
+        step = np.repeat((root_max - start) / np.maximum(self.n_top, 1), runs)
+        self.top_edges = ((np.arange(runs.sum()) - np.repeat(self.t0, runs)) * step
+                          + np.repeat(start, runs))
+        self.top_edges[(self.t0 + self.n_top)[self.n_top > 0]] = root_max
+
+        k_hi = int(self.K[osc].max(initial=0))
+        used = np.zeros(k_hi + 1 - int(self.k_min[osc].min(initial=1)), dtype=bool)
+        for lo, hi in zip(self.k_min[osc], self.K[osc]):
+            used[k_hi - hi:k_hi - lo + 1] = True        # edge k at k_hi - k
+        unit = _panel_nodes(np.sqrt(1.0 / (np.pi * (k_hi - np.flatnonzero(used)))), 8)[0]
+        self.r0 = np.zeros(Bv.size, dtype=np.intp)
+        self.r0[osc] = (np.cumsum(used) - 1)[k_hi - self.K[osc]]
+        top = _panel_nodes(self.top_edges, 8)[0]
+        self.top = unit.shape[0] + self.t0
+        self.theta = np.concatenate((1.0 / (unit * unit),
+                                     np.repeat(Bv, runs)[:-1, None] / (top * top)))
+        self.phase = np.exp(1j * self.theta)
+
+    def edge(self, c, q):
+        """Edge q of column c; c and q broadcast."""
+        n = self.n[c]
+        return np.where(q < n, np.sqrt(self.B[c] / (np.pi * np.maximum(self.K[c] - q, 1))),
+                        self.top_edges[self.t0[c] + np.maximum(q - n, 0)])
+
+    def column(self, c):
+        """Column c's edges, and sigma^2 and the weight times the phase
+        exp(i B / sigma^2) at its nodes, one row per panel."""
+        n, n_top, t0 = self.n[c], self.n_top[c], self.t0[c]
+        k = np.arange(self.K[c], self.k_min[c] - 1, -1, dtype=float)
+        edges = np.concatenate((np.sqrt(self.B[c] / (np.pi * k)),
+                                self.top_edges[t0 + 1:t0 + n_top + 1]))
+        sig, _, half = _panel_nodes(edges, 8)
+        lad, top = slice(self.r0[c], self.r0[c] + n), slice(self.top[c], self.top[c] + n_top)
+        theta, phase = (np.concatenate((v[lad], v[top])) for v in (self.theta, self.phase))
+        return (edges, *self._weigh(c, sig, half[:, None], theta, phase))
+
+    def nodes(self, c, q):
+        """For each Gauss-Legendre node j in turn, sigma^2 and the weight
+        times the phase at node j of panel q of column c; c and q
+        broadcast."""
+        lo = self.edge(c, q)
+        half = 0.5 * (self.edge(c, q + 1) - lo)
+        n = self.n[c]
+        row = np.where(q < n, self.r0[c] + q, self.top[c] - n + q)
+        for j, u in enumerate(_gl(8)[0]):
+            yield self._weigh(c, (lo + half) + half * u, half, self.theta[row, j],
+                              self.phase[row, j], j)
+
+    def _weigh(self, c, sig, half, theta, phase, j=slice(None)):
+        # exp(i B / sigma^2) = exp(i theta) (1 + i d) to rounding, where
+        # d = B / sigma^2 - theta comes from the rounding of the column's
+        # own nodes
+        s2 = sig * sig
+        z = np.empty(s2.shape, dtype=complex)
+        z.real = 1.0
+        z.imag = self.B[c] * (1.0 / s2) - theta
+        phase *= z
+        phase *= _gl(8)[1][j] * half
+        return s2, phase
+
+
+def _column_sum(table: _PanelTable, grid: _DatumGrid, c: int):
+    """Column c's complete panels at each time, and the panel straddling
+    sqrt(t) where its offset group read it.
+
+    Each offset group sums the panels up to its times' top level, by one
+    dense (times x lags) gather of the lag bins and two dots per time.
+    Returns the sums, each time's count of complete panels and each group's
+    top level.
+    """
+    edges, s2, w = table.column(c)
+    level = np.searchsorted(edges[1:], grid.rt + 1e-15, side="right")
+    col = np.empty(level.size, dtype=complex)
+    tops = np.empty(grid.phis.size, dtype=np.intp)
+    for g, at in enumerate(grid.members):
+        tops[g] = k = level[at].max()
+        # the nodes run up the ladder, so the lag never decreases and each
+        # lag bin is one run of nodes, starting where the lag changes
+        lag, frac = grid.lags(s2[:k].ravel(), g)
+        new = np.ones(lag.size, dtype=bool)
+        np.not_equal(lag[1:], lag[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        on_left = np.add.reduceat(w[:k].ravel(), starts)
+        on_step = np.add.reduceat(w[:k].ravel() * frac, starts)
+        i = grid.base[at, None] - lag[starts]
+        # one dot per time: OpenBLAS runs a mat-vec this small on threads
+        # that then spin, doubling the CPU time without saving wall time
+        col[at] = (np.vecdot(on_left.conj(), grid.ext[i])
+                   + np.vecdot(on_step.conj(), grid.ext[grid.span:][i]))
+    return col, level, tops
 
 
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     """Base-operator field on ys x ts, every |y| column in one pass.
 
-    Each column starts from its Fresnel tail.  Per column, each offset group
-    adds the panels up to its times' top level, by one dense (times x lags)
-    gather of the lag bins and two dots per time.  Then, over (times x
-    columns), each time removes its straddling panel and adds its partial
-    top panel, and the freezing guard raises for the smallest failing |y|.
-    `bounds` is `_datum_bounds(m)`.
+    Each column sums its complete panels by `_column_sum`.  Then, over
+    (times x columns), each time removes the panel that straddles sqrt(t)
+    and adds its partial top panel and its Fresnel tail, and the freezing
+    guard raises for the smallest failing |y|.  `bounds` is
+    `_datum_bounds(m)`.
     """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
@@ -232,61 +313,37 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
         return cols[inv]
     m_sup, m_dsup = bounds
     grid = _DatumGrid(m, ts[live])
-    rt, root_max = grid.rt, math.sqrt(grid.t_max)
-    scale0 = m_sup * min(root_max, 1.0) + 1e-300
+    rt = grid.rt[:, None]
+    scale0 = m_sup * min(math.sqrt(grid.t_max), 1.0) + 1e-300
     Bv = ay * ay / (4.0 * a)
-    rootB = np.sqrt(Bv)
     osc = np.flatnonzero(Bv >= 1e-300)
-    ranges = [_ladder_range(float(Bv[c]), grid.t_max, m_dsup, scale0) for c in osc]
-    edges_all, node_s2, node_w, r0, n, top, n_top = _phase_table(Bv, osc, ranges, root_max)
+    table = _PanelTable(Bv, grid.t_max, m_dsup, scale0)
+    # Fresnel completion below the deepest edge, added last; computed here,
+    # where few arrays are live: it holds about ten (times x columns) arrays
+    # at its peak
+    s_eff = np.minimum(table.edge(osc, 0), rt)
+    tail = (grid.read(s_eff * s_eff) * s_eff
+            * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
 
-    # Fresnel completion below the deepest edge
-    vals = np.zeros((rt.size, ay.size), dtype=complex)
-    s_eff = np.minimum(rootB[osc] * edges_all[r0[osc]], rt[:, None])
-    vals[:, osc] = (grid.read(s_eff * s_eff) * s_eff
-                    * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
-
-    level = np.empty((rt.size, ay.size), dtype=np.intp)
-    tops = np.empty((grid.phis.size, ay.size), dtype=np.intp)
-    for c in range(ay.size):
-        lad, up = slice(r0[c], r0[c] + n[c]), slice(top[c], top[c] + n_top[c])
-        edges = np.concatenate((rootB[c] * edges_all[lad], edges_all[up.start:up.stop + 1]))
-        s2 = np.concatenate((Bv[c] * node_s2[lad], node_s2[up]))
-        w = np.concatenate((rootB[c] * node_w[lad], node_w[up]))
-        level[:, c] = np.searchsorted(edges[1:], rt + 1e-15, side="right")
-        col = vals[:, c]
-        for g, at in enumerate(grid.members):
-            tops[g, c] = k = level[at, c].max()
-            # the nodes run up the ladder, so the lag never decreases and
-            # each lag bin is one run of nodes
-            lag, frac = grid.lags(s2[:k].ravel(), g)
-            starts = np.flatnonzero(np.diff(lag, prepend=-1))
-            on_left = np.add.reduceat(w[:k].ravel(), starts)
-            on_step = np.add.reduceat(w[:k].ravel() * frac, starts)
-            i = grid.base[at, None] - lag[starts]
-            # one dot per time: OpenBLAS runs a mat-vec this small on threads
-            # that then spin, doubling the CPU time without saving wall time
-            col[at] += (np.vecdot(on_left.conj(), grid.ext[i])
-                        + np.vecdot(on_step.conj(), grid.ext[grid.span:][i]))
-
-    def locate(q):      # edge or panel q of each column: ladder, then top run
-        return np.where(q < n, r0 + q, top - n + q), q < n
-    i, on_lad = locate(level)
-    lo = np.minimum(np.where(on_lad, rootB, 1.0) * edges_all[i], rt[:, None])
-    # each straddling panel; where t's group read none, one at weight 0
-    i, on_lad = locate(np.minimum(level, n + n_top - 1))
-    s2_scale = np.where(on_lad, Bv, 1.0)
-    w_scale = np.where(on_lad, rootB, 1.0) * (level < tops[grid.group])
-    # the partial top panel [last complete edge, sqrt(t)] on the reference
-    # panel [-1, 1], one node of every (time, column) at a time
-    half = 0.5 * (rt[:, None] - lo)
+    vals, level, tops = (np.stack(v, axis=1) for v in
+                         zip(*(_column_sum(table, grid, c) for c in range(ay.size))))
+    # the straddling panel, which t's group read unless it read none (those
+    # read a panel of the column at weight 0), and the partial top panel
+    # [last complete edge, sqrt(t)] on the reference panel [-1, 1], one node
+    # of every (time, column) at a time
+    straddle = np.minimum(level, table.p - 1)
+    lo = np.minimum(table.edge(np.arange(ay.size), level), rt)
+    half = 0.5 * (rt - lo)
     mid = lo + half
+    removed = np.zeros_like(vals)
     part = np.zeros_like(vals)
-    for j, (u, wu) in enumerate(zip(*_gl(8))):
-        vals -= w_scale * node_w[i, j] * grid.read(s2_scale * node_s2[i, j])
+    for (s2, w), u, wu in zip(table.nodes(np.arange(ay.size), straddle), *_gl(8)):
+        removed += w * grid.read(s2)
         sig = mid + half * u
         part += wu * (grid.read(sig ** 2) * np.exp(1j * Bv / (sig ** 2 + 1e-300)))
+    vals -= removed * (level < tops[grid.group])
     vals += part * half
+    vals[:, osc] += tail
 
     err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
     bad = np.flatnonzero(err > 0.01 * np.maximum(np.max(np.abs(vals[:, osc]), axis=0),

@@ -8,8 +8,7 @@ import pytest
 from qnls import boundary
 from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
                            _datum_bounds, _DatumGrid, _half_order_series,
-                           _ladder_range, _osc_tail_factor, _phase_table,
-                           boundary_estimate_ratio,
+                           _osc_tail_factor, _PanelTable, boundary_estimate_ratio,
                            delta_coefficient, forcing_field, kernel_constant,
                            pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
@@ -235,15 +234,7 @@ def test_estimate_ratio_windows():
 
 def _ladder_column_values(m, bounds, a, x, ts):
     """Reference evaluator: every output time interpolates the datum at every
-    node of the sigma ladder, masked per time by sigma <= sqrt(t).
-
-    The ladder panels [sqrt(B / (pi (k + 1))), sqrt(B / (pi k))] are
-    integrated in sigma_hat = sigma / sqrt(B), on the B = 1 edges, where the
-    phase exp(i / sigma_hat^2) does not depend on B; that is the evaluator's
-    rounding of the same rule.  At x = 19.8, a = 1/4 the phases reach 1e4
-    rad and the column cancels to 1e-8 of the datum, so rounding the nodes
-    at B instead moves it by 5e-5 of its max: more than the bound below.
-    """
+    node of the sigma ladder, masked per time by sigma <= sqrt(t)."""
     m_sup, m_dsup = bounds
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.size, dtype=complex)
@@ -256,7 +247,6 @@ def _ladder_column_values(m, bounds, a, x, ts):
     B = x * x / (4.0 * a)
     scale0 = m_sup * min(math.sqrt(t_max), 1.0) + 1e-300
 
-    unit = np.empty(0)
     if B < 1e-300:
         edges = math.sqrt(t_max) * np.linspace(0.0, 1.0, 65)
     else:
@@ -264,8 +254,7 @@ def _ladder_column_values(m, bounds, a, x, ts):
         k_min = max(1, math.ceil(B / (np.pi * t_max)))
         K = math.ceil((0.4 * md * B ** 1.5 / (KERNEL_REL_TOL * scale0)) ** 0.4 / np.pi)
         K = min(max(K, k_min + 8), k_min + 4096)
-        unit = np.sqrt(1.0 / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
-        edges = math.sqrt(B) * unit
+        edges = np.sqrt(B / (np.pi * np.arange(K, k_min - 1, -1, dtype=float)))
         gap = math.sqrt(t_max) - edges[-1]
         if gap > 1e-14:
             n_top = max(8, min(48, int(np.ceil(48 * gap / math.sqrt(t_max)))))
@@ -273,17 +262,11 @@ def _ladder_column_values(m, bounds, a, x, ts):
                                     np.linspace(edges[-1], math.sqrt(t_max),
                                                 n_top + 1)[1:]])
 
-    def unit_ladder(sig_hat):
-        s = sig_hat * sig_hat
-        return m(t_live[:, None] - B * s[None, :]) * np.exp(1j / s)[None, :]
-
     def ladder(sig):
         phase = np.exp(1j * B / (sig * sig)) if B > 0 else np.ones_like(sig)
         return m(t_live[:, None] - sig[None, :] ** 2) * phase[None, :]
 
-    panel_vals = np.concatenate([math.sqrt(B) * panel_sums(unit_ladder, unit, 8),
-                                 panel_sums(ladder, edges[max(unit.size - 1, 0):], 8)],
-                                axis=1)
+    panel_vals = panel_sums(ladder, edges, 8)
     complete = edges[1:][None, :] <= rt[:, None] + 1e-15
     vals = np.sum(np.where(complete, panel_vals, 0.0), axis=1)
 
@@ -413,15 +396,12 @@ def test_mixed_field_matches_per_time_ladder():
     on_grid, off_grid = time_sets
     m_sup, m_dsup = _datum_bounds(m)
     t_max = float(on_grid.max())
-    Bv = np.square(x_values) / (4.0 * a)
-    osc = np.flatnonzero(Bv > 0)
-    ranges = [_ladder_range(B, t_max, m_dsup, m_sup * min(math.sqrt(t_max), 1.0))
-              for B in Bv[osc]]
-    edges, _, _, r0, n, _, n_top = _phase_table(Bv, osc, ranges, math.sqrt(t_max))
-    assert n[0] == 0 and n_top[0] == 64
-    assert list(n_top[2:4]) == [0, 0] and n_top[1] > 0 and n_top[4] > 0
-    deep = np.sqrt(Bv[osc]) * edges[r0[osc]]
-    assert np.sqrt(on_grid[0]) < deep.min() and np.sqrt(off_grid[1]) < deep.min()
+    table = _PanelTable(np.square(x_values) / (4.0 * a), t_max, m_dsup,
+                        m_sup * min(math.sqrt(t_max), 1.0))
+    assert table.n[0] == 0 and table.n_top[0] == 64
+    assert list(table.n_top[2:4]) == [0, 0] and table.n_top[1] > 0 and table.n_top[4] > 0
+    deep = table.edge(np.arange(1, 5), 0).min()
+    assert np.sqrt(on_grid[0]) < deep and np.sqrt(off_grid[1]) < deep
     assert _DatumGrid(m, off_grid[1:]).phis.size == 4
     _assert_columns_match_ladder(m, (a,), x_values, time_sets)
 
