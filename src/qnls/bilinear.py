@@ -499,8 +499,10 @@ def applicable_indices(p: EstimateParams) -> list[str]:
     return out
 
 
-def _peak_anchors(index: str, p: EstimateParams, x: float) -> list[float]:
-    """Base tau values nulling the prefactor modulation and the bracket vertex."""
+def _peak_anchors(index: str, p: EstimateParams, x):
+    """Base tau values nulling the prefactor modulation and the bracket vertex.
+
+    x may be a float or an array; each anchor then has x's shape."""
     a = p.a
     x2 = x * x
     idx = "J1" if index in ("A-J", "A-J1", "A-J2", "A-J3") else index
@@ -518,6 +520,22 @@ def _peak_anchors(index: str, p: EstimateParams, x: float) -> list[float]:
     if vert_null is not None:
         out.append(vert_null)
     return out
+
+
+#: the sweep's fixed O(1) xi anchors and its modulation offsets of the peak anchors
+_XI_ANCHORS = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
+_TAU_OFFSETS = (0.0, -2.0, 2.0, -8.0, 8.0)
+
+
+def _base_grid(index: str, p: EstimateParams, R: float, n_base: int) -> np.ndarray:
+    """The (xi, tau) base points of radius R in scan order: for each xi, the
+    uniform taus, then each peak anchor at every offset."""
+    xs = np.unique(np.concatenate([np.linspace(-R, R, n_base), _XI_ANCHORS]))
+    taus = np.linspace(-R * R, R * R, n_base)
+    peaks = np.stack(_peak_anchors(index, p, xs), axis=1)[:, :, None] + np.array(_TAU_OFFSETS)
+    rows = np.concatenate([np.broadcast_to(taus, (xs.size, n_base)),
+                           peaks.reshape(xs.size, -1)], axis=1)
+    return np.column_stack([np.repeat(xs, rows.shape[1]), rows.ravel()])
 
 
 def _fold(points):
@@ -551,16 +569,7 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
     folded points once.  The argmax is still a point of the grid, the first
     in scan order among the maxima.
     """
-    offsets = (0.0, -2.0, 2.0, -8.0, 8.0)
-    xi_anchors = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
-    grids = []      # base points of each radius, in scan order
-    for R in radii:
-        xs = np.unique(np.concatenate([np.linspace(-R, R, n_base), xi_anchors]))
-        taus = np.linspace(-R * R, R * R, n_base)
-        grids.append(np.array([
-            (x, tau) for x in xs for tau in np.concatenate(
-                [taus, [anchor + off for anchor in _peak_anchors(index, p, x)
-                        for off in offsets]])]))
+    grids = [_base_grid(index, p, R, n_base) for R in radii]
     # the unwindowed J depends neither on R nor on the sign of xi: each
     # distinct folded point once
     points, where = np.unique(_fold(np.concatenate(grids)), axis=0, return_inverse=True)

@@ -35,7 +35,16 @@ uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
 by product integration (exact on the piecewise-linear interpolant, reusing
 the fractional-integral weights from the right); for -2 < lambda < 0 the
 integrated-by-parts representation with the explicit one-sided boundary
-term is used, with the time derivative taken by central differences.
+term is used, with the time derivative taken by central differences.  An
+output row is then a weighted sum of ray columns, and where few rows are
+wanted (the x = 0 trace: one row, one offset group) the rows fold into the
+lag bins: each column's bins, times its weights, go into one lag-weight
+vector per row, and each time reads the datum once per row instead of once
+per column.  Many rows keep the columns and apply the rule to them, which
+is cheaper there.  The freezing guard needs no folded column's values: it
+passes any column whose bound is at most 0.1 % of the datum scale, whatever
+its values, and the columns above that are summed as before, for the guard
+alone.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from scipy.special import fresnel
 
 from .errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                      SingularQuadratureFail, SupportViolation, WindowViolation)
-from .fractional import _integrate, rl_apply
+from .fractional import _integrate, product_weights, rl_apply
 from .grids import SpaceTimeField, TimeSeries
 from .quadrature import _gl, _panel_nodes
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
@@ -125,6 +134,14 @@ def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
     return m.sup(), float(np.max(np.abs(grad)))
 
 
+def _offsets(m: TimeSeries, t: np.ndarray):
+    """t = (k + phi) dt as (k, phi), phi rounded to 1e-9 so that the times
+    on the datum grid form one offset group."""
+    u = (t - m.t0) / m.dt
+    k = np.rint(u)
+    return k, np.round(u - k, 9)
+
+
 class _DatumGrid:
     """The datum's interpolant laid out for the live output times t.
 
@@ -138,13 +155,13 @@ class _DatumGrid:
     def __init__(self, m: TimeSeries, t: np.ndarray):
         self.rt, self.dt = np.sqrt(t), m.dt
         self.t_max = float(np.max(t))
-        u = (t - m.t0) / m.dt
-        k = np.rint(u)
-        self.phis, self.group = np.unique(np.round(u - k, 9), return_inverse=True)
+        k, phi = _offsets(m, t)
+        self.phis, self.group = np.unique(phi, return_inverse=True)
         self.members = [np.flatnonzero(self.group == g) for g in range(self.phis.size)]
         k = k.astype(np.intp)
         # nodes sigma <= sqrt(t) lie at lags below ceil(t / dt) + 3
-        pad = max(math.ceil(self.t_max / m.dt) + 3 - int(k.min()), 0)
+        self.n_lags = math.ceil(self.t_max / m.dt) + 3
+        pad = max(self.n_lags - int(k.min()), 0)
         self.span = pad + max(m.n - 1, int(k.max()) + 1)
         self.base = k + pad
         self.ext = np.zeros(2 * self.span, dtype=complex)
@@ -174,6 +191,19 @@ def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
     return k_min, min(max(K, k_min + 8), k_min + 4096)
 
 
+def _panel_counts(Bv, t_max: float, m_dsup: float, scale0: float):
+    """Each column's ladder range (k_min, K), its last ladder edge and its
+    count of top panels; a column at B = 0 has no ladder and 64 top panels."""
+    k_min, K = np.ones((2, Bv.size), dtype=np.intp)
+    for c in np.flatnonzero(Bv >= 1e-300):
+        k_min[c], K[c] = _ladder_range(float(Bv[c]), t_max, m_dsup, scale0)
+    root_max = math.sqrt(t_max)
+    start = np.sqrt(Bv / (np.pi * k_min))
+    gap = root_max - start
+    n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
+    return k_min, K, start, np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
+
+
 class _PanelTable:
     """A field's sigma-panels, one run per |x| column.
 
@@ -191,15 +221,9 @@ class _PanelTable:
 
     def __init__(self, Bv, t_max: float, m_dsup: float, scale0: float):
         osc = Bv >= 1e-300
-        self.k_min, self.K = np.ones((2, Bv.size), dtype=np.intp)
-        for c in np.flatnonzero(osc):
-            self.k_min[c], self.K[c] = _ladder_range(float(Bv[c]), t_max, m_dsup, scale0)
+        self.k_min, self.K, start, self.n_top = _panel_counts(Bv, t_max, m_dsup, scale0)
         root_max = math.sqrt(t_max)
         self.B, self.n = Bv, self.K - self.k_min
-        start = np.sqrt(Bv / (np.pi * self.k_min))
-        gap = root_max - start
-        n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
-        self.n_top = np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
         self.p = self.n + self.n_top
         # numpy.linspace(start, root_max, n_top + 1), one run per column
         runs = self.n_top + 1
@@ -265,52 +289,71 @@ class _PanelTable:
         return s2, phase
 
 
-def _column_sum(table: _PanelTable, grid: _DatumGrid, c: int):
-    """Column c's complete panels at each time, and the panel straddling
-    sqrt(t) where its offset group read it.
+def _column_bins(table: _PanelTable, grid: _DatumGrid, c: int):
+    """Column c's complete panels as lag bins, one set per offset group.
 
-    Each offset group sums the panels up to its times' top level, by one
-    dense (times x lags) gather of the lag bins and two dots per time.
-    Returns the sums, each time's count of complete panels and each group's
-    top level.
+    Each group takes the panels up to its times' top level.  The nodes run
+    up the ladder, so the lag never decreases and each lag bin is one run of
+    nodes, starting where the lag changes.  Returns each time's count of
+    complete panels, each group's top level and, per group, the bins' lags
+    and their weights on each interval's left sample and on its step.
     """
     edges, s2, w = table.column(c)
     level = np.searchsorted(edges[1:], grid.rt + 1e-15, side="right")
-    col = np.empty(level.size, dtype=complex)
     tops = np.empty(grid.phis.size, dtype=np.intp)
+    bins = []
     for g, at in enumerate(grid.members):
         tops[g] = k = level[at].max()
-        # the nodes run up the ladder, so the lag never decreases and each
-        # lag bin is one run of nodes, starting where the lag changes
         lag, frac = grid.lags(s2[:k].ravel(), g)
         new = np.ones(lag.size, dtype=bool)
         np.not_equal(lag[1:], lag[:-1], out=new[1:])
         starts = np.flatnonzero(new)
-        on_left = np.add.reduceat(w[:k].ravel(), starts)
-        on_step = np.add.reduceat(w[:k].ravel() * frac, starts)
-        i = grid.base[at, None] - lag[starts]
+        bins.append((lag[starts], np.add.reduceat(w[:k].ravel(), starts),
+                     np.add.reduceat(w[:k].ravel() * frac, starts)))
+    return level, tops, bins
+
+
+def _column_sum(grid: _DatumGrid, bins) -> np.ndarray:
+    """A column's lag bins summed against the datum at each time, by one
+    dense (times x lags) gather per offset group and two dots per time."""
+    col = np.empty(grid.rt.size, dtype=complex)
+    for at, (lag, on_left, on_step) in zip(grid.members, bins):
+        i = grid.base[at, None] - lag
         # one dot per time: OpenBLAS runs a mat-vec this small on threads
         # that then spin, doubling the CPU time without saving wall time
         col[at] = (np.vecdot(on_left.conj(), grid.ext[i])
                    + np.vecdot(on_step.conj(), grid.ext[grid.span:][i]))
-    return col, level, tops
+    return col
 
 
-def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
+def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarray:
     """Base-operator field on ys x ts, every |y| column in one pass.
 
-    Each column sums its complete panels by `_column_sum`.  Then, over
+    Each column bins its complete panels by lag (`_column_bins`) and sums
+    the bins against the datum (`_column_sum`).  Then, over
     (times x columns), each time removes the panel that straddles sqrt(t)
     and adds its partial top panel and its Fresnel tail, and the freezing
     guard raises for the smallest failing |y|.  `bounds` is
     `_datum_bounds(m)`.
+
+    Given `rows`, an (r, len(ys)) weight matrix, it returns rows @ field,
+    shape (r, len(ts)), without making the field: each column's lag bins,
+    times its weights, go into one dense lag-weight vector per row and
+    offset group, and each time reads the datum once per row, as one
+    contiguous window.  A column whose freezing bound is at most 0.1 % of
+    scale0 passes the guard whatever its values, so only the columns above
+    that are summed by `_column_sum`, for the guard.
     """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
-    cols = np.zeros((ay.size, ts.size), dtype=complex)
+    if rows is not None:
+        # each |y| column's weight in each row
+        weights = np.zeros((rows.shape[0], ay.size), dtype=complex)
+        np.add.at(weights.T, inv, rows.T)
+    out = np.zeros((ay.size if rows is None else rows.shape[0], ts.size), dtype=complex)
     live = ts > 0.0
     if not np.any(live) or not bounds[0] > 0.0:
-        return cols[inv]
+        return out[inv] if rows is None else out
     m_sup, m_dsup = bounds
     grid = _DatumGrid(m, ts[live])
     rt = grid.rt[:, None]
@@ -324,9 +367,28 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     s_eff = np.minimum(table.edge(osc, 0), rt)
     tail = (grid.read(s_eff * s_eff) * s_eff
             * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
+    err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
 
-    vals, level, tops = (np.stack(v, axis=1) for v in
-                         zip(*(_column_sum(table, grid, c) for c in range(ay.size))))
+    # folding, only the columns the guard below could fail are summed: one
+    # whose bound is at most 0.1 % of scale0 passes whatever its values
+    summed = np.full(ay.size, rows is None)
+    summed[osc[err > 0.01 * (0.1 * scale0)]] = True
+    if rows is not None:
+        # the (left, step) lag weights of each offset group and row, lag l
+        # at n_lags - 1 - l, so that a time reads the datum in its own order
+        lag_rows = np.zeros((2, grid.phis.size, out.shape[0], grid.n_lags), dtype=complex)
+    vals = np.zeros((grid.rt.size, ay.size), dtype=complex)
+    level = np.empty(vals.shape, dtype=np.intp)
+    tops = np.empty((grid.phis.size, ay.size), dtype=np.intp)
+    for c in range(ay.size):
+        level[:, c], tops[:, c], bins = _column_bins(table, grid, c)
+        if summed[c]:
+            vals[:, c] = _column_sum(grid, bins)
+            continue
+        for g, (lag, on_left, on_step) in enumerate(bins):
+            back = grid.n_lags - 1 - lag
+            lag_rows[0, g][:, back] += weights[:, c, None] * on_left
+            lag_rows[1, g][:, back] += weights[:, c, None] * on_step
     # the straddling panel, which t's group read unless it read none (those
     # read a panel of the column at weight 0), and the partial top panel
     # [last complete edge, sqrt(t)] on the reference panel [-1, 1], one node
@@ -345,14 +407,24 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts) -> np.ndarray:
     vals += part * half
     vals[:, osc] += tail
 
-    err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
     bad = np.flatnonzero(err > 0.01 * np.maximum(np.max(np.abs(vals[:, osc]), axis=0),
                                                  0.1 * scale0))
     if bad.size:
         raise SingularQuadratureFail(f"freezing error {err[bad[0]]:.2e} above 1% "
                                      f"at x={ay[osc[bad[0]]]:.3g}")
-    cols[:, live] = (2.0 / math.sqrt(np.pi)) * vals.T
-    return cols[inv]
+    if rows is None:
+        out[:, live] = (2.0 / math.sqrt(np.pi)) * vals.T
+        return out[inv]
+    # vecdot, not matmul: OpenBLAS runs products this small on threads
+    # that then spin (see _column_sum)
+    lag_rows = lag_rows.conj()
+    folded = np.vecdot(weights.conj()[:, None, :], vals)
+    for t, (b, g) in enumerate(zip(grid.base - (grid.n_lags - 1), grid.group)):
+        window = slice(b, b + grid.n_lags)
+        folded[:, t] += (np.vecdot(lag_rows[0, g], grid.ext[window])
+                         + np.vecdot(lag_rows[1, g], grid.ext[grid.span:][window]))
+    out[:, live] = (2.0 / math.sqrt(np.pi)) * folded
+    return out
 
 
 def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
@@ -375,13 +447,49 @@ def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     return np.concatenate([xs, xs[-1] + dy * np.arange(1, n_extra + 1)]), dy
 
 
+def _fold_pays(m: TimeSeries, bounds, a: float, ys, ts, n_rows: int) -> bool:
+    """Whether `_base_field` should fold the ray rule's n_rows output rows
+    into lag bins rather than make every column.
+
+    Folding costs rows x (groups x nodes + 2 times x lags): each node's
+    weight goes into every row's vector of its offset group, and each time
+    reads two lag windows per row.  Summing the columns costs 2 times x
+    nodes.  Both are known before any column is summed.
+    """
+    ts = np.asarray(ts, dtype=float)
+    t = ts[ts > 0.0]
+    if not t.size or not bounds[0] > 0.0:
+        return False
+    groups = np.unique(_offsets(m, t)[1]).size
+    t_max = float(np.max(t))
+    ay = np.unique(np.abs(np.asarray(ys, dtype=float)))
+    k_min, K, _, n_top = _panel_counts(ay * ay / (4.0 * a), t_max, bounds[1],
+                                       bounds[0] * min(math.sqrt(t_max), 1.0) + 1e-300)
+    nodes = 8 * int(np.sum(K - k_min + n_top))
+    lags = math.ceil(t_max / m.dt) + 3
+    return n_rows * (groups * nodes + 2 * t.size * lags) < 2 * t.size * nodes
+
+
+def _ray_rows(n_rows: int, ny: int, dy: float, alpha: float) -> np.ndarray:
+    """The first n_rows rows of the order-alpha product-trapezoid rule along
+    the ray, read from the right: row r is what
+    `_integrate(G[::-1], dy, alpha)[::-1][r]` takes of each G[i]."""
+    b, c = product_weights(alpha, ny)
+    d = np.arange(ny) - np.arange(n_rows)[:, None]
+    w = np.where(d >= 0, b[np.maximum(d, 0)], 0.0)
+    w[:, -1] += c[ny - 2 - np.arange(n_rows)]
+    return w * (dy ** alpha / math.gamma(alpha + 2.0))
+
+
 def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     """Class-operator field on the tensor grid xs x ts, shape (nx, nt).
 
     The order lambda alone picks the form: the direct kernel at lambda = 0,
     the right-sided fractional convolution of the base field along a ray
     for lambda > 0, and the integrated-by-parts form (`_alt_field`) for
-    lambda < 0.  An empty xs gives the empty (0, nt) field.
+    lambda < 0.  An empty xs gives the empty (0, nt) field.  Where
+    `_fold_pays`, the ray rule's rows are folded into the base field's lag
+    bins; otherwise the ray's base field is made and the rule applied to it.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -395,6 +503,8 @@ def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     if lam == 0.0:
         return _base_field(m, bounds, spec.a, xs, ts)
     ys, dy = _ray_grid(xs, spec)
+    if _fold_pays(m, bounds, spec.a, ys, ts, xs.size):
+        return _base_field(m, bounds, spec.a, ys, ts, _ray_rows(xs.size, ys.size, dy, lam))
     G = _base_field(m, bounds, spec.a, ys, ts)
     return _integrate(G[::-1], dy, lam)[::-1][:xs.size]
 
@@ -406,17 +516,23 @@ def _alt_field(spec: ForcingSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     difference, plus the explicit one-sided boundary term at x < 0.
     """
     lam = spec.lam
+    if lam <= -1.0 and np.any(xs == 0.0):
+        raise LambdaOutOfRange("boundary term singular at x = 0 for lambda <= -1")
     m = _half_order_series(spec)
     bounds = _datum_bounds(m)
     ys, dy = _ray_grid(xs, spec)
     delta = spec.f.dt
-    g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
-    g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
-    dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
-    out = -_integrate(dt_term[::-1], dy, lam + 2.0)[::-1][:xs.size] / spec.a
+    if _fold_pays(m, bounds, spec.a, ys, ts + delta, xs.size):
+        # the rule's rows times i / (2 delta a), of opposite signs at t +- delta
+        rows = _ray_rows(xs.size, ys.size, dy, lam + 2.0) * (1j / (2.0 * delta * spec.a))
+        out = (_base_field(m, bounds, spec.a, ys, ts - delta, rows)
+               - _base_field(m, bounds, spec.a, ys, ts + delta, rows))
+    else:
+        g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
+        g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
+        dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
+        out = -_integrate(dt_term[::-1], dy, lam + 2.0)[::-1][:xs.size] / spec.a
     # explicit one-sided boundary term C' / a * x_-^{lambda+1}/Gamma(lambda+2)
-    if lam <= -1.0 and np.any(xs == 0.0):
-        raise LambdaOutOfRange("boundary term singular at x = 0 for lambda <= -1")
     x_neg = np.zeros_like(xs)
     neg = xs < 0.0
     x_neg[neg] = (-xs[neg]) ** (lam + 1.0)

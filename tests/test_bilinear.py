@@ -437,6 +437,22 @@ def _unfolded_sweep(index, p, radii, n_base=9):
     return records
 
 
+@pytest.mark.parametrize("index", J_INDICES)
+def test_base_grid_equals_the_point_by_point_grid(index):
+    # the argmax rule reads scan order, so the whole-array grid must be the
+    # point-by-point one element for element; a = 1 drops the vertex anchor
+    for p in (params(), params(a=1.0), params(a=2.0, kappa=-0.75)):
+        for R in (10.0, 20.0, 40.0):
+            xs = np.unique(np.concatenate([np.linspace(-R, R, 9), bilinear._XI_ANCHORS]))
+            taus = np.linspace(-R * R, R * R, 9)
+            want = np.array([
+                (x, tau) for x in xs for tau in np.concatenate(
+                    [taus, [anchor + off for anchor in bilinear._peak_anchors(index, p, x)
+                            for off in bilinear._TAU_OFFSETS]])])
+            got = bilinear._base_grid(index, p, R, 9)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # j-sweep's defaults (criterion 7's a = 1/4) and the other configs of
 # criterion 7, then one where no unwindowed J1 converges, at radii (10, 20, 40);
 # each runs the windowed fall-back somewhere

@@ -7,13 +7,14 @@ import pytest
 
 from qnls import boundary
 from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
-                           _datum_bounds, _DatumGrid, _half_order_series,
-                           _osc_tail_factor, _PanelTable, boundary_estimate_ratio,
-                           delta_coefficient, forcing_field, kernel_constant,
-                           pde_residual, trace_check)
+                           _datum_bounds, _DatumGrid, _fold_pays, _half_order_series,
+                           _osc_tail_factor, _PanelTable, _ray_grid,
+                           boundary_estimate_ratio, delta_coefficient, forcing_field,
+                           kernel_constant, pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)
+from qnls.fractional import _integrate
 from qnls.grids import SpaceTimeField, TimeSeries
 from qnls.profiles import smooth_bump
 from qnls.quadrature import panel_sums
@@ -438,6 +439,17 @@ def test_no_read_leaves_the_padded_datum(monkeypatch):
     assert _GuardedGrid.made == 1 + len(time_sets)
 
 
+def test_no_folded_window_leaves_the_padded_datum(monkeypatch):
+    # each time's lag window spans every lag, zero-weighted ones too; a
+    # window reaching past the padding would read the NaN band
+    monkeypatch.setattr(boundary, "_DatumGrid", _GuardedGrid)
+    m, a, x_values, time_sets = _mixed_field_case()
+    xs = np.concatenate([x_values, np.negative(x_values)])
+    rows = np.vstack([np.ones(xs.size), np.arange(xs.size)])
+    for ts in time_sets:
+        assert np.all(np.isfinite(_base_field(m, _datum_bounds(m), a, xs, ts, rows)))
+
+
 def _assert_columns_match_ladder(m, a_values, x_values, time_sets):
     """Each x alone, then every x and its negative in one field, against the
     ladder; a field with a failing column raises for the smallest one."""
@@ -479,11 +491,13 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-def test_trace_sized_def0_field_has_no_column_by_datum_table():
-    # 171 ray columns of 48 times from a 4096-sample datum; a table of
-    # columns x datum samples (11 MB) would raise the benchmark's peak RSS
+@pytest.mark.parametrize("lam", [0.25, -0.25])
+def test_trace_sized_def0_field_has_no_column_by_datum_table(lam):
+    # 171 ray columns of 48 times from a 4096-sample datum (two such fields,
+    # at t +- dt, for lambda < 0); a table of columns x datum samples (11 MB)
+    # or of times x lags (3 MB) would raise the benchmark's peak RSS
     f = bump_series(n=4096)
-    spec = ForcingSpec(2.0, 0.25, f)
+    spec = ForcingSpec(2.0, lam, f)
     ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
     peak = _peak_bytes(lambda: forcing_field(spec, np.array([0.0]), ts))
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
@@ -516,3 +530,119 @@ def test_freezing_error_guard_raises():
         with pytest.raises(SingularQuadratureFail,
                            match=r"^freezing error .* above 1% at x=40$"):
             forcing_field(spec, np.array(xs), f.times[1024::256])
+
+
+def _unfolded_rows(spec, xs, ts):
+    """The ray rule applied to the whole ray's base field, column by column:
+    the reference the folded rows are held to."""
+    m = _half_order_series(spec)
+    bounds = _datum_bounds(m)
+    ys, dy = _ray_grid(xs, spec)
+    if spec.lam > 0.0:
+        G = _base_field(m, bounds, spec.a, ys, ts)
+        return _integrate(G[::-1], dy, spec.lam)[::-1][:xs.size]
+    delta = spec.f.dt
+    g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
+    g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
+    dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
+    out = -_integrate(dt_term[::-1], dy, spec.lam + 2.0)[::-1][:xs.size] / spec.a
+    x_neg = np.zeros_like(xs)
+    neg = xs < 0.0
+    x_neg[neg] = (-xs[neg]) ** (spec.lam + 1.0)
+    out += (delta_coefficient(spec.a) / spec.a / math.gamma(spec.lam + 2.0)
+            * np.outer(x_neg, m(ts)))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.9, -0.25, -0.5, -0.75])
+def test_folded_trace_row_matches_unfolded_rule(lam):
+    # the fold sums the rule's weights into lag bins before the datum, the
+    # unfolded rule sums the columns first: the rows agree to rounding, the
+    # worst through the 1 / (2 dt) difference at lambda < 0
+    xs = np.array([0.0])
+    for n in (1024, 4096):
+        f = bump_series(n=n)
+        ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
+        mixed = np.concatenate([[0.0, -f.dt], ts[::6], ts[1::8] + 0.37 * f.dt,
+                                ts[2::9] + 0.25 * f.dt])
+        for a in (0.25, 1.0, 2.0):
+            spec = ForcingSpec(a, lam, f)
+            for times in (ts, ts + 0.37 * f.dt, mixed):
+                m = _half_order_series(spec)
+                shift = f.dt if lam < 0.0 else 0.0
+                assert _fold_pays(m, _datum_bounds(m), a, _ray_grid(xs, spec)[0],
+                                  times + shift, 1)
+                want = _unfolded_rows(spec, xs, times)[0]
+                got = forcing_field(spec, xs, times)[0]
+                err = float(np.max(np.abs(got - want)))
+                assert err <= 1e-11 * float(np.max(np.abs(want))), (n, a, times.size, err)
+
+
+@pytest.mark.parametrize("lam", [0.25, -0.25])
+def test_many_row_field_keeps_the_unfolded_rule(lam):
+    # rows at off-grid times, one offset group each: folding does not pay,
+    # and the field is the unfolded rule's, bit for bit
+    f = bump_series(n=1024)
+    spec = ForcingSpec(1.0, lam, f)
+    xs = -2.0 + 0.25 * np.arange(16)
+    ts = (f.t_end / 16) * np.arange(16)
+    m = _half_order_series(spec)
+    assert not _fold_pays(m, _datum_bounds(m), 1.0, _ray_grid(xs, spec)[0], ts, xs.size)
+    assert np.array_equal(forcing_field(spec, xs, ts), _unfolded_rows(spec, xs, ts))
+
+
+def _high_frequency_case():
+    """test_freezing_error_guard_raises's datum: columns at x >= 40 fail the
+    freezing guard, those at x <= 30 are below 0.1 % of scale0."""
+    t = np.linspace(0.0, 1.0, 2048)
+    f = TimeSeries(0.0, t[1] - t[0], np.sin(2 * np.pi * 200 * t) * t * (1 - t))
+    return f, f.times[1024::256]
+
+
+def _counting_column_sums(monkeypatch):
+    calls = []
+    real = boundary._column_sum
+    monkeypatch.setattr(boundary, "_column_sum",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_folded_guard_sums_only_the_columns_above_its_bound(monkeypatch):
+    f, ts = _high_frequency_case()
+    m = _half_order_series(ForcingSpec(0.25, 0.0, f))
+    bounds = _datum_bounds(m)
+    xs = np.array([7.5, -300.0, 19.8, 100.0, -40.0, 30.0])
+    with pytest.raises(SingularQuadratureFail) as unfolded:
+        _base_field(m, bounds, 0.25, xs, ts)
+    calls = _counting_column_sums(monkeypatch)
+    with pytest.raises(SingularQuadratureFail) as folded:
+        _base_field(m, bounds, 0.25, xs, ts, np.ones((1, xs.size)))
+    assert str(folded.value) == str(unfolded.value)
+    assert str(folded.value).endswith("at x=40")
+    assert len(calls) == 3
+
+
+def test_folded_field_below_the_guard_bound_reads_no_column(monkeypatch):
+    f, ts = _high_frequency_case()
+    m = _half_order_series(ForcingSpec(0.25, 0.0, f))
+    bounds = _datum_bounds(m)
+    xs = np.array([0.3, -2.0, 7.5, 19.8, 30.0])
+    rows = np.vstack([np.ones(xs.size), np.linspace(-1.0, 2.0, xs.size)])
+    want = rows @ _base_field(m, bounds, 0.25, xs, ts)
+    calls = _counting_column_sums(monkeypatch)
+    got = _base_field(m, bounds, 0.25, xs, ts, rows)
+    assert calls == []
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_alt_field_refuses_the_origin_before_any_base_field(monkeypatch):
+    # SpaceTraces' xs hold 0.0; lambda <= -1 is singular there, and both ray
+    # fields were made before that was checked
+    calls = []
+    real = boundary._base_field
+    monkeypatch.setattr(boundary, "_base_field",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    spec = ForcingSpec(1.0, -1.2, bump_series(n=256))
+    with pytest.raises(LambdaOutOfRange, match="singular at x = 0"):
+        boundary_estimate_ratio(spec, 0.0, "SpaceTraces", nx=32, nt=16)
+    assert calls == []
