@@ -36,15 +36,16 @@ by product integration (exact on the piecewise-linear interpolant, reusing
 the fractional-integral weights from the right); for -2 < lambda < 0 the
 integrated-by-parts representation with the explicit one-sided boundary
 term is used, with the time derivative taken by central differences.  An
-output row is then a weighted sum of ray columns, and where few rows are
-wanted (the x = 0 trace: one row, one offset group) the rows fold into the
-lag bins: each column's bins, times its weights, go into one lag-weight
-vector per row, and each time reads the datum once per row instead of once
-per column.  Many rows keep the columns and apply the rule to them, which
-is cheaper there.  The freezing guard needs no folded column's values: it
-passes any column whose bound is at most 0.1 % of the datum scale, whatever
-its values, and the columns above that are summed as before, for the guard
-alone.
+output row is then a weighted sum of ray columns, and the base field takes
+the rule's rows and applies them itself, choosing from the sizes it has
+built.  Where few rows are wanted (the x = 0 trace: one row, one offset
+group) the rows fold into the lag bins: each column's bins, times its
+weights, go into one lag-weight vector per row, and each time reads the
+datum once per row instead of once per column.  Many rows sum every column
+and weigh the sums, which is cheaper there.  The freezing guard needs no
+folded column's values: it passes any column whose bound is at most 0.1 %
+of the datum scale, whatever its values, and the columns above that are
+summed for the guard alone.
 """
 
 from __future__ import annotations
@@ -134,14 +135,6 @@ def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
     return m.sup(), float(np.max(np.abs(grad)))
 
 
-def _offsets(m: TimeSeries, t: np.ndarray):
-    """t = (k + phi) dt as (k, phi), phi rounded to 1e-9 so that the times
-    on the datum grid form one offset group."""
-    u = (t - m.t0) / m.dt
-    k = np.rint(u)
-    return k, np.round(u - k, 9)
-
-
 class _DatumGrid:
     """The datum's interpolant laid out for the live output times t.
 
@@ -155,8 +148,9 @@ class _DatumGrid:
     def __init__(self, m: TimeSeries, t: np.ndarray):
         self.rt, self.dt = np.sqrt(t), m.dt
         self.t_max = float(np.max(t))
-        k, phi = _offsets(m, t)
-        self.phis, self.group = np.unique(phi, return_inverse=True)
+        u = (t - m.t0) / m.dt
+        k = np.rint(u)
+        self.phis, self.group = np.unique(np.round(u - k, 9), return_inverse=True)
         self.members = [np.flatnonzero(self.group == g) for g in range(self.phis.size)]
         k = k.astype(np.intp)
         # nodes sigma <= sqrt(t) lie at lags below ceil(t / dt) + 3
@@ -191,19 +185,6 @@ def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
     return k_min, min(max(K, k_min + 8), k_min + 4096)
 
 
-def _panel_counts(Bv, t_max: float, m_dsup: float, scale0: float):
-    """Each column's ladder range (k_min, K), its last ladder edge and its
-    count of top panels; a column at B = 0 has no ladder and 64 top panels."""
-    k_min, K = np.ones((2, Bv.size), dtype=np.intp)
-    for c in np.flatnonzero(Bv >= 1e-300):
-        k_min[c], K[c] = _ladder_range(float(Bv[c]), t_max, m_dsup, scale0)
-    root_max = math.sqrt(t_max)
-    start = np.sqrt(Bv / (np.pi * k_min))
-    gap = root_max - start
-    n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
-    return k_min, K, start, np.where(Bv < 1e-300, 64, n_top).astype(np.intp)
-
-
 class _PanelTable:
     """A field's sigma-panels, one run per |x| column.
 
@@ -221,8 +202,15 @@ class _PanelTable:
 
     def __init__(self, Bv, t_max: float, m_dsup: float, scale0: float):
         osc = Bv >= 1e-300
-        self.k_min, self.K, start, self.n_top = _panel_counts(Bv, t_max, m_dsup, scale0)
+        self.k_min, self.K = np.ones((2, Bv.size), dtype=np.intp)
+        for c in np.flatnonzero(osc):
+            self.k_min[c], self.K[c] = _ladder_range(float(Bv[c]), t_max, m_dsup, scale0)
         root_max = math.sqrt(t_max)
+        start = np.sqrt(Bv / (np.pi * self.k_min))
+        gap = root_max - start
+        n_top = np.where(gap > 1e-14, np.clip(np.ceil(48 * gap / root_max), 8, 48), 0)
+        # a column at B = 0 has no ladder and 64 top panels
+        self.n_top = np.where(osc, n_top, 64).astype(np.intp)
         self.B, self.n = Bv, self.K - self.k_min
         self.p = self.n + self.n_top
         # numpy.linspace(start, root_max, n_top + 1), one run per column
@@ -337,12 +325,14 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
     `_datum_bounds(m)`.
 
     Given `rows`, an (r, len(ys)) weight matrix, it returns rows @ field,
-    shape (r, len(ts)), without making the field: each column's lag bins,
-    times its weights, go into one dense lag-weight vector per row and
-    offset group, and each time reads the datum once per row, as one
-    contiguous window.  A column whose freezing bound is at most 0.1 % of
-    scale0 passes the guard whatever its values, so only the columns above
-    that are summed by `_column_sum`, for the guard.
+    shape (r, len(ts)), without making the field, in the cheaper of two
+    orders, chosen once the grid and the panel table are built.  Folded,
+    each column's lag bins, times its weights, go into one dense lag-weight
+    vector per row and offset group, and each time reads the datum once per
+    row, as one contiguous window; a column whose freezing bound is at most
+    0.1 % of scale0 passes the guard whatever its values, so only the
+    columns above that are summed by `_column_sum`, for the guard.
+    Otherwise every column is summed and the rows weigh the sums.
     """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
@@ -369,11 +359,18 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
             * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
     err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
 
+    # folding costs rows x (groups x nodes + 2 times x lags): each node's
+    # weight goes into every row's vector of its offset group, and each time
+    # reads two lag windows per row; summing the columns costs 2 times x nodes
+    nodes, times = 8 * int(table.p.sum()), grid.rt.size
+    fold = rows is not None and (rows.shape[0] * (grid.phis.size * nodes
+                                                  + 2 * times * grid.n_lags)
+                                 < 2 * times * nodes)
     # folding, only the columns the guard below could fail are summed: one
     # whose bound is at most 0.1 % of scale0 passes whatever its values
-    summed = np.full(ay.size, rows is None)
+    summed = np.full(ay.size, not fold)
     summed[osc[err > 0.01 * (0.1 * scale0)]] = True
-    if rows is not None:
+    if fold:
         # the (left, step) lag weights of each offset group and row, lag l
         # at n_lags - 1 - l, so that a time reads the datum in its own order
         lag_rows = np.zeros((2, grid.phis.size, out.shape[0], grid.n_lags), dtype=complex)
@@ -417,13 +414,14 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
         return out[inv]
     # vecdot, not matmul: OpenBLAS runs products this small on threads
     # that then spin (see _column_sum)
-    lag_rows = lag_rows.conj()
-    folded = np.vecdot(weights.conj()[:, None, :], vals)
-    for t, (b, g) in enumerate(zip(grid.base - (grid.n_lags - 1), grid.group)):
-        window = slice(b, b + grid.n_lags)
-        folded[:, t] += (np.vecdot(lag_rows[0, g], grid.ext[window])
-                         + np.vecdot(lag_rows[1, g], grid.ext[grid.span:][window]))
-    out[:, live] = (2.0 / math.sqrt(np.pi)) * folded
+    rowed = np.vecdot(weights.conj()[:, None, :], vals)
+    if fold:
+        lag_rows = lag_rows.conj()
+        for t, (b, g) in enumerate(zip(grid.base - (grid.n_lags - 1), grid.group)):
+            window = slice(b, b + grid.n_lags)
+            rowed[:, t] += (np.vecdot(lag_rows[0, g], grid.ext[window])
+                            + np.vecdot(lag_rows[1, g], grid.ext[grid.span:][window]))
+    out[:, live] = (2.0 / math.sqrt(np.pi)) * rowed
     return out
 
 
@@ -447,29 +445,6 @@ def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     return np.concatenate([xs, xs[-1] + dy * np.arange(1, n_extra + 1)]), dy
 
 
-def _fold_pays(m: TimeSeries, bounds, a: float, ys, ts, n_rows: int) -> bool:
-    """Whether `_base_field` should fold the ray rule's n_rows output rows
-    into lag bins rather than make every column.
-
-    Folding costs rows x (groups x nodes + 2 times x lags): each node's
-    weight goes into every row's vector of its offset group, and each time
-    reads two lag windows per row.  Summing the columns costs 2 times x
-    nodes.  Both are known before any column is summed.
-    """
-    ts = np.asarray(ts, dtype=float)
-    t = ts[ts > 0.0]
-    if not t.size or not bounds[0] > 0.0:
-        return False
-    groups = np.unique(_offsets(m, t)[1]).size
-    t_max = float(np.max(t))
-    ay = np.unique(np.abs(np.asarray(ys, dtype=float)))
-    k_min, K, _, n_top = _panel_counts(ay * ay / (4.0 * a), t_max, bounds[1],
-                                       bounds[0] * min(math.sqrt(t_max), 1.0) + 1e-300)
-    nodes = 8 * int(np.sum(K - k_min + n_top))
-    lags = math.ceil(t_max / m.dt) + 3
-    return n_rows * (groups * nodes + 2 * t.size * lags) < 2 * t.size * nodes
-
-
 def _ray_rows(n_rows: int, ny: int, dy: float, alpha: float) -> np.ndarray:
     """The first n_rows rows of the order-alpha product-trapezoid rule along
     the ray, read from the right: row r is what
@@ -487,9 +462,9 @@ def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     The order lambda alone picks the form: the direct kernel at lambda = 0,
     the right-sided fractional convolution of the base field along a ray
     for lambda > 0, and the integrated-by-parts form (`_alt_field`) for
-    lambda < 0.  An empty xs gives the empty (0, nt) field.  Where
-    `_fold_pays`, the ray rule's rows are folded into the base field's lag
-    bins; otherwise the ray's base field is made and the rule applied to it.
+    lambda < 0.  An empty xs gives the empty (0, nt) field.  At lambda != 0
+    the ray rule's rows go to `_base_field`, which applies them to the ray's
+    base field.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -503,10 +478,7 @@ def forcing_field(spec: ForcingSpec, xs, ts) -> np.ndarray:
     if lam == 0.0:
         return _base_field(m, bounds, spec.a, xs, ts)
     ys, dy = _ray_grid(xs, spec)
-    if _fold_pays(m, bounds, spec.a, ys, ts, xs.size):
-        return _base_field(m, bounds, spec.a, ys, ts, _ray_rows(xs.size, ys.size, dy, lam))
-    G = _base_field(m, bounds, spec.a, ys, ts)
-    return _integrate(G[::-1], dy, lam)[::-1][:xs.size]
+    return _base_field(m, bounds, spec.a, ys, ts, _ray_rows(xs.size, ys.size, dy, lam))
 
 
 def _alt_field(spec: ForcingSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -522,16 +494,10 @@ def _alt_field(spec: ForcingSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     bounds = _datum_bounds(m)
     ys, dy = _ray_grid(xs, spec)
     delta = spec.f.dt
-    if _fold_pays(m, bounds, spec.a, ys, ts + delta, xs.size):
-        # the rule's rows times i / (2 delta a), of opposite signs at t +- delta
-        rows = _ray_rows(xs.size, ys.size, dy, lam + 2.0) * (1j / (2.0 * delta * spec.a))
-        out = (_base_field(m, bounds, spec.a, ys, ts - delta, rows)
-               - _base_field(m, bounds, spec.a, ys, ts + delta, rows))
-    else:
-        g_plus = _base_field(m, bounds, spec.a, ys, ts + delta)
-        g_minus = _base_field(m, bounds, spec.a, ys, ts - delta)
-        dt_term = 1j * (g_plus - g_minus) / (2.0 * delta)
-        out = -_integrate(dt_term[::-1], dy, lam + 2.0)[::-1][:xs.size] / spec.a
+    # the rule's rows times i / (2 delta a), of opposite signs at t +- delta
+    rows = _ray_rows(xs.size, ys.size, dy, lam + 2.0) * (1j / (2.0 * delta * spec.a))
+    out = (_base_field(m, bounds, spec.a, ys, ts - delta, rows)
+           - _base_field(m, bounds, spec.a, ys, ts + delta, rows))
     # explicit one-sided boundary term C' / a * x_-^{lambda+1}/Gamma(lambda+2)
     x_neg = np.zeros_like(xs)
     neg = xs < 0.0

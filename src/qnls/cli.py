@@ -4,8 +4,9 @@ Every run writes its outputs plus one manifest (config echo, versions, seed,
 wall time, per-contract pass/fail; a run that raises after validation gets
 `passed: false` and its error).  Exit status: 0 all contracts pass, 1 a
 contract fails or a module raises, 2 usage errors.  JSON carries config,
-CSV carries bulk numerics; identical config + seed reproduce identical
-numerical outputs.
+CSV carries bulk numerics; on one machine, identical config + seed
+reproduce identical numerical outputs (other CPUs and BLAS builds may
+differ in the last bits).
 """
 
 from __future__ import annotations
@@ -409,6 +410,9 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
     if not isinstance(config, dict):
         raise InvalidConfig("config must be a JSON object")
     cfg = _validate(command, config)
+    # numpy's generator takes no negative or fractional seed
+    _require(isinstance(seed, (int, np.integer)) and seed >= 0,
+             f"seed must be a non-negative integer, got {seed!r}")
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
     manifest = {
@@ -445,8 +449,17 @@ def emit_report(results_dir) -> dict:
         raise EmptyDirectory(f"no manifest found under {out}")
     experiments = {}
     for mpath in manifests:
-        data = json.loads(mpath.read_text())
-        experiments[data["command"]] = "pass" if data["passed"] else "fail"
+        try:
+            data = json.loads(mpath.read_text())
+            command, passed = data["command"], data["passed"]
+        except (json.JSONDecodeError, UnicodeDecodeError, TypeError, KeyError) as exc:
+            raise InvalidConfig(f"{mpath} is not a qnls manifest: "
+                                f"{type(exc).__name__}: {exc}") from exc
+        # a string "false" would otherwise count as a pass
+        _require(isinstance(command, str) and isinstance(passed, bool),
+                 f"{mpath} is not a qnls manifest: command must be a string "
+                 f"and passed a boolean")
+        experiments[command] = "pass" if passed else "fail"
     summary = {
         "experiments": experiments,
         "overall": "pass" if all(v == "pass" for v in experiments.values())

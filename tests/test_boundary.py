@@ -7,7 +7,7 @@ import pytest
 
 from qnls import boundary
 from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
-                           _datum_bounds, _DatumGrid, _fold_pays, _half_order_series,
+                           _datum_bounds, _DatumGrid, _half_order_series,
                            _osc_tail_factor, _PanelTable, _ray_grid,
                            boundary_estimate_ratio, delta_coefficient, forcing_field,
                            kernel_constant, pde_residual, trace_check)
@@ -555,11 +555,12 @@ def _unfolded_rows(spec, xs, ts):
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5, 0.9, -0.25, -0.5, -0.75])
-def test_folded_trace_row_matches_unfolded_rule(lam):
+def test_folded_trace_row_matches_unfolded_rule(monkeypatch, lam):
     # the fold sums the rule's weights into lag bins before the datum, the
     # unfolded rule sums the columns first: the rows agree to rounding, the
     # worst through the 1 / (2 dt) difference at lambda < 0
     xs = np.array([0.0])
+    calls = _counting_column_sums(monkeypatch)
     for n in (1024, 4096):
         f = bump_series(n=n)
         ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
@@ -568,27 +569,39 @@ def test_folded_trace_row_matches_unfolded_rule(lam):
         for a in (0.25, 1.0, 2.0):
             spec = ForcingSpec(a, lam, f)
             for times in (ts, ts + 0.37 * f.dt, mixed):
-                m = _half_order_series(spec)
-                shift = f.dt if lam < 0.0 else 0.0
-                assert _fold_pays(m, _datum_bounds(m), a, _ray_grid(xs, spec)[0],
-                                  times + shift, 1)
                 want = _unfolded_rows(spec, xs, times)[0]
+                calls.clear()
                 got = forcing_field(spec, xs, times)[0]
+                # the one row folds, and no column is above the guard's bound
+                assert calls == [], (n, a, times.size)
                 err = float(np.max(np.abs(got - want)))
                 assert err <= 1e-11 * float(np.max(np.abs(want))), (n, a, times.size, err)
 
 
 @pytest.mark.parametrize("lam", [0.25, -0.25])
-def test_many_row_field_keeps_the_unfolded_rule(lam):
+def test_many_row_field_keeps_the_unfolded_rule(monkeypatch, lam):
     # rows at off-grid times, one offset group each: folding does not pay,
-    # and the field is the unfolded rule's, bit for bit
+    # so every distinct |y| of the ray is summed once per field (two fields
+    # at lambda < 0), and the rows weigh the sums
     f = bump_series(n=1024)
     spec = ForcingSpec(1.0, lam, f)
     xs = -2.0 + 0.25 * np.arange(16)
     ts = (f.t_end / 16) * np.arange(16)
-    m = _half_order_series(spec)
-    assert not _fold_pays(m, _datum_bounds(m), 1.0, _ray_grid(xs, spec)[0], ts, xs.size)
-    assert np.array_equal(forcing_field(spec, xs, ts), _unfolded_rows(spec, xs, ts))
+    want = _unfolded_rows(spec, xs, ts)
+    calls = _counting_column_sums(monkeypatch)
+    got = forcing_field(spec, xs, ts)
+    assert len(calls) == {0.25: 56, -0.25: 112}[lam]
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_pde_residual_field_does_not_fold(monkeypatch):
+    # pde_residual's 64 x 64 grid at lambda = 1/4, 64 rows: folding there
+    # made pde_residual take 11.2 s against 0.49 s with the column sums
+    test = _test_field(64, 64)
+    spec = ForcingSpec(1.0, 0.25, bump_series(n=2048))
+    calls = _counting_column_sums(monkeypatch)
+    forcing_field(spec, test.x, test.t)
+    assert len(calls) == np.unique(np.abs(_ray_grid(test.x, spec)[0])).size
 
 
 def _high_frequency_case():

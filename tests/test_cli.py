@@ -282,6 +282,29 @@ def test_failed_run_writes_a_manifest_that_report_counts(tmp_path, monkeypatch, 
                        "overall": "fail"}
 
 
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    # numpy's generator rejects it; that was a ValueError traceback, exit 1
+    assert main(["region-map", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: seed must be")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["not json", '{"passed": true}',
+                                  '{"command": "simulate"}', "[1, 2]",
+                                  '{"command": "simulate", "passed": "false"}'],
+                         ids=["not-json", "no-command", "no-passed", "not-an-object",
+                              "passed-not-a-boolean"])
+def test_report_names_a_foreign_manifest_and_exits_2(tmp_path, capsys, text):
+    out = tmp_path / "res"
+    run_experiment("region-map", {"step": 0.5}, 3, out)
+    (out / "manifest_zz.json").write_text(text)
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "manifest_zz.json" in err[0]
+    assert not (out / "summary.json").exists()
+
+
 def test_report_empty_directory(tmp_path):
     with pytest.raises(EmptyDirectory):
         emit_report(tmp_path)
