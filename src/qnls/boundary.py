@@ -24,11 +24,17 @@ once per field.  The ladder edges sqrt(B/(pi k)) scale with sqrt(B), so the
 phase at ladder panel k, node j depends on (k, j) alone: one table per field
 holds it over the union of the columns' k-ranges, beside every column's top
 panels, and each column corrects it to first order for the rounding of its
-own nodes.  Each column then sums its panels by the lag-binned convolution.
-The per-time terms -- the straddling panel each time removes, the partial
-top panel, the Fresnel tail and the freezing guard -- run once over (times x
-columns), one pass per Gauss-Legendre node.  Nothing is cached across calls:
-the panel ladder depends on the datum's sup and derivative sup.
+own nodes.  The columns are binned a run at a time: consecutive columns of
+up to RUN_NODES nodes in all go through one flat pass that makes their
+edges, nodes, weights and lag bins together, a bin starting where the lag
+changes or where a column starts, so a column's bins do not depend on the
+run it is in.  Each column then sums its bins by the lag-binned
+convolution.  The per-time terms -- the straddling panel each time
+removes, the partial top panel, the Fresnel tail and the freezing guard --
+run once over (times x columns), one pass per Gauss-Legendre node; the
+Fresnel factor is made once per column at its deepest edge, and per (time,
+column) only where sqrt(t) is below that edge.  Nothing is cached across
+calls: the panel ladder depends on the datum's sup and derivative sup.
 
 Class members of order lambda are built from the base evaluations on a
 uniform ray: for lambda > 0 the spatial kernel (y-x)^{lambda-1} is applied
@@ -39,19 +45,20 @@ term is used, with the time derivative taken by central differences.  An
 output row is then a weighted sum of ray columns, and the base field takes
 the rule's rows and applies them itself, choosing from the sizes it has
 built.  Where few rows are wanted (the x = 0 trace: one row, one offset
-group) the rows fold into the lag bins: each column's bins, times its
-weights, go into one lag-weight vector per row, and each time reads the
-datum once per row instead of once per column.  Many rows sum every column
-and weigh the sums, which is cheaper there.  The freezing guard needs no
-folded column's values: it passes any column whose bound is at most 0.1 %
-of the datum scale, whatever its values, and the columns above that are
-summed for the guard alone.
+group) the rows fold into the lag bins: each run's bins, times their
+columns' weights, go into one lag-weight vector per row, in column order,
+and each time reads the datum once per row instead of once per column.
+Many rows sum every column and weigh the sums, which is cheaper there.  The
+freezing guard needs no folded column's values: it passes any column whose
+bound is at most 0.1 % of the datum scale, whatever its values, and the
+columns above that are summed for the guard alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import fresnel
@@ -65,6 +72,8 @@ from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
 
 #: relative accuracy the sigma ladder of the kernel quadrature is sized for
 KERNEL_REL_TOL = 1e-5
+#: ladder nodes that consecutive columns bin in one flat pass
+RUN_NODES = 8192
 
 
 def kernel_constant(a: float) -> complex:
@@ -124,6 +133,16 @@ def _osc_tail_factor(z):
     return out
 
 
+def _tail_factors(B, deep, s_eff):
+    """_osc_tail_factor(B / s_eff^2) for each time and column, s_eff being
+    the column's deepest edge or sqrt(t) below it: made once per column,
+    and per (time, column) only where sqrt(t) is below that edge."""
+    factor = np.repeat(_osc_tail_factor(B / (deep ** 2 + 1e-300))[None], len(s_eff), axis=0)
+    below = s_eff < deep
+    factor[below] = _osc_tail_factor((B / (s_eff ** 2 + 1e-300))[below])
+    return factor
+
+
 def _half_order_series(spec: ForcingSpec) -> TimeSeries:
     """I_{-1/2 - lambda/2} f, the series the base kernel acts on."""
     return rl_apply(spec.f, -0.5 - spec.lam / 2.0)
@@ -152,6 +171,11 @@ class _DatumGrid:
         k = np.rint(u)
         self.phis, self.group = np.unique(np.round(u - k, 9), return_inverse=True)
         self.members = [np.flatnonzero(self.group == g) for g in range(self.phis.size)]
+        # sqrt(t) and the 1e-15 a complete panel's top edge may pass it by:
+        # each time's, then each group's largest and the largest of all
+        reach = self.rt + 1e-15
+        self.reach = np.concatenate((reach, [reach[at].max() for at in self.members],
+                                     [reach.max()]))
         k = k.astype(np.intp)
         # nodes sigma <= sqrt(t) lie at lags below ceil(t / dt) + 3
         self.n_lags = math.ceil(self.t_max / m.dt) + 3
@@ -165,9 +189,10 @@ class _DatumGrid:
     def lags(self, s2, groups):
         """Where node sigma^2 = s2 reads at time (k + phi) dt: interval
         k - lag, at fraction lag - s, with s = s2 / dt - phi."""
-        s = s2 / self.dt - self.phis[groups]
+        s = s2 / self.dt
+        s -= self.phis[groups]
         lag = np.ceil(s)
-        return lag.astype(np.intp), lag - s
+        return lag.astype(np.intp), np.subtract(lag, s, out=s)
 
     def read(self, s2):
         """The interpolant at t - s2[i, j] for every time t = t[i]."""
@@ -233,24 +258,19 @@ class _PanelTable:
         self.theta = np.concatenate((1.0 / (unit * unit),
                                      np.repeat(Bv, runs)[:-1, None] / (top * top)))
         self.phase = np.exp(1j * self.theta)
+        # pi k for k = k_top, ..., 1: column c's ladder edges are sqrt(B /
+        # pik[k_top - K:k_top - k_min + 1]); and, as Python ints for runs of
+        # columns, each column's (k_top - K, n, t0, n_top, r0, top)
+        k_top = max(k_hi, 1)
+        self.pik = np.pi * np.arange(k_top, 0, -1, dtype=float)
+        self.spans = list(zip((k_top - self.K).tolist(), self.n.tolist(), self.t0.tolist(),
+                              self.n_top.tolist(), self.r0.tolist(), self.top.tolist()))
 
     def edge(self, c, q):
         """Edge q of column c; c and q broadcast."""
         n = self.n[c]
         return np.where(q < n, np.sqrt(self.B[c] / (np.pi * np.maximum(self.K[c] - q, 1))),
                         self.top_edges[self.t0[c] + np.maximum(q - n, 0)])
-
-    def column(self, c):
-        """Column c's edges, and sigma^2 and the weight times the phase
-        exp(i B / sigma^2) at its nodes, one row per panel."""
-        n, n_top, t0 = self.n[c], self.n_top[c], self.t0[c]
-        k = np.arange(self.K[c], self.k_min[c] - 1, -1, dtype=float)
-        edges = np.concatenate((np.sqrt(self.B[c] / (np.pi * k)),
-                                self.top_edges[t0 + 1:t0 + n_top + 1]))
-        sig, _, half = _panel_nodes(edges, 8)
-        lad, top = slice(self.r0[c], self.r0[c] + n), slice(self.top[c], self.top[c] + n_top)
-        theta, phase = (np.concatenate((v[lad], v[top])) for v in (self.theta, self.phase))
-        return (edges, *self._weigh(c, sig, half[:, None], theta, phase))
 
     def nodes(self, c, q):
         """For each Gauss-Legendre node j in turn, sigma^2 and the weight
@@ -261,78 +281,143 @@ class _PanelTable:
         n = self.n[c]
         row = np.where(q < n, self.r0[c] + q, self.top[c] - n + q)
         for j, u in enumerate(_gl(8)[0]):
-            yield self._weigh(c, (lo + half) + half * u, half, self.theta[row, j],
-                              self.phase[row, j], j)
-
-    def _weigh(self, c, sig, half, theta, phase, j=slice(None)):
-        # exp(i B / sigma^2) = exp(i theta) (1 + i d) to rounding, where
-        # d = B / sigma^2 - theta comes from the rounding of the column's
-        # own nodes
-        s2 = sig * sig
-        z = np.empty(s2.shape, dtype=complex)
-        z.real = 1.0
-        z.imag = self.B[c] * (1.0 / s2) - theta
-        phase *= z
-        phase *= _gl(8)[1][j] * half
-        return s2, phase
+            sig = (lo + half) + half * u
+            s2 = sig * sig
+            yield s2, _weigh(self.B[c] * (1.0 / s2), half, self.theta[row, j],
+                             self.phase[row, j], j)
 
 
-def _column_bins(table: _PanelTable, grid: _DatumGrid, c: int):
-    """Column c's complete panels as lag bins, one set per offset group.
+def _weigh(angle, half, theta, phase, j=slice(None)):
+    """The weight times the phase exp(i angle) at nodes of angle B / sigma^2,
+    made in `phase` from the table's exp(i theta) there."""
+    # exp(i angle) = exp(i theta) (1 + i d) to rounding, where
+    # d = angle - theta comes from the rounding of the column's own nodes
+    z = np.empty(angle.shape, dtype=complex)
+    z.real = 1.0
+    np.subtract(angle, theta, out=z.imag)
+    phase *= z
+    phase *= _gl(8)[1][j] * half
+    return phase
 
-    Each group takes the panels up to its times' top level.  The nodes run
-    up the ladder, so the lag never decreases and each lag bin is one run of
-    nodes, starting where the lag changes.  Returns each time's count of
-    complete panels, each group's top level and, per group, the bins' lags
-    and their weights on each interval's left sample and on its step.
+
+def _runs(nodes, summed):
+    """The columns cut into runs of consecutive columns, (first, end)
+    pairs: a run takes columns of one kind, all summed or all folded, while
+    their nodes stay within RUN_NODES (a larger column runs alone)."""
+    runs, first, total = [], 0, 0
+    for c, k in enumerate(nodes):
+        if c > first and (summed[c] != summed[first] or total + k > RUN_NODES):
+            runs.append((first, c))
+            first, total = c, 0
+        total += k
+    runs.append((first, len(nodes)))
+    return runs
+
+
+def _take(v, first, counts):
+    """Rows first[j], ..., first[j] + counts[j] - 1 of v for each j in turn,
+    one after another: v itself when they are all of v, in order."""
+    ends = [f + k for f, k in zip(first, counts)]
+    if [0, *ends] == [*first[:len(ends)], len(v)]:
+        return v
+    return np.concatenate([v[f:e] for f, e in zip(first, ends)])
+
+
+def _run_bins(table: _PanelTable, grid: _DatumGrid, c0: int, c1: int):
+    """Columns c0, ..., c1 - 1's complete panels as lag bins, one set per
+    offset group, from one flat pass over their nodes.
+
+    Each group takes each column's panels up to its times' top level.  The
+    nodes run up each column's ladder, so within a column the lag never
+    decreases: a bin is one run of nodes, starting where the lag changes or
+    where a column starts.  Returns each time's count of complete panels
+    and each group's top level, one column each, and, per group, the bins'
+    lags, their weights on each interval's left sample and on its step,
+    and where each column's bins start (then the count of bins).
     """
-    edges, s2, w = table.column(c)
-    level = np.searchsorted(edges[1:], grid.rt + 1e-15, side="right")
-    tops = np.empty(grid.phis.size, dtype=np.intp)
+    spans, Bs = table.spans[c0:c1], table.B[c0:c1].tolist()
+    # the columns' edges one after another: column j's ladder edges
+    # sqrt(B / (pi k)), k = K, ..., k_min, then its top edges, from e0[j]
+    lad = np.concatenate([table.pik[k0:k0 + n + 1] for k0, n, *_ in spans])
+    pieces, e0, at = [], [0], 0
+    for B, (_, n, t0, n_top, *_) in zip(Bs, spans):
+        piece = lad[at:at + n + 1]
+        np.divide(B, piece, out=piece)
+        pieces += [piece, table.top_edges[t0 + 1:t0 + n_top + 1]]
+        at += n + 1
+        e0.append(e0[-1] + n + n_top + 1)
+    np.sqrt(lad, out=lad)
+    edges = np.concatenate(pieces)
+    hits = np.empty((grid.reach.size, c1 - c0), dtype=np.intp)
+    for j in range(c1 - c0):
+        hits[:, j] = np.searchsorted(edges[e0[j] + 1:e0[j + 1]], grid.reach, side="right")
+    level, tops = hits[:grid.rt.size], hits[grid.rt.size:-1]
+    # panel i lies on [edges[i], edges[i + 1]]; each column's panels up to
+    # the top level of all its times, k[j] of them, from row row0[j]
+    k = hits[-1].tolist()
+    row0 = list(accumulate(k, initial=0))
+    sig, _, half = _panel_nodes(edges, 8)
+    sig, half = (_take(v, e0, k) for v in (sig, half))
+    s2 = sig * sig
+    angle = 1.0 / s2
+    rows = []
+    for B, (_, n, _, _, r0, top), kj, r in zip(Bs, spans, k, row0):
+        angle[r:r + kj] *= B
+        rows += [slice(r0, r0 + min(kj, n)), slice(top, top + max(kj - n, 0))]
+    w = _weigh(angle, half[:, None], *(np.concatenate([v[r] for r in rows])
+                                       for v in (table.theta, table.phase)))
     bins = []
-    for g, at in enumerate(grid.members):
-        tops[g] = k = level[at].max()
-        lag, frac = grid.lags(s2[:k].ravel(), g)
+    for g, k_g in enumerate(tops.tolist()):
+        s2_g, w_g = (_take(v, row0, k_g).ravel() for v in (s2, w))
+        lag, frac = grid.lags(s2_g, g)
         new = np.ones(lag.size, dtype=bool)
         np.not_equal(lag[1:], lag[:-1], out=new[1:])
+        first = [8 * r for r in accumulate(k_g, initial=0)]
+        new[[f for f, kj in zip(first[1:], k_g[1:]) if kj]] = True
         starts = np.flatnonzero(new)
-        bins.append((lag[starts], np.add.reduceat(w[:k].ravel(), starts),
-                     np.add.reduceat(w[:k].ravel() * frac, starts)))
+        bins.append((lag[starts], np.add.reduceat(w_g, starts),
+                     np.add.reduceat(w_g * frac, starts), np.searchsorted(starts, first)))
     return level, tops, bins
 
 
-def _column_sum(grid: _DatumGrid, bins) -> np.ndarray:
-    """A column's lag bins summed against the datum at each time, by one
-    dense (times x lags) gather per offset group and two dots per time."""
+def _column_sum(grid: _DatumGrid, bins, j: int) -> np.ndarray:
+    """Column j of a run's lag bins summed against the datum at each time,
+    by one dense (times x lags) gather per offset group and two dots per
+    time."""
     col = np.empty(grid.rt.size, dtype=complex)
-    for at, (lag, on_left, on_step) in zip(grid.members, bins):
-        i = grid.base[at, None] - lag
+    for at, (lag, on_left, on_step, cuts) in zip(grid.members, bins):
+        b = slice(cuts[j], cuts[j + 1])
+        i = grid.base[at, None] - lag[b]
         # one dot per time: OpenBLAS runs a mat-vec this small on threads
         # that then spin, doubling the CPU time without saving wall time
-        col[at] = (np.vecdot(on_left.conj(), grid.ext[i])
-                   + np.vecdot(on_step.conj(), grid.ext[grid.span:][i]))
+        col[at] = (np.vecdot(on_left[b].conj(), grid.ext[i])
+                   + np.vecdot(on_step[b].conj(), grid.ext[grid.span:][i]))
     return col
 
 
 def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarray:
     """Base-operator field on ys x ts, every |y| column in one pass.
 
-    Each column bins its complete panels by lag (`_column_bins`) and sums
-    the bins against the datum (`_column_sum`).  Then, over
-    (times x columns), each time removes the panel that straddles sqrt(t)
-    and adds its partial top panel and its Fresnel tail, and the freezing
-    guard raises for the smallest failing |y|.  `bounds` is
-    `_datum_bounds(m)`.
+    The columns bin their complete panels by lag a run at a time
+    (`_run_bins`, runs cut by `_runs`), and each summed column sums its
+    bins against the datum (`_column_sum`).  Then, over (times x columns),
+    each time removes the panel that straddles sqrt(t) and adds its partial
+    top panel and its Fresnel tail, and the freezing guard raises for the
+    smallest failing |y|.  The tail's Fresnel factor is made once per column
+    at its deepest edge, and per (time, column) only where sqrt(t) is below
+    it.  `bounds` is `_datum_bounds(m)`.
 
     Given `rows`, an (r, len(ys)) weight matrix, it returns rows @ field,
     shape (r, len(ts)), without making the field, in the cheaper of two
     orders, chosen once the grid and the panel table are built.  Folded,
-    each column's lag bins, times its weights, go into one dense lag-weight
-    vector per row and offset group, and each time reads the datum once per
-    row, as one contiguous window; a column whose freezing bound is at most
-    0.1 % of scale0 passes the guard whatever its values, so only the
-    columns above that are summed by `_column_sum`, for the guard.
-    Otherwise every column is summed and the rows weigh the sums.
+    each run's lag bins, times their columns' weights, go into one dense
+    lag-weight vector per row and offset group by one `np.add.at` each, in
+    column order as the columns one by one would add them, and each time
+    reads the datum once per row, as one contiguous window; a column whose
+    freezing bound is at most 0.1 % of scale0 passes the guard whatever its
+    values, so only the columns above that are summed by `_column_sum`, for
+    the guard.  Otherwise every column is summed and the rows weigh the
+    sums.
     """
     ts = np.asarray(ts, dtype=float)
     ay, inv = np.unique(np.abs(np.asarray(ys, dtype=float)), return_inverse=True)
@@ -351,12 +436,10 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
     Bv = ay * ay / (4.0 * a)
     osc = np.flatnonzero(Bv >= 1e-300)
     table = _PanelTable(Bv, grid.t_max, m_dsup, scale0)
-    # Fresnel completion below the deepest edge, added last; computed here,
-    # where few arrays are live: it holds about ten (times x columns) arrays
-    # at its peak
-    s_eff = np.minimum(table.edge(osc, 0), rt)
-    tail = (grid.read(s_eff * s_eff) * s_eff
-            * _osc_tail_factor(Bv[osc] / (s_eff ** 2 + 1e-300)))
+    # Fresnel completion below the deepest edge, added last
+    deep = table.edge(osc, 0)
+    s_eff = np.minimum(deep, rt)
+    tail = grid.read(s_eff * s_eff) * s_eff * _tail_factors(Bv[osc], deep, s_eff)
     err = 0.4 * (m_dsup + 1e-300) * np.max(s_eff, axis=0) ** 5 / Bv[osc]
 
     # folding costs rows x (groups x nodes + 2 times x lags): each node's
@@ -377,15 +460,19 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
     vals = np.zeros((grid.rt.size, ay.size), dtype=complex)
     level = np.empty(vals.shape, dtype=np.intp)
     tops = np.empty((grid.phis.size, ay.size), dtype=np.intp)
-    for c in range(ay.size):
-        level[:, c], tops[:, c], bins = _column_bins(table, grid, c)
-        if summed[c]:
-            vals[:, c] = _column_sum(grid, bins)
+    for c0, c1 in _runs(8 * table.p, summed):
+        level[:, c0:c1], tops[:, c0:c1], bins = _run_bins(table, grid, c0, c1)
+        if summed[c0]:
+            for c in range(c0, c1):
+                vals[:, c] = _column_sum(grid, bins, c - c0)
             continue
-        for g, (lag, on_left, on_step) in enumerate(bins):
+        # in column order, as the columns one by one would: one np.add.at
+        # per offset group and row
+        for g, (lag, on_left, on_step, cuts) in enumerate(bins):
             back = grid.n_lags - 1 - lag
-            lag_rows[0, g][:, back] += weights[:, c, None] * on_left
-            lag_rows[1, g][:, back] += weights[:, c, None] * on_step
+            for r, wr in enumerate(np.repeat(weights[:, c0:c1], np.diff(cuts), axis=1)):
+                np.add.at(lag_rows[0, g, r], back, wr * on_left)
+                np.add.at(lag_rows[1, g, r], back, wr * on_step)
     # the straddling panel, which t's group read unless it read none (those
     # read a panel of the column at weight 0), and the partial top panel
     # [last complete edge, sqrt(t)] on the reference panel [-1, 1], one node

@@ -604,6 +604,96 @@ def test_pde_residual_field_does_not_fold(monkeypatch):
     assert len(calls) == np.unique(np.abs(_ray_grid(test.x, spec)[0])).size
 
 
+def _trace_times(f):
+    return f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
+
+
+def _wide_column_case():
+    """Columns at x = 0, 0.3, 2, 7.5 and 19.8 for a = 1/4: the last has
+    more nodes than RUN_NODES and runs alone, the others share a run."""
+    f = bump_series(n=1024)
+    m = _half_order_series(ForcingSpec(0.25, 0.0, f))
+    return f, m, np.array([0.0, 0.3, 2.0, 7.5, 19.8])
+
+
+def test_run_cut_cases_hold_a_wide_column_and_times_below_its_deepest_edge():
+    f, m, xs = _wide_column_case()
+    m_sup, m_dsup = _datum_bounds(m)
+    ts = _trace_times(f)
+    t_max = float(ts.max())
+    table = _PanelTable(xs * xs, t_max, m_dsup, m_sup * min(math.sqrt(t_max), 1.0))
+    nodes = 8 * table.p
+    assert nodes[-1] > boundary.RUN_NODES and nodes[:-1].sum() <= boundary.RUN_NODES
+    assert boundary._runs(nodes, np.zeros(xs.size, dtype=bool)) == [(0, 4), (4, 5)]
+    assert math.sqrt(f.dt) < table.edge(4, 0)
+
+
+def _run_cut_fields():
+    """Fields whose columns RUN_NODES cuts into runs of several columns."""
+    f = bump_series(n=4096)
+    x0 = np.array([0.0])
+    g = bump_series(n=1024)
+    ts = _trace_times(g)
+    # test_folded_trace_row_matches_unfolded_rule's three offset groups
+    mixed = np.concatenate([[0.0, -g.dt], ts[::6], ts[1::8] + 0.37 * g.dt,
+                            ts[2::9] + 0.25 * g.dt])
+    _, m, xs = _wide_column_case()
+    bounds = _datum_bounds(m)
+    below = np.concatenate([[g.dt, 2 * g.dt], ts])
+    fold = np.ones((1, xs.size))
+    return {
+        "trace row, lambda = 1/4":
+            lambda: forcing_field(ForcingSpec(2.0, 0.25, f), x0, _trace_times(f)),
+        "trace row, lambda = -1/4":
+            lambda: forcing_field(ForcingSpec(2.0, -0.25, f), x0, _trace_times(f)),
+        "three offset groups":
+            lambda: forcing_field(ForcingSpec(1.0, 0.25, g), x0, mixed),
+        "three offset groups, lambda = -1/4":
+            lambda: forcing_field(ForcingSpec(1.0, -0.25, g), x0, mixed),
+        # the datum-grid group reads only nodes at lag 1, so a column's last
+        # bin there has the next column's lag
+        "a group of early times only":
+            lambda: forcing_field(ForcingSpec(1.0, 0.25, g), x0,
+                                  np.concatenate([[g.dt, 2 * g.dt], ts + 0.37 * g.dt])),
+        "a column above the budget, folded":
+            lambda: _base_field(m, bounds, 0.25, xs, ts, fold),
+        "a column above the budget, summed":
+            lambda: _base_field(m, bounds, 0.25, xs, ts),
+        "times below the deepest edge, folded":
+            lambda: _base_field(m, bounds, 0.25, xs, below, fold),
+        "times below the deepest edge, summed":
+            lambda: _base_field(m, bounds, 0.25, xs, below),
+    }
+
+
+@pytest.mark.parametrize("case", list(_run_cut_fields()))
+def test_field_does_not_depend_on_how_its_columns_are_cut_into_runs(monkeypatch, case):
+    # a bin starts where a column starts, and the fold adds each run's bins
+    # in column order, so runs of one column give the same field bit for bit
+    field = _run_cut_fields()[case]
+    want = field()
+    monkeypatch.setattr(boundary, "RUN_NODES", 0)
+    assert np.array_equal(field(), want)
+
+
+def test_folded_trace_row_bins_its_columns_in_runs(monkeypatch):
+    # a fall-back to one column per pass keeps every field and shows only
+    # in the benchmark's time
+    f = bump_series(n=4096)
+    spec = ForcingSpec(2.0, 0.25, f)
+    xs = np.array([0.0])
+    runs = []
+    real = boundary._run_bins
+    monkeypatch.setattr(boundary, "_run_bins",
+                        lambda table, grid, c0, c1: runs.append(c1 - c0)
+                        or real(table, grid, c0, c1))
+    calls = _counting_column_sums(monkeypatch)
+    forcing_field(spec, xs, _trace_times(f))
+    columns = np.unique(np.abs(_ray_grid(xs, spec)[0])).size
+    assert calls == [] and sum(runs) == columns
+    assert len(runs) < columns, (len(runs), columns)
+
+
 def _high_frequency_case():
     """test_freezing_error_guard_raises's datum: columns at x >= 40 fail the
     freezing guard, those at x <= 30 are below 0.1 % of scale0."""
