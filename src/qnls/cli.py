@@ -84,11 +84,14 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _fits(value, default) -> bool:
-    """Whether value is of its default's kind: an int is a float, a bool no number,
-    and a list is not empty and its items are of the kind of the default's first."""
+    """Whether value is of its default's kind: an int is a float, a float is finite,
+    a bool no number, and a list is not empty and its items are of the kind of the
+    default's first."""
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) > 0
                 and all(_fits(v, default[0]) for v in value))
+    if type(value) is float and not np.isfinite(value):
+        return False    # JSON's NaN and Infinity
     return type(value) is type(default) or (type(default) is float
                                             and type(value) is int)
 
@@ -144,6 +147,14 @@ def _boundary_pair(kind, dt, T):
     return f, g
 
 
+def doubling_maxima(p, which: str, seeds, nx: int, nt: int, lx: float, lt: float):
+    """The largest `which` ratio over the seeds' band-limited pairs on the
+    nx x nt grid of the lx x lt box, then on that grid doubled in both axes."""
+    return [max(bilinear.bilinear_ratio(
+        *band_limited_pair(int(sd), scale * nx, scale * nt, lx, lt), p, which)
+        for sd in seeds) for scale in (1, 2)]
+
+
 # --- command handlers -------------------------------------------------------
 
 def _cmd_simulate(cfg, rng, out: Path):
@@ -196,15 +207,9 @@ def _cmd_verify_bilinear(cfg, rng, out: Path):
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
     rows, contracts = [], {}
     for which in cfg["which"]:
-        maxima = []
-        for double in (False, True):
-            scale = 2 if double else 1
-            ratios = [bilinear.bilinear_ratio(
-                *band_limited_pair(int(sd), scale * cfg["nx"], scale * cfg["nt"],
-                                   cfg["lx"], cfg["lt"]), p, which)
-                for sd in seeds]
-            maxima.append(max(ratios))
-            rows.append([which, int(double), float(len(ratios)), maxima[-1]])
+        maxima = doubling_maxima(p, which, seeds, cfg["nx"], cfg["nt"],
+                                 cfg["lx"], cfg["lt"])
+        rows += [[which, double, float(len(seeds)), maxima[double]] for double in (0, 1)]
         change = abs(maxima[1] - maxima[0]) / maxima[0]
         contracts[f"{which}_stable_under_doubling"] = \
             bool(change < BILINEAR_STABILITY_TOL)
@@ -414,6 +419,10 @@ def run_experiment(command: str, config: dict, seed: int, out_dir,
     _require(isinstance(seed, (int, np.integer)) and seed >= 0,
              f"seed must be a non-negative integer, got {seed!r}")
     out = Path(out_dir)
+    # the first artifact makes the directory, and a file in its place fails it
+    for path in (out, *out.parents):
+        _require(path.is_dir() or not path.exists(),
+                 f"out_dir {out}: {path} is not a directory")
     rng = np.random.default_rng(seed)
     manifest = {
         "command": command,

@@ -27,10 +27,6 @@ class NonPositiveA(QnlsError):
     """Dispersion coefficient a must be positive."""
 
 
-class AliasRisk(QnlsError):
-    """Significant spectral energy within 1% of the Nyquist band."""
-
-
 class ParamOrderViolated(QnlsError):
     """Exponent pair (b, b') outside -1/2 < b' <= 0 <= b <= b'+1, or T outside (0, 1]."""
 

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasRisk, NonPositiveA, ParamOrderViolated
+from .errors import NonPositiveA, ParamOrderViolated
 from .grids import GridFunction, SpaceTimeField
 
-#: fraction of L^2 energy tolerated within 1% of the Nyquist band
-ALIAS_ENERGY_TOL = 1e-6
 #: smoothing_ratio's time grid: SMOOTHING_NT samples on
 #: [-SMOOTHING_T_HALF, SMOOTHING_T_HALF), beyond the cutoff's support
 SMOOTHING_T_HALF = 4.0
@@ -69,19 +67,6 @@ def _bracket(z):
 
 def _xi_grid(n: int, dx: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-
-
-def linear_group(phi: GridFunction, a: float, t: float) -> GridFunction:
-    """Evolve phi by the free group at dispersion a for time t."""
-    phi_hat = np.fft.fft(phi.samples)
-    total = np.sum(np.abs(phi_hat) ** 2)
-    if total > 0:
-        near_nyquist = np.abs(_xi_grid(phi.n, phi.dx)) >= 0.99 * np.pi / phi.dx
-        frac = np.sum(np.abs(phi_hat[near_nyquist]) ** 2) / total
-        if frac > ALIAS_ENERGY_TOL:
-            raise AliasRisk(
-                f"{frac:.2e} of the energy sits within 1% of Nyquist")
-    return GridFunction(phi.x0, phi.dx, group_field(phi, a, np.array([t]))[:, 0])
 
 
 def group_field(phi: GridFunction, a: float, ts: np.ndarray) -> np.ndarray:

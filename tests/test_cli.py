@@ -66,6 +66,12 @@ _BAD_CONFIGS = [
     # a single name, not a list: read as its characters, it was four unknown names
     ("verify-bilinear", {"which": "L5.1", "n_pairs": 2},
      "which must be a list of estimate names"),
+    # JSON's NaN and Infinity: a ValueError and an OverflowError traceback,
+    # each after a failed manifest, and a sweep that passed on NaN rows
+    ("simulate", {"dt": float("nan")}, "dt=nan is not of the kind"),
+    ("simulate", {"T": float("inf")}, "T=inf is not of the kind"),
+    ("dispersion-sweep", {"a_list": [0.25, float("nan")], "n_samples": 10},
+     "a_list=[0.25, nan] is not of the kind"),
 ]
 
 
@@ -290,6 +296,16 @@ def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", ["o", "o/sub"])
+def test_out_through_a_file_exits_2_and_leaves_it(tmp_path, capsys, name):
+    # making the output directory raised, and raised again in the failure handler
+    (tmp_path / "o").write_text("kept")
+    assert main(["region-map", "--out", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"{tmp_path / 'o'} is not a directory")
+    assert (tmp_path / "o").read_text() == "kept"
+
+
 @pytest.mark.parametrize("text", ["not json", '{"passed": true}',
                                   '{"command": "simulate"}', "[1, 2]",
                                   '{"command": "simulate", "passed": "false"}'],
@@ -335,8 +351,8 @@ def test_j_sweep_cli(tmp_path):
 
 
 def test_import_leaves_scipy_signal_and_integrate_unloaded():
-    # each costs every command about 0.5 s of start-up; qnls uses scipy.fft
-    # and imports quad where an integral lemma is checked
+    # each costs every command about 0.5 s of start-up; qnls uses scipy.fft,
+    # and quad no longer appears in src (tests/test_imports.py checks it)
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

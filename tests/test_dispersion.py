@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from qnls.dispersion import (FrequencyPoint, classify_region, classify_regime,
-                             integral_lemma_check, lower_bound_residual,
-                             modulations, mu, resonance, sample_quadruples)
+                             lower_bound_residual, modulations, mu, resonance,
+                             sample_quadruples)
 from qnls.errors import (BelowResonance, NonPositiveA, ParamDomainViolated,
                          ResonantA, SchemeMismatch)
+from qnls.spectral import _bracket
 
 
 def test_regime_labels():
@@ -130,6 +131,65 @@ def test_scheme_mismatch():
 
 
 # --- elementary integral lemmas ---
+
+def integral_lemma_check(kind: str, **params) -> tuple[float, float]:
+    """Numerically evaluate one elementary integral estimate.
+
+    Returns (lhs, rhs_shape): the quadrature value of the left side and the
+    claimed right-side shape with unit constant.  The empirical constant of a
+    sweep is the running max of lhs/rhs_shape over its parameter grid.
+    """
+    if kind == "GTV":
+        b1, b2 = params["b1"], params["b2"]
+        alpha, beta = params["alpha"], params["beta"]
+        if not (b1 < 0.5 and b2 < 0.5 and b1 + b2 > 0.5):
+            raise ParamDomainViolated("GTV needs b1,b2 < 1/2 and b1+b2 > 1/2")
+        f = lambda y: _bracket(y - alpha) ** (-2 * b1) * _bracket(y - beta) ** (-2 * b2)
+        lo, hi = sorted((alpha, beta))
+        pad = max(1.0, hi - lo)
+        cuts = [lo - 10 * pad, lo, 0.5 * (lo + hi), hi, hi + 10 * pad]
+        # map the infinite tails through u = 1/(y - cut); the extra power
+        # substitution u = w^p flattens the endpoint so the integrand is bounded
+        p = 1.0 / (2.0 * b1 + 2.0 * b2 - 1.0)
+        tail = lambda cut, sgn: quad(
+            lambda w: f(cut + sgn * w ** -p) * p * w ** (p - 1.0) / w ** (2.0 * p),
+            0.0, 1.0, limit=200)[0]
+        lhs = tail(cuts[0], -1.0) + tail(cuts[-1], 1.0)
+        lhs += quad(f, cuts[0] - 1.0, cuts[0], limit=200)[0]
+        lhs += quad(f, cuts[-1], cuts[-1] + 1.0, limit=200)[0]
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            lhs += quad(f, left, right, limit=200)[0]
+        rhs = float(_bracket(alpha - beta) ** (-(2 * b1 + 2 * b2 - 1)))
+        return lhs, rhs
+    if kind == "Quadratic":
+        b = params["b"]
+        a0, a1 = params["alpha0"], params["alpha1"]
+        if not b > 0.5:
+            raise ParamDomainViolated("Quadratic needs b > 1/2")
+        f = lambda x: _bracket(a0 + a1 * x + x * x) ** (-2 * b)
+        vertex = -a1 / 2.0
+        lhs = quad(f, -np.inf, vertex)[0] + quad(f, vertex, np.inf)[0]
+        return lhs, 1.0
+    if kind == "HolmerWeighted":
+        b = params["b"]
+        alpha, beta = params["alpha"], params["beta"]
+        if not (b < 0.5 and beta > 0):
+            raise ParamDomainViolated("HolmerWeighted needs b < 1/2 and beta > 0")
+        g = lambda x: _bracket(x) ** (-(4 * b - 1))
+        lhs = 0.0
+        # substitute u = sqrt(|x - alpha|) on each side of the singularity
+        for lo, hi, sgn in ((-beta, min(alpha, beta), -1.0),
+                            (max(alpha, -beta), beta, 1.0)):
+            if hi <= lo:
+                continue
+            u_hi = np.sqrt(hi - alpha) if sgn > 0 else np.sqrt(alpha - lo)
+            u_lo = np.sqrt(max(0.0, (alpha - hi) if sgn < 0 else (lo - alpha)))
+            h = lambda u: 2.0 * g(alpha + sgn * u * u)
+            lhs += quad(h, u_lo, u_hi)[0]
+        rhs = float((1.0 + beta) ** (2 - 4 * b) / _bracket(alpha) ** 0.5)
+        return lhs, rhs
+    raise ParamDomainViolated(f"unknown integral lemma kind {kind!r}")
+
 
 def test_gtv_equal_centers():
     lhs, rhs = integral_lemma_check("GTV", b1=0.4, b2=0.4, alpha=1.3, beta=1.3)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and no module
+imports the scipy subpackages that cost every command its start-up."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,24 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+# each costs every command about 0.5 s of import time; numpy and scipy.fft do the work
+_SLOW = ("scipy.integrate", "scipy.signal")
+
+
+def _slow_imports(source: str) -> list[str]:
+    """Every scipy.integrate or scipy.signal import, at any depth of the module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(".".join(m.split(".")[:2]) for m in modules)
+    return sorted(found & set(_SLOW))
+
+
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("import numpy as np\nfrom .errors import A, B\nA()\n") == \
         ["B", "np"]
@@ -33,3 +52,14 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_a_slow_import_inside_a_function():
+    source = ("import scipy.fft\nfrom scipy import integrate\n"
+              "def f():\n    from scipy.signal import fftconvolve\n    import scipy.integrate\n")
+    assert _slow_imports(source) == ["scipy.integrate", "scipy.signal"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_integrate_or_signal(path):
+    assert _slow_imports(path.read_text()) == []

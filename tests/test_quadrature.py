@@ -355,7 +355,7 @@ def test_value_invariant_under_extra_breakpoints(c, w, extra):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the geometric tail completion is accepted at 10 % of "
-                          "(1 - r) whatever rel_tol asks (ROADMAP item 4)")
+                          "(1 - r) whatever rel_tol asks (ROADMAP item 6)")
 def test_tail_completion_meets_rel_tol():
     # the Lorentzian off |y - c| <= w over the real line is pi - 2 atan w; at
     # rel_tol 1e-9 the completed values are 3e-5 to 6.4e-4 off, and no row fails

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from qnls.errors import AliasRisk, NonPositiveA, ParamOrderViolated
+from qnls.errors import NonPositiveA, ParamOrderViolated
 from qnls.grids import GridFunction, SpaceTimeField
 from qnls.profiles import gaussian
 from qnls.spectral import (BourgainParams, bourgain_norm, cutoff, duhamel,
-                           group_field, inhomog_estimate_ratio, linear_group,
-                           smoothing_ratio, sobolev_norm_1d)
+                           group_field, inhomog_estimate_ratio, smoothing_ratio,
+                           sobolev_norm_1d)
 
 
 def make_grid(n=256, half=20.0):
@@ -40,47 +40,45 @@ def test_cutoff_scaling_is_exact():
     assert np.array_equal(cutoff(ts, 0.3), cutoff(ts / 0.3))
 
 
-# --- linear group ---
+# --- free group ---
 
 def test_group_identity_at_t0():
     x0, dx, x = make_grid()
     phi = GridFunction(x0, dx, gaussian(x, width=2.0))
-    out = linear_group(phi, 1.0, 0.0)
-    assert np.allclose(out.samples, phi.samples, atol=1e-14)
+    out = group_field(phi, 1.0, [0.0])[:, 0]
+    assert np.allclose(out, phi.samples, atol=1e-14)
 
 
 def test_group_single_mode_phase():
     x0, dx, x = make_grid()
     k = 2.0 * np.pi * 8 / (dx * 256)   # exact lattice mode
     phi = GridFunction(x0, dx, np.exp(1j * k * x))
-    out = linear_group(phi, 1.0, 0.3)
+    out = group_field(phi, 1.0, [0.3])[:, 0]
     expect = np.exp(-1j * k ** 2 * 0.3) * np.exp(1j * k * x)
-    assert np.max(np.abs(out.samples - expect)) < 1e-12
+    assert np.max(np.abs(out - expect)) < 1e-12
 
 
 def test_group_unitary_on_random_band_limited():
     rng = np.random.default_rng(7)
     x0, dx, x = make_grid()
     phi = GridFunction(x0, dx, band_limited_noise(rng, 256, dx))
-    out = linear_group(phi, 0.7, 1.3)
+    out = GridFunction(x0, dx, group_field(phi, 0.7, [1.3])[:, 0])
     assert abs(out.l2() - phi.l2()) < 1e-12 * phi.l2()
 
 
 def test_group_law():
     x0, dx, x = make_grid()
     phi = GridFunction(x0, dx, gaussian(x, width=2.0, wavenumber=1.0))
-    one = linear_group(linear_group(phi, 0.5, 0.4), 0.5, 0.35)
-    two = linear_group(phi, 0.5, 0.75)
-    assert np.max(np.abs(one.samples - two.samples)) < 1e-10 * np.max(np.abs(two.samples))
+    half = GridFunction(x0, dx, group_field(phi, 0.5, [0.4])[:, 0])
+    one = group_field(half, 0.5, [0.35])[:, 0]
+    two = group_field(phi, 0.5, [0.75])[:, 0]
+    assert np.max(np.abs(one - two)) < 1e-10 * np.max(np.abs(two))
 
 
-def test_group_alias_guard():
+def test_group_rejects_nonpositive_a():
     x0, dx, x = make_grid()
-    phi = GridFunction(x0, dx, np.exp(1j * (np.pi / dx) * 0.995 * x))
-    with pytest.raises(AliasRisk):
-        linear_group(phi, 1.0, 0.1)
     with pytest.raises(NonPositiveA):
-        linear_group(GridFunction(x0, dx, gaussian(x)), -1.0, 0.1)
+        group_field(GridFunction(x0, dx, gaussian(x)), -1.0, [0.1])
 
 
 # --- duhamel ---
