@@ -76,17 +76,13 @@ KERNEL_REL_TOL = 1e-5
 RUN_NODES = 8192
 
 
-def kernel_constant(a: float) -> complex:
-    """Normalization making the base operator reproduce the datum at x = 0."""
-    return 2.0 * np.exp(-0.75j * np.pi) * np.sqrt(a)
-
-
 def delta_coefficient(a: float) -> complex:
     """Coefficient of the point source the trace-normalized kernel satisfies.
 
     The kernel that reproduces the datum at x = 0 solves the free equation
     away from the origin with a Dirac line source whose coefficient is
-    2 sqrt(a) exp(3 pi i / 4) -- the conjugate phase of kernel_constant.
+    2 sqrt(a) exp(3 pi i / 4) -- the conjugate of the trace normalisation
+    2 sqrt(a) exp(-3 pi i / 4).
     Normalizing the trace and normalizing the source force opposite phases
     for this kernel; the value is pinned by the weak-form refinement check.
     """
@@ -104,8 +100,9 @@ class ForcingSpec:
     def __post_init__(self):
         if self.a <= 0:
             raise NonPositiveA(f"a must be positive, got {self.a}")
-        if self.lam <= -2.0:
-            raise LambdaOutOfRange(f"lambda must exceed -2, got {self.lam}")
+        # the base kernel acts on I_{-1/2 - lambda/2} f, an order above -2
+        if not -2.0 < self.lam < 3.0:
+            raise LambdaOutOfRange(f"lambda must lie in (-2, 3), got {self.lam}")
         if self.f.t0 != 0.0:
             raise SupportViolation("boundary datum must start at t = 0")
 
@@ -115,8 +112,6 @@ class TraceReport:
     residual: float
     phase: str
     residuals: dict
-    a: float
-    lam: float
 
 
 def _osc_tail_factor(z):
@@ -613,13 +608,13 @@ def trace_check(spec: ForcingSpec, n_samples: int = 48) -> TraceReport:
     ref = spec.a ** (spec.lam / 2.0) * f.samples[idx]
     den = float(np.max(np.abs(ref)))
     if den == 0.0:
-        return TraceReport(0.0, "lambda*pi/4", {}, spec.a, spec.lam)
+        return TraceReport(0.0, "lambda*pi/4", {})
     residuals = {}
     for name, phase in (("lambda*pi/4", np.exp(0.25j * np.pi * spec.lam)),
                         ("3*lambda*pi/4", np.exp(0.75j * np.pi * spec.lam))):
         residuals[name] = float(np.max(np.abs(got - phase * ref)) / den)
     phase = min(residuals, key=residuals.get)
-    return TraceReport(residuals[phase], phase, residuals, spec.a, spec.lam)
+    return TraceReport(residuals[phase], phase, residuals)
 
 
 def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bilinear, boundary, dispersion, ibvp
-from .errors import EmptyDirectory, InvalidConfig, QnlsError, UnknownCommand
+from .errors import InvalidConfig, QnlsError, UnknownCommand
 from .grids import GridFunction, SpaceTimeField, TimeSeries, write_csv
 from .profiles import band_limited_pair, gaussian, smooth_bump
 
@@ -257,7 +257,8 @@ def _cmd_j_sweep(cfg, rng, out: Path):
 
 
 def _cmd_trace_check(cfg, rng, out: Path):
-    _require(cfg["n"] >= 2, "n must be an integer >= 2")
+    # the half-order derivative of the datum needs 3 samples
+    _require(cfg["n"] >= 3, "n must be an integer >= 3")
     _require(all(lam > -1.0 for lam in cfg["lambda_list"]),
              "lambda_list: the trace identity needs lambda > -1")
     tg = np.linspace(0.0, 1.0, cfg["n"])
@@ -339,11 +340,13 @@ def _cmd_region_map(cfg, rng, out: Path):
 
 def _cmd_contraction(cfg, rng, out: Path):
     _require_pow2_grid(cfg)
+    # the boundary term takes the half-order derivative of its datum in time
+    _require(cfg["nt"] >= 4, "nt must be at least 4")
     # nx is even, so x = 0 is a node of the contraction grid, where the
     # boundary term of an order <= -1 is singular
-    _require(cfg["lambda1"] > -1.0 and cfg["lambda2"] > -1.0,
-             "lambda1 and lambda2 must exceed -1: the boundary term is "
-             "singular at the node x = 0")
+    _require(all(-1.0 < cfg[k] < 3.0 for k in ("lambda1", "lambda2")),
+             "lambda1 and lambda2 must exceed -1 and lie below 3: the boundary "
+             "term is singular at the node x = 0, and the forcing class ends at 3")
     # the x >= 0 half of the contraction grid is compared with the simulate grid
     _require(cfg["nx"] == 2 * (cfg["nx_sim"] - 1), "nx must equal 2*(nx_sim-1)")
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
@@ -454,8 +457,7 @@ def emit_report(results_dir) -> dict:
     """Aggregate manifest contract outcomes into one summary dictionary."""
     out = Path(results_dir)
     manifests = sorted(out.glob("manifest_*.json"))
-    if not manifests:
-        raise EmptyDirectory(f"no manifest found under {out}")
+    _require(bool(manifests), f"no manifest found under {out}")
     experiments = {}
     for mpath in manifests:
         try:

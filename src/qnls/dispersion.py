@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import BelowResonance, NonPositiveA, ResonantA, SchemeMismatch
 
-REGIMES = ("SecondNonResonant", "Resonant", "FirstNonResonant")
 SCHEMES = ("R", "A", "S", "B", "RES")
 #: scale of the Cauchy draws of sample_quadruples
 CAUCHY_SCALE = 5.0

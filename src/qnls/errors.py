@@ -18,7 +18,8 @@ class OrderOutOfRange(QnlsError):
 
 
 class UnsupportedSupport(QnlsError):
-    """Differentiation branch requires the signal to vanish at its start."""
+    """A signal outside the differentiation branch's preconditions: it must
+    vanish at its start and have at least 3 samples."""
 
 
 # --- spectral operations ---
@@ -111,7 +112,3 @@ class UnknownCommand(QnlsError):
 
 class InvalidConfig(QnlsError):
     """Experiment configuration missing or malformed."""
-
-
-class EmptyDirectory(QnlsError):
-    """Report emission requires at least one manifest in the directory."""

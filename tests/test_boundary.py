@@ -10,7 +10,7 @@ from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
                            _datum_bounds, _DatumGrid, _half_order_series,
                            _osc_tail_factor, _PanelTable, _ray_grid,
                            boundary_estimate_ratio, delta_coefficient, forcing_field,
-                           kernel_constant, pde_residual, trace_check)
+                           pde_residual, trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)
@@ -31,6 +31,9 @@ def test_spec_validation():
         ForcingSpec(0.0, 0.0, f)
     with pytest.raises(LambdaOutOfRange):
         ForcingSpec(1.0, -2.0, f)
+    # the base kernel acts on I_{-1/2 - lambda/2} f, an order above -2
+    with pytest.raises(LambdaOutOfRange, match=r"lambda must lie in \(-2, 3\), got 3.0"):
+        ForcingSpec(1.0, 3.0, f)
 
 
 def test_datum_must_start_at_zero():
@@ -58,10 +61,10 @@ def test_empty_xs_gives_the_empty_field(lam):
 
 
 def test_kernel_constants():
-    assert kernel_constant(1.0) == pytest.approx(2.0 * np.exp(-0.75j * np.pi))
-    assert abs(kernel_constant(4.0)) == pytest.approx(4.0)
-    # realized point-source coefficient carries the conjugate phase
-    assert delta_coefficient(1.0) == pytest.approx(np.conj(kernel_constant(1.0)))
+    # the point-source coefficient carries the conjugate phase of the trace
+    # normalisation 2 sqrt(a) exp(-3 pi i / 4)
+    assert delta_coefficient(1.0) == pytest.approx(2.0 * np.exp(0.75j * np.pi))
+    assert abs(delta_coefficient(4.0)) == pytest.approx(4.0)
 
 
 def test_zero_datum_gives_zero_field():

@@ -9,7 +9,7 @@ import pytest
 
 from qnls import cli
 from qnls.cli import CONFIGS, _validate, emit_report, main, run_experiment
-from qnls.errors import EmptyDirectory, SingularQuadratureFail, UnknownCommand
+from qnls.errors import InvalidConfig, SingularQuadratureFail, UnknownCommand
 
 
 def test_region_map_marks_origin_admissible(tmp_path):
@@ -72,6 +72,10 @@ _BAD_CONFIGS = [
     ("simulate", {"T": float("inf")}, "T=inf is not of the kind"),
     ("dispersion-sweep", {"a_list": [0.25, float("nan")], "n_samples": 10},
      "a_list=[0.25, nan] is not of the kind"),
+    # I_{-1/2 - lambda/2} needs an order above -2: these ran, then exited 1
+    ("trace-check", {"n": 64, "lambda_list": [5.0]}, "lambda must lie in (-2, 3), got 5.0"),
+    ("contraction", {"lambda1": 3.0, "k_iters": 3, "nx": 64, "nt": 16, "nx_sim": 33},
+     "lambda1 and lambda2 must exceed -1 and lie below 3"),
 ]
 
 
@@ -130,8 +134,13 @@ _BAD_CONFIGS_UP_FRONT = [
     pytest.param("j-sweep", {"radii": ["a", "b"], "indices": ["J1"]},
                  "radii=['a', 'b'] is not of the kind of its default [10.0, 20.0, 40.0]",
                  id="j-sweep-string-radii"),
-    pytest.param("trace-check", {"n": 1}, "n must be an integer >= 2",
+    pytest.param("trace-check", {"n": 1}, "n must be an integer >= 3",
                  id="trace-check-one-sample"),
+    # the datum's half-order derivative: a numpy gradient traceback, exit 1
+    pytest.param("trace-check", {"n": 2}, "n must be an integer >= 3",
+                 id="trace-check-two-samples"),
+    pytest.param("contraction", {"nt": 1}, "nt must be at least 4", id="contraction-one-time"),
+    pytest.param("contraction", {"nt": 2}, "nt must be at least 4", id="contraction-two-times"),
     pytest.param("j-sweep", {"b": 0.6, "radii": [1.0, 2.0], "indices": ["J1"]},
                  "b, d must lie in (3/8, 1/2)", id="j-sweep-b-outside-window"),
     pytest.param("trace-check", {"a_list": [0.0]}, "a must be positive",
@@ -322,8 +331,21 @@ def test_report_names_a_foreign_manifest_and_exits_2(tmp_path, capsys, text):
 
 
 def test_report_empty_directory(tmp_path):
-    with pytest.raises(EmptyDirectory):
+    with pytest.raises(InvalidConfig):
         emit_report(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "empty", "file"])
+def test_report_without_manifests_exits_2(tmp_path, capsys, kind):
+    # these exited 1, as a contract violation
+    out = tmp_path / "res"
+    if kind == "empty":
+        out.mkdir()
+    elif kind == "file":
+        out.write_text("kept")
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: no manifest found under {out}"]
 
 
 def test_unknown_experiment_api():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import semigroup_residual
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import fftconvolve
 
 from qnls.errors import NonPositiveStep, OrderOutOfRange, UnsupportedSupport
-from qnls.fractional import _integrate, product_weights, rl_apply, semigroup_residual
+from qnls.fractional import _integrate, product_weights, rl_apply
 from qnls.grids import TimeSeries
 from qnls.profiles import smooth_bump
 
@@ -103,6 +104,15 @@ def test_unsupported_support():
     f = TimeSeries(0.0, 1.0 / n, np.ones(n))
     with pytest.raises(UnsupportedSupport):
         rl_apply(f, -0.5)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -1.5])
+def test_differentiation_branch_needs_three_samples(alpha):
+    # numpy's second-order gradient raised a bare ValueError on two samples
+    f = TimeSeries(0.0, 0.5, np.array([0.0, 1.0]))
+    with pytest.raises(UnsupportedSupport, match="needs 3 samples, got 2"):
+        rl_apply(f, alpha)
+    assert rl_apply(TimeSeries(0.0, 0.5, np.array([0.0, 1.0, 0.5])), alpha).n == 3
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.75])

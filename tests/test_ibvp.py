@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import default_manufactured, manufactured_error
 from scipy.linalg import solve_banded
 
 from qnls import cli
@@ -8,8 +9,7 @@ from qnls.errors import (BlowUpDetected, CompatibilityViolation, EmptyLedger,
 from qnls.grids import GridFunction, TimeSeries
 from qnls.ibvp import (MassLedger, SolverConfig, _boundary_deriv, _cayley_solver,
                        compatibility_check, contraction_iterate,
-                       default_manufactured, mass_identity_residual,
-                       regularity_region, simulate)
+                       mass_identity_residual, regularity_region, simulate)
 from qnls.profiles import gaussian, smooth_bump
 
 
@@ -111,27 +111,9 @@ def test_manufactured_sources_match_fd_substitution():
     assert np.max(np.abs(lhs2 - man["F2"](x, t0))) < 1e-6
 
 
-def _manufactured_error(nx, dt, a=1.0, T=0.5, L=30.0):
-    man = default_manufactured(a)
-    x = np.linspace(0.0, L, nx)
-    h = x[1] - x[0]
-    u0 = GridFunction(0.0, h, man["u"](x, 0.0))
-    v0 = GridFunction(0.0, h, man["v"](x, 0.0))
-    nt = int(round(T / dt)) + 1
-    tg = dt * np.arange(nt)
-    f = TimeSeries(0.0, dt, man["u"](0.0, tg))
-    g = TimeSeries(0.0, dt, man["v"](0.0, tg))
-    cfg = SolverConfig(L=L, nx=nx, dt=dt, T=T, a=a)
-    states, _ = simulate(cfg, u0, v0, f, g, sources=(man["F1"], man["F2"]),
-                         snapshot_stride=10 ** 9)
-    fin = states[-1]
-    return (np.sqrt(np.sum(np.abs(fin.u.samples - man["u"](x, T)) ** 2) * h)
-            + np.sqrt(np.sum(np.abs(fin.v.samples - man["v"](x, T)) ** 2) * h))
-
-
 def test_manufactured_convergence_order():
-    e1 = _manufactured_error(241, 0.02)
-    e2 = _manufactured_error(481, 0.01)
+    e1 = manufactured_error(241, 0.02)
+    e2 = manufactured_error(481, 0.01)
     assert np.log2(e1 / e2) >= 1.9
 
 
@@ -410,7 +392,7 @@ def test_nonconvergent_guard_message_matches_parent_stepper():
 
 def test_empty_ledger():
     ledger = MassLedger(np.array([]), np.array([]), np.array([]),
-                        np.array([]), np.array([]), 1.0)
+                        np.array([]), np.array([]))
     with pytest.raises(EmptyLedger):
         mass_identity_residual(ledger)
 

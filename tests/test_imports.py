@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no module
-imports the scipy subpackages that cost every command its start-up."""
+"""Every name a package module imports is used in that module, no module
+imports the scipy subpackages that cost every command its start-up, and
+every public name of the package has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,61 @@ def test_the_guard_sees_a_slow_import_inside_a_function():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_integrate_or_signal(path):
     assert _slow_imports(path.read_text()) == []
+
+
+# Public names that no package code calls yet, each kept for the open
+# ROADMAP item that will call it.  The guard reads top-level names only:
+# methods and dataclass fields are not covered.
+RESERVED = {
+    "boundary.pde_residual": "item 3: the oracle of the Laplace-domain evaluator",
+    "boundary.boundary_estimate_ratio": "item 9: contraction evidence in the paper's norms",
+    "spectral.smoothing_ratio": "item 12: the Duhamel-trace command",
+    "spectral.inhomog_estimate_ratio": "item 12: the Duhamel-trace command",
+}
+
+
+def _defined(stmt) -> list[str]:
+    """The public names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _referred(stmt) -> set[str]:
+    """Every name a statement reads: a Name, an Attribute or an imported alias."""
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def _uncalled(sources: dict[str, str]) -> list[str]:
+    """module.name for each public top-level name that no statement reads
+    outside the one that defines it, in any of the modules."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    reads = [_referred(stmt) for _, stmt in stmts]
+    return sorted(f"{module}.{name}" for i, (module, stmt) in enumerate(stmts)
+                  for name in _defined(stmt)
+                  if not any(name in r for j, r in enumerate(reads) if j != i))
+
+
+def test_the_guard_sees_a_name_only_its_definition_reads():
+    sources = {"a": "def f():\n    return f()\nX = 1\nclass C:\n    y = X\n",
+               "b": "from .a import C\nZ: int = 2\nP, Q = 3, 4\nprint(Q)\n"}
+    assert _uncalled(sources) == ["a.f", "b.P", "b.Z"]
+
+
+def test_every_public_name_has_a_program_caller():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _uncalled(sources) == sorted(RESERVED)

@@ -68,7 +68,7 @@ def test_group_unitary_on_random_band_limited():
 
 def test_group_law():
     x0, dx, x = make_grid()
-    phi = GridFunction(x0, dx, gaussian(x, width=2.0, wavenumber=1.0))
+    phi = GridFunction(x0, dx, gaussian(x, width=2.0) * np.exp(1j * x))
     half = GridFunction(x0, dx, group_field(phi, 0.5, [0.4])[:, 0])
     one = group_field(half, 0.5, [0.35])[:, 0]
     two = group_field(phi, 0.5, [0.75])[:, 0]
