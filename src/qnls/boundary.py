@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import fresnel
 
 from .errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                      SingularQuadratureFail, SupportViolation, WindowViolation)
@@ -116,6 +115,9 @@ class TraceReport:
 
 def _osc_tail_factor(z):
     """E(z) = integral over v in [1, inf) of exp(i z v^2) / v^2, for z >= 0."""
+    # only the commands that build a boundary field load scipy.special
+    from scipy.special import fresnel
+
     z = np.asarray(z, dtype=float)
     out = np.ones(z.shape, dtype=complex)
     pos = z > 0
@@ -144,8 +146,11 @@ def _half_order_series(spec: ForcingSpec) -> TimeSeries:
 
 
 def _datum_bounds(m: TimeSeries) -> tuple[float, float]:
-    """Sup of the series and of its derivative, for the error budget."""
-    grad = np.gradient(m.samples, m.dt) if m.n > 2 else np.zeros(m.n)
+    """Sup of the series and of its derivative, for the error budget.  On a
+    step so fine that the derivative overflows its sup is inf, which the
+    ladder sizing and the freezing guard each refuse."""
+    with np.errstate(over="ignore"):
+        grad = np.gradient(m.samples, m.dt) if m.n > 2 else np.zeros(m.n)
     return m.sup(), float(np.max(np.abs(grad)))
 
 
@@ -199,9 +204,17 @@ class _DatumGrid:
 def _ladder_range(B: float, t_max: float, m_dsup: float, scale0: float):
     """(k_min, K): the column's ladder edges are sqrt(B / (pi k)) for
     k = K, ..., k_min, with K sized for KERNEL_REL_TOL."""
-    k_min = max(1, math.ceil(B / (np.pi * t_max)))
-    K = math.ceil((0.4 * (m_dsup + 1e-300) * B ** 1.5 / (KERNEL_REL_TOL * scale0))
-                  ** 0.4 / np.pi)
+    lowest = B / (np.pi * t_max)
+    try:
+        estimate = (0.4 * (m_dsup + 1e-300) * B ** 1.5 / (KERNEL_REL_TOL * scale0)) \
+            ** 0.4 / np.pi
+    except OverflowError:       # B ** 1.5 beyond the float range
+        estimate = math.inf
+    if not (math.isfinite(lowest) and math.isfinite(estimate)):
+        raise SingularQuadratureFail(f"the sigma ladder of the column at B = {B:.3g} "
+                                     f"has no finite panel count for t_max = {t_max:.3g}")
+    k_min = max(1, math.ceil(lowest))
+    K = math.ceil(estimate)
     return k_min, min(max(K, k_min + 8), k_min + 4096)
 
 

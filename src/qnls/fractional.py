@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import OrderOutOfRange, UnsupportedSupport
 from .grids import TimeSeries
@@ -37,16 +36,36 @@ def product_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
+def _next_fast_len(n: int, real: bool) -> int:
+    """The smallest size >= n with no prime factor above 5 (real input) or
+    11 (complex input), the size scipy.fft.next_fast_len picks."""
+    # every odd factor below the power of two >= n, each doubled up to n
+    top = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        for m in list(odd):
+            while (m := m * p) < top:
+                odd.append(m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
 def _integrate(samples: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """Product-trapezoid integral of order alpha along axis 0 of samples."""
     n = samples.shape[0]
     b, c = product_weights(alpha, n)
     col = (slice(None),) + (None,) * (samples.ndim - 1)
-    # the causal convolution with b, as scipy.signal.fftconvolve computes it
+    # the causal convolution with b, in the bits of scipy.signal.fftconvolve
     real = not np.iscomplexobj(samples)
-    size = sp_fft.next_fast_len(2 * n - 1, real)
-    fwd, inv = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
-    out = inv(fwd(samples, size, axis=0) * fwd(b[col], size, axis=0), size, axis=0)[:n]
+    size = _next_fast_len(2 * n - 1, real)
+    kernel = np.fft.rfft(b, size)
+    if real:
+        fwd, inv = np.fft.rfft, np.fft.irfft
+    else:
+        # scipy's complex transform of a real input is its real transform
+        # completed by conjugate symmetry
+        fwd, inv = np.fft.fft, np.fft.ifft
+        kernel = np.concatenate((kernel, np.conj(kernel[1:(size + 1) // 2][::-1])))
+    out = inv(fwd(samples, size, axis=0) * kernel[col], size, axis=0)[:n]
     out[1:] += c[col] * samples[0]
     out[0] = 0.0
     return out * dt ** alpha / math.gamma(alpha + 2.0)

@@ -55,6 +55,14 @@ class SolverConfig:
         if self.nonlinearity_iters < 1:
             raise ValueError("nonlinearity_iters must be at least 1 (with none, "
                              "no step imposes the boundary datum)")
+        # the Cayley steps' theta = i dt / (2 h^2) and a theta, which a grid
+        # step whose square underflows or overflows makes infinite or 0
+        h = self.L / (self.nx - 1)
+        rate = self.dt / (2.0 * h * h) if h * h > 0.0 else math.inf
+        if not all(0.0 < r < math.inf for r in (rate, self.a * rate)):
+            raise ValueError(f"dt / (2 h^2) and a dt / (2 h^2), with h = L/(nx-1), must "
+                             f"be finite and positive, got {rate:.3g} and "
+                             f"{self.a * rate:.3g}")
 
 
 @dataclass

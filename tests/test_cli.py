@@ -1,8 +1,5 @@
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +73,13 @@ _BAD_CONFIGS = [
     ("trace-check", {"n": 64, "lambda_list": [5.0]}, "lambda must lie in (-2, 3), got 5.0"),
     ("contraction", {"lambda1": 3.0, "k_iters": 3, "nx": 64, "nt": 16, "nx_sim": 33},
      "lambda1 and lambda2 must exceed -1 and lie below 3"),
+    # h^2 underflows to 0: a complex division by zero in the stepper, and
+    # non-finite samples in the contraction's time-stepper comparison
+    ("simulate", {"L": 1e-300}, "must be finite and positive, got inf"),
+    ("mass-track", {"L": 1e-300}, "must be finite and positive, got inf"),
+    ("contraction", {"L": 1e-300, "k_iters": 3}, "must be finite and positive, got inf"),
+    # h^2 overflows: theta is 0, and the sigma ladder's size overflowed
+    ("contraction", {"L": 1e300, "k_iters": 3}, "must be finite and positive, got 0"),
 ]
 
 
@@ -297,6 +301,18 @@ def test_failed_run_writes_a_manifest_that_report_counts(tmp_path, monkeypatch, 
                        "overall": "fail"}
 
 
+@pytest.mark.parametrize("cfg", [{"a": 1e-300, "k_iters": 3},
+                                 {"t_span": 1e-300, "T": 1e-301, "k_iters": 3}],
+                         ids=["tiny-a", "tiny-t-span"])
+def test_an_unsizable_sigma_ladder_is_one_line_and_exit_1(tmp_path, capsys, cfg):
+    # B ** 1.5 and math.ceil of an infinite panel count raised OverflowError
+    assert main(["contraction", "--config", str(_dump(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: the sigma ladder of the column at B = ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     # numpy's generator rejects it; that was a ValueError traceback, exit 1
     assert main(["region-map", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
@@ -370,18 +386,3 @@ def test_j_sweep_cli(tmp_path):
     assert code == 0
     text = (tmp_path / "res" / "j_sweep.csv").read_text()
     assert text.count("J1") == 2 and text.count("J4") == 2
-
-
-def test_import_leaves_scipy_signal_and_integrate_unloaded():
-    # each costs every command about 0.5 s of start-up; qnls uses scipy.fft,
-    # and quad no longer appears in src (tests/test_imports.py checks it)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, qnls.cli; print([m for m in ('scipy.signal', "
-            "'scipy.integrate') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

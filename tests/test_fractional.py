@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from oracles import semigroup_residual
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import fftconvolve
 
 from qnls.errors import NonPositiveStep, OrderOutOfRange, UnsupportedSupport
-from qnls.fractional import _integrate, product_weights, rl_apply
+from qnls.fractional import _integrate, _next_fast_len, product_weights, rl_apply
 from qnls.grids import TimeSeries
 from qnls.profiles import smooth_bump
 
@@ -141,11 +142,18 @@ def _integrate_by_fftconvolve(samples, dt, alpha):
 @pytest.mark.parametrize("n", [2, 7, 300, 1025, 4096])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.75])
 def test_integrate_equals_fftconvolve_bit_for_bit(n, alpha):
-    # _integrate calls scipy.fft directly so that importing qnls does not
-    # load scipy.signal; the numbers must not move
+    # _integrate calls numpy.fft so that importing qnls loads neither
+    # scipy.signal nor scipy.fft; the numbers must not move
     rng = np.random.default_rng(n)
     real = rng.normal(size=(n, 5))
     cplx = real + 1j * rng.normal(size=(n, 5))
     for block in (real, cplx, real[:, 0], cplx[:, 0], cplx[::-1]):
         assert np.array_equal(_integrate(block, 0.01, alpha),
                               _integrate_by_fftconvolve(block, 0.01, alpha))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_next_fast_len_is_scipys(real):
+    # the transform sizes fix the bits of _integrate
+    assert all(_next_fast_len(n, real) == scipy.fft.next_fast_len(n, real)
+               for n in range(1, 20000))

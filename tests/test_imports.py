@@ -3,6 +3,9 @@ imports the scipy subpackages that cost every command its start-up, and
 every public name of the package has a caller in the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,14 +30,17 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-# each costs every command about 0.5 s of import time; numpy and scipy.fft do the work
+# each costs every command about 0.5 s of import time; numpy does the work
 _SLOW = ("scipy.integrate", "scipy.signal")
+# numpy.fft does scipy.fft's work; scipy.special is loaded only by the
+# commands that build a boundary field, inside the function that needs it
+_NEVER, _IN_FUNCTIONS = ("scipy.fft",), ("scipy.special",)
 
 
-def _slow_imports(source: str) -> list[str]:
-    """Every scipy.integrate or scipy.signal import, at any depth of the module."""
+def _imported(nodes) -> set[str]:
+    """The scipy.x level of every module the import statements among nodes name."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             modules = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -42,7 +48,29 @@ def _slow_imports(source: str) -> list[str]:
         else:
             continue
         found.update(".".join(m.split(".")[:2]) for m in modules)
-    return sorted(found & set(_SLOW))
+    return found
+
+
+def _at_import(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _slow_imports(source: str) -> list[str]:
+    """Every scipy.integrate or scipy.signal import, at any depth of the module."""
+    return sorted(_imported(ast.walk(ast.parse(source))) & set(_SLOW))
+
+
+def _start_up_imports(source: str) -> list[str]:
+    """Every scipy.fft import, and every scipy.special import that runs on import."""
+    tree = ast.parse(source)
+    return sorted((_imported(ast.walk(tree)) & set(_NEVER))
+                  | (_imported(_at_import(tree)) & set(_IN_FUNCTIONS)))
 
 
 def test_the_check_sees_an_unused_import():
@@ -64,6 +92,37 @@ def test_the_guard_sees_a_slow_import_inside_a_function():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_integrate_or_signal(path):
     assert _slow_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_scipy_fft_anywhere_and_scipy_special_on_import():
+    source = ("from scipy import fft\nclass C:\n    import scipy.special\n"
+              "def f():\n    from scipy.special import fresnel\n")
+    assert _start_up_imports(source) == ["scipy.fft", "scipy.special"]
+    assert _start_up_imports("def f():\n    from scipy.special import fresnel\n"
+                             "    import scipy.fft as sp_fft\n") == ["scipy.fft"]
+    assert _start_up_imports("def f():\n    from scipy.special import fresnel\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_loads_scipy_fft_or_special_on_import(path):
+    assert _start_up_imports(path.read_text()) == []
+
+
+def test_import_and_region_map_leave_slow_scipy_subpackages_unloaded(tmp_path):
+    # each costs every command tens of ms of start-up or more
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    slow = _SLOW + _NEVER + _IN_FUNCTIONS
+    code = ("import sys, qnls.cli\n"
+            f"def loaded():\n    return [m for m in {slow!r} if m in sys.modules]\n"
+            "print(loaded())\n"
+            f"qnls.cli.run_experiment('region-map', {{}}, 0, {str(tmp_path)!r})\n"
+            "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 # Public names that no package code calls yet, each kept for the open
