@@ -23,8 +23,8 @@ import numpy as np
 from .dispersion import FrequencyPoint, classify_region
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
-from .quadrature import (_panel_nodes, _probe_points, integrate_with_tail, panel_sums,
-                         tail_probe)
+from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
+                         panel_sums, tail_probe)
 from .spectral import BourgainParams, _bracket, bourgain_norm
 
 J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
@@ -135,6 +135,11 @@ def _rowpow(x, e):
     return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
 
 
+def _times(w, factor):
+    """w * factor, where w None is the empty product."""
+    return factor if w is None else w * factor
+
+
 def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
     """Prefactors, batch integrand, breakpoints and empty rows of a 1-d J.
 
@@ -143,6 +148,14 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
     of a lone evaluation, powers of a base point alone come from _rowpow,
     bps is the (n, m) breakpoint table and `empty` marks base points whose
     region is empty (value 0).
+
+    f does per node only the work that varies per node.  A factor, of node
+    or base-point size, whose exponent is 0 is exactly 1.0: neither it nor
+    its argument is evaluated, and the other factors multiply in their
+    order, so the value keeps its bits.  The terms of a base point alone
+    (2P, Q + P^2, 2|Q + P^2|, ...) are computed once per batch and read per
+    node, each where it is a sub-expression of the lone evaluation's, so
+    every node runs the same floating-point operations.
     """
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     scheme = scheme_for(index, a)
@@ -152,153 +165,172 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
     nowhere = np.zeros(n, dtype=bool)
     # the RES scheme leaves the regions of J2, J3, J5 and J6 empty
     res_empty = np.full(n, scheme == "RES" and not ignore_region)
+    # the quadratic bracket's exponent is never 0: b and d lie in (3/8, 1/2)
+    e_4b, e_bd = -(4 * b - 1), -(2 * b + 2 * d - 1)
 
     if index == "J1":
-        omega = Q + P * P
-        pref = _rowpow(_bracket(omega), -2 * d)
-        A2_ = -(a - 1.0)
+        C2_ = Q + P * P
+        pref = _rowpow(_bracket(C2_), -2 * d)
+        A2_, B2_ = -(a - 1.0), -2.0 * P
+        e_y = -2 * s + 2 * abs(kappa)
+        # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2 as (a-1) y^2 + mB y + mC
+        mB, mC, dom_lhs = 2.0 * P, Q - P * P, 2 * np.abs(C2_)
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
             # bracket tau - (a-1)y^2 - 2 xi y + xi^2 as A y^2 + B y + C
-            val = (_bracket(y) ** (-2 * s + 2 * abs(kappa))
-                   * _bracket(A2_ * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)) ** (-(4 * b - 1)))
+            val = _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b
+            if e_y:
+                val = _bracket(y) ** e_y * val
             if not region:
                 return val
-            # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2
-            dom = 2 * np.abs(Qr + Pr * Pr) >= np.abs((a - 1.0) * y * y + 2.0 * Pr * y
-                                                      + (Qr - Pr * Pr))
+            dom = dom_lhs[r] >= np.abs((a - 1.0) * y * y + mB[r] * y + mC[r])
             if scheme == "R":
                 chi = (np.abs(y) <= 1.0) | dom
             else:  # A
-                chi = ((np.abs(y) <= 1.0)
-                       | (np.abs((1 - a) * y - Pr) >= c * np.abs(y))
-                       | ((np.abs(Pr - 0.5 * y) >= c * np.abs(y)) & dom))
+                Pr, abs_y = P[r], np.abs(y)
+                cy = c * abs_y
+                chi = ((abs_y <= 1.0)
+                       | (np.abs((1 - a) * y - Pr) >= cy)
+                       | ((np.abs(Pr - 0.5 * y) >= cy) & dom))
             return val * chi.astype(float)
-        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, -2.0 * P, Q + P * P),
-                        _level_roots(a - 1.0, 2.0 * P, Q - P * P, 2 * np.abs(omega)),
+        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
+                        _level_roots(a - 1.0, mB, mC, dom_lhs),
                         _ball_roots(1 - a, -P, c), _ball_roots(-0.5, P, c),
-                        _vertex(A2_, -2.0 * P))
+                        _vertex(A2_, B2_))
         return pref, f, bps, nowhere
 
     if index == "J2":
         omega2 = Q + a * P * P
         pref = _rowpow(_bracket(omega2), -2 * b)
-        wconst = _rowpow(_bracket(P), -2 * s + 2 * abs(kappa))
+        e_w = -2 * s + 2 * abs(kappa)
+        wconst = _rowpow(_bracket(P), e_w) if e_w else None
+        B2_, C2_ = -2.0 * P, Q + P * P
+        half_P, cP, dom_lhs = 0.5 * P, c * np.abs(P), 2 * np.abs(omega2)
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
-            bracket = 2.0 * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)
-            val = wconst[r] * _bracket(bracket) ** (-(2 * b + 2 * d - 1))
+            bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
+            val = _bracket(bracket) ** e_bd
+            if wconst is not None:
+                val = wconst[r] * val
             if not (region and scheme == "A"):
                 return val
-            chi = ((np.abs(y - 0.5 * Pr) >= c * np.abs(Pr))
-                   & (2 * np.abs(Qr + a * Pr * Pr) >= np.abs(bracket)))
+            chi = (np.abs(y - half_P[r]) >= cP[r]) & (dom_lhs[r] >= np.abs(bracket))
             return val * chi.astype(float)
-        B2_, C2_ = -2.0 * P, Q + P * P
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
-                        _level_roots(2.0, B2_, C2_, 2 * np.abs(omega2)),
-                        0.5 * P - c * np.abs(P), 0.5 * P + c * np.abs(P))
+                        _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP)
         # the region needs |xi2| >= 1
         return pref, f, bps, res_empty | (not ignore_region) & (np.abs(P) < 1.0)
 
     if index == "J3":
         omega1 = Q - P * P
         pref = _rowpow(_bracket(omega1), -2 * b)
-        A2_ = 1.0 - a
+        A2_, B2_, C2_ = 1.0 - a, 2.0 * P, Q + P * P
+        e_y = -2 * s + 2 * abs(kappa)
+        dom_lhs = 2 * np.abs(omega1)
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
-            bracket = A2_ * y * y + 2.0 * Pr * y + (Qr + Pr * Pr)
-            val = (_bracket(y) ** (-2 * s + 2 * abs(kappa))
-                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            bracket = A2_ * y * y + B2_[r] * y + C2_[r]
+            val = _bracket(bracket) ** e_bd
+            if e_y:
+                val = _bracket(y) ** e_y * val
             if not region:
                 return val
+            abs_y = np.abs(y)
             if scheme == "A":
-                chi = ((np.abs(y) >= 1.0)
-                       & (np.abs(Pr + 0.5 * y) >= c * np.abs(y))
-                       & (2 * np.abs(Qr - Pr * Pr) >= np.abs(bracket)))
+                chi = ((abs_y >= 1.0)
+                       & (np.abs(P[r] + 0.5 * y) >= c * abs_y)
+                       & (dom_lhs[r] >= np.abs(bracket)))
             else:  # R
-                chi = np.abs(y) >= 1.0
+                chi = abs_y >= 1.0
             return val * chi.astype(float)
-        B2_, C2_ = 2.0 * P, Q + P * P
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, 2 * np.abs(omega1)),
+                        _level_roots(A2_, B2_, C2_, dom_lhs),
                         _ball_roots(0.5, P, c), _vertex(A2_, B2_))
         return pref, f, bps, res_empty
 
     if index == "J4":
         lam = Q + a * P * P
         pref = _rowpow(_bracket(lam), -2 * d)
-        w0 = _rowpow(_bracket(P), 2 * s)
+        e_s, e_k = 2 * s, -2 * kappa
+        w0 = _rowpow(_bracket(P), e_s) if e_s else None
+        B2_, C2_ = -2.0 * P, Q + P * P
+        cP, half_P, dom_lhs = c * np.abs(P), 0.5 * P, 2 * np.abs(lam)
+        cross_P, inside = (1 - a) * P, np.abs(P) <= 1.0
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
-            bracket = 2.0 * y * y + -2.0 * Pr * y + (Qr + Pr * Pr)
-            val = (w0[r] * _bracket(Pr - y) ** (-2 * kappa) * _bracket(y) ** (-2 * kappa)
-                   * _bracket(bracket) ** (-(4 * b - 1)))
+            bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
+            w = None if w0 is None else w0[r]
+            if e_k:
+                w = _times(w, _bracket(P[r] - y) ** e_k) * _bracket(y) ** e_k
+            val = _times(w, _bracket(bracket) ** e_4b)
             if not region:
                 return val
-            dom = 2 * np.abs(Qr + a * Pr * Pr) >= np.abs(bracket)
+            dom = dom_lhs[r] >= np.abs(bracket)
             if scheme == "S":
                 chi = dom
             else:  # B
-                chi = ((np.abs(y - 0.5 * Pr) >= c * np.abs(Pr))
-                       | ((np.abs((1 - a) * Pr - y) >= c * np.abs(Pr)) & dom))
-            return val * np.where(np.abs(Pr) <= 1.0, 1.0, chi.astype(float))
-        B2_, C2_ = -2.0 * P, Q + P * P
-        cP = c * np.abs(P)
+                cPr = cP[r]
+                chi = ((np.abs(y - half_P[r]) >= cPr)
+                       | ((np.abs(cross_P[r] - y) >= cPr) & dom))
+            return val * np.where(inside[r], 1.0, chi.astype(float))
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_), P,
-                        _level_roots(2.0, B2_, C2_, 2 * np.abs(lam)),
-                        0.5 * P - cP, 0.5 * P + cP, (1 - a) * P - cP, (1 - a) * P + cP)
+                        _level_roots(2.0, B2_, C2_, dom_lhs),
+                        half_P - cP, half_P + cP, cross_P - cP, cross_P + cP)
         return pref, f, bps, nowhere
 
     if index == "J5":
         lam2 = Q + P * P
         pref = _rowpow(_bracket(lam2), -2 * b)
-        w1 = _rowpow(_bracket(P), -2 * kappa)
-        A2_ = a - 1.0
+        e_s, e_k = 2 * s, -2 * kappa
+        w1 = _rowpow(_bracket(P), e_k) if e_k else None
+        A2_, B2_, C2_ = a - 1.0, 2.0 * P, Q - P * P
+        dom_lhs = 2 * np.abs(lam2)
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
-            bracket = A2_ * y * y + 2.0 * Pr * y + (Qr - Pr * Pr)
-            val = (_bracket(y) ** (2 * s) * _bracket(y - Pr) ** (-2 * kappa) * w1[r]
-                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            bracket = A2_ * y * y + B2_[r] * y + C2_[r]
+            w = _bracket(y) ** e_s if e_s else None
+            if e_k:
+                w = _times(w, _bracket(y - P[r]) ** e_k) * w1[r]
+            val = _times(w, _bracket(bracket) ** e_bd)
             if ignore_region:
                 return val
-            chi = (np.abs(y) >= 1.0) & (2 * np.abs(Qr + Pr * Pr) >= np.abs(bracket))
+            abs_y = np.abs(y)
+            chi = (abs_y >= 1.0) & (dom_lhs[r] >= np.abs(bracket))
             if scheme == "B":
-                chi &= np.abs((1 - a) * y - Pr) >= c * np.abs(y)
+                chi &= np.abs((1 - a) * y - P[r]) >= c * abs_y
             return val * chi.astype(float)
-        B2_, C2_ = 2.0 * P, Q - P * P
         bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, 2 * np.abs(lam2)),
+                        _level_roots(A2_, B2_, C2_, dom_lhs),
                         _ball_roots(1 - a, -P, c), _vertex(A2_, B2_))
         return pref, f, bps, res_empty
 
     if index == "J6":
         lam1 = Q + P * P
         pref = _rowpow(_bracket(lam1), -2 * b)
-        w1 = _rowpow(_bracket(P), -2 * kappa)
+        e_s, e_k = 2 * s, -2 * kappa
+        w1 = _rowpow(_bracket(P), e_k) if e_k else None
         A2_, dA = a + 1.0, a - 1.0
+        B2_, C2_, dom_lhs = 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)
 
         def f(y, r):
-            Pr, Qr = P[r], Q[r]
-            bracket = A2_ * y * y + 2.0 * a * Pr * y + (Qr + a * Pr * Pr)
-            val = (_bracket(Pr + y) ** (2 * s) * w1[r] * _bracket(y) ** (-2 * kappa)
-                   * _bracket(bracket) ** (-(2 * b + 2 * d - 1)))
+            By, Cr = B2_[r] * y, C2_[r]
+            Py = P[r] + y if e_s or not ignore_region else None
+            w = _bracket(Py) ** e_s if e_s else None
+            if e_k:
+                w = _times(w, w1[r]) * _bracket(y) ** e_k
+            val = _times(w, _bracket(A2_ * y * y + By + Cr) ** e_bd)
             if ignore_region:
                 return val
-            dom = dA * y * y + 2.0 * a * Pr * y + (Qr + a * Pr * Pr)
-            chi = (np.abs(Pr + y) >= 1.0) & (2 * np.abs(Qr + Pr * Pr) >= np.abs(dom))
+            dom = dA * y * y + By + Cr
+            chi = (np.abs(Py) >= 1.0) & (dom_lhs[r] >= np.abs(dom))
             if scheme == "B":
-                chi &= np.abs((1 - a) * (Pr + y) - y) >= c * np.abs(Pr + y)
+                chi &= np.abs((1 - a) * Py - y) >= c * np.abs(Py)
             return val * chi.astype(float)
         bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
-                        _quad_roots(A2_, 2.0 * a * P, Q + a * P * P),
-                        _level_roots(dA, 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)),
+                        _quad_roots(A2_, B2_, C2_),
+                        _level_roots(dA, B2_, C2_, dom_lhs),
                         _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
-                        _vertex(A2_, 2.0 * a * P))
+                        _vertex(A2_, B2_))
         return pref, f, bps, res_empty
 
     raise ParamDomainViolated(f"index {index} has no 1-d reduction")
@@ -349,8 +381,8 @@ def _scaled_integrals(index, P, Q, pref, f, bps, live, window, rel_tol):
     rows = np.flatnonzero(live)
     if not rows.size:
         return values, failed
-    integral, tail, bad = integrate_with_tail(lambda y, r: f(y, rows[r]), bps[rows],
-                                              window=window, rel_tol=rel_tol)
+    integral, tail, bad = integrate_with_tail(_on(f, rows), bps[rows], window=window,
+                                              rel_tol=rel_tol)
     value, tail = integral * pref[rows], tail * pref[rows]
     values[rows] = value
     failed.update((rows[k], msg) for k, msg in bad.items())
@@ -368,13 +400,18 @@ def _appendix_j(P, Q, p, window, rel_tol):
         raise ParamDomainViolated("appendix A-J branch requires kappa >= 0")
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     lemma = np.abs(Q) <= 10.0 * P * P
-    pref = _rowpow(_bracket(Q + P * P), -(2 * d - kappa))
-    A2_ = -(a - 1.0)
-    f = lambda y, r: (_bracket(P[r] - y) ** (-2 * kappa) * _bracket(y) ** (-2 * s)
-                      * _bracket(A2_ * y * y + -2.0 * P[r] * y + (Q[r] + P[r] * P[r]))
-                      ** (-(4 * b - 1)))
-    vertex = _vertex(A2_, -2.0 * P)
-    bps = _bp_table(P.size, _quad_roots(A2_, -2.0 * P, Q + P * P), P,
+    A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
+    pref = _rowpow(_bracket(C2_), -(2 * d - kappa))
+    e_k, e_s, e_4b = -2 * kappa, -2 * s, -(4 * b - 1)
+
+    def f(y, r):
+        # the work per node as in _pieces
+        w = _bracket(P[r] - y) ** e_k if e_k else None
+        if e_s:
+            w = _times(w, _bracket(y) ** e_s)
+        return _times(w, _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b)
+    vertex = _vertex(A2_, B2_)
+    bps = _bp_table(P.size, _quad_roots(A2_, B2_, C2_), P,
                     np.where(np.isnan(vertex), 0.0, vertex))
     values, failed = _scaled_integrals("A-J", P, Q, pref, f, bps, ~lemma, window, rel_tol)
     rows = np.flatnonzero(lemma)

@@ -73,6 +73,10 @@ from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
 KERNEL_REL_TOL = 1e-5
 #: ladder nodes that consecutive columns bin in one flat pass
 RUN_NODES = 8192
+#: the largest ladder index k a field's panel table is built for; its
+#: k-indexed arrays hold up to this many entries (the workloads reach
+#: k = 1320, the tests 36821)
+MAX_LADDER_K = 1 << 22
 
 
 def delta_coefficient(a: float) -> complex:
@@ -255,6 +259,12 @@ class _PanelTable:
         self.top_edges[(self.t0 + self.n_top)[self.n_top > 0]] = root_max
 
         k_hi = int(self.K[osc].max(initial=0))
+        # `pik` holds k_hi entries and `used` the span of k below it
+        if k_hi > MAX_LADDER_K:
+            c = np.flatnonzero(osc)[np.argmax(self.K[osc])]
+            raise SingularQuadratureFail(
+                f"the sigma ladder of the column at B = {Bv[c]:.3g} reaches k = {k_hi:.3g} "
+                f"for t_max = {t_max:.3g}, beyond the panel table's {MAX_LADDER_K}")
         used = np.zeros(k_hi + 1 - int(self.k_min[osc].min(initial=1)), dtype=bool)
         for lo, hi in zip(self.k_min[osc], self.K[osc]):
             used[k_hi - hi:k_hi - lo + 1] = True        # edge k at k_hi - k

@@ -12,6 +12,10 @@ NaN, and each round evaluates the new panels of every unfinished row at
 once.  Each live panel carries its coarse sum and its two half sums from
 round to round, and a bisected panel's half sums are its children's coarse
 sums, so a round evaluates only the halves of the panels it just made.
+Each layer that renumbers a batch's rows (a tail block's rows, a round's
+live rows, a round's runs of new panels) wraps fvec with `_on`, and row
+maps compose: fvec sees each node's row after one lookup, however many
+layers lie between it and the nodes.
 Apart from the integrand calls, a round is a fixed number of whole-array
 steps over the ragged table, whatever the rows' panel counts: each row's
 sum and error are one segmented reduction over the row starts, and the
@@ -116,9 +120,28 @@ def _panel_nodes(edges: np.ndarray, order: int):
     return mid[:, None] + half[:, None] * nodes[None, :], weights, half
 
 
+class _On:
+    """Batch integrand f on its rows `rows`, renumbered 0, 1, ...; see _on."""
+
+    __slots__ = ("f", "rows")
+
+    def __init__(self, f, rows):
+        self.f, self.rows = f, rows
+
+    def __call__(self, y, r):
+        return self.f(y, self.rows[r])
+
+
 def _on(f, rows):
-    """Batch integrand f on its rows `rows`, renumbered 0, 1, ..."""
-    return lambda y, r: f(y, rows[r])
+    """Batch integrand f on its rows `rows`, renumbered 0, 1, ...
+
+    A row map of a row map is one map: _on(_on(f, a), b) calls f with the
+    rows a[b][r], so a node's row is looked up once however many layers
+    renumber the batch.
+    """
+    if isinstance(f, _On):
+        return _On(f.f, f.rows[rows])
+    return _On(f, rows)
 
 
 def adaptive_panels(fvec, lo, hi, breakpoints=(), rel_tol: float = 1e-7):
@@ -216,8 +239,7 @@ def _half_sums(fvec, rows, split, first, panels, todo):
     used = np.zeros(split.size, dtype=bool)
     used[at] = used[at + 1] = used[at + 2] = True
     owner = rows[row_of[opens]]
-    sums = panel_sums(lambda y, r: fvec(y, owner[r]), split[used], 8,
-                      2 * np.bincount(run_of))
+    sums = panel_sums(_on(fvec, owner), split[used], 8, 2 * np.bincount(run_of))
     return sums.reshape(-1, 2)
 
 

@@ -143,6 +143,31 @@ def test_batch_equals_lone_calls(index, a, kappa, s, window):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("index", ["J1", "J3", "J4", "J5", "J6", "A-J"])
+@pytest.mark.parametrize("a", [0.25, 2.0])
+def test_zero_exponent_weights_cost_no_bracket(index, a, monkeypatch):
+    # at kappa = s = 0 every weight <.>^e has e = 0 and is exactly 1: each
+    # integrand call evaluates only its quadratic bracket, at every node
+    sizes, per_call = [], []
+
+    def spy(z):
+        sizes.append(np.size(z))
+        return _bracket(z)
+
+    def counting(fvec, *args, **kw):
+        def g(y, r):
+            start = len(sizes)
+            out = fvec(y, r)
+            per_call.append((y.size, sizes[start:]))
+            return out
+        return integrate_with_tail(g, *args, **kw)
+
+    monkeypatch.setattr(bilinear, "_bracket", spy)
+    monkeypatch.setattr(bilinear, "integrate_with_tail", counting)
+    j_eval(JSpec(index, BATCH_BASES), params(a=a), window=12.0, rel_tol=SWEEP_REL_TOL)
+    assert per_call and all(s == [n] for n, s in per_call)
+
+
 @pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6"])
 def test_batch_equals_lone_calls_without_region(index):
     p = params(a=0.5)

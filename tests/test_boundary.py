@@ -53,6 +53,15 @@ def test_ray_needs_uniformly_spaced_increasing_xs(xs):
             forcing_field(ForcingSpec(1.0, lam, f), xs, [0.5])
 
 
+def test_a_ladder_past_the_panel_table_fails_before_the_table_is_built():
+    # k reaches B / (pi t_max), about 1e11 at x = 20 and a = 1e-9: a table
+    # indexed by k would take hundreds of GB
+    spec = ForcingSpec(1e-9, 0.0, bump_series(n=64))
+    with pytest.raises(SingularQuadratureFail,
+                       match=r"the sigma ladder of the column at B = 1e\+11 reaches k = "):
+        forcing_field(spec, [1.0, 20.0], [0.5, 1.0])
+
+
 @pytest.mark.parametrize("lam", [-0.25, 0.0, 0.25])
 def test_empty_xs_gives_the_empty_field(lam):
     # lambda = +-1/4 raised a bare IndexError from the ray's last x

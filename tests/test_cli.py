@@ -302,10 +302,12 @@ def test_failed_run_writes_a_manifest_that_report_counts(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("cfg", [{"a": 1e-300, "k_iters": 3},
-                                 {"t_span": 1e-300, "T": 1e-301, "k_iters": 3}],
-                         ids=["tiny-a", "tiny-t-span"])
+                                 {"t_span": 1e-300, "T": 1e-301, "k_iters": 3},
+                                 {"a": 1e-9, "k_iters": 3}],
+                         ids=["tiny-a", "tiny-t-span", "table-past-its-bound"])
 def test_an_unsizable_sigma_ladder_is_one_line_and_exit_1(tmp_path, capsys, cfg):
-    # B ** 1.5 and math.ceil of an infinite panel count raised OverflowError
+    # B ** 1.5 and math.ceil of an infinite panel count raised OverflowError;
+    # at a = 1e-9 the panel table would have held 6.5e10 ladder indices
     assert main(["contraction", "--config", str(_dump(tmp_path, cfg)),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

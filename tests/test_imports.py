@@ -108,8 +108,10 @@ def test_no_module_loads_scipy_fft_or_special_on_import(path):
     assert _start_up_imports(path.read_text()) == []
 
 
-def test_import_and_region_map_leave_slow_scipy_subpackages_unloaded(tmp_path):
-    # each costs every command tens of ms of start-up or more
+@pytest.mark.parametrize("command", ["region-map", "j-sweep"])
+def test_import_and_command_leave_slow_scipy_subpackages_unloaded(command, tmp_path):
+    # each costs every command tens of ms of start-up or more; neither
+    # command builds a boundary field, so neither needs scipy.special
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -117,7 +119,7 @@ def test_import_and_region_map_leave_slow_scipy_subpackages_unloaded(tmp_path):
     code = ("import sys, qnls.cli\n"
             f"def loaded():\n    return [m for m in {slow!r} if m in sys.modules]\n"
             "print(loaded())\n"
-            f"qnls.cli.run_experiment('region-map', {{}}, 0, {str(tmp_path)!r})\n"
+            f"qnls.cli.run_experiment({command!r}, {{}}, 0, {str(tmp_path)!r})\n"
             "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

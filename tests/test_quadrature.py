@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,25 @@ def test_pick_padding_stays_small_in_a_j_sweep(monkeypatch):
     assert len(live) > 10
     assert cells.sum() <= 1.5 * live.sum()      # 1.23 when written
     assert np.all(cells <= 2.0 * live)          # at most 1.48 per round
+
+
+def test_a_row_map_of_a_row_map_is_one_map():
+    # each layer that renumbers a batch's rows wraps the integrand with _on;
+    # the maps compose, so f sees a node's row after one lookup, called
+    # from the same depth as through a single map
+    seen = []
+
+    def f(y, rows):
+        seen.append((np.array(rows), len(inspect.stack(0))))
+        return y
+
+    a, b = np.array([4, 0, 3, 1, 2]), np.array([3, 0, 2])
+    r, y = np.array([1, 2, 2, 0]), np.zeros(4)
+    _on(f, a[b])(y, r)
+    _on(_on(f, a), b)(y, r)
+    (once, depth_once), (twice, depth_twice) = seen
+    assert np.array_equal(twice, a[b][r]) and np.array_equal(once, twice)
+    assert depth_twice == depth_once
 
 
 def _recorded_calls(monkeypatch, fvec, *args):
