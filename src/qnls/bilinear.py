@@ -6,8 +6,7 @@ remaining time frequency through the elementary integral estimates.  The
 region indicator therefore enters in projected form: conditions on the
 integrated-out variable are replaced by their exact existential reduction
 (a dominance condition 2|fixed modulation| >= |modulation sum|), while
-conditions involving only surviving variables apply verbatim.  Forcing the
-indicator to 1 always dominates the true value.
+conditions involving only surviving variables apply verbatim.
 
 Boundedness is certified empirically: sup over base-point grids of growing
 radius R, with the integration variable windowed to the same frequency ball,
@@ -140,7 +139,7 @@ def _times(w, factor):
     return factor if w is None else w * factor
 
 
-def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
+def _pieces(index: str, P, Q, p: EstimateParams):
     """Prefactors, batch integrand, breakpoints and empty rows of a 1-d J.
 
     P, Q hold the base points.  Returns (pref, f, bps, empty): f(y, rows)
@@ -161,10 +160,10 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
     scheme = scheme_for(index, a)
     n = P.size
     c = (2.0 * a - 1.0) / 4.0
-    region = not ignore_region and scheme != "RES"
     nowhere = np.zeros(n, dtype=bool)
-    # the RES scheme leaves the regions of J2, J3, J5 and J6 empty
-    res_empty = np.full(n, scheme == "RES" and not ignore_region)
+    # the RES scheme leaves the regions of J2, J3, J5 and J6 empty, and
+    # puts no condition on those of J1 and J4
+    res_empty = np.full(n, scheme == "RES")
     # the quadratic bracket's exponent is never 0: b and d lie in (3/8, 1/2)
     e_4b, e_bd = -(4 * b - 1), -(2 * b + 2 * d - 1)
 
@@ -181,7 +180,7 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
             val = _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b
             if e_y:
                 val = _bracket(y) ** e_y * val
-            if not region:
+            if scheme == "RES":
                 return val
             dom = dom_lhs[r] >= np.abs((a - 1.0) * y * y + mB[r] * y + mC[r])
             if scheme == "R":
@@ -212,14 +211,14 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
             val = _bracket(bracket) ** e_bd
             if wconst is not None:
                 val = wconst[r] * val
-            if not (region and scheme == "A"):
+            if scheme != "A":
                 return val
             chi = (np.abs(y - half_P[r]) >= cP[r]) & (dom_lhs[r] >= np.abs(bracket))
             return val * chi.astype(float)
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
                         _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP)
         # the region needs |xi2| >= 1
-        return pref, f, bps, res_empty | (not ignore_region) & (np.abs(P) < 1.0)
+        return pref, f, bps, res_empty | (np.abs(P) < 1.0)
 
     if index == "J3":
         omega1 = Q - P * P
@@ -233,8 +232,6 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
             val = _bracket(bracket) ** e_bd
             if e_y:
                 val = _bracket(y) ** e_y * val
-            if not region:
-                return val
             abs_y = np.abs(y)
             if scheme == "A":
                 chi = ((abs_y >= 1.0)
@@ -263,7 +260,7 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
             if e_k:
                 w = _times(w, _bracket(P[r] - y) ** e_k) * _bracket(y) ** e_k
             val = _times(w, _bracket(bracket) ** e_4b)
-            if not region:
+            if scheme == "RES":
                 return val
             dom = dom_lhs[r] >= np.abs(bracket)
             if scheme == "S":
@@ -292,8 +289,6 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
             if e_k:
                 w = _times(w, _bracket(y - P[r]) ** e_k) * w1[r]
             val = _times(w, _bracket(bracket) ** e_bd)
-            if ignore_region:
-                return val
             abs_y = np.abs(y)
             chi = (abs_y >= 1.0) & (dom_lhs[r] >= np.abs(bracket))
             if scheme == "B":
@@ -304,40 +299,36 @@ def _pieces(index: str, P, Q, p: EstimateParams, ignore_region: bool):
                         _ball_roots(1 - a, -P, c), _vertex(A2_, B2_))
         return pref, f, bps, res_empty
 
-    if index == "J6":
-        lam1 = Q + P * P
-        pref = _rowpow(_bracket(lam1), -2 * b)
-        e_s, e_k = 2 * s, -2 * kappa
-        w1 = _rowpow(_bracket(P), e_k) if e_k else None
-        A2_, dA = a + 1.0, a - 1.0
-        B2_, C2_, dom_lhs = 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)
+    # J6
+    lam1 = Q + P * P
+    pref = _rowpow(_bracket(lam1), -2 * b)
+    e_s, e_k = 2 * s, -2 * kappa
+    w1 = _rowpow(_bracket(P), e_k) if e_k else None
+    A2_, dA = a + 1.0, a - 1.0
+    B2_, C2_, dom_lhs = 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)
 
-        def f(y, r):
-            By, Cr = B2_[r] * y, C2_[r]
-            Py = P[r] + y if e_s or not ignore_region else None
-            w = _bracket(Py) ** e_s if e_s else None
-            if e_k:
-                w = _times(w, w1[r]) * _bracket(y) ** e_k
-            val = _times(w, _bracket(A2_ * y * y + By + Cr) ** e_bd)
-            if ignore_region:
-                return val
-            dom = dA * y * y + By + Cr
-            chi = (np.abs(Py) >= 1.0) & (dom_lhs[r] >= np.abs(dom))
-            if scheme == "B":
-                chi &= np.abs((1 - a) * Py - y) >= c * np.abs(Py)
-            return val * chi.astype(float)
-        bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
-                        _quad_roots(A2_, B2_, C2_),
-                        _level_roots(dA, B2_, C2_, dom_lhs),
-                        _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
-                        _vertex(A2_, B2_))
-        return pref, f, bps, res_empty
-
-    raise ParamDomainViolated(f"index {index} has no 1-d reduction")
+    def f(y, r):
+        By, Cr = B2_[r] * y, C2_[r]
+        Py = P[r] + y
+        w = _bracket(Py) ** e_s if e_s else None
+        if e_k:
+            w = _times(w, w1[r]) * _bracket(y) ** e_k
+        val = _times(w, _bracket(A2_ * y * y + By + Cr) ** e_bd)
+        dom = dA * y * y + By + Cr
+        chi = (np.abs(Py) >= 1.0) & (dom_lhs[r] >= np.abs(dom))
+        if scheme == "B":
+            chi &= np.abs((1 - a) * Py - y) >= c * np.abs(Py)
+        return val * chi.astype(float)
+    bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
+                    _quad_roots(A2_, B2_, C2_),
+                    _level_roots(dA, B2_, C2_, dom_lhs),
+                    _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
+                    _vertex(A2_, B2_))
+    return pref, f, bps, res_empty
 
 
 def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
-           ignore_region: bool = False, rel_tol: float = 1e-6):
+           rel_tol: float = 1e-6):
     """Evaluate one J integral at its base point.
 
     With `window`, the integration variable is restricted to |y| <= window
@@ -351,8 +342,7 @@ def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
     where the lone call raises QuadratureNonConvergent the value is NaN.
     """
     base = np.asarray(spec.base, dtype=float)
-    values, failed = _j_rows(spec.index, base.reshape(-1, 2), p, window,
-                             ignore_region, rel_tol)
+    values, failed = _j_rows(spec.index, base.reshape(-1, 2), p, window, rel_tol)
     if base.ndim == 2:
         return values
     if failed:
@@ -360,14 +350,14 @@ def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
     return values[0]
 
 
-def _j_rows(index, base, p, window, ignore_region, rel_tol):
+def _j_rows(index, base, p, window, rel_tol):
     """Values and failure messages of one J index at each base point."""
     P, Q = np.ascontiguousarray(base[:, 0]), np.ascontiguousarray(base[:, 1])
     if index == "A-J":
         return _appendix_j(P, Q, p, window, rel_tol)
     if index in ("A-J1", "A-J2", "A-J3"):
         return _appendix_2d(index, P, Q, p, window, rel_tol)
-    pref, f, bps, empty = _pieces(index, P, Q, p, ignore_region)
+    pref, f, bps, empty = _pieces(index, P, Q, p)
     return _scaled_integrals(index, P, Q, pref, f, bps, ~empty, window, rel_tol)
 
 
@@ -417,7 +407,7 @@ def _appendix_j(P, Q, p, window, rel_tol):
     rows = np.flatnonzero(lemma)
     if rows.size:
         values[rows], bad = _j_rows("J1", np.column_stack([P[rows], Q[rows]]), p,
-                                    window, False, rel_tol)
+                                    window, rel_tol)
         failed.update((rows[k], msg) for k, msg in bad.items())
     return values, failed
 
@@ -559,18 +549,20 @@ def _peak_anchors(index: str, p: EstimateParams, x):
     return out
 
 
+#: the sweep's uniform samples of xi, and of tau, per radius
+_N_BASE = 9
 #: the sweep's fixed O(1) xi anchors and its modulation offsets of the peak anchors
 _XI_ANCHORS = (0.0, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
 _TAU_OFFSETS = (0.0, -2.0, 2.0, -8.0, 8.0)
 
 
-def _base_grid(index: str, p: EstimateParams, R: float, n_base: int) -> np.ndarray:
+def _base_grid(index: str, p: EstimateParams, R: float) -> np.ndarray:
     """The (xi, tau) base points of radius R in scan order: for each xi, the
     uniform taus, then each peak anchor at every offset."""
-    xs = np.unique(np.concatenate([np.linspace(-R, R, n_base), _XI_ANCHORS]))
-    taus = np.linspace(-R * R, R * R, n_base)
+    xs = np.unique(np.concatenate([np.linspace(-R, R, _N_BASE), _XI_ANCHORS]))
+    taus = np.linspace(-R * R, R * R, _N_BASE)
     peaks = np.stack(_peak_anchors(index, p, xs), axis=1)[:, :, None] + np.array(_TAU_OFFSETS)
-    rows = np.concatenate([np.broadcast_to(taus, (xs.size, n_base)),
+    rows = np.concatenate([np.broadcast_to(taus, (xs.size, _N_BASE)),
                            peaks.reshape(xs.size, -1)], axis=1)
     return np.column_stack([np.repeat(xs, rows.shape[1]), rows.ravel()])
 
@@ -581,8 +573,7 @@ def _fold(points):
                             points[:, 1]])
 
 
-def j_sup_sweep(index: str, p: EstimateParams, radii,
-                n_base: int = 9) -> list[dict]:
+def j_sup_sweep(index: str, p: EstimateParams, radii) -> list[dict]:
     """Sup of a J integral over base grids of growing radius.
 
     Base points cover |xi| <= R uniformly and |tau| <= R^2 uniformly,
@@ -606,7 +597,7 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
     folded points once.  The argmax is still a point of the grid, the first
     in scan order among the maxima.
     """
-    grids = [_base_grid(index, p, R, n_base) for R in radii]
+    grids = [_base_grid(index, p, R) for R in radii]
     # the unwindowed J depends neither on R nor on the sign of xi: each
     # distinct folded point once
     points, where = np.unique(_fold(np.concatenate(grids)), axis=0, return_inverse=True)
@@ -632,13 +623,12 @@ def j_sup_sweep(index: str, p: EstimateParams, radii,
 
 
 def bilinear_ratio(u: SpaceTimeField, v: SpaceTimeField, p: EstimateParams,
-                   which: str, placement: str = "statement") -> float:
+                   which: str) -> float:
     """Left-norm over product-of-right-norms for one bilinear estimate.
 
-    which = "L5.1": conj(u)*v in X^{kappa,-d}; "L5.2": u*v in X_a^{s,-d};
-    "L5.3": conj(u)*v in W^{kappa,-d}; "L5.4": u*v in W_a^{kappa,-d}.
-    `placement` swaps which right factor carries the a-adapted space in L5.1
-    ("statement" puts u there, "usage" puts v there).
+    which = "L5.1": conj(u)*v in X^{kappa,-d}, u in the a-adapted space;
+    "L5.2": u*v in X_a^{s,-d}; "L5.3": conj(u)*v in W^{kappa,-d};
+    "L5.4": u*v in W_a^{kappa,-d}.
     """
     if which not in ESTIMATES:
         raise ParamDomainViolated(f"unknown estimate {which!r}")
@@ -648,12 +638,8 @@ def bilinear_ratio(u: SpaceTimeField, v: SpaceTimeField, p: EstimateParams,
     if which == "L5.1":
         prod = np.conj(u.samples) * v.samples
         left = BourgainParams(kappa, -d, 1.0)
-        if placement == "statement":
-            ru = BourgainParams(kappa, b, a)
-            rv = BourgainParams(s, b, 1.0)
-        else:
-            ru = BourgainParams(kappa, b, 1.0)
-            rv = BourgainParams(s, b, a)
+        ru = BourgainParams(kappa, b, a)
+        rv = BourgainParams(s, b, 1.0)
     elif which == "L5.2":
         prod = u.samples * v.samples
         left = BourgainParams(s, -d, a)

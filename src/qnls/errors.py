@@ -92,10 +92,6 @@ class NonConvergentNonlinearIteration(QnlsError):
     """Per-step fixed-point sweeps failed to reduce the update."""
 
 
-class CompatibilityViolation(QnlsError):
-    """Endpoint compatibility u0(0)=f(0) (or v0(0)=g(0)) fails for the declared class."""
-
-
 class EmptyLedger(QnlsError):
     """Mass ledger has no recorded samples."""
 

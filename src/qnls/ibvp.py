@@ -22,11 +22,9 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import boundary, spectral
-from .errors import (BlowUpDetected, CompatibilityViolation, DivergentIteration,
-                     EmptyLedger, NonConvergentNonlinearIteration)
+from .errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
+                     NonConvergentNonlinearIteration)
 from .grids import GridFunction, SpaceTimeField, TimeSeries
-
-COMPAT_RTOL = 1e-6
 
 
 @dataclass
@@ -125,17 +123,12 @@ def _boundary_deriv(w: np.ndarray, h: float) -> complex:
 
 
 def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
-             f: TimeSeries, g: TimeSeries, kappa: float = 0.0, s: float = 0.0,
-             sources=None, snapshot_stride: int = 1):
+             f: TimeSeries, g: TimeSeries, sources=None, snapshot_stride: int = 1):
     """Advance the coupled system; returns (trajectory, mass ledger).
 
     `sources` is None or a pair (F1, F2) of callables of (x, t), the
     right-hand sides of the system above.
     """
-    if not compatibility_check(u0, f, kappa, v0, g, s):
-        raise CompatibilityViolation(
-            "endpoint data mismatch for the declared regularity class")
-
     nx = cfg.nx
     h = cfg.L / (nx - 1)
     x = h * np.arange(nx)
@@ -313,25 +306,6 @@ def regularity_region(kappa: float, s: float, a: float):
     return True, binding
 
 
-def compatibility_check(u0: GridFunction, f: TimeSeries, kappa: float,
-                        v0: GridFunction | None = None,
-                        g: TimeSeries | None = None,
-                        s: float | None = None) -> bool:
-    """Endpoint matching u0(0)=f(0) above kappa=1/2 (and v0(0)=g(0) above s=1/2)."""
-    def matches(w0, h):
-        scale = max(float(np.max(np.abs(w0.samples))), h.sup())
-        if scale == 0.0:
-            return True
-        return abs(w0.samples[0] - h.samples[0]) <= COMPAT_RTOL * scale
-
-    ok = True
-    if kappa > 0.5:
-        ok = ok and matches(u0, f)
-    if v0 is not None and g is not None and s is not None and s > 0.5:
-        ok = ok and matches(v0, g)
-    return ok
-
-
 @dataclass
 class ContractionResult:
     distances: list
@@ -341,8 +315,8 @@ class ContractionResult:
 
 def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
                         f: TimeSeries, g: TimeSeries, lambda1: float,
-                        lambda2: float, k_iters: int, nx: int = 256,
-                        nt: int = 64, t_span: float | None = None) -> ContractionResult:
+                        lambda2: float, k_iters: int, nx: int, nt: int,
+                        t_span: float) -> ContractionResult:
     """Fixed-point iteration of the boundary-forced Duhamel map on the line.
 
     Initial data extend by zero to x < 0; the boundary correction feeds the
@@ -351,8 +325,6 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     a^(lambda/2) e^(i lambda pi/4).  Iterates start from zero; returns the
     grid-norm distances between consecutive iterates.
     """
-    if t_span is None:
-        t_span = max(4.0 * cfg.T, 32 * cfg.dt)
     dx = 2.0 * cfg.L / nx
     xs = -cfg.L + dx * np.arange(nx)
     dtc = t_span / nt

@@ -116,10 +116,16 @@ def test_trace_phase_selection():
     f = bump_series(n=2048)
     for a in (0.5, 1.0):
         for lam in (0.25, 0.5):
-            rep = trace_check(ForcingSpec(a, lam, f), n_samples=16)
+            rep = trace_check(ForcingSpec(a, lam, f))
             assert rep.phase == "lambda*pi/4"
             assert rep.residual < 1e-2
             assert rep.residuals["3*lambda*pi/4"] > 10 * rep.residual
+
+
+def test_trace_check_needs_lambda_above_minus_one():
+    # forcing_field refuses x = 0 at lambda <= -1 too, with another message
+    with pytest.raises(LambdaOutOfRange, match="trace identity needs lambda > -1"):
+        trace_check(ForcingSpec(1.0, -1.0, bump_series(n=256)))
 
 
 def test_linearity_in_datum():

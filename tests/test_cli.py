@@ -117,6 +117,8 @@ _BAD_J_SWEEP_CONFIGS = [
 # Checked against `cli.CONFIGS`, a library parameter object or a window the
 # command needs, before any work.
 _BAD_CONFIGS_UP_FRONT = [
+    pytest.param("region-map", [1, 2], "config must be a JSON object",
+                 id="region-map-config-not-an-object"),
     pytest.param("region-map", {"bogus_key": 1},
                  "unknown keys ['bogus_key'] for region-map", id="region-map-unknown-key"),
     # one level compares nothing: the refinement contract passed vacuously

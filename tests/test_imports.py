@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no module
-imports the scipy subpackages that cost every command its start-up, and
-every public name of the package has a caller in the package."""
+imports the scipy subpackages that cost every command its start-up, every
+public name of the package has a caller in the package, and every parameter
+with a default is set by some call in the package."""
 
 import ast
 import os
@@ -128,8 +129,11 @@ def test_import_and_command_leave_slow_scipy_subpackages_unloaded(command, tmp_p
 
 
 # Public names that no package code calls yet, each kept for the open
-# ROADMAP item that will call it.  The guard reads top-level names only:
-# methods and dataclass fields are not covered.
+# ROADMAP item that will call it.  The caller guard reads the top-level names
+# of each module: functions, classes and constants, not methods.  The
+# parameter guard reads the defaulted parameters of public top-level
+# functions and the defaulted fields of public dataclasses, not those of
+# methods; it exempts every parameter of a RESERVED function.
 RESERVED = {
     "boundary.pde_residual": "item 3: the oracle of the Laplace-domain evaluator",
     "boundary.boundary_estimate_ratio": "item 9: contraction evidence in the paper's norms",
@@ -183,3 +187,77 @@ def test_the_guard_sees_a_name_only_its_definition_reads():
 def test_every_public_name_has_a_program_caller():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _uncalled(sources) == sorted(RESERVED)
+
+
+# Defaulted parameters that no package call sets, each with its reason.
+UNSET = {
+    "cli.run_experiment.jobs": "item 1: perfbench/worker.py passes it",
+    "cli.main.argv": "tests drive the command line through it",
+    "ibvp.simulate.sources": "the seam of the manufactured-solution oracle",
+    "ibvp.SolverConfig.nonlinearity_iters": "item 5: the sweep count becomes a cap",
+}
+
+
+def _defaulted(stmt) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position) of each parameter with a default that a
+    top-level statement defines: of a public function, or a field of a public
+    dataclass.  A keyword-only parameter has position None."""
+    if getattr(stmt, "name", "_").startswith("_"):
+        return []
+    if isinstance(stmt, ast.FunctionDef):
+        args = stmt.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        return ([(stmt.name, a.arg, k) for k, a in enumerate(positional) if k >= first]
+                + [(stmt.name, a.arg, None)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+    if isinstance(stmt, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in stmt.decorator_list):
+        fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
+        return [(stmt.name, f.target.id, k) for k, f in enumerate(fields)
+                if f.value is not None]
+    return []
+
+
+def _calls(stmt) -> list[tuple[str | None, int, set]]:
+    """(callee name, positional arguments before any *args, keywords) of
+    every call in a statement."""
+    found = []
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            n_pos = next((k for k, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+            found.append((name, n_pos, {k.arg for k in node.keywords}))
+    return found
+
+
+def _unset(sources: dict[str, str]) -> list[str]:
+    """module.callee.parameter for each defaulted parameter that no call sets,
+    by keyword or by position, outside the statement that defines it."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    calls = [_calls(stmt) for _, stmt in stmts]
+    return sorted(f"{module}.{callee}.{param}" for i, (module, stmt) in enumerate(stmts)
+                  for callee, param, pos in _defaulted(stmt)
+                  if not any(name == callee and (param in keywords
+                                                 or pos is not None and pos < n_pos)
+                             for j, cs in enumerate(calls) if j != i
+                             for name, n_pos, keywords in cs))
+
+
+def test_the_guard_sees_a_default_only_its_definition_sets():
+    sources = {"a": ("def f(x, k=1, *, m=2):\n    return f(x, k=2, m=3)\n"
+                     "def g(x, y=0, z=0):\n    return x\n"
+                     "def _h(x, y=0):\n    return x\n"
+                     "@dataclass\nclass C:\n    p: int\n    q: int = 1\n    r: int = 2\n"),
+               "b": ("from .a import C, g\nargs = (1, 2)\n"
+                     "print(g(*args), g(1, 2), C(1, r=3), C(*args))\n")}
+    assert _unset(sources) == ["a.C.q", "a.f.k", "a.f.m", "a.g.z"]
+
+
+def test_every_optional_parameter_is_set_by_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unset = [u for u in _unset(sources) if u.rsplit(".", 1)[0] not in RESERVED]
+    assert unset == sorted(UNSET)

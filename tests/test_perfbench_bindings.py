@@ -44,6 +44,27 @@ assert roots.keys() == {"boundary.forcing_field", "quadrature.panel_sums"}, root
 assert all(roots.values()), roots
 """)
 
+# The trace workload under the tracer, without the benchmark's timing gate: a
+# work counter that raises, or an EXPECT_NONZERO counter of the tracer that
+# reads zero (a layer bypassed), stops a traced benchmark run with exit 3.
+TRACE_SCRIPT = SCRIPT.replace("instrument(Recorder())", """
+import tempfile
+from pathlib import Path
+from tracing import WORK, layer_metrics
+from workloads import EXPECT_NONZERO, WORKLOADS
+recorder = Recorder()
+instrument(recorder)
+with tempfile.TemporaryDirectory() as out:
+    for i, cmd in enumerate(WORKLOADS["trace"]):
+        qnls.cli.run_experiment(cmd.name, cmd.config, 0, Path(out) / str(i), jobs=1)
+assert not recorder.count_errors, recorder.count_errors
+layers = layer_metrics(recorder.spans)
+counted = [name for name in EXPECT_NONZERO["trace"]
+           if name.endswith(".calls") or name.rsplit(".", 1)[0] in WORK]
+zero = [name for name in counted if not layers.get(name)]
+assert not zero, zero
+""")
+
 
 def _run(script):
     env = dict(os.environ)
@@ -61,6 +82,11 @@ def test_tracer_binds_every_imported_name():
 def test_tracer_counts_the_work_of_forcing_field_and_panel_sums():
     # the traced benchmark tests catch this too, but take about 19 s
     _run(WORK_SCRIPT)
+
+
+def test_tracer_counts_every_layer_of_the_trace_workload():
+    # the traced benchmark tests cover contraction, lab and jsweep only
+    _run(TRACE_SCRIPT)
 
 
 def _traced_benchmark_is_correct(workload):
