@@ -66,6 +66,8 @@ DISCREPANCY_MAX = 0.05          # contraction against the time stepper
 # Stock data: Gaussians and bump boundary of simulate and mass-track; contraction's.
 STOCK_WIDTH, STOCK_AMP_U, STOCK_AMP_V, BUMP_AMP = 1.0, 1.0, 0.7, 0.3
 CONTRACTION_AMP_U, CONTRACTION_AMP_V = 1.0, 0.8
+# dispersion-sweep: rows per block of its residual reductions (64 KB a column)
+_SWEEP_BLOCK = 8192
 
 
 def _output(out: Path, name: str) -> Path:
@@ -293,6 +295,34 @@ def _cmd_trace_check(cfg, rng, out: Path):
     return [path] + outputs, contracts
 
 
+def _residual_extremes(fp, a):
+    """(violations, min residual, argmin of res + tol) over the rows of fp.
+
+    The rows are reduced in blocks of `_SWEEP_BLOCK`, each a `FrequencyPoint`
+    of views, so no temporary spans all of them.  The numbers are those of
+    the whole-array `np.sum(res < -tol)`, `np.min(res)` and
+    `np.argmin(res + tol)`: a block's argmin replaces the running one only
+    when strictly smaller, so the first occurrence wins, and a NaN wins as
+    in `np.argmin` and is the minimum as in `np.min`.
+    """
+    violations, low, best, arg = 0, np.inf, np.inf, 0
+    for start in range(0, fp.xi.size, _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
+        part = dispersion.FrequencyPoint(fp.xi[rows], fp.tau[rows],
+                                         fp.xi2[rows], fp.tau2[rows])
+        res = dispersion.lower_bound_residual(part, a)
+        tol = 1e-9 * (1.0 + part.max_freq_sq())
+        violations += int(np.count_nonzero(res < -tol))
+        low = np.minimum(low, np.min(res))
+        res += tol
+        i = int(np.argmin(res))
+        # arg starts at row 0, which is where np.argmin lands when every
+        # value is +inf
+        if not np.isnan(best) and (res[i] < best or np.isnan(res[i])):
+            best, arg = res[i], start + i
+    return violations, float(low), arg
+
+
 def _cmd_dispersion_sweep(cfg, rng, out: Path):
     _require(cfg["n_samples"] >= 1, "n_samples must be a positive integer")
     schemes = [_params(dispersion.classify_regime, a) for a in cfg["a_list"]]
@@ -302,13 +332,13 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path):
     violations = 0
     for a, scheme in zip(cfg["a_list"], schemes):
         fp = dispersion.sample_quadruples(cfg["n_samples"], rng)
-        res = dispersion.lower_bound_residual(fp, a)
-        tol = 1e-9 * (1.0 + fp.max_freq_sq())
-        violations += int(np.sum(res < -tol))
-        i = int(np.argmin(res + tol))
-        rows.append([a, scheme, float(np.min(res)),
-                     float(fp.xi[i]), float(fp.tau[i]), float(fp.xi2[i]),
-                     float(fp.tau2[i])])
+        bad, low, i = _residual_extremes(fp, a)
+        violations += bad
+        # the argmin_* columns name the quadruple that minimises res + tol,
+        # not res: at a >= 1/2 it is another quadruple than min_residual's
+        rows.append([a, scheme, low, float(fp.xi[i]), float(fp.tau[i]),
+                     float(fp.xi2[i]), float(fp.tau2[i])])
+        del fp      # the next a's draws do not stack on these
     path = _output(out, "dispersion_sweep.csv")
     write_csv(path, ["a", "scheme", "min_residual", "argmin_xi",
                      "argmin_tau", "argmin_xi2", "argmin_tau2"], rows)
@@ -513,6 +543,10 @@ def main(argv=None) -> int:
         return 2
     except QnlsError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # the failed run's manifest records it; numpy's message names the size
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,12 +1,15 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qnls import cli
+from qnls import cli, dispersion
 from qnls.cli import CONFIGS, _validate, emit_report, main, run_experiment
 from qnls.errors import InvalidConfig, SingularQuadratureFail, UnknownCommand
+from qnls.grids import write_csv
 
 
 def test_region_map_marks_origin_admissible(tmp_path):
@@ -232,6 +235,109 @@ def test_dispersion_sweep_cli(tmp_path):
     assert code == 0
     data = (tmp_path / "res" / "dispersion_sweep.csv").read_text()
     assert "SecondNonResonant" in data and "FirstNonResonant" in data
+
+
+_SWEEP_HEADER = ["a", "scheme", "min_residual", "argmin_xi", "argmin_tau",
+                 "argmin_xi2", "argmin_tau2"]
+_B = cli._SWEEP_BLOCK
+
+
+def _whole_array_sweep(quadruples, a_list, path):
+    """dispersion-sweep's CSV bytes and violation count by the whole-array
+    formulas; `quadruples()` gives the next a's `FrequencyPoint`."""
+    rows, violations = [], 0
+    for a in a_list:
+        fp = quadruples()
+        res = dispersion.lower_bound_residual(fp, a)
+        tol = 1e-9 * (1.0 + fp.max_freq_sq())
+        violations += int(np.sum(res < -tol))
+        i = int(np.argmin(res + tol))
+        rows.append([a, dispersion.classify_regime(a), float(np.min(res)),
+                     float(fp.xi[i]), float(fp.tau[i]), float(fp.xi2[i]),
+                     float(fp.tau2[i])])
+    write_csv(path, _SWEEP_HEADER, rows)
+    return path.read_bytes(), violations
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+def test_dispersion_sweep_blocks_match_the_whole_array_formulas(tmp_path, seed, n):
+    rng = np.random.default_rng(seed)
+    # the draws in their order, scaled into a new array
+    draw = lambda: dispersion.CAUCHY_SCALE * rng.standard_cauchy(n)
+    expected, violations = _whole_array_sweep(
+        lambda: dispersion.FrequencyPoint(draw(), draw(), draw(), draw()),
+        CONFIGS["dispersion-sweep"]["a_list"], tmp_path / "whole.csv")
+    manifest = run_experiment("dispersion-sweep", {"n_samples": n}, seed, tmp_path / "o")
+    assert (tmp_path / "o" / "dispersion_sweep.csv").read_bytes() == expected
+    assert manifest["contracts"]["lower_bound_no_violations"] == (violations == 0)
+
+
+def _crafted_sweep(tmp_path, monkeypatch, xi, a_list):
+    """dispersion-sweep over the quadruples (xi, row index, 0, 0) at every a,
+    and the whole-array CSV of the same; both as CSV bytes."""
+    n = xi.size
+    fp = dispersion.FrequencyPoint(xi, np.arange(n, dtype=float),
+                                   np.zeros(n), np.zeros(n))
+    monkeypatch.setattr(dispersion, "sample_quadruples", lambda n, rng: fp)
+    run_experiment("dispersion-sweep", {"a_list": a_list, "n_samples": n}, 0,
+                   tmp_path / "o")
+    expected, _ = _whole_array_sweep(lambda: fp, a_list, tmp_path / "whole.csv")
+    return (tmp_path / "o" / "dispersion_sweep.csv").read_bytes(), expected
+
+
+def _column(csv_bytes, name):
+    header, *rows = csv_bytes.decode().splitlines()
+    k = header.split(",").index(name)
+    return [r.split(",")[k] for r in rows]
+
+
+def test_dispersion_sweep_equal_minima_in_two_blocks_give_the_first(tmp_path, monkeypatch):
+    # at xi2 = 0, res + tol is smallest where xi = 0, at a = 1/4 and at a = 2
+    xi = np.ones(2 * _B + 3)
+    xi[[_B - 1, _B + 5]] = 0.0
+    got, expected = _crafted_sweep(tmp_path, monkeypatch, xi, [0.25, 2.0])
+    assert got == expected
+    assert _column(got, "argmin_tau") == [f"{_B - 1}", f"{_B - 1}"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dispersion_sweep_nan_or_inf_row_reduces_as_numpy(tmp_path, monkeypatch, bad):
+    # rows of xi = nan or inf have a NaN residual: the first such row is the
+    # argmin and NaN the minimum, past a smaller finite value in block 0
+    xi = np.ones(3 * _B)
+    xi[5] = 0.0
+    xi[[_B + 7, 2 * _B + 1]] = bad
+    with np.errstate(invalid="ignore"):
+        got, expected = _crafted_sweep(tmp_path, monkeypatch, xi, [0.25, 2.0])
+    assert got == expected
+    assert _column(got, "argmin_tau") == [f"{_B + 7}", f"{_B + 7}"]
+    assert _column(got, "min_residual") == ["nan", "nan"]
+
+
+def test_dispersion_sweep_peak_memory(tmp_path):
+    # the four draw arrays of one a take 3.2 MB; whole-array residuals, with
+    # the previous a's draws held while the next drew, peaked near 8 MB
+    tracemalloc.start()
+    try:
+        run_experiment("dispersion-sweep", {}, 3, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
+
+
+def test_an_allocation_failure_is_one_line_and_exit_1(tmp_path, capsys):
+    # 10**17 draws need 800 PB, past any 64-bit address space, so numpy's
+    # allocation fails outright, whatever the system's overcommit policy
+    out = tmp_path / "o"
+    assert main(["dispersion-sweep", "--config", str(_dump(tmp_path, {"n_samples": 10**17})),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    failed = json.loads((out / "manifest_dispersion-sweep.json").read_text())
+    assert failed["passed"] is False and "error" in failed
 
 
 def _dump(tmp_path, cfg):
