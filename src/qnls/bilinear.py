@@ -11,6 +11,12 @@ conditions involving only surviving variables apply verbatim.
 Boundedness is certified empirically: sup over base-point grids of growing
 radius R, with the integration variable windowed to the same frequency ball,
 stabilizes for admissible parameters and grows for violating ones.
+
+`j_eval` evaluates one J index at an (n, 2) batch of base points (xi, tau)
+and returns (values, failed): a NaN value where a point failed, and failed
+maps that point to its message.  A point gets the value and message it has
+alone, so one point is a batch of one.  `check_indices` is the one rule of
+where each J index is defined.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
 from .spectral import BourgainParams, _bracket, bourgain_norm
 
 J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
+#: the two-dimensional appendix integrals, defined for kappa <= 0
+_APPENDIX_2D = ("A-J1", "A-J2", "A-J3")
+#: the J indices whose regions are empty at the resonant a = 1/2
+_EMPTY_AT_RESONANCE = ("J2", "J3", "J5", "J6", "A-J2", "A-J3")
 ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
 #: relative tolerance of every J evaluation in a boundedness sweep
 SWEEP_REL_TOL = 3e-4
@@ -53,22 +63,6 @@ class EstimateParams:
                 f"b, d must lie in (3/8, 1/2), got b={self.b}, d={self.d}")
 
 
-@dataclass
-class JSpec:
-    """One J integral: index and base point; `scheme_for` binds its scheme.
-
-    `base` may also be an (n, 2) array of base points, which `j_eval`
-    evaluates as one batch.
-    """
-
-    index: str
-    base: tuple
-
-    def __post_init__(self):
-        if self.index not in J_INDICES:
-            raise ParamDomainViolated(f"unknown J index {self.index!r}")
-
-
 def scheme_for(index: str, a: float) -> str:
     if a == 0.5:
         return "RES"
@@ -76,6 +70,44 @@ def scheme_for(index: str, a: float) -> str:
     if a < 0.5:
         return "R" if first_family else "S"
     return "A" if first_family else "B"
+
+
+def check_indices(indices, p: EstimateParams, sweep: bool = False) -> list[str]:
+    """Refuse the J indices of `indices` undefined at p; return those whose
+    regions are empty there.
+
+    Refused: an unknown index, A-J at kappa < 0 and A-J1..A-J3 at kappa > 0.
+    At the resonant a = 1/2 the regions of J2, J3, J5, J6, A-J2 and A-J3
+    are empty: j_eval gives them the value 0, the integral over an empty
+    region, and a sweep refuses them, as a sup of 0 passes no contract.
+    """
+    unknown = [i for i in indices if i not in J_INDICES]
+    if unknown:
+        raise ParamDomainViolated(f"unknown J index {unknown[0]!r}")
+    if p.kappa < 0 and "A-J" in indices:
+        raise ParamDomainViolated(f"A-J needs kappa >= 0, got kappa={p.kappa}")
+    two_d = [i for i in indices if i in _APPENDIX_2D]
+    if p.kappa > 0 and two_d:
+        raise ParamDomainViolated(f"{two_d} need kappa <= 0, got kappa={p.kappa}")
+    empty = [i for i in indices if p.a == 0.5 and i in _EMPTY_AT_RESONANCE]
+    if sweep and empty:
+        raise ParamDomainViolated(f"the regions of {empty} are empty at a = {p.a}")
+    return empty
+
+
+def applicable_indices(p: EstimateParams) -> list[str]:
+    """The J indices a sweep at p runs by default: each that check_indices
+    admits for a sweep, the 2-d appendix ones only at kappa <= -1/2, the
+    branch that needs them."""
+    out = []
+    for index in J_INDICES:
+        try:
+            check_indices([index], p, sweep=True)
+        except ParamDomainViolated:
+            continue
+        if index not in _APPENDIX_2D or p.kappa <= -0.5:
+            out.append(index)
+    return out
 
 
 def _quad_roots(A, B, C):
@@ -161,9 +193,8 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     n = P.size
     c = (2.0 * a - 1.0) / 4.0
     nowhere = np.zeros(n, dtype=bool)
-    # the RES scheme leaves the regions of J2, J3, J5 and J6 empty, and
-    # puts no condition on those of J1 and J4
-    res_empty = np.full(n, scheme == "RES")
+    # j_eval never asks for the empty regions of J2, J3, J5 and J6 at
+    # a = 1/2; there the RES scheme puts no condition on those of J1 and J4
     # the quadratic bracket's exponent is never 0: b and d lie in (3/8, 1/2)
     e_4b, e_bd = -(4 * b - 1), -(2 * b + 2 * d - 1)
 
@@ -218,7 +249,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
                         _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP)
         # the region needs |xi2| >= 1
-        return pref, f, bps, res_empty | (np.abs(P) < 1.0)
+        return pref, f, bps, np.abs(P) < 1.0
 
     if index == "J3":
         omega1 = Q - P * P
@@ -243,7 +274,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
                         _level_roots(A2_, B2_, C2_, dom_lhs),
                         _ball_roots(0.5, P, c), _vertex(A2_, B2_))
-        return pref, f, bps, res_empty
+        return pref, f, bps, nowhere
 
     if index == "J4":
         lam = Q + a * P * P
@@ -297,7 +328,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
                         _level_roots(A2_, B2_, C2_, dom_lhs),
                         _ball_roots(1 - a, -P, c), _vertex(A2_, B2_))
-        return pref, f, bps, res_empty
+        return pref, f, bps, nowhere
 
     # J6
     lam1 = Q + P * P
@@ -324,38 +355,36 @@ def _pieces(index: str, P, Q, p: EstimateParams):
                     _level_roots(dA, B2_, C2_, dom_lhs),
                     _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
                     _vertex(A2_, B2_))
-    return pref, f, bps, res_empty
+    return pref, f, bps, nowhere
 
 
-def j_eval(spec: JSpec, p: EstimateParams, window: float | None = None,
+def j_eval(index: str, bases, p: EstimateParams, window: float | None = None,
            rel_tol: float = 1e-6):
-    """Evaluate one J integral at its base point.
+    """Evaluate one J integral at each base point of `bases`, an (n, 2) array.
 
     With `window`, the integration variable is restricted to |y| <= window
     (the sweep's frequency ball) and the tail beyond it is only estimated.
     Without it, the domain grows until the quadrature converges; a verified
-    lack of decay raises QuadratureNonConvergent, as does an estimated tail
-    above 5% of the value.
+    lack of decay fails a point, as does an estimated tail above 5% of the
+    value.
 
-    A spec whose base is an (n, 2) array of base points evaluates them as
-    one batch and returns their n values, each bit for bit its lone call's;
-    where the lone call raises QuadratureNonConvergent the value is NaN.
+    Returns (values, failed): failed maps each point that failed to its
+    message, and that point's value is NaN.  Every value and message is
+    the one the point has in a batch of one.  check_indices refuses an
+    index undefined at p; an index whose region is empty is 0 everywhere.
     """
-    base = np.asarray(spec.base, dtype=float)
-    values, failed = _j_rows(spec.index, base.reshape(-1, 2), p, window, rel_tol)
-    if base.ndim == 2:
-        return values
-    if failed:
-        raise QuadratureNonConvergent(failed[0])
-    return values[0]
+    bases = np.asarray(bases, dtype=float)
+    if check_indices([index], p):       # the region is empty
+        return np.zeros(len(bases)), {}
+    return _j_rows(index, np.ascontiguousarray(bases[:, 0]),
+                   np.ascontiguousarray(bases[:, 1]), p, window, rel_tol)
 
 
-def _j_rows(index, base, p, window, rel_tol):
-    """Values and failure messages of one J index at each base point."""
-    P, Q = np.ascontiguousarray(base[:, 0]), np.ascontiguousarray(base[:, 1])
+def _j_rows(index, P, Q, p, window, rel_tol):
+    """Values and failure messages of one J index at the base points (P, Q)."""
     if index == "A-J":
         return _appendix_j(P, Q, p, window, rel_tol)
-    if index in ("A-J1", "A-J2", "A-J3"):
+    if index in _APPENDIX_2D:
         return _appendix_2d(index, P, Q, p, window, rel_tol)
     pref, f, bps, empty = _pieces(index, P, Q, p)
     return _scaled_integrals(index, P, Q, pref, f, bps, ~empty, window, rel_tol)
@@ -386,8 +415,6 @@ def _scaled_integrals(index, P, Q, pref, f, bps, live, window, rel_tol):
 
 def _appendix_j(P, Q, p, window, rel_tol):
     """Appendix integral for kappa >= 0; defers below the |tau| > 10 xi^2 cut."""
-    if p.kappa < 0:
-        raise ParamDomainViolated("appendix A-J branch requires kappa >= 0")
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     lemma = np.abs(Q) <= 10.0 * P * P
     A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
@@ -406,8 +433,7 @@ def _appendix_j(P, Q, p, window, rel_tol):
     values, failed = _scaled_integrals("A-J", P, Q, pref, f, bps, ~lemma, window, rel_tol)
     rows = np.flatnonzero(lemma)
     if rows.size:
-        values[rows], bad = _j_rows("J1", np.column_stack([P[rows], Q[rows]]), p,
-                                    window, rel_tol)
+        values[rows], bad = _j_rows("J1", P[rows], Q[rows], p, window, rel_tol)
         failed.update((rows[k], msg) for k, msg in bad.items())
     return values, failed
 
@@ -422,8 +448,6 @@ def _appendix_2d(index, P, Q, p, window, rel_tol):
     at once, one row per node.  A failing row fails its base point with the
     message of the first failing node.
     """
-    if p.kappa > 0:
-        raise ParamDomainViolated("appendix 2-d branch requires kappa <= 0")
     values, failed = np.zeros(P.size), {}
     for i, pq in enumerate(zip(P.tolist(), Q.tolist())):
         values[i], msg = _appendix_point(index, *pq, p, window, rel_tol)
@@ -439,7 +463,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[index]
     scheme = scheme_for(index, a)
     # A-J2's region needs |xi2| >= 1
-    if scheme == "RES" and region > 1 or index == "A-J2" and abs(P) < 1.0:
+    if index == "A-J2" and abs(P) < 1.0:
         return 0.0, None
     if window is None:
         # support bound from the dominance condition of the region indicator
@@ -458,7 +482,8 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     # the inner integrand g(tau, rows) at the outer nodes and tail probe
     # points x[rows] (xi2, or xi for A-J2), one row per point; factors of a
     # point alone come from _rowpow
-    x = np.concatenate([_panel_nodes(edges, 12)[0].ravel(), _probe_points(W)])
+    nodes = _panel_nodes(edges, 12)[0].ravel()
+    x = np.concatenate([nodes, _probe_points(W)])
     if index == "A-J1":
         pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
         w0 = _rowpow(_bracket(P - x), -2 * kappa) * _rowpow(_bracket(x), -2 * s)
@@ -502,28 +527,13 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     inner, _, bad = integrate_with_tail(g, bps, window=t_window, rel_tol=10 * rel_tol)
     if bad:
         return np.nan, bad[min(bad)]
-    # the outer rule and the tail probe read the inner integrals at their points
-    at = dict(zip(x.tolist(), inner.tolist()))
-    fvec = lambda ys: np.array([at[y] for y in ys.tolist()])
-    value = float(np.sum(panel_sums(fvec, edges, 12))) * pref
-    tail = tail_probe(fvec, W) * pref
+    # the outer rule and the tail probe read the inner integrals at the
+    # points they evaluate, which x lists in their order
+    value = float(np.sum(panel_sums(lambda _: inner[:nodes.size], edges, 12))) * pref
+    tail = tail_probe(lambda _: inner[nodes.size:], W) * pref
     if window is None and tail > 0.05 * max(abs(value), 1e-300):
         return np.nan, f"{index} tail exceeds 5% of value"
     return value, None
-
-
-def applicable_indices(p: EstimateParams) -> list[str]:
-    """1-d J indices with nonempty regions for the given parameters, plus the
-    appendix branch matching the sign of kappa."""
-    if p.a == 0.5:
-        out = ["J1", "J4"]
-    else:
-        out = ["J1", "J2", "J3", "J4", "J5", "J6"]
-    if p.kappa >= 0:
-        out.append("A-J")
-    if p.kappa <= -0.5:
-        out.extend(["A-J1", "A-J2", "A-J3"])
-    return out
 
 
 def _peak_anchors(index: str, p: EstimateParams, x):
@@ -597,11 +607,12 @@ def j_sup_sweep(index: str, p: EstimateParams, radii) -> list[dict]:
     folded points once.  The argmax is still a point of the grid, the first
     in scan order among the maxima.
     """
+    check_indices([index], p, sweep=True)
     grids = [_base_grid(index, p, R) for R in radii]
     # the unwindowed J depends neither on R nor on the sign of xi: each
     # distinct folded point once
     points, where = np.unique(_fold(np.concatenate(grids)), axis=0, return_inverse=True)
-    values = j_eval(JSpec(index, points), p, rel_tol=SWEEP_REL_TOL)
+    values, _ = j_eval(index, points, p, rel_tol=SWEEP_REL_TOL)
     records, start = [], 0
     for R, grid in zip(radii, grids):
         vals = values[where[start:start + len(grid)]]
@@ -609,8 +620,8 @@ def j_sup_sweep(index: str, p: EstimateParams, radii) -> list[dict]:
         miss = np.isnan(vals)
         if miss.any():
             folded, back = np.unique(_fold(grid[miss]), axis=0, return_inverse=True)
-            vals[miss] = j_eval(JSpec(index, folded), p, window=R,
-                                rel_tol=SWEEP_REL_TOL)[back]
+            vals[miss] = j_eval(index, folded, p, window=R,
+                                rel_tol=SWEEP_REL_TOL)[0][back]
             if np.isnan(vals).any():
                 raise QuadratureNonConvergent(
                     f"{index}: the windowed J does not converge at R = {R}")

@@ -119,7 +119,7 @@ def _validate(command: str, config: dict) -> dict:
 
 
 def _params(make, *args):
-    """make(*args), where a library parameter object's rejection is a usage error."""
+    """make(*args), where the library's rejection of its parameters is a usage error."""
     try:
         return make(*args)
     except (ValueError, QnlsError) as exc:
@@ -228,16 +228,8 @@ def _cmd_j_sweep(cfg, rng, out: Path):
              "radii must be positive and strictly increasing")
     p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
                 cfg["kappa"], cfg["s"])
-    applicable = bilinear.applicable_indices(p)
-    indices = cfg["indices"] or applicable
-    # the appendix branches are defined on one sign of kappa each, and an
-    # empty region's sup is 0, which no stabilisation contract can pass
-    _require(p.kappa >= 0 or "A-J" not in indices,
-             f"A-J needs kappa >= 0, got kappa={p.kappa}")
-    two_d = [i for i in indices if i in ("A-J1", "A-J2", "A-J3")]
-    _require(p.kappa <= 0 or not two_d, f"{two_d} need kappa <= 0, got kappa={p.kappa}")
-    empty = [i for i in indices if i.startswith("J") and i not in applicable]
-    _require(not empty, f"the regions of {empty} are empty at a = {p.a}")
+    indices = cfg["indices"] or bilinear.applicable_indices(p)
+    _params(bilinear.check_indices, indices, p, True)
     rows, contracts = [], {}
     for idx in indices:
         recs = bilinear.j_sup_sweep(idx, p, radii)

@@ -36,13 +36,13 @@ def product_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def _next_fast_len(n: int, real: bool) -> int:
-    """The smallest size >= n with no prime factor above 5 (real input) or
-    11 (complex input), the size scipy.fft.next_fast_len picks."""
+def _next_fast_len(n: int) -> int:
+    """The smallest size >= n with no prime factor above 11, the size
+    scipy.fft.next_fast_len picks for a complex transform."""
     # every odd factor below the power of two >= n, each doubled up to n
     top = 1 << (n - 1).bit_length()
     odd = [1]
-    for p in (3, 5) if real else (3, 5, 7, 11):
+    for p in (3, 5, 7, 11):
         for m in list(odd):
             while (m := m * p) < top:
                 odd.append(m)
@@ -50,22 +50,17 @@ def _next_fast_len(n: int, real: bool) -> int:
 
 
 def _integrate(samples: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """Product-trapezoid integral of order alpha along axis 0 of samples."""
+    """Product-trapezoid integral of order alpha along axis 0 of complex samples."""
     n = samples.shape[0]
     b, c = product_weights(alpha, n)
     col = (slice(None),) + (None,) * (samples.ndim - 1)
-    # the causal convolution with b, in the bits of scipy.signal.fftconvolve
-    real = not np.iscomplexobj(samples)
-    size = _next_fast_len(2 * n - 1, real)
+    # the causal convolution with b, in the bits of scipy.signal.fftconvolve;
+    # scipy's complex transform of the real b is its real transform
+    # completed by conjugate symmetry
+    size = _next_fast_len(2 * n - 1)
     kernel = np.fft.rfft(b, size)
-    if real:
-        fwd, inv = np.fft.rfft, np.fft.irfft
-    else:
-        # scipy's complex transform of a real input is its real transform
-        # completed by conjugate symmetry
-        fwd, inv = np.fft.fft, np.fft.ifft
-        kernel = np.concatenate((kernel, np.conj(kernel[1:(size + 1) // 2][::-1])))
-    out = inv(fwd(samples, size, axis=0) * kernel[col], size, axis=0)[:n]
+    kernel = np.concatenate((kernel, np.conj(kernel[1:(size + 1) // 2][::-1])))
+    out = np.fft.ifft(np.fft.fft(samples, size, axis=0) * kernel[col], size, axis=0)[:n]
     out[1:] += c[col] * samples[0]
     out[0] = 0.0
     return out * dt ** alpha / math.gamma(alpha + 2.0)

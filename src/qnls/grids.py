@@ -84,8 +84,6 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise NonPositiveStep(f"dx must be positive, got {self.dx}")
         self.samples = _as_complex(self.samples)
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("need a 1-d field with at least two samples")

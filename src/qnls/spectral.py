@@ -87,8 +87,6 @@ def duhamel(F: SpaceTimeField, a: float) -> SpaceTimeField:
     Computed in Fourier space: one phase conjugation turns the time integral
     into a cumulative trapezoid per frequency.
     """
-    if a <= 0:
-        raise NonPositiveA(f"a must be positive, got {a}")
     if F.t0 != 0.0:
         raise ValueError("duhamel requires the time grid to start at t0=0")
     xi = _xi_grid(F.nx, F.dx)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from qnls import bilinear
-from qnls.bilinear import (ARGMAX_REL_TOL, J_INDICES, SWEEP_REL_TOL, EstimateParams, JSpec,
+from qnls.bilinear import (ARGMAX_REL_TOL, J_INDICES, SWEEP_REL_TOL, EstimateParams,
                            applicable_indices, bilinear_ratio, j_eval, j_sup_sweep,
                            scheme_for)
 from qnls.dispersion import FrequencyPoint, classify_region
@@ -18,11 +18,18 @@ def params(a=0.25, b=0.4, d=0.4, kappa=0.0, s=0.0):
     return EstimateParams(a=a, b=b, d=d, kappa=kappa, s=s)
 
 
+def lone(index, base, p, **kw):
+    """j_eval at one base point, a batch of one: (value, message or None)."""
+    values, failed = j_eval(index, [base], p, **kw)
+    assert set(failed) <= {0}
+    return values[0], failed.get(0)
+
+
 # --- j_eval ---
 
 def test_j1_origin_matches_riemann_oracle():
     p = params()
-    got = j_eval(JSpec("J1", (0.0, 0.0)), p)
+    got, _ = lone("J1", (0.0, 0.0), p)
     # brute-force midpoint Riemann sum, refined until the change is < 1%;
     # at this base the projected region-1 indicator reduces to |y| <= 1
     prev = None
@@ -42,15 +49,13 @@ def test_j1_origin_matches_riemann_oracle():
 
 def test_empty_region_returns_zero():
     p = params(a=0.5)
-    for idx in ("J2", "J3", "J5", "J6"):
-        assert j_eval(JSpec(idx, (3.0, 7.0)), p) == 0.0
+    for idx in ("J2", "J3", "J5", "J6", "A-J2", "A-J3"):
+        assert lone(idx, (3.0, 7.0), p) == (0.0, None)
 
 
 def test_j4_finite_and_decreasing_in_base_tau():
     p = params()
-    lo = j_eval(JSpec("J4", (0.0, 0.0)), p)
-    mid = j_eval(JSpec("J4", (0.0, 40.0)), p)
-    hi = j_eval(JSpec("J4", (0.0, 400.0)), p)
+    lo, mid, hi = (lone("J4", base, p)[0] for base in [(0.0, 0.0), (0.0, 40.0), (0.0, 400.0)])
     assert np.isfinite(lo) and lo > 0
     assert lo > mid > hi
 
@@ -58,26 +63,26 @@ def test_j4_finite_and_decreasing_in_base_tau():
 def test_appendix_defers_to_lemma_path_below_cut():
     p = params()
     base = (2.0, 10.0)      # |tau| <= 10 xi^2
-    assert j_eval(JSpec("A-J", base), p) == j_eval(JSpec("J1", base), p)
+    assert lone("A-J", base, p) == lone("J1", base, p)
     above = (1.0, 20.0)     # |tau| > 10 xi^2
-    val = j_eval(JSpec("A-J", above), p)
+    val, _ = lone("A-J", above, p)
     assert np.isfinite(val) and val > 0
-    assert val != j_eval(JSpec("J1", above), p)
+    assert val != lone("J1", above, p)[0]
 
 
 def test_appendix_2d_finite_for_negative_kappa():
     p = params(kappa=-0.75, s=0.0)
     for idx, base in (("A-J1", (1.5, -3.0)), ("A-J2", (2.0, 1.0)),
                       ("A-J3", (1.5, 2.0))):
-        val = j_eval(JSpec(idx, base), p, window=12.0)
+        val, _ = lone(idx, base, p, window=12.0)
         assert np.isfinite(val) and val >= 0
 
 
 def test_appendix_2d_requires_nonpositive_kappa():
-    with pytest.raises(ParamDomainViolated):
-        j_eval(JSpec("A-J1", (1.0, 1.0)), params(kappa=0.5))
-    with pytest.raises(ParamDomainViolated):
-        j_eval(JSpec("A-J", (1.0, 100.0)), params(kappa=-0.5))
+    with pytest.raises(ParamDomainViolated, match=r"\['A-J1'\] need kappa <= 0"):
+        j_eval("A-J1", [(1.0, 1.0)], params(kappa=0.5))
+    with pytest.raises(ParamDomainViolated, match="A-J needs kappa >= 0"):
+        j_eval("A-J", [(1.0, 100.0)], params(kappa=-0.5))
 
 
 def test_estimate_params_window():
@@ -91,7 +96,7 @@ def test_estimate_params_window():
 
 def test_unknown_j_index_is_refused():
     with pytest.raises(ParamDomainViolated, match="unknown J index 'J7'"):
-        JSpec("J7", (0.0, 0.0))
+        j_eval("J7", [(0.0, 0.0)], params())
 
 
 def test_scheme_binding():
@@ -104,6 +109,16 @@ def test_scheme_binding():
     assert "A-J1" in applicable_indices(params(kappa=-0.5))
 
 
+def test_applicable_indices_leave_out_the_empty_appendix_regions():
+    # at a = 1/2 the regions of A-J2 and A-J3 are empty, as are those of
+    # J2, J3, J5 and J6, and a sweep of one fails its contract
+    assert applicable_indices(params(a=0.5, kappa=-0.75)) == ["J1", "J4", "A-J1"]
+    assert applicable_indices(params(a=0.25, kappa=-0.75)) == [
+        "J1", "J2", "J3", "J4", "J5", "J6", "A-J1", "A-J2", "A-J3"]
+    with pytest.raises(ParamDomainViolated, match=r"the regions of \['A-J2'\] are empty"):
+        j_sup_sweep("A-J2", params(a=0.5, kappa=-0.75), (1.0, 2.0))
+
+
 # --- batches of base points ---
 
 # (-1, 25/3) is a J3 bracket-vertex point whose blocks never settle at
@@ -114,13 +129,6 @@ BATCH_BASES = np.array([(0.0, 0.0), (-1.0, 8.333333333333334), (0.5, -3.0),
                         (-0.75, 0.5)])
 
 
-def lone(index, base, p, **kw):
-    try:
-        return j_eval(JSpec(index, tuple(base)), p, **kw)
-    except QuadratureNonConvergent:
-        return np.nan
-
-
 @pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6", "A-J"])
 @pytest.mark.parametrize("a,kappa,s", [(0.25, 0.0, 0.0), (0.5, 0.1, 0.2),
                                        (2.0, 0.1, 0.2), (2.0, 0.3, 0.0)])
@@ -129,10 +137,11 @@ def test_batch_equals_lone_calls(index, a, kappa, s, window):
     # at a = 1/2 the regions of J2, J3, J5 and J6 are empty, and at every a
     # J2's is for |xi| < 1; at a = 2, kappa = 0.3 no unwindowed J1 converges
     p = params(a=a, kappa=kappa, s=s)
-    got = j_eval(JSpec(index, BATCH_BASES), p, window=window, rel_tol=SWEEP_REL_TOL)
+    got, failed = j_eval(index, BATCH_BASES, p, window=window, rel_tol=SWEEP_REL_TOL)
     want = [lone(index, base, p, window=window, rel_tol=SWEEP_REL_TOL)
             for base in BATCH_BASES]
-    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, [v for v, _ in want], equal_nan=True)
+    assert failed == {k: msg for k, (_, msg) in enumerate(want) if msg is not None}
 
 
 @pytest.mark.parametrize("index", ["J1", "J3", "J4", "J5", "J6", "A-J"])
@@ -156,7 +165,7 @@ def test_zero_exponent_weights_cost_no_bracket(index, a, monkeypatch):
 
     monkeypatch.setattr(bilinear, "_bracket", spy)
     monkeypatch.setattr(bilinear, "integrate_with_tail", counting)
-    j_eval(JSpec(index, BATCH_BASES), params(a=a), window=12.0, rel_tol=SWEEP_REL_TOL)
+    j_eval(index, BATCH_BASES, params(a=a), window=12.0, rel_tol=SWEEP_REL_TOL)
     assert per_call and all(s == [n] for n, s in per_call)
 
 
@@ -170,8 +179,8 @@ MIRROR_BASES = np.array([(0.5, -3.0), (1.0, 8.333333333333334), (1.5, -2.25),
 
 def _assert_even_in_xi(index, bases, p, **kw):
     mirror = bases * [-1.0, 1.0]
-    values = j_eval(JSpec(index, np.concatenate([bases, mirror])), p,
-                    rel_tol=SWEEP_REL_TOL, **kw)
+    values, _ = j_eval(index, np.concatenate([bases, mirror]), p,
+                       rel_tol=SWEEP_REL_TOL, **kw)
     plus, minus = values[:len(bases)], values[len(bases):]
     assert np.array_equal(np.isnan(plus), np.isnan(minus))
     live = ~np.isnan(plus)
@@ -208,13 +217,14 @@ def test_appendix_2d_is_even_in_xi(index, a, window):
 def test_non_convergent_row_leaves_its_neighbours_alone():
     p = params()
     bad = (-1.0, 8.333333333333334)
-    with pytest.raises(QuadratureNonConvergent):
-        j_eval(JSpec("J3", bad), p, rel_tol=SWEEP_REL_TOL)
+    value, msg = lone("J3", bad, p, rel_tol=SWEEP_REL_TOL)
+    assert np.isnan(value) and msg
     good = np.array([(0.0, 0.0), (2.5, 10.0)])
-    alone = j_eval(JSpec("J3", good), p, rel_tol=SWEEP_REL_TOL)
-    mixed = j_eval(JSpec("J3", np.array([good[0], bad, good[1]])), p,
-                   rel_tol=SWEEP_REL_TOL)
-    assert np.isnan(mixed[1])
+    alone, failed = j_eval("J3", good, p, rel_tol=SWEEP_REL_TOL)
+    assert not failed
+    mixed, failed = j_eval("J3", np.array([good[0], bad, good[1]]), p,
+                           rel_tol=SWEEP_REL_TOL)
+    assert np.isnan(mixed[1]) and failed == {1: msg}
     assert np.array_equal(mixed[[0, 2]], alone)
 
 
@@ -316,14 +326,9 @@ def _appendix_2d_oracle(index, base, p, window, rel_tol):
 def test_appendix_2d_equals_node_by_node_oracle(index, a, kappa, bases, window):
     p = params(a=a, kappa=kappa)
     want = [_appendix_2d_oracle(index, base, p, window, SWEEP_REL_TOL) for base in bases]
-    got = j_eval(JSpec(index, np.array(bases)), p, window=window, rel_tol=SWEEP_REL_TOL)
+    got, failed = j_eval(index, np.array(bases), p, window=window, rel_tol=SWEEP_REL_TOL)
     assert np.array_equal(got, [v for v, _ in want], equal_nan=True)
-    for base, (_, msg) in zip(bases, want):
-        if msg is None:
-            continue
-        with pytest.raises(QuadratureNonConvergent) as exc:
-            j_eval(JSpec(index, base), p, window=window, rel_tol=SWEEP_REL_TOL)
-        assert str(exc.value) == msg
+    assert failed == {k: msg for k, (_, msg) in enumerate(want) if msg is not None}
 
 
 def _quad_on_window(g, W, cuts):
@@ -348,7 +353,7 @@ def test_windowed_j1_matches_scipy_quad(base):
     cuts = [-1.0, 1.0] + _real_roots(a - 1.0, 2.0 * P, Q - P * P - K) \
         + _real_roots(a - 1.0, 2.0 * P, Q - P * P + K)
     want = br(Q + P * P) ** (-2 * d) * _quad_on_window(g, W, cuts)
-    got = j_eval(JSpec("J1", base), params(a=a, b=b, d=d), window=W, rel_tol=1e-10)
+    got, _ = lone("J1", base, params(a=a, b=b, d=d), window=W, rel_tol=1e-10)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -364,8 +369,8 @@ def test_windowed_j4_matches_scipy_quad(base):
                    * br(bracket(y)) ** (-(4 * b - 1)) * float(2 * abs(lam) >= abs(bracket(y))))
     cuts = _real_roots(2.0, -2.0 * P, Q + P * P - 2 * abs(lam)) + [P]
     want = br(lam) ** (-2 * d) * _quad_on_window(g, W, cuts)
-    got = j_eval(JSpec("J4", base), params(a=a, b=b, d=d, kappa=kappa, s=s),
-                 window=W, rel_tol=1e-10)
+    got, _ = lone("J4", base, params(a=a, b=b, d=d, kappa=kappa, s=s),
+                  window=W, rel_tol=1e-10)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -396,15 +401,24 @@ def test_sup_sweep_trend_in_b_d():
     assert sups[0] > sups[1] > sups[2]
 
 
+def test_sup_sweep_raises_where_the_windowed_j_does_not_converge():
+    # R^2 is finite, but the window reaches |y| > 1.3e154, where y * y
+    # overflows and the integrand is NaN: the sweep raises, not a NaN sup
+    with np.errstate(all="ignore"), pytest.raises(
+            QuadratureNonConvergent,
+            match=r"^J1: the windowed J does not converge at R = 1\.32e\+154$"):
+        j_sup_sweep("J1", params(), (1.32e154, 1.33e154))
+
+
 def test_sup_sweep_argmax_ties_maxima_equal_up_to_rounding(monkeypatch):
     # values even in xi, with peaks at |xi| = 1.5 and |xi| = 1, the latter
     # 1 ulp larger: the sup is the larger value, the argmax the first of the
     # maxima in scan order (xi = -1.5)
-    def stub(spec, p, window=None, rel_tol=None):
-        xi, tau = np.asarray(spec.base, dtype=float).T
+    def stub(index, bases, p, window=None, rel_tol=None):
+        xi, tau = np.asarray(bases, dtype=float).T
         v = 1.0 / (1.0 + np.minimum((np.abs(xi) - 1.5) ** 2, (np.abs(xi) - 1.0) ** 2)
                    + (tau / 100.0) ** 2)
-        return np.where(np.abs(xi) == 1.0, np.nextafter(v, np.inf), v)
+        return np.where(np.abs(xi) == 1.0, np.nextafter(v, np.inf), v), {}
 
     monkeypatch.setattr(bilinear, "j_eval", stub)
     for rec in j_sup_sweep("J1", params(), (10.0, 20.0)):
@@ -427,15 +441,14 @@ def _unfolded_sweep(index, p, radii):
                 [taus, [anchor + off for anchor in bilinear._peak_anchors(index, p, x)
                         for off in offsets]])]))
     points, where = np.unique(np.concatenate(grids), axis=0, return_inverse=True)
-    values = j_eval(JSpec(index, points), p, rel_tol=SWEEP_REL_TOL)
+    values, _ = j_eval(index, points, p, rel_tol=SWEEP_REL_TOL)
     records, start = [], 0
     for R, grid in zip(radii, grids):
         vals = values[where[start:start + len(grid)]]
         start += len(grid)
         miss = np.isnan(vals)
         if miss.any():
-            vals[miss] = j_eval(JSpec(index, grid[miss]), p, window=R,
-                                rel_tol=SWEEP_REL_TOL)
+            vals[miss] = j_eval(index, grid[miss], p, window=R, rel_tol=SWEEP_REL_TOL)[0]
             if np.isnan(vals).any():
                 raise QuadratureNonConvergent(
                     f"{index}: the windowed J does not converge at R = {R}")
@@ -475,9 +488,9 @@ def test_folded_sweep_matches_unfolded_oracle(monkeypatch, cfg):
     calls = []
     real = bilinear.j_eval
 
-    def spy(spec, p, window=None, **kw):
-        calls.append((window, np.asarray(spec.base, dtype=float)))
-        return real(spec, p, window=window, **kw)
+    def spy(index, bases, p, window=None, **kw):
+        calls.append((window, np.asarray(bases, dtype=float)))
+        return real(index, bases, p, window=window, **kw)
 
     windows = set()
     for index in cfg.get("indices") or applicable_indices(p):

@@ -114,6 +114,8 @@ _BAD_J_SWEEP_CONFIGS = [
                  "the regions of ['J2', 'J5'] are empty at a = 0.5", id="j-sweep-resonant-j2-j5"),
     pytest.param("j-sweep", {"a": 0.5, "radii": [1.0, 2.0], "indices": ["J3", "J6"]},
                  "the regions of ['J3', 'J6'] are empty at a = 0.5", id="j-sweep-resonant-j3-j6"),
+    pytest.param("j-sweep", {"a": 0.5, "kappa": -0.75, "indices": ["A-J2"]},
+                 "the regions of ['A-J2'] are empty at a = 0.5", id="j-sweep-resonant-a-j2"),
 ]
 
 
@@ -214,6 +216,20 @@ def test_bad_config_writes_nothing(tmp_path, capsys, command, cfg, message):
                  "--out", str(tmp_path / "o")]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_bilinear_step_that_rounds_to_zero_exits_1(tmp_path, capsys):
+    # lx > 0 passes the range check, but lx / nx rounds to 0: the field
+    # refuses the step, and the run fails with one line and its manifest
+    with np.errstate(all="ignore"):
+        code = main(["verify-bilinear", "--config",
+                     str(_dump(tmp_path, {"lx": 5e-324, "n_pairs": 1})),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contract violation: dx and dt must be positive"]
+    manifest = json.loads((tmp_path / "o" / "manifest_verify-bilinear.json").read_text())
+    assert manifest["error"]["type"] == "NonPositiveStep"
 
 
 def test_every_benchmark_config_passes_the_validator():

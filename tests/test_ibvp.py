@@ -4,7 +4,8 @@ from oracles import default_manufactured, manufactured_error
 from scipy.linalg import solve_banded
 
 from qnls import cli
-from qnls.errors import BlowUpDetected, EmptyLedger, NonConvergentNonlinearIteration
+from qnls.errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
+                         NonConvergentNonlinearIteration)
 from qnls.grids import GridFunction, TimeSeries
 from qnls.ibvp import (MassLedger, SolverConfig, _boundary_deriv, _cayley_solver,
                        contraction_iterate, mass_identity_residual, regularity_region,
@@ -455,3 +456,17 @@ def test_contraction_small_data_contracts():
     assert d[1] > 0
     for k in range(1, 4):
         assert d[k + 1] / d[k] <= 0.9
+
+
+def test_contraction_of_large_data_raises_divergent_iteration():
+    # contraction's stock Gaussians scaled 16-fold: the iterate distances
+    # grow three times running (8-fold, the iteration still contracts)
+    cfg = cli.CONFIGS["contraction"]
+    dtc = cfg["t_span"] / cfg["nt"]
+    sc = SolverConfig(cfg["L"], cfg["nx_sim"], dtc / 8.0, cfg["T"], cfg["a"])
+    x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
+    u0 = GridFunction(0.0, x[1], gaussian(x, 5.0, 1.0, 16 * cli.CONTRACTION_AMP_U))
+    v0 = GridFunction(0.0, x[1], gaussian(x, 7.0, 1.2, 16 * cli.CONTRACTION_AMP_V))
+    with pytest.raises(DivergentIteration, match=r"iterate distances increasing: \[28\.26"):
+        contraction_iterate(sc, u0, v0, zero_series(), zero_series(), 0.0, 0.0,
+                            cfg["k_iters"], nx=cfg["nx"], nt=cfg["nt"], t_span=cfg["t_span"])

@@ -185,6 +185,13 @@ def test_smoothing_ratio_zero_and_scale_invariance():
     assert abs(r1 - r2) < 1e-12 * r1
 
 
+def test_smoothing_ratio_refuses_nonpositive_a_for_a_zero_datum():
+    # a zero datum returns before group_field, whose check would refuse a
+    x0, dx, _ = make_grid()
+    with pytest.raises(NonPositiveA, match="a must be positive, got 0.0"):
+        smoothing_ratio(GridFunction(x0, dx, np.zeros(256)), 0.0, 0.0)
+
+
 def test_smoothing_ratio_stable_under_refinement():
     vals = []
     for n in (256, 512):
@@ -230,6 +237,16 @@ def test_inhomog_param_window():
         inhomog_estimate_ratio(F, 0.0, 0.4, 0.1, 1.0, 0.5)
     with pytest.raises(ParamOrderViolated):
         inhomog_estimate_ratio(F, 0.0, 0.4, -0.4, 1.0, 1.5)
+
+
+def test_inhomog_refuses_nonpositive_a_through_bourgain_params():
+    # the X-norm parameters are the first to see a; duhamel has no check
+    rng = np.random.default_rng(5)
+    dx, dt, x, t = field_grid(nx=32, nt=32)
+    z = band_limited_noise(rng, 32, dx)[:, None] * band_limited_noise(rng, 32, dt)[None, :]
+    F = SpaceTimeField(x[0], dx, 0.0, dt, z)
+    with pytest.raises(NonPositiveA, match="a must be positive, got -1.0"):
+        inhomog_estimate_ratio(F, 0.0, 0.4, -0.4, -1.0, 0.5)
 
 
 def test_duhamel_rejects_nonzero_t0():
