@@ -52,6 +52,17 @@ Many rows sum every column and weigh the sums, which is cheaper there.  The
 freezing guard needs no folded column's values: it passes any column whose
 bound is at most 0.1 % of the datum scale, whatever its values, and the
 columns above that are summed for the guard alone.
+
+At x = 0 the class sees a only through xi = y / sqrt(a).  On the ray
+y = sqrt(a) xi the base field's B = y^2/(4a) is xi^2/4, and the ray rule's
+weights carry dy^alpha = a^(alpha/2) dxi^alpha, with the integrated-by-parts
+form's 1/a beside them: either way the trace of order lambda at a is
+a^(lambda/2) times the trace on the same xi-ray at a = 1.  A lone x's ray is
+sized in xi (`_lone_ray`), so the a whose step is not clipped and whose
+reach is 12 sqrt(T) share one, and `trace_check` evaluates each distinct
+xi-ray once and gives every a on it the same residual against
+a^(lambda/2) f.  At lambda = 0 there is no ray,
+and x = 0 is B = 0 for every a.
 """
 
 from __future__ import annotations
@@ -530,23 +541,40 @@ def _base_field(m: TimeSeries, bounds, a: float, ys, ts, rows=None) -> np.ndarra
     return out
 
 
+def _lone_ray(spec: ForcingSpec):
+    """(dxi, n): the ray of a lone x in xi = y / sqrt(a), its step and its
+    count of points past x.
+
+    It is sized in xi, where the propagator's local wavelength is sqrt(T)
+    for every a: the step is 0.1 sqrt(T), clipped to [0.01, 0.1] in y, and
+    the ray reaches the furthest of 12 sqrt(T), 6 in y and 32 steps.  So
+    every a whose step is not clipped and whose reach is 12 sqrt(T) gets
+    the same floats, which `trace_check` shares an evaluation by.
+    """
+    root_a, root_t = math.sqrt(spec.a), math.sqrt(spec.f.t_end)
+    dxi = float(np.clip(0.1 * root_t, 0.01 / root_a, 0.1 / root_a))
+    return dxi, math.ceil(max(12.0 * root_t, 6.0 / root_a, 32 * dxi) / dxi)
+
+
 def _ray_grid(xs: np.ndarray, spec: ForcingSpec):
     """Uniform y-grid extending xs to the right for the spatial convolution.
 
     The spacing resolves the propagator's spatial oscillation where the
-    field still carries mass (local wavelength ~ sqrt(a T) there).
+    field still carries mass (local wavelength ~ sqrt(a T) there).  A lone
+    x gets the ray `_lone_ray` sizes in xi, scaled by sqrt(a); a grid keeps
+    its own step and is sized in y.
     """
     xs = np.asarray(xs, dtype=float)
-    t_max = spec.f.t_end
     if xs.size > 1:
         dy = xs[1] - xs[0]
         # the ray extends past xs[-1] with step dy, so dy must be positive
         if not (dy > 0.0 and np.allclose(np.diff(xs), dy)):
             raise NonUniformGrid("xs must be uniformly spaced and increasing")
+        pad = max(12.0 * math.sqrt(spec.a * spec.f.t_end), 6.0, 32 * dy)
+        n_extra = math.ceil(pad / dy)
     else:
-        dy = float(np.clip(0.1 * math.sqrt(spec.a * t_max), 0.01, 0.1))
-    pad = max(12.0 * math.sqrt(spec.a * t_max), 6.0, 32 * dy)
-    n_extra = int(np.ceil(pad / dy))
+        dxi, n_extra = _lone_ray(spec)
+        dy = math.sqrt(spec.a) * dxi
     return np.concatenate([xs, xs[-1] + dy * np.arange(1, n_extra + 1)]), dy
 
 
@@ -612,8 +640,8 @@ def _alt_field(spec: ForcingSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_check(spec: ForcingSpec) -> TraceReport:
-    """Compare the x = 0 trace against both candidate phase variants.
+def trace_check(specs: list[ForcingSpec]) -> list[TraceReport]:
+    """Compare each spec's x = 0 trace against both candidate phase variants.
 
     The reference amplitude is a^(lambda/2), the unique power consistent
     with the base identity trace = f at lambda = 0 (any fixed sqrt(a)
@@ -622,9 +650,31 @@ def trace_check(spec: ForcingSpec) -> TraceReport:
     empirically between exp(i lambda pi/4) and exp(3 i lambda pi/4) and
     reported alongside both residuals.  The trace is compared at 48 times
     spread evenly over the datum grid.
+
+    One report per spec, in order.  The trace over a^(lambda/2) depends on
+    a only through the ray in xi = y / sqrt(a) (see the module docstring),
+    so the specs of one datum and order whose `_lone_ray` agrees share one
+    evaluation and its report; at lambda = 0 every a shares one.  It is
+    the evaluation at the member nearest a = 1 in |log a|: at a = 1 the ray
+    is its xi form, with no rounding by sqrt(a) between them.  (At
+    lambda < 0 the central time difference amplifies rounding, so the
+    members' own evaluations spread by about 3e-12 in the residual at
+    n = 1024 and 1e-12 at n = 4096.)
     """
-    if spec.lam <= -1.0:
+    if any(spec.lam <= -1.0 for spec in specs):
         raise LambdaOutOfRange("trace identity needs lambda > -1")
+    # at lambda = 0 there is no ray, and x = 0 is B = 0 for every a
+    keys = [(id(spec.f), spec.lam, spec.lam != 0.0 and _lone_ray(spec)) for spec in specs]
+    groups = {}
+    for key, spec in zip(keys, specs):
+        groups.setdefault(key, []).append(spec)
+    reports = {key: _trace_report(min(group, key=lambda spec: abs(math.log(spec.a))))
+               for key, group in groups.items()}
+    return [reports[key] for key in keys]
+
+
+def _trace_report(spec: ForcingSpec) -> TraceReport:
+    """The trace check of one spec, from its own evaluation."""
     f = spec.f
     idx = np.unique(np.linspace(1, f.n - 1, 48).astype(int))
     ts = f.times[idx]

@@ -262,8 +262,7 @@ def _cmd_trace_check(cfg, rng, out: Path):
     records, phases = [], set()
     outputs = []
     ok = True
-    for spec in specs:
-        rep = boundary.trace_check(spec)
+    for spec, rep in zip(specs, boundary.trace_check(specs)):
         tol = TRACE_TOL_ZERO if spec.lam == 0.0 else TRACE_TOL_FRAC
         ok &= rep.residual < tol
         if spec.lam != 0.0:
@@ -373,12 +372,14 @@ def _cmd_contraction(cfg, rng, out: Path):
     _require(cfg["nx"] == 2 * (cfg["nx_sim"] - 1), "nx must equal 2*(nx_sim-1)")
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
     _require(cfg["k_iters"] >= 3, "k_iters must be an integer >= 3")
-    _require(cfg["t_span"] > 0, "t_span must be positive")
+    # a t_span near the smallest float gives a step that rounds to 0
     dtc = cfg["t_span"] / cfg["nt"]
-    # the time-stepper comparison reads the n_cmp + 1 grid times up to T
-    n_cmp = int(cfg["T"] / dtc)
-    _require(n_cmp + 1 <= cfg["nt"],
+    _require(dtc > 0, "t_span must be positive, and t_span / nt must not round to 0")
+    # the time-stepper comparison reads the n_cmp + 1 grid times up to T,
+    # int(T / dtc) + 1 <= nt; T / dtc may overflow to inf
+    _require(cfg["T"] / dtc < cfg["nt"],
              f"T={cfg['T']} must be below t_span={cfg['t_span']}")
+    n_cmp = int(cfg["T"] / dtc)
     sc = _params(ibvp.SolverConfig, cfg["L"], cfg["nx_sim"], dtc / 8.0,
                  cfg["T"], cfg["a"])
     x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])

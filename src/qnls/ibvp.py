@@ -43,6 +43,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.L, self.nx, self.dt, self.T, self.a) <= 0:
             raise ValueError("L, nx, dt, T, a must be positive")
+        # the step count T / dt, which a dt near the smallest float overflows
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T / dt must be a finite step count, got T={self.T!r}, "
+                             f"dt={self.dt!r}")
         if self.dt > min(0.1, self.T):
             raise ValueError("dt above 0.1 is not accepted (accuracy guard), nor above T")
         if self.nx < 3:

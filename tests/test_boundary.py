@@ -90,8 +90,8 @@ def test_vanishes_at_initial_time():
 
 def test_base_trace_reproduces_datum():
     f = bump_series(n=4096)
-    for a in (0.25, 0.5, 1.0, 2.0):
-        assert trace_check(ForcingSpec(a, 0.0, f)).residual < 5e-3
+    reports = trace_check([ForcingSpec(a, 0.0, f) for a in (0.25, 0.5, 1.0, 2.0)])
+    assert all(rep.residual < 5e-3 for rep in reports)
 
 
 def test_pointwise_value_matches_brute_force_quadrature():
@@ -114,18 +114,64 @@ def test_pointwise_value_matches_brute_force_quadrature():
 
 def test_trace_phase_selection():
     f = bump_series(n=2048)
-    for a in (0.5, 1.0):
-        for lam in (0.25, 0.5):
-            rep = trace_check(ForcingSpec(a, lam, f))
-            assert rep.phase == "lambda*pi/4"
-            assert rep.residual < 1e-2
-            assert rep.residuals["3*lambda*pi/4"] > 10 * rep.residual
+    for rep in trace_check([ForcingSpec(a, lam, f) for a in (0.5, 1.0) for lam in (0.25, 0.5)]):
+        assert rep.phase == "lambda*pi/4"
+        assert rep.residual < 1e-2
+        assert rep.residuals["3*lambda*pi/4"] > 10 * rep.residual
 
 
 def test_trace_check_needs_lambda_above_minus_one():
     # forcing_field refuses x = 0 at lambda <= -1 too, with another message
     with pytest.raises(LambdaOutOfRange, match="trace identity needs lambda > -1"):
-        trace_check(ForcingSpec(1.0, -1.0, bump_series(n=256)))
+        trace_check([ForcingSpec(1.0, -1.0, bump_series(n=256))])
+
+
+def test_trace_check_evaluates_each_scaled_ray_once(monkeypatch):
+    # criterion 2's datum and a's, and a = 0.1: x = 0 sees a only through
+    # y / sqrt(a), so a = 1/4, 1/2 and 1 share one ray; a = 2's step is
+    # clipped and a = 0.1's ray is longer, so each is its own
+    f = bump_series(n=4096)
+    a_list = [0.25, 0.5, 1.0, 2.0, 0.1]
+    idx = np.unique(np.linspace(1, f.n - 1, 48).astype(int))
+    calls = []
+
+    def spy(spec, xs, ts):
+        calls.append(spec.a)
+        return forcing_field(spec, xs, ts)
+
+    monkeypatch.setattr(boundary, "forcing_field", spy)
+    for lam in (0.0, 0.25, -0.25):
+        specs = [ForcingSpec(a, lam, f) for a in a_list]
+        calls.clear()
+        reports = trace_check(specs)
+        # one evaluation per ray, at the a nearest 1 on it; at lambda = 0
+        # (B = 0 at x = 0) one for every a
+        assert calls == ([1.0] if lam == 0.0 else [1.0, 2.0, 0.1])
+        assert reports[0] is reports[1] is reports[2]
+        assert len({id(rep) for rep in reports}) == len(calls)
+        for spec, rep in zip(specs, reports):
+            # the per-spec rule: the trace of this spec alone
+            got = forcing_field(spec, [0.0], f.times[idx])[0]
+            ref = spec.a ** (lam / 2.0) * f.samples[idx]
+            for name, k in (("lambda*pi/4", 0.25), ("3*lambda*pi/4", 0.75)):
+                own = (np.max(np.abs(got - np.exp(1j * k * np.pi * lam) * ref))
+                       / np.max(np.abs(ref)))
+                assert rep.residuals[name] == pytest.approx(own, rel=0.0, abs=1e-12)
+            assert rep.residual == min(rep.residuals.values())
+
+
+def test_trace_check_shares_no_evaluation_between_data(monkeypatch):
+    f, g = bump_series(n=256), bump_series(n=256, t_end=0.5)
+    calls = []
+
+    def spy(spec, xs, ts):
+        calls.append(spec.f)
+        return forcing_field(spec, xs, ts)
+
+    monkeypatch.setattr(boundary, "forcing_field", spy)
+    reports = trace_check([ForcingSpec(1.0, 0.0, f), ForcingSpec(1.0, 0.0, g)])
+    assert [c is f for c in calls] == [True, False]
+    assert reports[0] is not reports[1]
 
 
 def test_linearity_in_datum():

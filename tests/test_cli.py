@@ -192,6 +192,17 @@ _BAD_CONFIGS_UP_FRONT = [
                  "lambda1 and lambda2 must exceed -1", id="contraction-lambda1-below-minus-one"),
     pytest.param("contraction", {"lambda2": -2.5, "k_iters": 3},
                  "lambda1 and lambda2 must exceed -1", id="contraction-lambda2-below-minus-two"),
+    # t_span / nt rounds to 0: a ZeroDivisionError traceback, exit 1
+    pytest.param("contraction", {"t_span": 5e-324}, "t_span / nt",
+                 id="contraction-step-rounds-to-zero"),
+    # T / (t_span / nt) overflows: an OverflowError traceback, exit 1
+    pytest.param("contraction", {"t_span": 1e-320}, "T=0.1 must be below t_span=1e-320",
+                 id="contraction-step-count-overflows"),
+    # T / dt overflows: an OverflowError traceback, exit 1
+    pytest.param("simulate", {"dt": 5e-324}, "T / dt must be a finite step count",
+                 id="simulate-step-count-overflows"),
+    pytest.param("mass-track", {"dt": 5e-324}, "T / dt must be a finite step count",
+                 id="mass-track-step-count-overflows"),
 ]
 
 _ALL_BAD_CONFIGS = ([pytest.param(*case, id=f"{case[0]}-cfg{i}")
