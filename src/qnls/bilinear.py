@@ -160,12 +160,6 @@ def _bp_table(n, *cols):
     return np.where(np.isfinite(table), table, np.nan)
 
 
-def _rowpow(x, e):
-    """x ** e per base point with the scalar pow of a one-point evaluation;
-    numpy's vectorized pow may round differently."""
-    return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
-
-
 def _times(w, factor):
     """w * factor, where w None is the empty product."""
     return factor if w is None else w * factor
@@ -176,9 +170,8 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     P, Q hold the base points.  Returns (pref, f, bps, empty): f(y, rows)
     evaluates base point rows[k]'s integrand at y[k] in the operation order
-    of a lone evaluation, powers of a base point alone come from _rowpow,
-    bps is the (n, m) breakpoint table and `empty` marks base points whose
-    region is empty (value 0).
+    of a batch of one, bps is the (n, m) breakpoint table and `empty`
+    marks base points whose region is empty (value 0).
 
     f does per node only the work that varies per node.  A factor, of node
     or base-point size, whose exponent is 0 is exactly 1.0: neither it nor
@@ -200,7 +193,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     if index == "J1":
         C2_ = Q + P * P
-        pref = _rowpow(_bracket(C2_), -2 * d)
+        pref = _bracket(C2_) ** (-2 * d)
         A2_, B2_ = -(a - 1.0), -2.0 * P
         e_y = -2 * s + 2 * abs(kappa)
         # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2 as (a-1) y^2 + mB y + mC
@@ -231,9 +224,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     if index == "J2":
         omega2 = Q + a * P * P
-        pref = _rowpow(_bracket(omega2), -2 * b)
+        pref = _bracket(omega2) ** (-2 * b)
         e_w = -2 * s + 2 * abs(kappa)
-        wconst = _rowpow(_bracket(P), e_w) if e_w else None
+        wconst = _bracket(P) ** e_w if e_w else None
         B2_, C2_ = -2.0 * P, Q + P * P
         half_P, cP, dom_lhs = 0.5 * P, c * np.abs(P), 2 * np.abs(omega2)
 
@@ -253,7 +246,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     if index == "J3":
         omega1 = Q - P * P
-        pref = _rowpow(_bracket(omega1), -2 * b)
+        pref = _bracket(omega1) ** (-2 * b)
         A2_, B2_, C2_ = 1.0 - a, 2.0 * P, Q + P * P
         e_y = -2 * s + 2 * abs(kappa)
         dom_lhs = 2 * np.abs(omega1)
@@ -278,9 +271,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     if index == "J4":
         lam = Q + a * P * P
-        pref = _rowpow(_bracket(lam), -2 * d)
+        pref = _bracket(lam) ** (-2 * d)
         e_s, e_k = 2 * s, -2 * kappa
-        w0 = _rowpow(_bracket(P), e_s) if e_s else None
+        w0 = _bracket(P) ** e_s if e_s else None
         B2_, C2_ = -2.0 * P, Q + P * P
         cP, half_P, dom_lhs = c * np.abs(P), 0.5 * P, 2 * np.abs(lam)
         cross_P, inside = (1 - a) * P, np.abs(P) <= 1.0
@@ -308,9 +301,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     if index == "J5":
         lam2 = Q + P * P
-        pref = _rowpow(_bracket(lam2), -2 * b)
+        pref = _bracket(lam2) ** (-2 * b)
         e_s, e_k = 2 * s, -2 * kappa
-        w1 = _rowpow(_bracket(P), e_k) if e_k else None
+        w1 = _bracket(P) ** e_k if e_k else None
         A2_, B2_, C2_ = a - 1.0, 2.0 * P, Q - P * P
         dom_lhs = 2 * np.abs(lam2)
 
@@ -332,9 +325,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
 
     # J6
     lam1 = Q + P * P
-    pref = _rowpow(_bracket(lam1), -2 * b)
+    pref = _bracket(lam1) ** (-2 * b)
     e_s, e_k = 2 * s, -2 * kappa
-    w1 = _rowpow(_bracket(P), e_k) if e_k else None
+    w1 = _bracket(P) ** e_k if e_k else None
     A2_, dA = a + 1.0, a - 1.0
     B2_, C2_, dom_lhs = 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)
 
@@ -418,7 +411,7 @@ def _appendix_j(P, Q, p, window, rel_tol):
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     lemma = np.abs(Q) <= 10.0 * P * P
     A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
-    pref = _rowpow(_bracket(C2_), -(2 * d - kappa))
+    pref = _bracket(C2_) ** (-(2 * d - kappa))
     e_k, e_s, e_4b = -2 * kappa, -2 * s, -(4 * b - 1)
 
     def f(y, r):
@@ -480,14 +473,13 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
                              + [b_ for b_ in outer_bps if abs(b_) < W]}))
 
     # the inner integrand g(tau, rows) at the outer nodes and tail probe
-    # points x[rows] (xi2, or xi for A-J2), one row per point; factors of a
-    # point alone come from _rowpow
+    # points x[rows] (xi2, or xi for A-J2), one row per point
     nodes = _panel_nodes(edges, 12)[0].ravel()
     x = np.concatenate([nodes, _probe_points(W)])
     if index == "A-J1":
         pref = _bracket(Q) ** kappa * _bracket(Q + P * P) ** (-2 * d)
-        w0 = _rowpow(_bracket(P - x), -2 * kappa) * _rowpow(_bracket(x), -2 * s)
-        sq, axx = _rowpow(P - x, 2), a * _rowpow(x, 2)
+        w0 = _bracket(P - x) ** (-2 * kappa) * _bracket(x) ** (-2 * s)
+        sq, axx = (P - x) ** 2, a * x ** 2
 
         def g(tau2, r):
             fp = FrequencyPoint(P, Q, x[r], tau2)
@@ -498,8 +490,8 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
         bps = np.column_stack([Q - sq, -axx])
     elif index == "A-J2":
         pref = _bracket(P) ** (2 * s) * _bracket(Q + a * P * P) ** (-2 * b)
-        w0 = _rowpow(_bracket(x - P), -2 * kappa)
-        xx, sq = _rowpow(x, 2), _rowpow(x - P, 2)
+        w0 = _bracket(x - P) ** (-2 * kappa)
+        xx, sq = x ** 2, (x - P) ** 2
 
         def g(tau, r):
             # quadruple (xi, tau, xi2=P, tau2=Q), integrating (xi, tau)
@@ -512,8 +504,8 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
         bps = np.column_stack([-xx, Q + sq, np.zeros(x.size)])
     else:  # A-J3
         pref = _bracket(P) ** (-2 * kappa) * _bracket(Q - P * P) ** (-2 * b)
-        ws, wd = _rowpow(_bracket(x), -2 * s), _rowpow(_bracket(P + x), -4 * d)
-        axx = a * _rowpow(x, 2)
+        ws, wd = _bracket(x) ** (-2 * s), _bracket(P + x) ** (-4 * d)
+        axx = a * x ** 2
 
         def g(tau2, r):
             fp = FrequencyPoint(P + x[r], Q + tau2, x[r], tau2)

@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                      SingularQuadratureFail, SupportViolation, WindowViolation)
-from .fractional import _integrate, product_weights, rl_apply
+from .fractional import product_weights, rl_apply
 from .grids import SpaceTimeField, TimeSeries
 from .quadrature import _gl, _panel_nodes
 from .spectral import BourgainParams, bourgain_norm, cutoff, sobolev_norm_1d
@@ -689,50 +689,6 @@ def _trace_report(spec: ForcingSpec) -> TraceReport:
         residuals[name] = float(np.max(np.abs(got - phase * ref)) / den)
     phase = min(residuals, key=residuals.get)
     return TraceReport(residuals[phase], phase, residuals)
-
-
-def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
-    """Weak-form defect of the forced Schrodinger identity against a test field.
-
-    Pairs the operator field with (-i d_t + a d_xx) of the test function and
-    subtracts the paired source term; all integrations by parts sit on the
-    test function, so the result is pure discretization error, O(dx^2+dt^2).
-    For lambda >= 0 the source term is C sum_t m(t) (I_lambda z)(0, t) dt
-    (I_0 the identity), interpolated between the nodes around x = 0, which
-    the grid must contain; for lambda < 0 z must vanish on x <= 0.
-    """
-    z = testfn.samples
-    edge_mass = (np.abs(z[0, :]).max() + np.abs(z[-1, :]).max()
-                 + np.abs(z[:, 0]).max() + np.abs(z[:, -1]).max())
-    if edge_mass > 1e-12 * max(np.abs(z).max(), 1e-300):
-        raise SupportViolation("test function must vanish on the grid boundary")
-    lam = spec.lam
-    xs, ts_grid = testfn.x, testfn.t
-    if lam < 0.0 and np.any((np.abs(z) > 0) & (xs[:, None] <= 0.0)):
-        raise SupportViolation(
-            "for lambda < 0 the source pairing needs support in x > 0")
-    # the nodes x[j] <= 0 < x[j+1] the source pairing interpolates between;
-    # side="right" reads an origin on the grid at its own node
-    j = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    if lam >= 0.0 and not 0 <= j < xs.size - 1:
-        raise SupportViolation("for lambda >= 0 the source pairing needs x = 0 "
-                               "inside the grid")
-    field = forcing_field(spec, xs, ts_grid)
-    dt_z = np.zeros_like(z)
-    dt_z[:, 1:-1] = (z[:, 2:] - z[:, :-2]) / (2.0 * testfn.dt)
-    dxx_z = np.zeros_like(z)
-    dxx_z[1:-1, :] = (z[2:, :] - 2 * z[1:-1, :] + z[:-2, :]) / testfn.dx ** 2
-    adj = -1j * dt_z + spec.a * dxx_z
-    lhs = np.sum(field * adj) * testfn.dx * testfn.dt
-
-    if lam < 0.0:
-        return complex(lhs)     # the support check above leaves no source
-    iz = z if lam == 0.0 else _integrate(z, testfn.dx, lam)
-    w = -xs[j] / testfn.dx
-    line = (1 - w) * iz[j, :] + w * iz[j + 1, :]
-    m_src = _half_order_series(spec)(ts_grid)
-    rhs = delta_coefficient(spec.a) * np.sum(m_src * line) * testfn.dt
-    return complex(lhs - rhs)
 
 
 #: admissible lambda window per estimate branch, as (lower, upper) callables

@@ -204,6 +204,10 @@ def _cmd_verify_bilinear(cfg, rng, out: Path):
     _require(cfg["n_pairs"] >= 1, "n_pairs must be a positive integer")
     _require_pow2_grid(cfg)
     _require(cfg["lx"] > 0 and cfg["lt"] > 0, "lx and lt must be positive")
+    # a box length near the smallest float gives a step that rounds to 0,
+    # first on the doubled grid
+    _require(cfg["lx"] / (2 * cfg["nx"]) > 0 and cfg["lt"] / (2 * cfg["nt"]) > 0,
+             "the doubled grid's steps lx / (2 nx) and lt / (2 nt) must not round to 0")
     p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
                 cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
@@ -339,6 +343,11 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path):
 def _cmd_region_map(cfg, rng, out: Path):
     _require(cfg["step"] > 0, "step must be positive")
     _require(cfg["lo"] <= cfg["hi"], "lo must not exceed hi")
+    # np.arange refuses a count past its index range with a traceback, and
+    # lo + k*step cannot tell lattice points apart beyond 2**53 of them
+    count = (cfg["hi"] - cfg["lo"]) / cfg["step"] + 1
+    _require(count <= 2 ** 53, f"the lattice must have at most 2**53 points per axis, "
+                               f"got (hi - lo) / step + 1 = {count:.3g}")
     # round the lattice so index values like 0, 1/2 are hit exactly
     grid = np.round(np.arange(cfg["lo"], cfg["hi"] + cfg["step"] / 2,
                               cfg["step"]), 10)

@@ -28,8 +28,8 @@ class NonPositiveA(QnlsError):
     """Dispersion coefficient a must be positive."""
 
 
-class ParamOrderViolated(QnlsError):
-    """Exponent pair (b, b') outside -1/2 < b' <= 0 <= b <= b'+1, or T outside (0, 1]."""
+class NonFiniteNorm(QnlsError):
+    """A discrete Bourgain-type norm, or the field transform it weighs, is not finite."""
 
 
 # --- dispersion / resonance ---

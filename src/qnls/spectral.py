@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveA, ParamOrderViolated
+from .errors import NonFiniteNorm, NonPositiveA
 from .grids import GridFunction, SpaceTimeField
-
-#: smoothing_ratio's time grid: SMOOTHING_NT samples on
-#: [-SMOOTHING_T_HALF, SMOOTHING_T_HALF), beyond the cutoff's support
-SMOOTHING_T_HALF = 4.0
-SMOOTHING_NT = 512
 
 
 def cutoff(t, scale: float = 1.0):
@@ -105,15 +100,22 @@ def bourgain_norm(u: SpaceTimeField, p: BourgainParams) -> float:
     """Discrete Bourgain-type norm of a spacetime field."""
     xi = _xi_grid(u.nx, u.dx)[:, None]
     tau = _xi_grid(u.nt, u.dt)[None, :]
-    u_hat = np.fft.fft2(u.samples)
-    if not np.all(np.isfinite(u_hat)):
-        raise ValueError("field transform is not finite")
     measure = u.dx * u.dt / (u.nx * u.nt)
-    if p.family == "X":
-        w2 = _bracket(xi) ** (2.0 * p.s) * _bracket(tau + p.a * xi ** 2) ** (2.0 * p.b)
-    else:
-        w2 = _bracket(tau) ** (p.s / 2.0) * _bracket(tau - p.a * xi ** 2) ** (2.0 * p.b)
-    return float(np.sqrt(np.sum(w2 * np.abs(u_hat) ** 2) * measure))
+    # a transform or weight past the float range is inf, and inf * 0 is NaN;
+    # every weight is >= 0, so either makes the norm non-finite, which the
+    # check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_hat = np.fft.fft2(u.samples)
+        if p.family == "X":
+            w2 = _bracket(xi) ** (2.0 * p.s) * _bracket(tau + p.a * xi ** 2) ** (2.0 * p.b)
+        else:
+            w2 = _bracket(tau) ** (p.s / 2.0) * _bracket(tau - p.a * xi ** 2) ** (2.0 * p.b)
+        norm = float(np.sqrt(np.sum(w2 * np.abs(u_hat) ** 2) * measure))
+    if not np.isfinite(norm):
+        what = "weighted sum" if np.all(np.isfinite(u_hat)) else "field transform"
+        raise NonFiniteNorm(f"the {p.family} norm at (s, b, a) = ({p.s}, {p.b}, {p.a}): "
+                            f"the {what} is not finite")
+    return norm
 
 
 def sobolev_norm_1d(samples: np.ndarray, step: float, r: float):
@@ -128,40 +130,3 @@ def sobolev_norm_1d(samples: np.ndarray, step: float, r: float):
     w2 = _bracket(freq) ** (2.0 * r)
     norms = np.sqrt(np.sum(w2 * np.abs(hat) ** 2, axis=-1) * step / n)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def smoothing_ratio(phi: GridFunction, s: float, a: float) -> float:
-    """Empirical constant of the local smoothing trace estimate.
-
-    sup over grid x of the discrete H^{(2s+1)/4} time norm of the cutoff
-    free evolution, divided by the discrete H^s norm of phi.
-    """
-    if a <= 0:
-        raise NonPositiveA(f"a must be positive, got {a}")
-    den = sobolev_norm_1d(phi.samples, phi.dx, s)
-    if den == 0.0:
-        return 0.0
-    dt = 2.0 * SMOOTHING_T_HALF / SMOOTHING_NT
-    ts = -SMOOTHING_T_HALF + dt * np.arange(SMOOTHING_NT)
-    field = group_field(phi, a, ts) * cutoff(ts)[None, :]
-    norms = sobolev_norm_1d(field, dt, (2.0 * s + 1.0) / 4.0)
-    return float(np.max(norms)) / den
-
-
-def inhomog_estimate_ratio(F: SpaceTimeField, s: float, b: float, bp: float,
-                           a: float, T: float) -> float:
-    """Empirical constant of the inhomogeneous X-norm Duhamel estimate.
-
-    ||psi_T * duhamel(F)||_{X^{s,b}} / (T^{1+bp-b} ||F||_{X^{s,bp}}).
-    """
-    if not (-0.5 < bp <= 0.0 <= b <= bp + 1.0):
-        raise ParamOrderViolated(f"need -1/2 < bp <= 0 <= b <= bp+1, got b={b}, bp={bp}")
-    if not (0.0 < T <= 1.0):
-        raise ParamOrderViolated(f"need 0 < T <= 1, got {T}")
-    den = bourgain_norm(F, BourgainParams(s, bp, a))
-    if den == 0.0:
-        return 0.0
-    out = duhamel(F, a)
-    out.samples *= cutoff(out.t, T)[None, :]
-    num = bourgain_norm(out, BourgainParams(s, b, a))
-    return num / (T ** (1.0 + bp - b) * den)

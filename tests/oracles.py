@@ -1,16 +1,36 @@
-"""Oracles of acceptance criteria 1 and 5, which stay tests: no command runs them.
+"""Oracles that stay tests: no command runs them.
 
-`semigroup_residual` measures the composition law of the fractional
-integrals; `default_manufactured` is an exact solution pair with the
-sources that make it solve the coupled system, and `manufactured_error`
-is the solver's distance from it.
+- `semigroup_residual` (acceptance criterion 1) measures the composition
+  law of the fractional integrals.
+- `default_manufactured` (criterion 5) is an exact solution pair with the
+  sources that make it solve the coupled system, and `manufactured_error`
+  is the solver's distance from it.
+- `pde_residual` is the weak-form defect of the boundary forcing class.
+  ROADMAP item 3 pins its Laplace-domain evaluator against it.
+- `smoothing_ratio` and `inhomog_estimate_ratio` are the empirical
+  constants of the local smoothing estimate and of the inhomogeneous
+  X^{s,b} Duhamel estimate with b < 1/2.  ROADMAP items 9 and 12 bring back
+  into `qnls` what their commands call of them.
 """
 
 import numpy as np
 
-from qnls.fractional import rl_apply
-from qnls.grids import GridFunction, TimeSeries
+from qnls.boundary import ForcingSpec, _half_order_series, delta_coefficient, forcing_field
+from qnls.errors import NonPositiveA, QnlsError, SupportViolation
+from qnls.fractional import _integrate, rl_apply
+from qnls.grids import GridFunction, SpaceTimeField, TimeSeries
 from qnls.ibvp import SolverConfig, simulate
+from qnls.spectral import (BourgainParams, bourgain_norm, cutoff, duhamel, group_field,
+                           sobolev_norm_1d)
+
+#: smoothing_ratio's time grid: SMOOTHING_NT samples on
+#: [-SMOOTHING_T_HALF, SMOOTHING_T_HALF), beyond the cutoff's support
+SMOOTHING_T_HALF = 4.0
+SMOOTHING_NT = 512
+
+
+class ParamOrderViolated(QnlsError):
+    """Exponent pair (b, b') outside -1/2 < b' <= 0 <= b <= b'+1, or T outside (0, 1]."""
 
 
 def semigroup_residual(f: TimeSeries, alpha: float, beta: float) -> float:
@@ -71,3 +91,84 @@ def manufactured_error(nx, dt, a=1.0, T=0.5, L=30.0):
     fin = states[-1]
     return (np.sqrt(np.sum(np.abs(fin.u.samples - man["u"](x, T)) ** 2) * h)
             + np.sqrt(np.sum(np.abs(fin.v.samples - man["v"](x, T)) ** 2) * h))
+
+
+def pde_residual(spec: ForcingSpec, testfn: SpaceTimeField) -> complex:
+    """Weak-form defect of the forced Schrodinger identity against a test field.
+
+    Pairs the operator field with (-i d_t + a d_xx) of the test function and
+    subtracts the paired source term; all integrations by parts sit on the
+    test function, so the result is pure discretization error, O(dx^2+dt^2).
+    For lambda >= 0 the source term is C sum_t m(t) (I_lambda z)(0, t) dt
+    (I_0 the identity), interpolated between the nodes around x = 0, which
+    the grid must contain; for lambda < 0 z must vanish on x <= 0.
+    """
+    z = testfn.samples
+    edge_mass = (np.abs(z[0, :]).max() + np.abs(z[-1, :]).max()
+                 + np.abs(z[:, 0]).max() + np.abs(z[:, -1]).max())
+    if edge_mass > 1e-12 * max(np.abs(z).max(), 1e-300):
+        raise SupportViolation("test function must vanish on the grid boundary")
+    lam = spec.lam
+    xs, ts_grid = testfn.x, testfn.t
+    if lam < 0.0 and np.any((np.abs(z) > 0) & (xs[:, None] <= 0.0)):
+        raise SupportViolation(
+            "for lambda < 0 the source pairing needs support in x > 0")
+    # the nodes x[j] <= 0 < x[j+1] the source pairing interpolates between;
+    # side="right" reads an origin on the grid at its own node
+    j = int(np.searchsorted(xs, 0.0, side="right")) - 1
+    if lam >= 0.0 and not 0 <= j < xs.size - 1:
+        raise SupportViolation("for lambda >= 0 the source pairing needs x = 0 "
+                               "inside the grid")
+    field = forcing_field(spec, xs, ts_grid)
+    dt_z = np.zeros_like(z)
+    dt_z[:, 1:-1] = (z[:, 2:] - z[:, :-2]) / (2.0 * testfn.dt)
+    dxx_z = np.zeros_like(z)
+    dxx_z[1:-1, :] = (z[2:, :] - 2 * z[1:-1, :] + z[:-2, :]) / testfn.dx ** 2
+    adj = -1j * dt_z + spec.a * dxx_z
+    lhs = np.sum(field * adj) * testfn.dx * testfn.dt
+
+    if lam < 0.0:
+        return complex(lhs)     # the support check above leaves no source
+    iz = z if lam == 0.0 else _integrate(z, testfn.dx, lam)
+    w = -xs[j] / testfn.dx
+    line = (1 - w) * iz[j, :] + w * iz[j + 1, :]
+    m_src = _half_order_series(spec)(ts_grid)
+    rhs = delta_coefficient(spec.a) * np.sum(m_src * line) * testfn.dt
+    return complex(lhs - rhs)
+
+
+def smoothing_ratio(phi: GridFunction, s: float, a: float) -> float:
+    """Empirical constant of the local smoothing trace estimate.
+
+    sup over grid x of the discrete H^{(2s+1)/4} time norm of the cutoff
+    free evolution, divided by the discrete H^s norm of phi.
+    """
+    if a <= 0:
+        raise NonPositiveA(f"a must be positive, got {a}")
+    den = sobolev_norm_1d(phi.samples, phi.dx, s)
+    if den == 0.0:
+        return 0.0
+    dt = 2.0 * SMOOTHING_T_HALF / SMOOTHING_NT
+    ts = -SMOOTHING_T_HALF + dt * np.arange(SMOOTHING_NT)
+    field = group_field(phi, a, ts) * cutoff(ts)[None, :]
+    norms = sobolev_norm_1d(field, dt, (2.0 * s + 1.0) / 4.0)
+    return float(np.max(norms)) / den
+
+
+def inhomog_estimate_ratio(F: SpaceTimeField, s: float, b: float, bp: float,
+                           a: float, T: float) -> float:
+    """Empirical constant of the inhomogeneous X-norm Duhamel estimate.
+
+    ||psi_T * duhamel(F)||_{X^{s,b}} / (T^{1+bp-b} ||F||_{X^{s,bp}}).
+    """
+    if not (-0.5 < bp <= 0.0 <= b <= bp + 1.0):
+        raise ParamOrderViolated(f"need -1/2 < bp <= 0 <= b <= bp+1, got b={b}, bp={bp}")
+    if not (0.0 < T <= 1.0):
+        raise ParamOrderViolated(f"need 0 < T <= 1, got {T}")
+    den = bourgain_norm(F, BourgainParams(s, bp, a))
+    if den == 0.0:
+        return 0.0
+    out = duhamel(F, a)
+    out.samples *= cutoff(out.t, T)[None, :]
+    num = bourgain_norm(out, BourgainParams(s, b, a))
+    return num / (T ** (1.0 + bp - b) * den)

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import pde_residual
 
 from qnls import boundary
 from qnls.boundary import (KERNEL_REL_TOL, ForcingSpec, _alt_field, _base_field,
                            _datum_bounds, _DatumGrid, _half_order_series,
                            _osc_tail_factor, _PanelTable, _ray_grid,
                            boundary_estimate_ratio, delta_coefficient, forcing_field,
-                           pde_residual, trace_check)
+                           trace_check)
 from qnls.errors import (LambdaOutOfRange, NonPositiveA, NonUniformGrid,
                          SingularQuadratureFail, SupportViolation,
                          WindowViolation)

@@ -182,11 +182,23 @@ _BAD_CONFIGS_UP_FRONT = [
                  id="verify-bilinear-zero-lx"),
     pytest.param("verify-bilinear", {"lt": -16.0, "n_pairs": 2},
                  "lx and lt must be positive", id="verify-bilinear-negative-lt"),
+    # lx > 0, but lx / nx rounds to 0: the field refused the step, exit 1
+    pytest.param("verify-bilinear", {"lx": 5e-324, "n_pairs": 2},
+                 "lt / (2 nt) must not round to 0",
+                 id="verify-bilinear-lx-step-rounds-to-zero"),
+    pytest.param("verify-bilinear", {"lt": 5e-324, "n_pairs": 2},
+                 "lt / (2 nt) must not round to 0",
+                 id="verify-bilinear-lt-step-rounds-to-zero"),
     # these wrote a header-only or origin-free map, then exited 1
     pytest.param("region-map", {"lo": 1.0, "hi": -1.0}, "lo must not exceed hi",
                  id="region-map-lo-above-hi"),
     pytest.param("region-map", {"lo": -1.0, "hi": 1.0, "step": 0.3},
                  "the lattice lo + k*step must contain 0", id="region-map-lattice-misses-origin"),
+    # np.arange refused the lattice size: a ValueError traceback, exit 1
+    pytest.param("region-map", {"step": 1e-300}, "at most 2**53 points per axis",
+                 id="region-map-lattice-count-overflows"),
+    pytest.param("region-map", {"lo": -1e300, "hi": 1e300}, "at most 2**53 points per axis",
+                 id="region-map-lattice-past-2-53"),
     # x = 0 is a node of the contraction grid: these ran an iterate, then exited 1
     pytest.param("contraction", {"lambda1": -1.5, "k_iters": 3},
                  "lambda1 and lambda2 must exceed -1", id="contraction-lambda1-below-minus-one"),
@@ -229,18 +241,32 @@ def test_bad_config_writes_nothing(tmp_path, capsys, command, cfg, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_verify_bilinear_step_that_rounds_to_zero_exits_1(tmp_path, capsys):
-    # lx > 0 passes the range check, but lx / nx rounds to 0: the field
-    # refuses the step, and the run fails with one line and its manifest
+@pytest.mark.parametrize("cfg", [{"kappa": 1e300}, {"s": 1e300}, {"lt": 1e-300}, {"a": 1e300}],
+                         ids=["huge-kappa", "huge-s", "tiny-lt", "huge-a"])
+def test_verify_bilinear_norm_past_the_float_range_is_one_line_and_exit_1(tmp_path, capsys,
+                                                                         cfg):
+    # a Bourgain weight overflowed: two RuntimeWarnings, then nan in the
+    # max_ratio column of every row (of the two L5.1 rows at a = 1e300)
+    out = tmp_path / "o"
+    assert main(["verify-bilinear", "--config", str(_dump(tmp_path, {**cfg, "n_pairs": 2})),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("contract violation: the X norm at (s, b, a) = ")
+    assert not (out / "bilinear_ratios.csv").exists()
+    manifest = json.loads((out / "manifest_verify-bilinear.json").read_text())
+    assert manifest["error"]["type"] == "NonFiniteNorm"
+
+
+def test_j_sweep_with_overflowing_weights_is_one_line_and_exit_1(tmp_path, capsys):
+    # a base point's power of its bracket overflowed in Python's scalar pow:
+    # an OverflowError traceback; numpy's warnings outside errstate stay
+    # with ROADMAP item 16
     with np.errstate(all="ignore"):
-        code = main(["verify-bilinear", "--config",
-                     str(_dump(tmp_path, {"lx": 5e-324, "n_pairs": 1})),
+        code = main(["j-sweep", "--config", str(_dump(tmp_path, {"s": 1e300})),
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        "contract violation: dx and dt must be positive"]
-    manifest = json.loads((tmp_path / "o" / "manifest_verify-bilinear.json").read_text())
-    assert manifest["error"]["type"] == "NonPositiveStep"
+        "contract violation: J4: the windowed J does not converge at R = 10.0"]
 
 
 def test_every_benchmark_config_passes_the_validator():

@@ -9,7 +9,7 @@ from scipy.signal import fftconvolve
 
 from qnls.errors import NonPositiveStep, OrderOutOfRange, UnsupportedSupport
 from qnls.fractional import _integrate, _next_fast_len, product_weights, rl_apply
-from qnls.grids import TimeSeries
+from qnls.grids import SpaceTimeField, TimeSeries
 from qnls.profiles import smooth_bump
 
 
@@ -92,6 +92,11 @@ def test_negative_half_matches_centered_derivative_of_half():
 def test_nonpositive_step_rejected():
     with pytest.raises(NonPositiveStep):
         TimeSeries(0.0, 0.0, np.zeros(4))
+
+
+def test_space_time_field_refuses_a_step_that_rounds_to_zero():
+    with pytest.raises(NonPositiveStep, match="dx and dt must be positive"):
+        SpaceTimeField(0.0, 5e-324 / 64, 0.0, 0.25, np.zeros((4, 4)))
 
 
 def test_order_out_of_range():

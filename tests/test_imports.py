@@ -128,17 +128,17 @@ def test_import_and_command_leave_slow_scipy_subpackages_unloaded(command, tmp_p
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
-# Public names that no package code calls yet, each kept for the open
-# ROADMAP item that will call it.  The caller guard reads the top-level names
-# of each module: functions, classes and constants, not methods.  The
-# parameter guard reads the defaulted parameters of public top-level
-# functions and the defaulted fields of public dataclasses, not those of
-# methods; it exempts every parameter of a RESERVED function.
+# Public names that no package code calls, each with the reason it stays in
+# the package.  The caller guard reads the top-level names of each module:
+# functions, classes and constants, not methods.  The parameter guard reads
+# the defaulted parameters of public top-level functions and the defaulted
+# fields of public dataclasses, not those of methods; it exempts every
+# parameter of a RESERVED function.
 RESERVED = {
-    "boundary.pde_residual": "item 3: the oracle of the Laplace-domain evaluator",
-    "boundary.boundary_estimate_ratio": "item 9: contraction evidence in the paper's norms",
-    "spectral.smoothing_ratio": "item 12: the Duhamel-trace command",
-    "spectral.inhomog_estimate_ratio": "item 12: the Duhamel-trace command",
+    "boundary.boundary_estimate_ratio":
+        "the only caller of boundary's bourgain_norm import, which "
+        "perfbench/tracing.IMPORTED_BINDINGS binds as boundary.bourgain_norm; "
+        "it moves to tests/oracles.py once that binding is dropped (ROADMAP item 1)",
 }
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from oracles import ParamOrderViolated, inhomog_estimate_ratio, smoothing_ratio
 from scipy.integrate import cumulative_trapezoid
 
-from qnls.errors import NonPositiveA, ParamOrderViolated
+from qnls.errors import NonFiniteNorm, NonPositiveA
 from qnls.grids import GridFunction, SpaceTimeField
 from qnls.profiles import gaussian
 from qnls.spectral import (BourgainParams, bourgain_norm, cutoff, duhamel,
-                           group_field, inhomog_estimate_ratio, smoothing_ratio,
-                           sobolev_norm_1d)
+                           group_field, sobolev_norm_1d)
 
 
 def make_grid(n=256, half=20.0):
@@ -170,6 +170,21 @@ def test_norm_single_mode_weight():
     got = bourgain_norm(u, BourgainParams(s, b, a))
     expect = (1 + xi0 ** 2) ** (s / 2) * (1 + (tau0 + a * xi0 ** 2) ** 2) ** (b / 2)
     assert abs(got - expect) < 1e-8 * expect
+
+
+@pytest.mark.parametrize("family", ["X", "W"])
+def test_bourgain_norm_past_the_float_range_raises(family):
+    # samples of 1e306 overflow the transform, which raised a plain
+    # ValueError; s = 1e300 overflows the weights, which returned inf or NaN
+    dx, dt, x, t = field_grid(nx=32, nt=32)
+    wave = np.exp(1j * x)[:, None] * np.exp(1j * t)[None, :]
+    huge = SpaceTimeField(x[0], dx, 0.0, dt, np.full((32, 32), 1e306))
+    with pytest.raises(NonFiniteNorm, match=rf"the {family} norm at \(s, b, a\) = "
+                                            r"\(0.0, 0.4, 1.0\): the field transform"):
+        bourgain_norm(huge, BourgainParams(0.0, 0.4, 1.0, family))
+    with pytest.raises(NonFiniteNorm, match=r"\(1e\+300, 0.4, 1.0\): the weighted sum"):
+        bourgain_norm(SpaceTimeField(x[0], dx, 0.0, dt, wave),
+                      BourgainParams(1e300, 0.4, 1.0, family))
 
 
 # --- smoothing ratio ---
