@@ -16,7 +16,7 @@ stabilizes for admissible parameters and grows for violating ones.
 and returns (values, failed): a NaN value where a point failed, and failed
 maps that point to its message.  A point gets the value and message it has
 alone, so one point is a batch of one.  `check_indices` is the one rule of
-where each J index is defined.
+where each J index is defined, `J_REGIONS` of its family and region.
 """
 
 from __future__ import annotations
@@ -25,18 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FrequencyPoint, classify_region
+from .dispersion import SCHEMES, FrequencyPoint, classify_region, classify_regime
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
 from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
                          panel_sums, tail_probe)
 from .spectral import BourgainParams, _bracket, bourgain_norm
 
-J_INDICES = ("J1", "J2", "J3", "J4", "J5", "J6", "A-J", "A-J1", "A-J2", "A-J3")
+#: each J index's modulation family and its region in that family's scheme
+J_REGIONS = {"J1": ("N1", 1), "J2": ("N1", 2), "J3": ("N1", 3),
+             "J4": ("N2", 1), "J5": ("N2", 2), "J6": ("N2", 3),
+             "A-J": ("N1", 1), "A-J1": ("N1", 1), "A-J2": ("N1", 2), "A-J3": ("N1", 3)}
+J_INDICES = tuple(J_REGIONS)
 #: the two-dimensional appendix integrals, defined for kappa <= 0
 _APPENDIX_2D = ("A-J1", "A-J2", "A-J3")
-#: the J indices whose regions are empty at the resonant a = 1/2
-_EMPTY_AT_RESONANCE = ("J2", "J3", "J5", "J6", "A-J2", "A-J3")
 ESTIMATES = ("L5.1", "L5.2", "L5.3", "L5.4")
 #: relative tolerance of every J evaluation in a boundedness sweep
 SWEEP_REL_TOL = 3e-4
@@ -64,12 +66,8 @@ class EstimateParams:
 
 
 def scheme_for(index: str, a: float) -> str:
-    if a == 0.5:
-        return "RES"
-    first_family = index in ("J1", "J2", "J3", "A-J", "A-J1", "A-J2", "A-J3")
-    if a < 0.5:
-        return "R" if first_family else "S"
-    return "A" if first_family else "B"
+    """The region scheme of the J index's family at a."""
+    return SCHEMES[classify_regime(a), J_REGIONS[index][0]]
 
 
 def check_indices(indices, p: EstimateParams, sweep: bool = False) -> list[str]:
@@ -89,7 +87,7 @@ def check_indices(indices, p: EstimateParams, sweep: bool = False) -> list[str]:
     two_d = [i for i in indices if i in _APPENDIX_2D]
     if p.kappa > 0 and two_d:
         raise ParamDomainViolated(f"{two_d} need kappa <= 0, got kappa={p.kappa}")
-    empty = [i for i in indices if p.a == 0.5 and i in _EMPTY_AT_RESONANCE]
+    empty = [i for i in indices if J_REGIONS[i][1] > 1 and scheme_for(i, p.a) == "RES"]
     if sweep and empty:
         raise ParamDomainViolated(f"the regions of {empty} are empty at a = {p.a}")
     return empty
@@ -453,8 +451,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     """(value, None) of one appendix 2-d integral at base (P, Q), or
     (NaN, message) when it fails."""
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    region = {"A-J1": 1, "A-J2": 2, "A-J3": 3}[index]
-    scheme = scheme_for(index, a)
+    family, region = J_REGIONS[index]
     # A-J2's region needs |xi2| >= 1
     if index == "A-J2" and abs(P) < 1.0:
         return 0.0, None
@@ -483,7 +480,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
 
         def g(tau2, r):
             fp = FrequencyPoint(P, Q, x[r], tau2)
-            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            chi = (classify_region(fp, a, family) == region).astype(float)
             w1 = (Q - tau2) - sq[r]
             w2 = tau2 + axx[r]
             return w0[r] * chi * _bracket(w1) ** (-2 * b) * _bracket(w2) ** (-2 * b)
@@ -496,7 +493,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
         def g(tau, r):
             # quadruple (xi, tau, xi2=P, tau2=Q), integrating (xi, tau)
             fp = FrequencyPoint(x[r], tau, np.full_like(tau, P), np.full_like(tau, Q))
-            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            chi = (classify_region(fp, a, family) == region).astype(float)
             w = tau + xx[r]
             w1 = (tau - Q) - sq[r]
             return (w0[r] * _bracket(tau) ** kappa
@@ -509,7 +506,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
 
         def g(tau2, r):
             fp = FrequencyPoint(P + x[r], Q + tau2, x[r], tau2)
-            chi = (classify_region(fp, a, scheme) == region).astype(float)
+            chi = (classify_region(fp, a, family) == region).astype(float)
             w2 = tau2 + axx[r]
             return (_bracket(Q + tau2) ** kappa * ws[r]
                     * chi * wd[r] * _bracket(w2) ** (-2 * b))

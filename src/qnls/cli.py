@@ -23,8 +23,8 @@ import scipy
 
 from . import __version__, bilinear, boundary, dispersion, ibvp
 from .errors import InvalidConfig, QnlsError, UnknownCommand
-from .grids import GridFunction, SpaceTimeField, TimeSeries, write_csv
-from .profiles import band_limited_pair, gaussian, smooth_bump
+from .grids import MAX_STEPS, GridFunction, SpaceTimeField, TimeSeries, write_csv
+from .profiles import BAND_MODES, band_limited_pair, gaussian, smooth_bump
 
 # Every key each command reads, with its default.  A config sets some of
 # these keys, each to a value of its default's kind (see `_validate`).
@@ -181,18 +181,19 @@ def _cmd_simulate(cfg, rng, out: Path):
 def _cmd_mass_track(cfg, rng, out: Path):
     # the refinement contract compares consecutive levels
     _require(cfg["levels"] >= 2, "levels must be an integer >= 2")
+    # every level's refusal comes before the first level runs
+    configs = [_params(ibvp.SolverConfig, cfg["L"], (cfg["nx"] - 1) * 2 ** lvl + 1,
+                       cfg["dt"] / 2 ** lvl, cfg["T"], cfg["a"])
+               for lvl in range(cfg["levels"])]
     rows = []
     residuals = []
-    for lvl in range(cfg["levels"]):
-        nx = (cfg["nx"] - 1) * 2 ** lvl + 1
-        dt = cfg["dt"] / 2 ** lvl
-        sc = _params(ibvp.SolverConfig, cfg["L"], nx, dt, cfg["T"], cfg["a"])
-        u0, v0 = _gaussian_pair(cfg["L"], nx)
-        f, g = _boundary_pair(cfg["boundary"], dt, cfg["T"])
+    for lvl, sc in enumerate(configs):
+        u0, v0 = _gaussian_pair(cfg["L"], sc.nx)
+        f, g = _boundary_pair(cfg["boundary"], sc.dt, cfg["T"])
         _, ledger = ibvp.simulate(sc, u0, v0, f, g, snapshot_stride=10 ** 9)
         res = ibvp.mass_identity_residual(ledger)
         residuals.append(res)
-        rows.append([lvl, float(nx), dt, res])
+        rows.append([lvl, float(sc.nx), sc.dt, res])
     path = _output(out, "mass_track.csv")
     write_csv(path, ["level", "nx", "dt", "identity_residual"], rows)
     ok = all(residuals[i] / residuals[i + 1] >= REFINE_RATIO_MIN
@@ -208,6 +209,9 @@ def _cmd_verify_bilinear(cfg, rng, out: Path):
     # first on the doubled grid
     _require(cfg["lx"] / (2 * cfg["nx"]) > 0 and cfg["lt"] / (2 * cfg["nt"]) > 0,
              "the doubled grid's steps lx / (2 nx) and lt / (2 nt) must not round to 0")
+    # a step that does not round to 0 can still make a wavenumber 2 pi k / lx overflow
+    _require(all(np.isfinite(2 * np.pi * BAND_MODES / cfg[k]) for k in ("lx", "lt")),
+             "2 pi BAND_MODES / lx and 2 pi BAND_MODES / lt must be finite")
     p = _params(bilinear.EstimateParams, cfg["a"], cfg["b"], cfg["d"],
                 cfg["kappa"], cfg["s"])
     seeds = rng.integers(0, 2 ** 31, size=cfg["n_pairs"])
@@ -341,13 +345,15 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path):
 
 
 def _cmd_region_map(cfg, rng, out: Path):
+    # the predicate follows a's regime, which needs a > 0
+    _params(dispersion.classify_regime, cfg["a"])
     _require(cfg["step"] > 0, "step must be positive")
     _require(cfg["lo"] <= cfg["hi"], "lo must not exceed hi")
     # np.arange refuses a count past its index range with a traceback, and
-    # lo + k*step cannot tell lattice points apart beyond 2**53 of them
+    # lo + k*step cannot tell lattice points apart beyond MAX_STEPS of them
     count = (cfg["hi"] - cfg["lo"]) / cfg["step"] + 1
-    _require(count <= 2 ** 53, f"the lattice must have at most 2**53 points per axis, "
-                               f"got (hi - lo) / step + 1 = {count:.3g}")
+    _require(count <= MAX_STEPS, f"the lattice must have at most 2**53 points per axis, "
+                                 f"got (hi - lo) / step + 1 = {count:.3g}")
     # round the lattice so index values like 0, 1/2 are hit exactly
     grid = np.round(np.arange(cfg["lo"], cfg["hi"] + cfg["step"] / 2,
                               cfg["step"]), 10)
@@ -357,8 +363,8 @@ def _cmd_region_map(cfg, rng, out: Path):
     origin_ok = False
     for kappa in grid:
         for s in grid:
-            ok, constraints = ibvp.regularity_region(float(kappa), float(s),
-                                                     cfg["a"])
+            ok, constraints = dispersion.regularity_region(float(kappa), float(s),
+                                                           cfg["a"])
             if kappa == 0.0 and s == 0.0:
                 origin_ok = ok
             rows.append([float(kappa), float(s), int(ok),

@@ -1,4 +1,4 @@
-"""Resonance functions, regime classification, region decompositions.
+"""Resonance functions, regime classification, region decompositions, regularity.
 
 A convolution quadruple (xi, tau, xi2, tau2) determines the complementary
 pair xi1 = xi - xi2, tau1 = tau - tau2.  Two modulation families appear:
@@ -8,9 +8,9 @@ pair xi1 = xi - xi2, tau1 = tau - tau2.  Two modulation families appear:
   N2 (square coupling):           w = tau + a*xi^2, w1 = tau1 + xi1^2,
                                   w2 = tau2 + xi2^2.
 
-All functions accept scalars or numpy arrays componentwise.  They take
-a > 0 and a scheme of `bilinear.scheme_for` as given: `classify_regime`
-(the cli's check) and `bilinear.EstimateParams` refuse a <= 0 first.
+All functions accept scalars or numpy arrays componentwise.  Each rule that
+depends on a asks `classify_regime` where a lies against the resonant 1/2
+(it refuses a <= 0); `SCHEMES` gives the region scheme of a regime and family.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BelowResonance, NonPositiveA, ResonantA, SchemeMismatch
+from .errors import BelowResonance, NonPositiveA, ResonantA
 
 #: scale of the Cauchy draws of sample_quadruples
 CAUCHY_SCALE = 5.0
@@ -80,16 +80,17 @@ def resonance(fp: FrequencyPoint, a: float, family: str):
 
 def mu(a: float) -> float:
     """Root parameter (1 - sqrt(2a-1))/2 of the factored resonance, a >= 1/2."""
-    if a < 0.5:
+    if classify_regime(a) == "SecondNonResonant":
         raise BelowResonance(f"mu is defined for a >= 1/2, got {a}")
     return (1.0 - np.sqrt(2.0 * a - 1.0)) / 2.0
 
 
 def resonance_lower_bound(fp: FrequencyPoint, a: float):
     """Claimed lower bound for the N1 resonance away from a = 1/2."""
-    if a == 0.5:
+    regime = classify_regime(a)
+    if regime == "Resonant":
         raise ResonantA("no lower bound is claimed at a = 1/2")
-    if a < 0.5:
+    if regime == "SecondNonResonant":
         return (1.0 - 2.0 * a) * (fp.xi ** 2 + fp.xi1 ** 2)
     m = mu(a)
     return 2.0 * np.abs(fp.xi - m * fp.xi2) * np.abs(fp.xi - (1.0 - m) * fp.xi2)
@@ -100,32 +101,25 @@ def lower_bound_residual(fp: FrequencyPoint, a: float):
     return resonance(fp, a, "N1") - resonance_lower_bound(fp, a)
 
 
-def _scheme_family(scheme: str) -> str:
-    return "N1" if scheme in ("R", "A") else "N2"
+#: the region scheme of each (regime, modulation family); RES has region 1 only
+SCHEMES = {("SecondNonResonant", "N1"): "R", ("SecondNonResonant", "N2"): "S",
+           ("Resonant", "N1"): "RES", ("Resonant", "N2"): "RES",
+           ("FirstNonResonant", "N1"): "A", ("FirstNonResonant", "N2"): "B"}
 
 
-def _check_scheme(a: float, scheme: str) -> None:
-    if scheme in ("R", "S") and not a < 0.5:
-        raise SchemeMismatch(f"scheme {scheme} needs a < 1/2, got a={a}")
-    if scheme in ("A", "B") and not a > 0.5:
-        raise SchemeMismatch(f"scheme {scheme} needs a > 1/2, got a={a}")
-    if scheme == "RES" and a != 0.5:
-        raise SchemeMismatch(f"scheme RES needs a = 1/2, got a={a}")
-
-
-def classify_region(fp: FrequencyPoint, a: float, scheme: str):
-    """Assign each quadruple to exactly one region (1, 2 or 3) of a scheme.
+def classify_region(fp: FrequencyPoint, a: float, family: str):
+    """Assign each quadruple to exactly one region (1, 2 or 3) of its family's scheme.
 
     Max-modulation ties and tangent ball boundaries are resolved by the fixed
     priority 1 < 2 < 3, so the classification is a total function.
     """
-    _check_scheme(a, scheme)
+    scheme = SCHEMES[classify_regime(a), family]
     xi = np.asarray(fp.xi, dtype=float)
     out = np.ones(np.broadcast(xi, fp.tau, fp.xi2, fp.tau2).shape, dtype=int)
     if scheme == "RES":
         return out if out.ndim else int(out)
 
-    w, w1, w2 = modulations(fp, a, _scheme_family(scheme))
+    w, w1, w2 = modulations(fp, a, family)
     aw, aw1, aw2 = np.abs(w), np.abs(w1), np.abs(w2)
     big = np.maximum(np.maximum(aw, aw1), aw2)
 
@@ -153,6 +147,44 @@ def classify_region(fp: FrequencyPoint, a: float, scheme: str):
         out = np.where(inner & (aw2 == big), 2, out)
         out = np.where(inner & (aw2 < big), 3, out)
     return out if out.ndim else int(out)
+
+
+def regularity_region(kappa: float, s: float, a: float):
+    """Admissibility of a Sobolev index pair, with the binding inequalities.
+
+    Returns (admissible, constraints): when inadmissible the list holds the
+    violated inequalities of a's regime; when admissible, those met with equality.
+    """
+    regime = classify_regime(a)
+    checks = []
+    if regime == "FirstNonResonant":
+        checks.append((abs(kappa) - 0.5 <= s, "|kappa|-1/2 <= s"))
+        checks.append((s < min(kappa + 0.5, 2 * kappa + 0.5, 1.0),
+                       "s < min(kappa+1/2, 2kappa+1/2, 1)"))
+        checks.append((kappa < 1.0, "kappa < 1"))
+    elif regime == "Resonant":
+        checks.append((kappa == s, "kappa = s"))
+        checks.append((0.0 <= kappa, "0 <= kappa"))
+        checks.append((kappa < 1.0, "kappa < 1"))
+    else:
+        checks.append((max(-0.5, abs(kappa) - 1.0) <= s,
+                       "max(-1/2, |kappa|-1) <= s"))
+        checks.append((s < min(kappa + 1.0, 2 * kappa + 1.0, 1.0),
+                       "s < min(kappa+1, 2kappa+1, 1)"))
+        checks.append((kappa < 1.0, "kappa < 1"))
+    checks.append((s != 0.5, "s != 1/2"))
+    checks.append((kappa != 0.5, "kappa != 1/2"))
+    violated = [name for ok, name in checks if not ok]
+    if violated:
+        return False, violated
+    binding = []
+    if regime == "FirstNonResonant" and abs(kappa) - 0.5 == s:
+        binding.append("|kappa|-1/2 = s")
+    if regime == "SecondNonResonant" and max(-0.5, abs(kappa) - 1.0) == s:
+        binding.append("max(-1/2, |kappa|-1) = s")
+    if regime == "Resonant" and kappa == 0.0:
+        binding.append("kappa = 0")
+    return True, binding
 
 
 def sample_quadruples(n: int, rng: np.random.Generator) -> FrequencyPoint:

@@ -42,10 +42,6 @@ class ResonantA(QnlsError):
     """No lower bound is claimed at the resonant value a = 1/2."""
 
 
-class SchemeMismatch(QnlsError):
-    """Region scheme incompatible with the given a."""
-
-
 class ParamDomainViolated(QnlsError):
     """Estimate parameters outside the lemma's admissible window."""
 

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NonPositiveStep
 
 _FMT = "%.17g"
+#: the most steps of a uniform lattice: past 2**53, t0 + k*dt stops naming distinct points
+MAX_STEPS = 2 ** 53
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -1,4 +1,4 @@
-"""Half-line IBVP solver, mass ledger, contraction map, regularity predicates.
+"""Half-line IBVP solver, mass ledger and contraction map.
 
 The coupled system
 
@@ -24,7 +24,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from . import boundary, spectral
 from .errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
                      NonConvergentNonlinearIteration)
-from .grids import GridFunction, SpaceTimeField, TimeSeries
+from .grids import MAX_STEPS, GridFunction, SpaceTimeField, TimeSeries
 
 
 @dataclass
@@ -44,9 +44,9 @@ class SolverConfig:
         if min(self.L, self.nx, self.dt, self.T, self.a) <= 0:
             raise ValueError("L, nx, dt, T, a must be positive")
         # the step count T / dt, which a dt near the smallest float overflows
-        if not math.isfinite(self.T / self.dt):
-            raise ValueError(f"T / dt must be a finite step count, got T={self.T!r}, "
-                             f"dt={self.dt!r}")
+        if not self.T / self.dt <= MAX_STEPS:
+            raise ValueError(f"T / dt must be a finite step count of at most 2**53, "
+                             f"got T={self.T!r}, dt={self.dt!r}")
         if self.dt > min(0.1, self.T):
             raise ValueError("dt above 0.1 is not accepted (accuracy guard), nor above T")
         if self.nx < 3:
@@ -271,43 +271,6 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
 
     ledger = MassLedger(times, masses, flux_u, flux_v, residual)
     return states, ledger
-
-
-def regularity_region(kappa: float, s: float, a: float):
-    """Admissibility of a Sobolev index pair, with the binding inequalities.
-
-    Returns (admissible, constraints): when inadmissible the list holds the
-    violated inequalities; when admissible it holds those met with equality.
-    """
-    checks = []
-    if a > 0.5:
-        checks.append((abs(kappa) - 0.5 <= s, "|kappa|-1/2 <= s"))
-        checks.append((s < min(kappa + 0.5, 2 * kappa + 0.5, 1.0),
-                       "s < min(kappa+1/2, 2kappa+1/2, 1)"))
-        checks.append((kappa < 1.0, "kappa < 1"))
-    elif a == 0.5:
-        checks.append((kappa == s, "kappa = s"))
-        checks.append((0.0 <= kappa, "0 <= kappa"))
-        checks.append((kappa < 1.0, "kappa < 1"))
-    else:
-        checks.append((max(-0.5, abs(kappa) - 1.0) <= s,
-                       "max(-1/2, |kappa|-1) <= s"))
-        checks.append((s < min(kappa + 1.0, 2 * kappa + 1.0, 1.0),
-                       "s < min(kappa+1, 2kappa+1, 1)"))
-        checks.append((kappa < 1.0, "kappa < 1"))
-    checks.append((s != 0.5, "s != 1/2"))
-    checks.append((kappa != 0.5, "kappa != 1/2"))
-    violated = [name for ok, name in checks if not ok]
-    if violated:
-        return False, violated
-    binding = []
-    if a > 0.5 and abs(kappa) - 0.5 == s:
-        binding.append("|kappa|-1/2 = s")
-    if a < 0.5 and max(-0.5, abs(kappa) - 1.0) == s:
-        binding.append("max(-1/2, |kappa|-1) = s")
-    if a == 0.5 and kappa == 0.0:
-        binding.append("kappa = 0")
-    return True, binding
 
 
 @dataclass

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from oracles import manufactured_error, semigroup_residual
 
-from qnls import bilinear, ibvp
+from qnls import bilinear, dispersion
 from qnls.cli import doubling_maxima, run_experiment
 from qnls.grids import SpaceTimeField, TimeSeries
 from qnls.profiles import smooth_bump
@@ -193,16 +193,16 @@ def test_criterion_9_contraction_evidence(tmp_path):
 def test_criterion_10_regularity_map():
     ok = True
     for a in (0.1, 0.25, 0.5, 1.0, 5.0):
-        ok &= ibvp.regularity_region(0.0, 0.0, a)[0]
+        ok &= dispersion.regularity_region(0.0, 0.0, a)[0]
     lattice = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.05), 10)
     for a in (0.25, 0.5, 1.0):
         for w in lattice:
-            ok &= not ibvp.regularity_region(0.5, float(w), a)[0]
-            ok &= not ibvp.regularity_region(float(w), 0.5, a)[0]
+            ok &= not dispersion.regularity_region(0.5, float(w), a)[0]
+            ok &= not dispersion.regularity_region(float(w), 0.5, a)[0]
     # resonant case admits exactly the diagonal 0 <= kappa = s < 1
     for kappa in lattice:
         for s in lattice:
-            admissible = ibvp.regularity_region(float(kappa), float(s), 0.5)[0]
+            admissible = dispersion.regularity_region(float(kappa), float(s), 0.5)[0]
             expected = (kappa == s and 0.0 <= kappa < 1.0
                         and kappa != 0.5)
             ok &= admissible == expected

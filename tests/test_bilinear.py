@@ -253,7 +253,7 @@ def _appendix_2d_oracle(index, base, p, window, rel_tol):
         def inner(xi2):
             def g(tau2):
                 fp = FrequencyPoint(P, Q, np.full_like(tau2, xi2), tau2)
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                chi = (classify_region(fp, a, "N1") == region).astype(float)
                 w1 = (Q - tau2) - (P - xi2) ** 2
                 w2 = tau2 + a * xi2 ** 2
                 return (_bracket(P - xi2) ** (-2 * kappa) * _bracket(xi2) ** (-2 * s)
@@ -269,7 +269,7 @@ def _appendix_2d_oracle(index, base, p, window, rel_tol):
             def g(tau):
                 fp = FrequencyPoint(np.full_like(tau, xi), tau,
                                     np.full_like(tau, P), np.full_like(tau, Q))
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                chi = (classify_region(fp, a, "N1") == region).astype(float)
                 w = tau + xi ** 2
                 w1 = (tau - Q) - (xi - P) ** 2
                 return (_bracket(xi - P) ** (-2 * kappa) * _bracket(tau) ** kappa
@@ -283,7 +283,7 @@ def _appendix_2d_oracle(index, base, p, window, rel_tol):
             def g(tau2):
                 fp = FrequencyPoint(np.full_like(tau2, P + xi2), Q + tau2,
                                     np.full_like(tau2, xi2), tau2)
-                chi = (classify_region(fp, a, scheme) == region).astype(float)
+                chi = (classify_region(fp, a, "N1") == region).astype(float)
                 w2 = tau2 + a * xi2 ** 2
                 return (_bracket(Q + tau2) ** kappa * _bracket(xi2) ** (-2 * s)
                         * chi * _bracket(P + xi2) ** (-4 * d) * _bracket(w2) ** (-2 * b))

@@ -189,6 +189,19 @@ _BAD_CONFIGS_UP_FRONT = [
     pytest.param("verify-bilinear", {"lt": 5e-324, "n_pairs": 2},
                  "lt / (2 nt) must not round to 0",
                  id="verify-bilinear-lt-step-rounds-to-zero"),
+    # the steps do not round to 0, but 2 pi k / lx overflows: two
+    # RuntimeWarnings and grids' plain ValueError traceback, exit 1
+    pytest.param("verify-bilinear", {"lx": 3.2e-322, "n_pairs": 2},
+                 "2 pi BAND_MODES / lt must be finite",
+                 id="verify-bilinear-lx-wavenumber-overflows"),
+    pytest.param("verify-bilinear", {"lt": 3.2e-322, "n_pairs": 2},
+                 "2 pi BAND_MODES / lt must be finite",
+                 id="verify-bilinear-lt-wavenumber-overflows"),
+    # these drew the a < 1/2 map, then exited 0
+    pytest.param("region-map", {"a": 0.0}, "classify_regime: a must be positive, got 0.0",
+                 id="region-map-a-zero"),
+    pytest.param("region-map", {"a": -1.0}, "classify_regime: a must be positive, got -1.0",
+                 id="region-map-a-negative"),
     # these wrote a header-only or origin-free map, then exited 1
     pytest.param("region-map", {"lo": 1.0, "hi": -1.0}, "lo must not exceed hi",
                  id="region-map-lo-above-hi"),
@@ -215,6 +228,16 @@ _BAD_CONFIGS_UP_FRONT = [
                  id="simulate-step-count-overflows"),
     pytest.param("mass-track", {"dt": 5e-324}, "T / dt must be a finite step count",
                  id="mass-track-step-count-overflows"),
+    # T / dt is finite but past 2**53: numpy's "Maximum allowed size exceeded"
+    # traceback, exit 1
+    pytest.param("simulate", {"T": 1e300}, "T / dt must be a finite step count of at most 2**53",
+                 id="simulate-step-count-past-2-53"),
+    pytest.param("mass-track", {"T": 1e300}, "T / dt must be a finite step count of at most 2**53",
+                 id="mass-track-step-count-past-2-53"),
+    # level 0 has 2**53 steps and level 1 twice that: level 0 ran first and
+    # ended out of memory, exit 1
+    pytest.param("mass-track", {"dt": 2.0 ** -54}, "of at most 2**53, got T=0.5, dt=2.7",
+                 id="mass-track-later-level-past-2-53"),
 ]
 
 _ALL_BAD_CONFIGS = ([pytest.param(*case, id=f"{case[0]}-cfg{i}")

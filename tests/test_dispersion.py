@@ -5,8 +5,7 @@ from scipy.integrate import quad
 from qnls.dispersion import (FrequencyPoint, classify_region, classify_regime,
                              lower_bound_residual, modulations, mu, resonance,
                              sample_quadruples)
-from qnls.errors import (BelowResonance, NonPositiveA, ParamDomainViolated,
-                         ResonantA, SchemeMismatch)
+from qnls.errors import BelowResonance, NonPositiveA, ParamDomainViolated, ResonantA
 from qnls.spectral import _bracket
 
 
@@ -84,30 +83,33 @@ def test_modulation_consistency_with_closed_forms():
 
 def test_region_small_xi2_is_one():
     fp = FrequencyPoint(4.0, -3.0, 0.5, 100.0)
-    assert classify_region(fp, 0.25, "R") == 1
+    assert classify_region(fp, 0.25, "N1") == 1
 
 
 def test_region_dominant_w_is_one():
     # spec example quadruple; with tau1 = tau - tau2 the modulations are
     # w = 100, w1 = 96, w2 = 1, so w dominates and region 1 results
     fp = FrequencyPoint(0.0, 100.0, 2.0, 0.0)
-    assert classify_region(fp, 0.25, "R") == 1
+    assert classify_region(fp, 0.25, "N1") == 1
 
 
 def test_resonant_scheme_always_region_one():
     rng = np.random.default_rng(1)
     fp = sample_quadruples(1000, rng)
-    regions = classify_region(fp, 0.5, "RES")
-    assert np.all(regions == 1)
+    for family in ("N1", "N2"):
+        assert np.all(classify_region(fp, 0.5, family) == 1)
 
 
-@pytest.mark.parametrize("a,scheme", [(0.25, "R"), (0.25, "S"),
-                                      (2.0, "A"), (2.0, "B"),
-                                      (0.5, "RES")])
-def test_region_cover_is_total(a, scheme):
+# the ids name the scheme SCHEMES gives each (a, family)
+@pytest.mark.parametrize("a,family", [pytest.param(0.25, "N1", id="0.25-R"),
+                                      pytest.param(0.25, "N2", id="0.25-S"),
+                                      pytest.param(2.0, "N1", id="2.0-A"),
+                                      pytest.param(2.0, "N2", id="2.0-B"),
+                                      pytest.param(0.5, "N1", id="0.5-RES")])
+def test_region_cover_is_total(a, family):
     rng = np.random.default_rng(3)
     fp = sample_quadruples(1_000_000, rng)
-    regions = classify_region(fp, a, scheme)
+    regions = classify_region(fp, a, family)
     assert regions.shape == (1_000_000,)
     assert np.all((regions >= 1) & (regions <= 3))
 
@@ -115,19 +117,9 @@ def test_region_cover_is_total(a, scheme):
 def test_region_two_and_three_reachable():
     rng = np.random.default_rng(5)
     fp = sample_quadruples(20_000, rng)
-    for a, scheme in [(0.25, "R"), (0.25, "S"), (2.0, "A"), (2.0, "B")]:
-        regions = classify_region(fp, a, scheme)
+    for a, family in [(0.25, "N1"), (0.25, "N2"), (2.0, "N1"), (2.0, "N2")]:
+        regions = classify_region(fp, a, family)
         assert set(np.unique(regions)) == {1, 2, 3}
-
-
-def test_scheme_mismatch():
-    fp = FrequencyPoint(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SchemeMismatch):
-        classify_region(fp, 0.75, "R")
-    with pytest.raises(SchemeMismatch):
-        classify_region(fp, 0.25, "B")
-    with pytest.raises(SchemeMismatch):
-        classify_region(fp, 0.6, "RES")
 
 
 # --- elementary integral lemmas ---

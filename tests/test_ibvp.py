@@ -4,12 +4,12 @@ from oracles import default_manufactured, manufactured_error
 from scipy.linalg import solve_banded
 
 from qnls import cli
+from qnls.dispersion import regularity_region
 from qnls.errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
                          NonConvergentNonlinearIteration)
 from qnls.grids import GridFunction, TimeSeries
 from qnls.ibvp import (MassLedger, SolverConfig, _boundary_deriv, _cayley_solver,
-                       contraction_iterate, mass_identity_residual, regularity_region,
-                       simulate)
+                       contraction_iterate, mass_identity_residual, simulate)
 from qnls.profiles import gaussian, smooth_bump
 
 
@@ -51,6 +51,17 @@ def test_config_rejects_fewer_than_one_sweep(iters):
     # ledger of perfect mass conservation
     with pytest.raises(ValueError, match="nonlinearity_iters must be at least 1"):
         SolverConfig(L=24.0, nx=241, dt=4e-3, T=0.5, a=0.8, nonlinearity_iters=iters)
+
+
+def test_config_caps_the_step_count_at_2_53():
+    # a finite T / dt past 2**53 ended in numpy's "Maximum allowed size
+    # exceeded" traceback, and past it t0 + k*dt stops naming distinct times
+    SolverConfig(L=24.0, nx=241, dt=0.0625, T=2.0 ** 49, a=0.8)
+    with pytest.raises(ValueError, match=r"T / dt must be a finite step count of at most "
+                                         r"2\*\*53, got T=1e\+300, dt=0.0625"):
+        SolverConfig(L=24.0, nx=241, dt=0.0625, T=1e300, a=0.8)
+    with pytest.raises(ValueError, match="of at most 2"):
+        SolverConfig(L=24.0, nx=241, dt=0.0625, T=np.nextafter(2.0 ** 49, np.inf), a=0.8)
 
 
 def test_zero_data_zero_trajectory():

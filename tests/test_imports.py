@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no module
 imports the scipy subpackages that cost every command its start-up, every
-public name of the package has a caller in the package, and every parameter
-with a default is set by some call in the package."""
+public name of the package has a caller in the package, every parameter
+with a default is set by some call in the package, and only
+`dispersion.classify_regime` compares a with 1/2."""
 
 import ast
 import os
@@ -261,3 +262,47 @@ def test_every_optional_parameter_is_set_by_the_package():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     unset = [u for u in _unset(sources) if u.rsplit(".", 1)[0] not in RESERVED]
     assert unset == sorted(UNSET)
+
+
+# Where a lies against the resonant value 1/2 is one decision: every rule
+# that depends on a asks classify_regime.
+REGIME_RULE = "dispersion.classify_regime"
+
+
+def _is_a(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "a"
+            or isinstance(node, ast.Attribute) and node.attr == "a")
+
+
+def _half_comparisons(module: str, source: str) -> list[str]:
+    """The qualified name of the function around each comparison of a name
+    `a` or an attribute `.a` with the constant 0.5 ("module" outside any)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            found.extend(where for x, y in zip(operands, operands[1:])
+                         for lhs, rhs in ((x, y), (y, x))
+                         if _is_a(lhs) and isinstance(rhs, ast.Constant) and rhs.value == 0.5)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_guard_sees_a_compared_with_one_half():
+    source = ("def f(a, p):\n    if a == 0.5 or 0.5 < p.a:\n        return a < 0.5\n"
+              "    return 0 < a <= 0.5\n"
+              "class C:\n    def g(self, a, s):\n        return s != 0.5 and a - 0.5 > 0\n"
+              "X = [q for q in (1,) if q.a > 0.5]\n")
+    assert _half_comparisons("m", source) == ["m.f"] * 4 + ["m"]
+
+
+def test_only_classify_regime_compares_a_with_one_half():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _half_comparisons(path.stem, path.read_text())]
+    assert sites and all(site == REGIME_RULE for site in sites), sites
