@@ -6,7 +6,9 @@ remaining time frequency through the elementary integral estimates.  The
 region indicator therefore enters in projected form: conditions on the
 integrated-out variable are replaced by their exact existential reduction
 (a dominance condition 2|fixed modulation| >= |modulation sum|), while
-conditions involving only surviving variables apply verbatim.
+conditions involving only surviving variables apply verbatim: the gates and
+the small ball of `dispersion.outside_small_ball`.  So each indicator is
+`dispersion.classify_region`'s region of its index, projected.
 
 Boundedness is certified empirically: sup over base-point grids of growing
 radius R, with the integration variable windowed to the same frequency ball,
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import SCHEMES, FrequencyPoint, classify_region, classify_regime
+from .dispersion import (SCHEMES, FrequencyPoint, classify_region, classify_regime,
+                         outside_small_ball)
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
 from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
@@ -169,7 +172,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     P, Q hold the base points.  Returns (pref, f, bps, empty): f(y, rows)
     evaluates base point rows[k]'s integrand at y[k] in the operation order
     of a batch of one, bps is the (n, m) breakpoint table and `empty`
-    marks base points whose region is empty (value 0).
+    marks base points whose region is empty (value 0).  Under schemes A
+    and B the table holds the small ball's edges; every scheme keeps the
+    columns of the R and S tables, which seed the pinned sweeps' panels.
 
     f does per node only the work that varies per node.  A factor, of node
     or base-point size, whose exponent is 0 is exactly 1.0: neither it nor
@@ -204,15 +209,10 @@ def _pieces(index: str, P, Q, p: EstimateParams):
                 val = _bracket(y) ** e_y * val
             if scheme == "RES":
                 return val
-            dom = dom_lhs[r] >= np.abs((a - 1.0) * y * y + mB[r] * y + mC[r])
-            if scheme == "R":
-                chi = (np.abs(y) <= 1.0) | dom
-            else:  # A
-                Pr, abs_y = P[r], np.abs(y)
-                cy = c * abs_y
-                chi = ((abs_y <= 1.0)
-                       | (np.abs((1 - a) * y - Pr) >= cy)
-                       | ((np.abs(Pr - 0.5 * y) >= cy) & dom))
+            chi = ((np.abs(y) <= 1.0)
+                   | (dom_lhs[r] >= np.abs((a - 1.0) * y * y + mB[r] * y + mC[r])))
+            if scheme == "A":
+                chi |= outside_small_ball(P[r], y, a, "N1")
             return val * chi.astype(float)
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
                         _level_roots(a - 1.0, mB, mC, dom_lhs),
@@ -235,10 +235,12 @@ def _pieces(index: str, P, Q, p: EstimateParams):
                 val = wconst[r] * val
             if scheme != "A":
                 return val
-            chi = (np.abs(y - half_P[r]) >= cP[r]) & (dom_lhs[r] >= np.abs(bracket))
+            chi = ~outside_small_ball(y, P[r], a, "N1") & (dom_lhs[r] >= np.abs(bracket))
             return val * chi.astype(float)
+        edges = ((1 - a) * P - cP, (1 - a) * P + cP) if scheme == "A" else ()
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
-                        _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP)
+                        _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP,
+                        *edges)
         # the region needs |xi2| >= 1
         return pref, f, bps, np.abs(P) < 1.0
 
@@ -254,17 +256,15 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             val = _bracket(bracket) ** e_bd
             if e_y:
                 val = _bracket(y) ** e_y * val
-            abs_y = np.abs(y)
+            chi = np.abs(y) >= 1.0
             if scheme == "A":
-                chi = ((abs_y >= 1.0)
-                       & (np.abs(P[r] + 0.5 * y) >= c * abs_y)
-                       & (dom_lhs[r] >= np.abs(bracket)))
-            else:  # R
-                chi = abs_y >= 1.0
+                chi &= (~outside_small_ball(P[r] + y, y, a, "N1")
+                        & (dom_lhs[r] >= np.abs(bracket)))
             return val * chi.astype(float)
+        edges = (_ball_roots(a, P, c),) if scheme == "A" else ()
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
                         _level_roots(A2_, B2_, C2_, dom_lhs),
-                        _ball_roots(0.5, P, c), _vertex(A2_, B2_))
+                        _ball_roots(0.5, P, c), _vertex(A2_, B2_), *edges)
         return pref, f, bps, nowhere
 
     if index == "J4":
@@ -284,13 +284,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             val = _times(w, _bracket(bracket) ** e_4b)
             if scheme == "RES":
                 return val
-            dom = dom_lhs[r] >= np.abs(bracket)
-            if scheme == "S":
-                chi = dom
-            else:  # B
-                cPr = cP[r]
-                chi = ((np.abs(y - half_P[r]) >= cPr)
-                       | ((np.abs(cross_P[r] - y) >= cPr) & dom))
+            chi = dom_lhs[r] >= np.abs(bracket)
+            if scheme == "B":
+                chi |= outside_small_ball(P[r], y, a, "N2")
             return val * np.where(inside[r], 1.0, chi.astype(float))
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_), P,
                         _level_roots(2.0, B2_, C2_, dom_lhs),
@@ -311,14 +307,14 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             if e_k:
                 w = _times(w, _bracket(y - P[r]) ** e_k) * w1[r]
             val = _times(w, _bracket(bracket) ** e_bd)
-            abs_y = np.abs(y)
-            chi = (abs_y >= 1.0) & (dom_lhs[r] >= np.abs(bracket))
+            chi = (np.abs(y) >= 1.0) & (dom_lhs[r] >= np.abs(bracket))
             if scheme == "B":
-                chi &= np.abs((1 - a) * y - P[r]) >= c * abs_y
+                chi &= ~outside_small_ball(y, P[r], a, "N2")
             return val * chi.astype(float)
+        edges = (_ball_roots(-0.5, P, c),) if scheme == "B" else ()
         bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
                         _level_roots(A2_, B2_, C2_, dom_lhs),
-                        _ball_roots(1 - a, -P, c), _vertex(A2_, B2_))
+                        _ball_roots(1 - a, -P, c), _vertex(A2_, B2_), *edges)
         return pref, f, bps, nowhere
 
     # J6
@@ -339,13 +335,14 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         dom = dA * y * y + By + Cr
         chi = (np.abs(Py) >= 1.0) & (dom_lhs[r] >= np.abs(dom))
         if scheme == "B":
-            chi &= np.abs((1 - a) * Py - y) >= c * np.abs(Py)
+            chi &= ~outside_small_ball(Py, y, a, "N2")
         return val * chi.astype(float)
+    edges = (_ball_roots2(0.5, -0.5 * P, 1.0, P, c),) if scheme == "B" else ()
     bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
                     _quad_roots(A2_, B2_, C2_),
                     _level_roots(dA, B2_, C2_, dom_lhs),
                     _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
-                    _vertex(A2_, B2_))
+                    _vertex(A2_, B2_), *edges)
     return pref, f, bps, nowhere
 
 

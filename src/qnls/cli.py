@@ -397,6 +397,11 @@ def _cmd_contraction(cfg, rng, out: Path):
     n_cmp = int(cfg["T"] / dtc)
     sc = _params(ibvp.SolverConfig, cfg["L"], cfg["nx_sim"], dtc / 8.0,
                  cfg["T"], cfg["a"])
+    # the free group's phase at the grid's largest wavenumber pi/dx, dx = 2L/nx;
+    # past the float range the group field has non-finite samples
+    xi_max = np.pi * cfg["nx"] / (2.0 * cfg["L"])
+    _require(np.isfinite(cfg["a"] * xi_max * xi_max * cfg["t_span"]),
+             f"a={cfg['a']}: the free group's phase a (pi/dx)^2 t_span must be finite")
     x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
     h = x[1] - x[0]
     u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, CONTRACTION_AMP_U))

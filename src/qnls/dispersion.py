@@ -11,6 +11,8 @@ pair xi1 = xi - xi2, tau1 = tau - tau2.  Two modulation families appear:
 All functions accept scalars or numpy arrays componentwise.  Each rule that
 depends on a asks `classify_regime` where a lies against the resonant 1/2
 (it refuses a <= 0); `SCHEMES` gives the region scheme of a regime and family.
+Regions 2 and 3 of schemes A and B lie in one small ball, which
+`outside_small_ball` states for `classify_region` and every 1-d J indicator.
 """
 
 from __future__ import annotations
@@ -107,10 +109,19 @@ SCHEMES = {("SecondNonResonant", "N1"): "R", ("SecondNonResonant", "N2"): "S",
            ("FirstNonResonant", "N1"): "A", ("FirstNonResonant", "N2"): "B"}
 
 
+def outside_small_ball(xi, xi2, a: float, family: str):
+    """Whether (xi, xi2) lies outside the small ball of scheme A (N1) or B (N2):
+    with c = (2a - 1)/4, |(1-a) xi2 - xi| < c|xi2| or |xi2 - xi/2| < c|xi|."""
+    c = (2.0 * a - 1.0) / 4.0
+    if family == "N1":
+        return np.abs((1.0 - a) * xi2 - xi) >= c * np.abs(xi2)
+    return np.abs(xi2 - 0.5 * xi) >= c * np.abs(xi)
+
+
 def classify_region(fp: FrequencyPoint, a: float, family: str):
     """Assign each quadruple to exactly one region (1, 2 or 3) of its family's scheme.
 
-    Max-modulation ties and tangent ball boundaries are resolved by the fixed
+    Max-modulation ties and the small ball's boundary are resolved by the fixed
     priority 1 < 2 < 3, so the classification is a total function.
     """
     scheme = SCHEMES[classify_regime(a), family]
@@ -133,17 +144,9 @@ def classify_region(fp: FrequencyPoint, a: float, family: str):
         out = np.where(sel & (aw < big) & (aw2 == big), 2, out)
         out = np.where(sel & (aw < big) & (aw2 < big), 3, out)
     else:
-        c = (2.0 * a - 1.0) / 4.0
-        if scheme == "A":
-            gate = np.abs(fp.xi2) >= 1.0
-            ball1 = np.abs((1.0 - a) * fp.xi2 - xi) >= c * np.abs(fp.xi2)
-            ball2 = np.abs(xi - 0.5 * fp.xi2) >= c * np.abs(fp.xi2)
-        else:  # scheme B
-            gate = np.abs(xi) >= 1.0
-            ball1 = np.abs(fp.xi2 - 0.5 * xi) >= c * np.abs(xi)
-            ball2 = np.abs((1.0 - a) * xi - fp.xi2) >= c * np.abs(xi)
-        # ball2 with a subordinate maximal modulation splits into regions 2/3
-        inner = gate & ~ball1 & (aw < big)
+        # past the gate, the small ball with a subordinate |w| is region 2 or 3
+        gate = np.abs(fp.xi2 if scheme == "A" else xi) >= 1.0
+        inner = gate & ~outside_small_ball(xi, fp.xi2, a, family) & (aw < big)
         out = np.where(inner & (aw2 == big), 2, out)
         out = np.where(inner & (aw2 < big), 3, out)
     return out if out.ndim else int(out)

@@ -57,7 +57,15 @@ class BourgainParams:
 
 
 def _bracket(z):
-    return np.sqrt(1.0 + z * z)
+    """<z> = sqrt(1 + z^2), exact past the overflow of z*z (|z| > ~1.3e154).
+
+    There it is |z|: from |z| ~ 1e8 on, sqrt(1 + z*z) already rounds to |z|.
+    """
+    with np.errstate(over="ignore"):
+        out = np.sqrt(1.0 + z * z)
+    over = np.isinf(out)
+    # [()] returns a scalar for a scalar z
+    return np.where(over, np.abs(z), out)[()] if over.any() else out
 
 
 def _xi_grid(n: int, dx: float) -> np.ndarray:

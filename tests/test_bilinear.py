@@ -6,7 +6,7 @@ from qnls import bilinear
 from qnls.bilinear import (ARGMAX_REL_TOL, J_INDICES, SWEEP_REL_TOL, EstimateParams,
                            applicable_indices, bilinear_ratio, j_eval, j_sup_sweep,
                            scheme_for)
-from qnls.dispersion import FrequencyPoint, classify_region
+from qnls.dispersion import FrequencyPoint, classify_region, modulations
 from qnls.errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from qnls.grids import SpaceTimeField
 from qnls.profiles import band_limited_pair
@@ -228,6 +228,74 @@ def test_non_convergent_row_leaves_its_neighbours_alone():
     assert np.array_equal(mixed[[0, 2]], alone)
 
 
+# --- region indicators ---
+
+# Each 1-d J fixes a base (P, Q), integrates y and has integrated out one
+# time frequency t: the quadruple (xi, tau, xi2, tau2) as a function of
+# (P, Q, y, t).
+_QUADRUPLE = {
+    "J1": lambda P, Q, y, t: (P, Q, y, t), "J4": lambda P, Q, y, t: (P, Q, y, t),
+    "J2": lambda P, Q, y, t: (y, t, P, Q), "J5": lambda P, Q, y, t: (y, t, P, Q),
+    "J3": lambda P, Q, y, t: (P + y, Q + t, y, t),
+    "J6": lambda P, Q, y, t: (P + y, Q + t, y, t),
+}
+
+
+def _region_reached(index, a, P, Q, y):
+    """Whether some t puts the quadruple of (P, Q, y, t) in the index's region.
+
+    The three modulations are affine in t with slopes -1, 0 or 1, so which
+    of their absolute values is largest changes only where two of them
+    cross (w_i = +-w_j).  classify_region at every crossing, at the
+    midpoints between neighbouring ones and beyond both ends therefore
+    sees every region the t-line meets.
+    """
+    family, region = bilinear.J_REGIONS[index]
+
+    def mods(t):
+        return np.stack(modulations(FrequencyPoint(*_QUADRUPLE[index](P, Q, y, t)), a, family))
+    base = mods(np.zeros_like(P))
+    slope = np.round(mods(np.ones_like(P)) - base)
+    cross = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for sign in (1.0, -1.0):
+            den = slope[i] - sign * slope[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross.append(np.where(den != 0, (sign * base[j] - base[i]) / den, np.nan))
+    cross = np.sort(np.column_stack(cross), axis=1)       # NaN last
+    lo, hi = np.nanmin(cross, axis=1), np.nanmax(cross, axis=1)
+    t = np.column_stack([cross, 0.5 * (cross[:, 1:] + cross[:, :-1]), lo - 1.0, hi + 1.0])
+    fp = FrequencyPoint(*_QUADRUPLE[index](P[:, None], Q[:, None], y[:, None],
+                                           np.nan_to_num(t, nan=lo[:, None])))
+    return np.any(classify_region(fp, a, family) == region, axis=1)
+
+
+@pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6"])
+@pytest.mark.parametrize("a", [0.25, 0.75, 1.0, 2.0])
+def test_projected_indicator_is_the_region_of_classify_region(index, a):
+    # the indicator is on at (P, Q, y) exactly when some value of the
+    # integrated-out time frequency puts the quadruple in the region
+    rng = np.random.default_rng(36)
+    P, y = rng.normal(0.0, 3.0, (2, 300))
+    Q = rng.normal(0.0, 10.0, 300)
+    _, f, _, empty = bilinear._pieces(index, P, Q, params(a=a))
+    on = (f(y, np.arange(P.size)) != 0) & ~empty
+    assert np.array_equal(on, _region_reached(index, a, P, Q, y))
+
+
+def test_projected_indicator_at_one_half():
+    # regions 2 and 3 are empty at a = 1/2, and region 1 is everything
+    p = params(a=0.5)
+    assert bilinear.check_indices(["J1", "J2", "J3", "J4", "J5", "J6"], p) == [
+        "J2", "J3", "J5", "J6"]
+    rng = np.random.default_rng(36)
+    P, Q, y = rng.normal(0.0, 3.0, (3, 300))
+    for index in ("J1", "J4"):
+        _, f, _, _ = bilinear._pieces(index, P, Q, p)
+        assert np.all(f(y, np.arange(P.size)) != 0)
+        assert np.all(_region_reached(index, 0.5, P, Q, y))
+
+
 def _appendix_2d_oracle(index, base, p, window, rel_tol):
     """The appendix 2-d integral at one base point, node by node: each outer
     node's inner integral is its own batch of one.  Returns (value, message),
@@ -399,6 +467,24 @@ def test_sup_sweep_trend_in_b_d():
         sups.append(recs[0]["sup"])
     # larger b,d weaken the weights, so the sup decreases monotonically
     assert sups[0] > sups[1] > sups[2]
+
+
+def test_j3_sup_stabilizes_at_a_equal_one():
+    # over the outside of the other small ball J3's sups grew like 2R,
+    # 18, 38 and 78; the small ball's region 3 has one sup at every radius
+    sups = [r["sup"] for r in j_sup_sweep("J3", params(a=1.0), (10.0, 20.0, 40.0))]
+    assert sups == pytest.approx([0.4603] * 3, rel=1e-4)
+
+
+@pytest.mark.parametrize("index", ["J2", "J3", "J5", "J6"])
+def test_regions_two_and_three_vanish_as_a_falls_to_one_half(index):
+    # the regions are empty at a = 1/2, and the R = 40 sup falls toward 0
+    # as a -> 1/2+; over the outside of the other small ball it read
+    # 1.2-3.1 at each of these a
+    sups = [j_sup_sweep(index, params(a=a), (10.0, 20.0, 40.0))[-1]["sup"]
+            for a in (0.6, 0.51, 0.501)]
+    assert 0.6 > sups[0] > sups[1] > sups[2]
+    assert sups[2] < 0.05
 
 
 def test_sup_sweep_raises_where_the_windowed_j_does_not_converge():

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import tracemalloc
@@ -223,6 +224,10 @@ _BAD_CONFIGS_UP_FRONT = [
     # T / (t_span / nt) overflows: an OverflowError traceback, exit 1
     pytest.param("contraction", {"t_span": 1e-320}, "T=0.1 must be below t_span=1e-320",
                  id="contraction-step-count-overflows"),
+    # the free group's phase overflows: grids' ValueError traceback, exit 1
+    pytest.param("contraction", {"a": 1.7976931348623157e308},
+                 "the free group's phase a (pi/dx)^2 t_span must be finite",
+                 id="contraction-group-phase-overflows"),
     # T / dt overflows: an OverflowError traceback, exit 1
     pytest.param("simulate", {"dt": 5e-324}, "T / dt must be a finite step count",
                  id="simulate-step-count-overflows"),
@@ -264,12 +269,12 @@ def test_bad_config_writes_nothing(tmp_path, capsys, command, cfg, message):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("cfg", [{"kappa": 1e300}, {"s": 1e300}, {"lt": 1e-300}, {"a": 1e300}],
-                         ids=["huge-kappa", "huge-s", "tiny-lt", "huge-a"])
+@pytest.mark.parametrize("cfg", [{"kappa": 1e300}, {"s": 1e300}],
+                         ids=["huge-kappa", "huge-s"])
 def test_verify_bilinear_norm_past_the_float_range_is_one_line_and_exit_1(tmp_path, capsys,
                                                                          cfg):
     # a Bourgain weight overflowed: two RuntimeWarnings, then nan in the
-    # max_ratio column of every row (of the two L5.1 rows at a = 1e300)
+    # max_ratio column of every row
     out = tmp_path / "o"
     assert main(["verify-bilinear", "--config", str(_dump(tmp_path, {**cfg, "n_pairs": 2})),
                  "--out", str(out)]) == 1
@@ -278,6 +283,41 @@ def test_verify_bilinear_norm_past_the_float_range_is_one_line_and_exit_1(tmp_pa
     assert not (out / "bilinear_ratios.csv").exists()
     manifest = json.loads((out / "manifest_verify-bilinear.json").read_text())
     assert manifest["error"]["type"] == "NonFiniteNorm"
+
+
+@pytest.mark.parametrize("cfg", [{"lt": 1e-300}, {"a": 1e300}], ids=["tiny-lt", "huge-a"])
+def test_verify_bilinear_weight_past_the_square_overflow_is_finite(tmp_path, cfg):
+    # the weights' brackets <z> of |z| ~ 1e300 overflowed in z*z, and each
+    # run exited 1 with a NonFiniteNorm; <z> = |z| there, and the norms
+    # and their ratios are finite
+    out = tmp_path / "o"
+    assert main(["verify-bilinear", "--config", str(_dump(tmp_path, {**cfg, "n_pairs": 2})),
+                 "--out", str(out)]) == 0
+    with open(out / "bilinear_ratios.csv") as fh:
+        ratios = [float(row["max_ratio"]) for row in csv.DictReader(fh)]
+    assert len(ratios) == 4 and all(np.isfinite(r) and r > 0 for r in ratios)
+
+
+def test_j_sweep_past_the_bracket_overflow_grows(tmp_path, capsys):
+    # <z> overflowed to inf above |z| ~ 1.3e154, so the windowed J1 stopped
+    # growing: a sup of 3.3457609e31 at both radii passed J1_sup_stabilizes
+    cfg = {"a": 2.0, "kappa": 0.3, "indices": ["J1"], "radii": [1e100, 1e150]}
+    out = tmp_path / "o"
+    assert main(["j-sweep", "--config", str(_dump(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    with open(out / "j_sweep.csv") as fh:
+        sups = [float(row["sup"]) for row in csv.DictReader(fh)]
+    assert sups == pytest.approx([5.0e40, 5.0e60], rel=1e-6)
+
+
+def test_j_sweep_at_a_huge_a_is_one_line_and_exit_1(tmp_path, capsys):
+    # the brackets overflowed: numpy warnings, and sups of exactly 0 for
+    # J2, J3, J5 and J6
+    code = main(["j-sweep", "--config", str(_dump(tmp_path, {"a": 1e300})),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "contract violation: J1: the windowed J does not converge at R = 10.0"]
 
 
 def test_j_sweep_with_overflowing_weights_is_one_line_and_exit_1(tmp_path, capsys):

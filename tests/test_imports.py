@@ -1,11 +1,13 @@
 """Every name a package module imports is used in that module, no module
 imports the scipy subpackages that cost every command its start-up, every
 public name of the package has a caller in the package, every parameter
-with a default is set by some call in the package, and only
-`dispersion.classify_regime` compares a with 1/2."""
+with a default is set by some call in the package, only
+`dispersion.classify_regime` compares a with 1/2, and only
+`dispersion.outside_small_ball` compares with the small ball's radius."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,3 +308,75 @@ def test_only_classify_regime_compares_a_with_one_half():
     sites = [site for path in sorted(SRC.glob("*.py"))
              for site in _half_comparisons(path.stem, path.read_text())]
     assert sites and all(site == REGIME_RULE for site in sites), sites
+
+
+# The small ball of schemes A and B is one predicate: only
+# outside_small_ball compares with its radius c = (2a - 1)/4.
+BALL_RULE = "dispersion.outside_small_ball"
+_RADIUS = re.compile(r"\(2(\.0)? \* (\w+\.)?a - 1(\.0)?\) / 4(\.0)?")
+
+
+def _bindings(tree):
+    """(name, value) of every assignment to a name, tuples unpacked item by item."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    yield from ((t.id, v) for t, v in zip(target.elts, node.value.elts)
+                                if isinstance(t, ast.Name))
+                elif isinstance(target, ast.Name):
+                    yield target.id, node.value
+
+
+def _radius_comparisons(module: str, source: str) -> list[str]:
+    """The qualified name of the function around each comparison with the
+    radius: an operand that is a name bound to (2a - 1)/4 or a product with
+    one, a name bound to such an operand, or an item of such a name.  A name
+    is a radius throughout the module once it is bound to one anywhere."""
+    tree = ast.parse(source)
+    bindings = list(_bindings(tree))
+    radii = {name for name, value in bindings if _RADIUS.fullmatch(ast.unparse(value))}
+
+    def scaled(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in radii
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (scaled(node.left) or scaled(node.right)))
+    multiples = set()
+
+    def radial(node) -> bool:
+        base = node.value if isinstance(node, ast.Subscript) else node
+        return scaled(node) or isinstance(base, ast.Name) and base.id in multiples
+    while True:
+        bound = {name for name, value in bindings if radial(value)}
+        if bound <= multiples:
+            break
+        multiples |= bound
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            found.extend(where for operand in [node.left] + node.comparators
+                         if radial(operand))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_the_guard_sees_a_comparison_with_the_small_ball_radius():
+    source = ("def f(x, y, p):\n    c = (2.0 * p.a - 1.0) / 4.0\n    cy = c * abs(y)\n"
+              "    return (x >= cy) | (abs(x) < y * c) | (c > 0) | (x > 2 * y)\n"
+              "def g(P, a):\n    c = (2 * a - 1) / 4\n    cP, h = c * abs(P), 0.5 * P\n"
+              "    def k(r):\n        cPr = cP[r]\n"
+              "        return (P[r] >= cP[r]) | (h[r] > 0) | (P[r] < cPr)\n"
+              "    return k\n")
+    assert _radius_comparisons("m", source) == ["m.f"] * 3 + ["m.g.k"] * 2
+
+
+def test_only_outside_small_ball_compares_with_the_small_ball_radius():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _radius_comparisons(path.stem, path.read_text())]
+    assert sites == [BALL_RULE] * 2

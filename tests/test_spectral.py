@@ -6,7 +6,7 @@ from scipy.integrate import cumulative_trapezoid
 from qnls.errors import NonFiniteNorm, NonPositiveA
 from qnls.grids import GridFunction, SpaceTimeField
 from qnls.profiles import gaussian
-from qnls.spectral import (BourgainParams, bourgain_norm, cutoff, duhamel,
+from qnls.spectral import (BourgainParams, _bracket, bourgain_norm, cutoff, duhamel,
                            group_field, sobolev_norm_1d)
 
 
@@ -185,6 +185,20 @@ def test_bourgain_norm_past_the_float_range_raises(family):
     with pytest.raises(NonFiniteNorm, match=r"\(1e\+300, 0.4, 1.0\): the weighted sum"):
         bourgain_norm(SpaceTimeField(x[0], dx, 0.0, dt, wave),
                       BourgainParams(1e300, 0.4, 1.0, family))
+
+
+def test_bracket_is_exact_past_the_overflow_of_its_square():
+    # z*z overflows above |z| ~ 1.3e154: sqrt(1 + z*z) was inf there, with a
+    # RuntimeWarning; it is |z|, to which it already rounds from |z| ~ 1e8
+    z = np.array([1e200, -1e300, -2e154, 3.0, -0.5, 1e8, 1e154, np.inf, -np.inf])
+    got = _bracket(z)
+    finite = np.abs(z) < 1.3e154
+    assert np.array_equal(got[finite], np.sqrt(1.0 + z[finite] * z[finite]))
+    assert np.array_equal(got[~finite], np.abs(z[~finite]))
+    assert _bracket(-1e300) == 1e300 and np.ndim(_bracket(-1e300)) == 0
+    # the switch is seamless: below the overflow the bracket already is |z|
+    big = 10.0 ** np.random.default_rng(5).uniform(8.3, 154.0, 10000)
+    assert np.array_equal(_bracket(big), big)
 
 
 # --- smoothing ratio ---
