@@ -360,12 +360,21 @@ def j_eval(index: str, bases, p: EstimateParams, window: float | None = None,
     message, and that point's value is NaN.  Every value and message is
     the one the point has in a batch of one.  check_indices refuses an
     index undefined at p; an index whose region is empty is 0 everywhere.
+    A float overflow, invalid operation or division by zero anywhere in the
+    batch raises ParamDomainViolated: p takes the integrand past the float
+    range.  A fault that the caller's numpy error state ignores stays ignored.
     """
     bases = np.asarray(bases, dtype=float)
     if check_indices([index], p):       # the region is empty
         return np.zeros(len(bases)), {}
-    return _j_rows(index, np.ascontiguousarray(bases[:, 0]),
-                   np.ascontiguousarray(bases[:, 1]), p, window, rel_tol)
+    try:
+        # numpy warns of each of these faults by default; here it raises
+        with np.errstate(**{k: "raise" for k, v in np.geterr().items() if v == "warn"}):
+            return _j_rows(index, np.ascontiguousarray(bases[:, 0]),
+                           np.ascontiguousarray(bases[:, 1]), p, window, rel_tol)
+    except FloatingPointError as exc:
+        raise ParamDomainViolated(f"{index} at (a, b, d, kappa, s) = ({p.a}, {p.b}, {p.d}, "
+                                  f"{p.kappa}, {p.s}): {exc}") from exc
 
 
 def _j_rows(index, P, Q, p, window, rel_tol):
@@ -376,6 +385,11 @@ def _j_rows(index, P, Q, p, window, rel_tol):
         return _appendix_2d(index, P, Q, p, window, rel_tol)
     pref, f, bps, empty = _pieces(index, P, Q, p)
     return _scaled_integrals(index, P, Q, pref, f, bps, ~empty, window, rel_tol)
+
+
+def _tail_dominates(tail, value):
+    """The J tail rule: a tail estimate above 5% of the value fails the point."""
+    return tail > 0.05 * np.maximum(np.abs(value), 1e-300)
 
 
 def _scaled_integrals(index, P, Q, pref, f, bps, live, window, rel_tol):
@@ -394,7 +408,7 @@ def _scaled_integrals(index, P, Q, pref, f, bps, live, window, rel_tol):
     values[rows] = value
     failed.update((rows[k], msg) for k, msg in bad.items())
     if window is None:
-        for k in np.flatnonzero(tail > 0.05 * np.maximum(np.abs(value), 1e-300)):
+        for k in np.flatnonzero(_tail_dominates(tail, value)):
             failed[rows[k]] = (f"{index} at base ({P[rows[k]]}, {Q[rows[k]]}): tail "
                                f"estimate {tail[k]:.3g} exceeds 5% of value {value[k]:.3g}")
     values[list(failed)] = np.nan
@@ -517,7 +531,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     # points they evaluate, which x lists in their order
     value = float(np.sum(panel_sums(lambda _: inner[:nodes.size], edges, 12))) * pref
     tail = tail_probe(lambda _: inner[nodes.size:], W) * pref
-    if window is None and tail > 0.05 * max(abs(value), 1e-300):
+    if window is None and _tail_dominates(tail, value):
         return np.nan, f"{index} tail exceeds 5% of value"
     return value, None
 

@@ -45,9 +45,8 @@ CONFIGS = {
     "dispersion-sweep": {"a_list": [0.1, 0.25, 0.4, 0.75, 1.0, 2.0, 5.0],
                          "n_samples": 100_000},
     "region-map": {"a": 1.0, "lo": -1.0, "hi": 1.0, "step": 0.05},
-    "contraction": {"L": 20.0, "nx_sim": 129, "T": 0.1, "a": 1.0,
-                    "lambda1": 0.0, "lambda2": 0.0, "k_iters": 7, "nx": 256,
-                    "nt": 64, "t_span": 0.5},
+    "contraction": {"L": 20.0, "T": 0.1, "a": 1.0, "lambda1": 0.0, "lambda2": 0.0,
+                    "k_iters": 7, "nx": 256, "nt": 64, "t_span": 0.5},
 }
 # Keys whose items name library entries: (what a list holds, noun, names).
 _NAMED = {"which": ("estimate names", "estimates", bilinear.ESTIMATES),
@@ -62,6 +61,11 @@ J_STABILITY_TOL = 0.1           # j-sweep: sup change between the last radii
 TRACE_TOL_ZERO = 5e-3           # trace-check: residual at lambda = 0
 TRACE_TOL_FRAC = 1e-2           # trace-check: residual at lambda != 0
 CONTRACTION_RATIO_MAX = 0.9     # contraction: iterate distance ratios 2..5
+# contraction: the most iterates, the first k at which CONTRACTION_RATIO_MAX**k
+# falls below double rounding (343); a contraction at that ratio then moves
+# its iterate by less than the rounding of its first step
+CONTRACTION_ITERS_MAX = int(np.ceil(np.log(np.finfo(float).eps)
+                                    / np.log(CONTRACTION_RATIO_MAX)))
 DISCREPANCY_MAX = 0.05          # contraction against the time stepper
 # Stock data: Gaussians and bump boundary of simulate and mass-track; contraction's.
 STOCK_WIDTH, STOCK_AMP_U, STOCK_AMP_V, BUMP_AMP = 1.0, 1.0, 0.7, 0.3
@@ -383,10 +387,13 @@ def _cmd_contraction(cfg, rng, out: Path):
     _require(all(-1.0 < cfg[k] < 3.0 for k in ("lambda1", "lambda2")),
              "lambda1 and lambda2 must exceed -1 and lie below 3: the boundary "
              "term is singular at the node x = 0, and the forcing class ends at 3")
-    # the x >= 0 half of the contraction grid is compared with the simulate grid
-    _require(cfg["nx"] == 2 * (cfg["nx_sim"] - 1), "nx must equal 2*(nx_sim-1)")
+    nx_sim = cfg["nx"] // 2 + 1     # the time stepper's grid: the x >= 0 half
+    _require(nx_sim >= 5, "nx must be at least 8: its x >= 0 half is the time stepper's grid")
     # contraction_ratio checks ratios 2..5; below 3 iterates it checks none
     _require(cfg["k_iters"] >= 3, "k_iters must be an integer >= 3")
+    _require(cfg["k_iters"] <= CONTRACTION_ITERS_MAX,
+             f"k_iters must be at most {CONTRACTION_ITERS_MAX}, where "
+             f"{CONTRACTION_RATIO_MAX}**k_iters first falls below double rounding")
     # a t_span near the smallest float gives a step that rounds to 0
     dtc = cfg["t_span"] / cfg["nt"]
     _require(dtc > 0, "t_span must be positive, and t_span / nt must not round to 0")
@@ -395,14 +402,14 @@ def _cmd_contraction(cfg, rng, out: Path):
     _require(cfg["T"] / dtc < cfg["nt"],
              f"T={cfg['T']} must be below t_span={cfg['t_span']}")
     n_cmp = int(cfg["T"] / dtc)
-    sc = _params(ibvp.SolverConfig, cfg["L"], cfg["nx_sim"], dtc / 8.0,
+    sc = _params(ibvp.SolverConfig, cfg["L"], nx_sim, dtc / 8.0,
                  cfg["T"], cfg["a"])
     # the free group's phase at the grid's largest wavenumber pi/dx, dx = 2L/nx;
     # past the float range the group field has non-finite samples
     xi_max = np.pi * cfg["nx"] / (2.0 * cfg["L"])
     _require(np.isfinite(cfg["a"] * xi_max * xi_max * cfg["t_span"]),
              f"a={cfg['a']}: the free group's phase a (pi/dx)^2 t_span must be finite")
-    x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
+    x = np.linspace(0.0, cfg["L"], nx_sim)
     h = x[1] - x[0]
     u0 = GridFunction(0.0, h, gaussian(x, 5.0, 1.0, CONTRACTION_AMP_U))
     v0 = GridFunction(0.0, h, gaussian(x, 7.0, 1.2, CONTRACTION_AMP_V))
@@ -419,9 +426,8 @@ def _cmd_contraction(cfg, rng, out: Path):
     write_csv(path, ["k", "distance", "ratio_to_next"], rows)
 
     states, _ = ibvp.simulate(sc, u0, v0, zero, zero, snapshot_stride=8)
-    half = cfg["nx"] // 2
-    Uc = res.u.samples[half:, :n_cmp + 1]
-    Vc = res.v.samples[half:, :n_cmp + 1]
+    Uc = res.u.samples[nx_sim - 1:, :n_cmp + 1]
+    Vc = res.v.samples[nx_sim - 1:, :n_cmp + 1]
     us = np.stack([st.u.samples[:-1] for st in states[:n_cmp + 1]], axis=1)
     vs = np.stack([st.v.samples[:-1] for st in states[:n_cmp + 1]], axis=1)
     rel = ((np.linalg.norm(Uc - us) + np.linalg.norm(Vc - vs))

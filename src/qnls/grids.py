@@ -29,6 +29,11 @@ def write_csv(path, header: list[str], rows) -> None:
             w.writerow([_FMT % v if isinstance(v, float) else v for v in row])
 
 
+def _interp(x, xp, fp, left=None, right=None) -> np.ndarray:
+    """np.interp of complex samples: the end samples outside xp, or left and right."""
+    return np.interp(x, xp, fp.real, left, right) + 1j * np.interp(x, xp, fp.imag, left, right)
+
+
 def _as_complex(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(arr)):
@@ -71,10 +76,7 @@ class TimeSeries:
 
     def __call__(self, t) -> np.ndarray:
         """Linear interpolation, zero outside the sampled window."""
-        t = np.asarray(t, dtype=float)
-        re = np.interp(t, self.times, self.samples.real, left=0.0, right=0.0)
-        im = np.interp(t, self.times, self.samples.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return _interp(t, self.times, self.samples, 0.0, 0.0)
 
 
 @dataclass
@@ -100,6 +102,10 @@ class GridFunction:
 
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.dx))
+
+    def __call__(self, x) -> np.ndarray:
+        """Linear interpolation, the end samples outside the grid."""
+        return _interp(x, self.x, self.samples)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["x", "re", "im"],

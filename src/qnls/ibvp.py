@@ -24,7 +24,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from . import boundary, spectral
 from .errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
                      NonConvergentNonlinearIteration)
-from .grids import MAX_STEPS, GridFunction, SpaceTimeField, TimeSeries
+from .grids import MAX_STEPS, GridFunction, SpaceTimeField, TimeSeries, write_csv
 
 
 @dataclass
@@ -85,11 +85,8 @@ class MassLedger:
     residual: np.ndarray
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.mass, self.flux_u,
-                                self.flux_v, self.residual])
-        header = "t,M,flux_u,flux_v,residual"
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+        write_csv(path, ["t", "M", "flux_u", "flux_v", "residual"],
+                  zip(self.times, self.mass, self.flux_u, self.flux_v, self.residual))
 
 
 def mass_identity_residual(ledger: MassLedger) -> float:
@@ -143,13 +140,12 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     solve_u = _cayley_solver(nx, theta_u)
     solve_v = _cayley_solver(nx, theta_v)
 
-    u = np.interp(x, u0.x, u0.samples.real) + 1j * np.interp(x, u0.x, u0.samples.imag)
-    v = np.interp(x, v0.x, v0.samples.real) + 1j * np.interp(x, v0.x, v0.samples.imag)
+    u, v = u0(x), v0(x)
     u[0], v[0] = f(0.0), g(0.0)
     u[-1] = v[-1] = 0.0
 
     scale0 = u0.l2() + v0.l2() + f.sup() + g.sup()
-    # The loop's own t_next = n*dt + dt, and np.interp works point by point,
+    # The loop's own t_next = n*dt + dt, and interpolation works point by point,
     # so one call per run gives the values of one call per step.
     t_next_all = np.arange(n_steps) * dt + dt
     f_all, g_all = f(t_next_all), g(t_next_all)
@@ -297,13 +293,8 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     dtc = t_span / nt
     ts = dtc * np.arange(nt)
 
-    def extend(w: GridFunction) -> np.ndarray:
-        out = np.interp(xs, w.x, w.samples.real) + 1j * np.interp(xs, w.x, w.samples.imag)
-        out[xs < 0.0] = 0.0
-        return out
-
-    u0_ext = GridFunction(xs[0], dx, extend(u0))
-    v0_ext = GridFunction(xs[0], dx, extend(v0))
+    u0_ext = GridFunction(xs[0], dx, np.where(xs < 0.0, 0.0, u0(xs)))
+    v0_ext = GridFunction(xs[0], dx, np.where(xs < 0.0, 0.0, v0(xs)))
     psi = spectral.cutoff(ts)
     psi_T = spectral.cutoff(ts, cfg.T)
     free_u = spectral.group_field(u0_ext, 1.0, ts)

@@ -133,8 +133,7 @@ def sobolev_norm_1d(samples: np.ndarray, step: float, r: float):
     (m, n) input one norm per row.
     """
     n = samples.shape[-1]
-    freq = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
     hat = np.fft.fft(samples, axis=-1)
-    w2 = _bracket(freq) ** (2.0 * r)
+    w2 = _bracket(_xi_grid(n, step)) ** (2.0 * r)
     norms = np.sqrt(np.sum(w2 * np.abs(hat) ** 2, axis=-1) * step / n)
     return float(norms) if norms.ndim == 0 else norms

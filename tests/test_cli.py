@@ -2,12 +2,13 @@ import csv
 import importlib.util
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnls import cli, dispersion
+from qnls import cli, dispersion, ibvp
 from qnls.cli import CONFIGS, _validate, emit_report, main, run_experiment
 from qnls.errors import InvalidConfig, SingularQuadratureFail, UnknownCommand
 from qnls.grids import write_csv
@@ -55,11 +56,12 @@ def test_invalid_config_exits_2(tmp_path):
 _BAD_CONFIGS = [
     ("verify-bilinear", {"n_pairs": 0}, "n_pairs must be a positive integer"),
     ("verify-bilinear", {"nx": 48}, "nx and nt must be powers of two"),
-    ("contraction", {"nx": 128}, "nx must equal 2*(nx_sim-1)"),
-    ("contraction", {"nx": 200, "nx_sim": 101}, "nx and nt must be powers of two"),
+    # the x >= 0 half, nx/2 + 1 points, is the time stepper's grid, which needs 5
+    ("contraction", {"nx": 4}, "nx must be at least 8"),
+    ("contraction", {"nx": 200}, "nx and nt must be powers of two"),
     ("contraction", {"nt": 48}, "nx and nt must be powers of two"),
     ("contraction", {"k_iters": 2}, "k_iters must be an integer >= 3"),
-    ("contraction", {"T": 0.6, "k_iters": 3, "nx": 64, "nx_sim": 33, "nt": 16},
+    ("contraction", {"T": 0.6, "k_iters": 3, "nx": 64, "nt": 16},
      "T=0.6 must be below t_span=0.5"),
     ("verify-bilinear", {"which": ["L5.9"], "n_pairs": 2}, "unknown estimates ['L5.9']"),
     ("simulate", {"dt": 0.5}, "dt above 0.1 is not accepted"),
@@ -75,7 +77,7 @@ _BAD_CONFIGS = [
      "a_list=[0.25, nan] is not of the kind"),
     # I_{-1/2 - lambda/2} needs an order above -2: these ran, then exited 1
     ("trace-check", {"n": 64, "lambda_list": [5.0]}, "lambda must lie in (-2, 3), got 5.0"),
-    ("contraction", {"lambda1": 3.0, "k_iters": 3, "nx": 64, "nt": 16, "nx_sim": 33},
+    ("contraction", {"lambda1": 3.0, "k_iters": 3, "nx": 64, "nt": 16},
      "lambda1 and lambda2 must exceed -1 and lie below 3"),
     # h^2 underflows to 0: a complex division by zero in the stepper, and
     # non-finite samples in the contraction's time-stepper comparison
@@ -322,14 +324,53 @@ def test_j_sweep_at_a_huge_a_is_one_line_and_exit_1(tmp_path, capsys):
 
 def test_j_sweep_with_overflowing_weights_is_one_line_and_exit_1(tmp_path, capsys):
     # a base point's power of its bracket overflowed in Python's scalar pow:
-    # an OverflowError traceback; numpy's warnings outside errstate stay
-    # with ROADMAP item 16
+    # an OverflowError traceback; with numpy's faults ignored, the windowed J
+    # of J4 does not converge
     with np.errstate(all="ignore"):
         code = main(["j-sweep", "--config", str(_dump(tmp_path, {"s": 1e300})),
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         "contract violation: J4: the windowed J does not converge at R = 10.0"]
+
+
+def test_j_sweep_with_overflowing_weights_warns_nothing(tmp_path, capsys):
+    # <xi>^(2s) overflowed: four numpy RuntimeWarnings before the line above;
+    # j_eval raises at the first overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["j-sweep", "--config", str(_dump(tmp_path, {"s": 1e300})),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "contract violation: J4 at (a, b, d, kappa, s) = (0.25, 0.4, 0.4, 0.0, 1e+300): "
+        "overflow encountered in power"]
+
+
+def test_contraction_refuses_k_iters_past_the_cap_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    # k_iters = 2**40 ran past 40 s; the cap is the first k at which the
+    # contract's largest ratio to the k-th power falls below double rounding
+    eps = np.finfo(float).eps
+    cap = cli.CONTRACTION_ITERS_MAX
+    assert cli.CONTRACTION_RATIO_MAX ** cap < eps <= cli.CONTRACTION_RATIO_MAX ** (cap - 1)
+
+    def iterate(*args, **kwargs):
+        raise AssertionError("contraction_iterate ran")
+    monkeypatch.setattr(ibvp, "contraction_iterate", iterate)
+    code = main(["contraction", "--config", str(_dump(tmp_path, {"k_iters": 2 ** 40})),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: k_iters must be at most {cap}, where 0.9**k_iters first falls "
+        f"below double rounding"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_contraction_has_one_grid_size_key():
+    # the time stepper's grid is the x >= 0 half of the contraction grid
+    assert [k for k in CONFIGS["contraction"] if k.startswith("nx")] == ["nx"]
 
 
 def test_every_benchmark_config_passes_the_validator():

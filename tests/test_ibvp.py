@@ -474,8 +474,10 @@ def test_contraction_of_large_data_raises_divergent_iteration():
     # grow three times running (8-fold, the iteration still contracts)
     cfg = cli.CONFIGS["contraction"]
     dtc = cfg["t_span"] / cfg["nt"]
-    sc = SolverConfig(cfg["L"], cfg["nx_sim"], dtc / 8.0, cfg["T"], cfg["a"])
-    x = np.linspace(0.0, cfg["L"], cfg["nx_sim"])
+    # the contraction grid's x >= 0 half is the time stepper's grid
+    nx_sim = cfg["nx"] // 2 + 1
+    sc = SolverConfig(cfg["L"], nx_sim, dtc / 8.0, cfg["T"], cfg["a"])
+    x = np.linspace(0.0, cfg["L"], nx_sim)
     u0 = GridFunction(0.0, x[1], gaussian(x, 5.0, 1.0, 16 * cli.CONTRACTION_AMP_U))
     v0 = GridFunction(0.0, x[1], gaussian(x, 7.0, 1.2, 16 * cli.CONTRACTION_AMP_V))
     with pytest.raises(DivergentIteration, match=r"iterate distances increasing: \[28\.26"):

@@ -2,8 +2,10 @@
 imports the scipy subpackages that cost every command its start-up, every
 public name of the package has a caller in the package, every parameter
 with a default is set by some call in the package, only
-`dispersion.classify_regime` compares a with 1/2, and only
-`dispersion.outside_small_ball` compares with the small ball's radius."""
+`dispersion.classify_regime` compares a with 1/2, only
+`dispersion.outside_small_ball` compares with the small ball's radius, and
+each of the complex interpolant, the wavenumber grid, the table writer and
+the J tail rule has one home."""
 
 import ast
 import os
@@ -380,3 +382,86 @@ def test_only_outside_small_ball_compares_with_the_small_ball_radius():
     sites = [site for path in sorted(SRC.glob("*.py"))
              for site in _radius_comparisons(path.stem, path.read_text())]
     assert sites == [BALL_RULE] * 2
+
+
+# One home each: the complex linear interpolant (grids._interp, which
+# TimeSeries and GridFunction call), the wavenumber grid (spectral._xi_grid)
+# and the table writer (grids.write_csv).
+HOMES = {("interp",): ["grids._interp"] * 2,
+         ("fftfreq",): ["spectral._xi_grid"],
+         ("savetxt", "writer"): ["grids.write_csv"]}
+
+
+def _uses(module: str, source: str, names) -> list[str]:
+    """The qualified name of the function around each use of one of `names`:
+    an attribute (np.interp), a bare name or an imported name."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in names:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_guard_sees_each_use_of_a_name():
+    source = ("import numpy as np\nfrom csv import writer\n"
+              "def f(x):\n    return np.interp(x, x, x.real) + 1j * np.fft.fftfreq(4)\n"
+              "class C:\n    def g(self, fh):\n        return writer(fh), np.savetxt\n")
+    assert _uses("m", source, ("interp",)) == ["m.f"]
+    assert _uses("m", source, ("fftfreq",)) == ["m.f"]
+    assert _uses("m", source, ("savetxt", "writer")) == ["m", "m.C.g", "m.C.g"]
+
+
+@pytest.mark.parametrize("names", list(HOMES), ids=lambda n: "-".join(n))
+def test_each_idea_has_one_home(names):
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _uses(path.stem, path.read_text(), names)]
+    assert sites == HOMES[names]
+
+
+# The J tail rule is one comparison: only bilinear._tail_dominates weighs a
+# tail estimate against 5% of the value.
+TAIL_RULE = "bilinear._tail_dominates"
+
+
+def _share_comparisons(module: str, source: str) -> list[str]:
+    """The qualified name of the function around each comparison with an
+    operand that is a product with the constant 0.05."""
+    found = []
+
+    def share(node) -> bool:
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(x, ast.Constant) and x.value == 0.05 or share(x)
+                        for x in (node.left, node.right)))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            found.extend(where for x in [node.left] + node.comparators if share(x))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_guard_sees_a_comparison_with_five_percent_of_a_value():
+    source = ("def f(t, v):\n    if t > 0.05 * max(abs(v), 1e-300):\n        return 1\n"
+              "    return [k for k in t if 2 * (v * 0.05) < k], max(t, 0.05), t > 0.5 * v\n")
+    assert _share_comparisons("m", source) == ["m.f"] * 2
+
+
+def test_only_the_tail_rule_compares_with_five_percent_of_a_value():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _share_comparisons(path.stem, path.read_text())]
+    assert sites == [TAIL_RULE]

@@ -66,13 +66,64 @@ assert not zero, zero
 """)
 
 
-def _run(script):
+# One untraced benchmark pass over a workload, as a worker runs it, with the
+# workload's dominant layer scaled by 1 + 1e-3 in every module that binds it;
+# prints the layer's call count and the reference check's mismatches.
+MUTATION_SCRIPT = SCRIPT.replace("instrument(Recorder())", """
+import json, tempfile
+from pathlib import Path
+from qnls import boundary, ibvp, quadrature
+from worker import check_pass, run_pass
+from workloads import RTOL, WORKLOADS
+workload, seed, by = sys.argv[1], 3, 1.0 + 1e-3
+
+
+def scaled_run(result):
+    states, ledger = result
+    for state in states:
+        state.u.samples *= by
+        state.v.samples *= by
+    for column in ("mass", "flux_u", "flux_v", "residual"):
+        setattr(ledger, column, getattr(ledger, column) * by)
+    return states, ledger
+
+
+module, name, scale = {
+    "contraction": (boundary, "forcing_field", lambda r: r * by),
+    "trace": (boundary, "forcing_field", lambda r: r * by),
+    "jsweep": (quadrature, "panel_sums", lambda r: r * by),
+    "lab": (ibvp, "simulate", scaled_run),
+}[workload]
+original, calls = getattr(module, name), []
+
+
+def mutated(*args, **kwargs):
+    calls.append(1)
+    return scale(original(*args, **kwargs))
+
+
+for mod in [m for n, m in list(sys.modules.items()) if n.startswith("qnls.")]:
+    for attr, obj in list(vars(mod).items()):
+        if obj is original:
+            setattr(mod, attr, mutated)
+reference = json.loads(Path("perfbench/reference.json").read_text())
+refs = [e["by_seed"][str(seed)] if "by_seed" in e else e for e in reference[workload]]
+commands = WORKLOADS[workload]
+with tempfile.TemporaryDirectory() as out:
+    tally = check_pass(run_pass(commands, seed, Path(out)), refs,
+                       [RTOL[c.name] for c in commands])
+print(json.dumps({"calls": len(calls), "mismatches": tally["mismatches"]}))
+""")
+
+
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_tracer_binds_every_imported_name():
@@ -87,6 +138,19 @@ def test_tracer_counts_the_work_of_forcing_field_and_panel_sums():
 def test_tracer_counts_every_layer_of_the_trace_workload():
     # the traced benchmark tests cover contraction, lab and jsweep only
     _run(TRACE_SCRIPT)
+
+
+@pytest.mark.parametrize("workload", [
+    pytest.param("contraction", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: contraction's output moves by about 1e-11 "
+                            "of its max when forcing_field moves by 1e-3, below RTOL")),
+    "trace", "jsweep", "lab"])
+def test_reference_check_sees_its_dominant_layer_scaled(workload):
+    # the benchmark can only catch a wrong kernel that its reference sees
+    got = json.loads(_run(MUTATION_SCRIPT, workload).strip().splitlines()[-1])
+    assert got["calls"] > 0
+    assert not [m for m in got["mismatches"] if ": raised " in m], got["mismatches"]
+    assert got["mismatches"]
 
 
 def _traced_benchmark_is_correct(workload):
