@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import (SCHEMES, FrequencyPoint, classify_region, classify_regime,
-                         outside_small_ball)
+                         outside_small_ball, small_ball_edges)
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
 from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
@@ -132,18 +132,6 @@ def _level_roots(A, B, C, K):
     return np.hstack([_quad_roots(A, B, C - K), _quad_roots(A, B, C + K)])
 
 
-def _ball_roots2(pc, q, r, s, c):
-    """Roots of |p*y + q| = c*|r*y + s|."""
-    return _quad_roots(pc * pc - c * c * r * r,
-                       2.0 * (pc * q - c * c * r * s),
-                       q * q - c * c * s * s)
-
-
-def _ball_roots(pc, q, c):
-    """Roots of |p*y + q| = c*|y|."""
-    return _ball_roots2(pc, q, 1.0, 0.0, c)
-
-
 def _vertex(A, B):
     """Vertex -B/(2A) of A y^2 + B y + C, NaN where |A| <= 1e-14."""
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
@@ -173,8 +161,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     evaluates base point rows[k]'s integrand at y[k] in the operation order
     of a batch of one, bps is the (n, m) breakpoint table and `empty`
     marks base points whose region is empty (value 0).  Under schemes A
-    and B the table holds the small ball's edges; every scheme keeps the
-    columns of the R and S tables, which seed the pinned sweeps' panels.
+    and B the table holds `dispersion.small_ball_edges` at the (xi, xi2)
+    that f passes to `outside_small_ball`.  Under scheme R J2's and J3's
+    dominance level roots are no edges; they stay to resolve the bracket.
 
     f does per node only the work that varies per node.  A factor, of node
     or base-point size, whose exponent is 0 is exactly 1.0: neither it nor
@@ -187,7 +176,6 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     scheme = scheme_for(index, a)
     n = P.size
-    c = (2.0 * a - 1.0) / 4.0
     nowhere = np.zeros(n, dtype=bool)
     # j_eval never asks for the empty regions of J2, J3, J5 and J6 at
     # a = 1/2; there the RES scheme puts no condition on those of J1 and J4
@@ -214,10 +202,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             if scheme == "A":
                 chi |= outside_small_ball(P[r], y, a, "N1")
             return val * chi.astype(float)
+        edges = (small_ball_edges((0.0, P), (1.0, 0.0), a, "N1"),) if scheme == "A" else ()
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(a - 1.0, mB, mC, dom_lhs),
-                        _ball_roots(1 - a, -P, c), _ball_roots(-0.5, P, c),
-                        _vertex(A2_, B2_))
+                        _level_roots(a - 1.0, mB, mC, dom_lhs), _vertex(A2_, B2_), *edges)
         return pref, f, bps, nowhere
 
     if index == "J2":
@@ -225,8 +212,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         pref = _bracket(omega2) ** (-2 * b)
         e_w = -2 * s + 2 * abs(kappa)
         wconst = _bracket(P) ** e_w if e_w else None
-        B2_, C2_ = -2.0 * P, Q + P * P
-        half_P, cP, dom_lhs = 0.5 * P, c * np.abs(P), 2 * np.abs(omega2)
+        B2_, C2_, dom_lhs = -2.0 * P, Q + P * P, 2 * np.abs(omega2)
 
         def f(y, r):
             bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
@@ -237,10 +223,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
                 return val
             chi = ~outside_small_ball(y, P[r], a, "N1") & (dom_lhs[r] >= np.abs(bracket))
             return val * chi.astype(float)
-        edges = ((1 - a) * P - cP, (1 - a) * P + cP) if scheme == "A" else ()
+        edges = (small_ball_edges((1.0, 0.0), (0.0, P), a, "N1"),) if scheme == "A" else ()
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
-                        _level_roots(2.0, B2_, C2_, dom_lhs), half_P - cP, half_P + cP,
-                        *edges)
+                        _level_roots(2.0, B2_, C2_, dom_lhs), *edges)
         # the region needs |xi2| >= 1
         return pref, f, bps, np.abs(P) < 1.0
 
@@ -261,10 +246,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
                 chi &= (~outside_small_ball(P[r] + y, y, a, "N1")
                         & (dom_lhs[r] >= np.abs(bracket)))
             return val * chi.astype(float)
-        edges = (_ball_roots(a, P, c),) if scheme == "A" else ()
+        edges = (small_ball_edges((1.0, P), (1.0, 0.0), a, "N1"),) if scheme == "A" else ()
         bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, dom_lhs),
-                        _ball_roots(0.5, P, c), _vertex(A2_, B2_), *edges)
+                        _level_roots(A2_, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
         return pref, f, bps, nowhere
 
     if index == "J4":
@@ -273,8 +257,7 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         e_s, e_k = 2 * s, -2 * kappa
         w0 = _bracket(P) ** e_s if e_s else None
         B2_, C2_ = -2.0 * P, Q + P * P
-        cP, half_P, dom_lhs = c * np.abs(P), 0.5 * P, 2 * np.abs(lam)
-        cross_P, inside = (1 - a) * P, np.abs(P) <= 1.0
+        dom_lhs, inside = 2 * np.abs(lam), np.abs(P) <= 1.0
 
         def f(y, r):
             bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
@@ -288,9 +271,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             if scheme == "B":
                 chi |= outside_small_ball(P[r], y, a, "N2")
             return val * np.where(inside[r], 1.0, chi.astype(float))
+        edges = (small_ball_edges((0.0, P), (1.0, 0.0), a, "N2"),) if scheme == "B" else ()
         bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_), P,
-                        _level_roots(2.0, B2_, C2_, dom_lhs),
-                        half_P - cP, half_P + cP, cross_P - cP, cross_P + cP)
+                        _level_roots(2.0, B2_, C2_, dom_lhs), *edges)
         return pref, f, bps, nowhere
 
     if index == "J5":
@@ -311,10 +294,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
             if scheme == "B":
                 chi &= ~outside_small_ball(y, P[r], a, "N2")
             return val * chi.astype(float)
-        edges = (_ball_roots(-0.5, P, c),) if scheme == "B" else ()
+        edges = (small_ball_edges((1.0, 0.0), (0.0, P), a, "N2"),) if scheme == "B" else ()
         bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, dom_lhs),
-                        _ball_roots(1 - a, -P, c), _vertex(A2_, B2_), *edges)
+                        _level_roots(A2_, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
         return pref, f, bps, nowhere
 
     # J6
@@ -337,12 +319,9 @@ def _pieces(index: str, P, Q, p: EstimateParams):
         if scheme == "B":
             chi &= ~outside_small_ball(Py, y, a, "N2")
         return val * chi.astype(float)
-    edges = (_ball_roots2(0.5, -0.5 * P, 1.0, P, c),) if scheme == "B" else ()
-    bps = _bp_table(n, -P - 1.0, -P + 1.0, -P,
-                    _quad_roots(A2_, B2_, C2_),
-                    _level_roots(dA, B2_, C2_, dom_lhs),
-                    _ball_roots2(-a, (1 - a) * P, 1.0, P, c),
-                    _vertex(A2_, B2_), *edges)
+    edges = (small_ball_edges((1.0, P), (1.0, 0.0), a, "N2"),) if scheme == "B" else ()
+    bps = _bp_table(n, -P - 1.0, -P + 1.0, -P, _quad_roots(A2_, B2_, C2_),
+                    _level_roots(dA, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
     return pref, f, bps, nowhere
 
 

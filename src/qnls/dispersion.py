@@ -12,7 +12,8 @@ All functions accept scalars or numpy arrays componentwise.  Each rule that
 depends on a asks `classify_regime` where a lies against the resonant 1/2
 (it refuses a <= 0); `SCHEMES` gives the region scheme of a regime and family.
 Regions 2 and 3 of schemes A and B lie in one small ball, which
-`outside_small_ball` states for `classify_region` and every 1-d J indicator.
+`outside_small_ball` states for `classify_region` and every 1-d J indicator;
+`small_ball_edges` gives where it flips along a line, for the J tables.
 """
 
 from __future__ import annotations
@@ -116,6 +117,25 @@ def outside_small_ball(xi, xi2, a: float, family: str):
     if family == "N1":
         return np.abs((1.0 - a) * xi2 - xi) >= c * np.abs(xi2)
     return np.abs(xi2 - 0.5 * xi) >= c * np.abs(xi)
+
+
+def small_ball_edges(xi, xi2, a: float, family: str):
+    """The y where outside_small_ball(xi(y), xi2(y), a, family) flips, for xi
+    and xi2 affine in y, each a pair (slope, offset) of scalars or arrays.
+
+    The predicate is |u| >= c|v| for linear forms u, v of (xi, xi2), so the
+    edges solve u = c v and u = -c v: one column each, NaN where the
+    equation's slope in y is below 1e-14 in magnitude.
+    """
+    c = (2.0 * a - 1.0) / 4.0
+    (s, o), (s2, o2) = xi, xi2
+    u, v = ((((1.0 - a) * s2 - s, (1.0 - a) * o2 - o), (s2, o2)) if family == "N1"
+            else ((s2 - 0.5 * s, o2 - 0.5 * o), (s, o)))
+    pm = np.array([-c, c])
+    slope, offset = np.broadcast_arrays(*(np.expand_dims(x, -1) + pm * np.expand_dims(y, -1)
+                                          for x, y in zip(u, v)))
+    ok = np.abs(slope) >= 1e-14
+    return np.where(ok, -offset / np.where(ok, slope, 1.0), np.nan)
 
 
 def classify_region(fp: FrequencyPoint, a: float, family: str):

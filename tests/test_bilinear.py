@@ -296,6 +296,29 @@ def test_projected_indicator_at_one_half():
         assert np.all(_region_reached(index, 0.5, P, Q, y))
 
 
+@pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6"])
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 2.0])
+def test_every_indicator_jump_is_a_breakpoint(index, a):
+    # an edge of the indicator that no column of the table lists falls inside
+    # a panel; each jump a scan along y sees, bisected, lies on a column
+    rng = np.random.default_rng(38)
+    P, Q = rng.normal(0.0, 3.0, 40), rng.normal(0.0, 30.0, 40)
+    _, f, bps, empty = bilinear._pieces(index, P, Q, params(a=a))
+    rows = np.flatnonzero(~empty)
+    y = np.linspace(-60.0, 60.0, 24_001)
+    on = f(np.tile(y, rows.size), np.repeat(rows, y.size)).reshape(rows.size, -1) != 0
+    r, k = np.nonzero(on[:, 1:] != on[:, :-1])
+    row, left, lo, hi = rows[r], on[r, k], y[k], y[k + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        stay = (f(mid, row) != 0) == left
+        lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
+    gap = np.nanmin(np.abs(bps[row] - lo[:, None]), axis=1)
+    assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(lo)))
+    if scheme_for(index, a) in ("A", "B"):
+        assert r.size       # the small ball's edges are among those checked
+
+
 def _appendix_2d_oracle(index, base, p, window, rel_tol):
     """The appendix 2-d integral at one base point, node by node: each outer
     node's inner integral is its own batch of one.  Returns (value, message),
@@ -440,6 +463,28 @@ def test_windowed_j4_matches_scipy_quad(base):
     got, _ = lone("J4", base, params(a=a, b=b, d=d, kappa=kappa, s=s),
                   window=W, rel_tol=1e-10)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the geometric tail completion misses J2's |y|^-1.2 tail "
+                          "by 0.4-1.5 % at SWEEP_REL_TOL (ROADMAP item 6)")
+@pytest.mark.parametrize("base", [(-10.0, -25.0), (-20.0, -100.0)])
+def test_unwindowed_j2_meets_the_sweep_tolerance(base):
+    # scheme R at a = 1/4 reads no indicator: J2 is <tau + a xi2^2>^{-2b}
+    # <xi2>^{2|kappa| - 2s} times the line integral of the bracket below.
+    # The value also moves with the breakpoint table, through the first
+    # block of integrate_with_tail, which spans 2 max|breakpoint| + 1
+    a, b, d, kappa, s = 0.25, 0.4, 0.4, 0.3, 0.1
+    P, Q = base
+    br = lambda z: np.sqrt(1.0 + z * z)
+    g = lambda y: br(2.0 * y * y - 2.0 * P * y + Q + P * P) ** (-(2 * b + 2 * d - 1))
+    line = sum(quad(g, lo, hi, limit=500, epsabs=0.0, epsrel=1e-11)[0]
+               for lo, hi in ((-np.inf, 0.5 * P), (0.5 * P, np.inf)))
+    want = br(Q + a * P * P) ** (-2 * b) * br(P) ** (2 * abs(kappa) - 2 * s) * line
+    got, msg = lone("J2", base, params(a=a, b=b, d=d, kappa=kappa, s=s),
+                    rel_tol=SWEEP_REL_TOL)
+    assert msg is None
+    assert got == pytest.approx(want, rel=10 * SWEEP_REL_TOL)
 
 
 # --- sweeps ---

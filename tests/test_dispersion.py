@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from qnls.dispersion import (FrequencyPoint, classify_region, classify_regime,
-                             lower_bound_residual, modulations, mu, resonance,
-                             sample_quadruples)
+                             lower_bound_residual, modulations, mu, outside_small_ball,
+                             resonance, sample_quadruples, small_ball_edges)
 from qnls.errors import BelowResonance, NonPositiveA, ParamDomainViolated, ResonantA
 from qnls.spectral import _bracket
 
@@ -120,6 +120,26 @@ def test_region_two_and_three_reachable():
     for a, family in [(0.25, "N1"), (0.25, "N2"), (2.0, "N1"), (2.0, "N2")]:
         regions = classify_region(fp, a, family)
         assert set(np.unique(regions)) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("family", ["N1", "N2"])
+@pytest.mark.parametrize("a", [0.6, 0.75, 2.0])
+def test_small_ball_edges_are_where_the_predicate_flips(a, family):
+    # along random lines (xi, xi2) = (s y + o, s2 y + o2), a fine scan of
+    # outside_small_ball flips in every step that holds a returned edge and
+    # in no other step
+    rng = np.random.default_rng(38)
+    s, o, s2, o2 = rng.normal(0.0, 1.0, (4, 20))
+    edges = small_ball_edges((s, o), (s2, o2), a, family)
+    assert edges.shape == (20, 2)
+    y = np.linspace(-30.0, 30.0, 60_001)
+    out = outside_small_ball(s[:, None] * y + o[:, None], s2[:, None] * y + o2[:, None],
+                             a, family)
+    for row, flips in zip(edges, out[:, 1:] != out[:, :-1]):
+        k = np.flatnonzero(flips)
+        seen = row[np.abs(row) < 30.0]       # a NaN (no edge) compares False
+        holds = (y[k, None] - 1e-9 <= seen) & (seen <= y[k + 1, None] + 1e-9)
+        assert seen.size == k.size and holds.any(axis=0).all() and holds.any(axis=1).all()
 
 
 # --- elementary integral lemmas ---

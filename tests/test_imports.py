@@ -3,9 +3,9 @@ imports the scipy subpackages that cost every command its start-up, every
 public name of the package has a caller in the package, every parameter
 with a default is set by some call in the package, only
 `dispersion.classify_regime` compares a with 1/2, only
-`dispersion.outside_small_ball` compares with the small ball's radius, and
-each of the complex interpolant, the wavenumber grid, the table writer and
-the J tail rule has one home."""
+`dispersion.outside_small_ball` compares with the small ball's radius and
+only `dispersion` writes that radius, and each of the complex interpolant,
+the wavenumber grid, the table writer and the J tail rule has one home."""
 
 import ast
 import os
@@ -382,6 +382,41 @@ def test_only_outside_small_ball_compares_with_the_small_ball_radius():
     sites = [site for path in sorted(SRC.glob("*.py"))
              for site in _radius_comparisons(path.stem, path.read_text())]
     assert sites == [BALL_RULE] * 2
+
+
+# The radius itself is written in one module, so no other can state the
+# ball's edges by hand.
+RADIUS_HOME = "dispersion"
+
+
+def _radius_expressions(module: str, source: str) -> list[str]:
+    """The qualified name of the function around each expression that is the
+    radius (2a - 1)/4, as _RADIUS reads it back from the syntax tree."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.expr) and _RADIUS.fullmatch(ast.unparse(node)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_guard_sees_the_small_ball_radius_written():
+    source = ("c = (2 * a - 1) / 4\n"
+              "def f(p):\n    return 3 * ((2.0 * p.a - 1.0) / 4.0) + (2 * p.a - 1) / 2\n"
+              "class C:\n    def g(self, a):\n        return [(2 * a - 1.0) / 4 for _ in a]\n")
+    assert _radius_expressions("m", source) == ["m", "m.f", "m.C.g"]
+
+
+def test_only_dispersion_writes_the_small_ball_radius():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _radius_expressions(path.stem, path.read_text())]
+    assert sites and all(site.split(".")[0] == RADIUS_HOME for site in sites), sites
 
 
 # One home each: the complex linear interpolant (grids._interp, which
