@@ -1,7 +1,7 @@
 """J-integral quadrature, boundedness sweeps, and bilinear norm ratios.
 
-Each 1-d J integral fixes a base pair (two of the four convolution
-coordinates), integrates one frequency, and has already absorbed the
+Each 1-d J integral fixes the base pair of one modulation (its frequency
+and time frequency), integrates one frequency, and has already absorbed the
 remaining time frequency through the elementary integral estimates.  The
 region indicator therefore enters in projected form: conditions on the
 integrated-out variable are replaced by their exact existential reduction
@@ -9,6 +9,12 @@ integrated-out variable are replaced by their exact existential reduction
 conditions involving only surviving variables apply verbatim: the gates and
 the small ball of `dispersion.outside_small_ball`.  So each indicator is
 `dispersion.classify_region`'s region of its index, projected.
+
+The six 1-d J's are one evaluator, `_pieces`, over one row each (`_ROWS`):
+the bracket quadratic and, for J1 and J6, a dominance quadratic of its own.
+The rest follows from the index's family, region and fixed modulation
+(`J_REGIONS`): the coordinates, weights, prefactor, exponents, indicator
+and breakpoint table.  The dominance comparison is written once, there.
 
 Boundedness is certified empirically: sup over base-point grids of growing
 radius R, with the integration variable windowed to the same frequency ball,
@@ -18,27 +24,32 @@ stabilizes for admissible parameters and grows for violating ones.
 and returns (values, failed): a NaN value where a point failed, and failed
 maps that point to its message.  A point gets the value and message it has
 alone, so one point is a batch of one.  `check_indices` is the one rule of
-where each J index is defined, `J_REGIONS` of its family and region.
+where each J index is defined, `J_REGIONS` of its family, region and fixed
+modulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .dispersion import (SCHEMES, FrequencyPoint, classify_region, classify_regime,
-                         outside_small_ball, small_ball_edges)
+from .dispersion import (MAXIMAL, SCHEMES, FrequencyPoint, classify_region,
+                         classify_regime, outside_small_ball, small_ball_edges)
 from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from .grids import SpaceTimeField
 from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
                          panel_sums, tail_probe)
 from .spectral import BourgainParams, _bracket, bourgain_norm
 
-#: each J index's modulation family and its region in that family's scheme
-J_REGIONS = {"J1": ("N1", 1), "J2": ("N1", 2), "J3": ("N1", 3),
-             "J4": ("N2", 1), "J5": ("N2", 2), "J6": ("N2", 3),
-             "A-J": ("N1", 1), "A-J1": ("N1", 1), "A-J2": ("N1", 2), "A-J3": ("N1", 3)}
+#: each J index's modulation family, its region in that family's scheme and
+#: its fixed modulation, the one whose base pair (frequency, time frequency)
+#: the J fixes and whose bracket its prefactor is
+J_REGIONS = {"J1": ("N1", 1, "w"), "J2": ("N1", 2, "w2"), "J3": ("N1", 3, "w1"),
+             "J4": ("N2", 1, "w"), "J5": ("N2", 2, "w2"), "J6": ("N2", 3, "w1"),
+             "A-J": ("N1", 1, "w"), "A-J1": ("N1", 1, "w"), "A-J2": ("N1", 2, "w2"),
+             "A-J3": ("N1", 3, "w1")}
 J_INDICES = tuple(J_REGIONS)
 #: the two-dimensional appendix integrals, defined for kappa <= 0
 _APPENDIX_2D = ("A-J1", "A-J2", "A-J3")
@@ -132,11 +143,16 @@ def _level_roots(A, B, C, K):
     return np.hstack([_quad_roots(A, B, C - K), _quad_roots(A, B, C + K)])
 
 
+def _has_vertex(A):
+    """Whether A y^2 + B y + C has a vertex: |A| > 1e-14."""
+    return np.abs(A) > 1e-14
+
+
 def _vertex(A, B):
-    """Vertex -B/(2A) of A y^2 + B y + C, NaN where |A| <= 1e-14."""
+    """Vertex -B/(2A) of A y^2 + B y + C, NaN where it has none."""
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     out = np.full(A.shape, np.nan)
-    ok = np.abs(A) > 1e-14
+    ok = _has_vertex(A)
     out[ok] = -B[ok] / (2 * A[ok])
     return out
 
@@ -149,9 +165,51 @@ def _bp_table(n, *cols):
     return np.where(np.isfinite(table), table, np.nan)
 
 
-def _times(w, factor):
-    """w * factor, where w None is the empty product."""
-    return factor if w is None else w * factor
+#: each 1-d J as one row: its bracket A y^2 + B y + C in the integration
+#: variable y and, where it differs, its dominance quadratic, each (A, B, C)
+#: of the base (P, Q) and a; J_REGIONS gives the rest
+_ROWS = {
+    "J1": (lambda P, Q, a: (-(a - 1.0), -2.0 * P, Q + P * P),
+           lambda P, Q, a: (a - 1.0, 2.0 * P, Q - P * P)),
+    "J2": (lambda P, Q, a: (2.0, -2.0 * P, Q + P * P), None),
+    "J3": (lambda P, Q, a: (1.0 - a, 2.0 * P, Q + P * P), None),
+    "J4": (lambda P, Q, a: (2.0, -2.0 * P, Q + P * P), None),
+    "J5": (lambda P, Q, a: (a - 1.0, 2.0 * P, Q - P * P), None),
+    "J6": (lambda P, Q, a: (a + 1.0, 2.0 * a * P, Q + a * P * P),
+           lambda P, Q, a: (a - 1.0, 2.0 * a * P, Q + a * P * P)),
+}
+#: the frequencies (xi, xi1, xi2) of a 1-d J as lines s y + t P, each (s, t),
+#: by its fixed modulation: the base pair (P, Q) is (xi, tau) for w, (xi1,
+#: tau1) for w1 and (xi2, tau2) for w2, so (xi, xi2) is (P, y), (P + y, y)
+#: or (y, P), and xi1 = xi - xi2
+_LINES = {"w": ((0, 1), (-1, 1), (1, 0)),
+          "w1": ((1, 1), (0, 1), (1, 0)),
+          "w2": ((1, 0), (1, -1), (0, 1))}
+
+
+def _on_line(line, P, y, r):
+    """s y + t P at the nodes y of base rows r, for line = (s, t), in the
+    operation order of a lone evaluation: P, y, P + y, P - y or y - P."""
+    s, t = line
+    if not s:
+        return P[r]
+    if not t:
+        return y
+    return P[r] + y if s == t else P[r] - y if t > 0 else y - P[r]
+
+
+def _weigh(weights, x, r, last):
+    """(w_1 * w_2 * ...) * last, the weights multiplied from the left.
+
+    weights holds each weight (frequency k, exponent e, per-base-row value
+    or None) whose exponent is not 0: a factor <z>^0 is exactly 1.0 and is
+    neither evaluated nor multiplied.  A weight is its per-row value at the
+    rows r, or <x[k]>^e with x[k] the frequency at the nodes."""
+    out = None
+    for k, e, per_row in weights:
+        factor = per_row[r] if per_row is not None else _bracket(x[k]) ** e
+        out = factor if out is None else out * factor
+    return last if out is None else out * last
 
 
 def _pieces(index: str, P, Q, p: EstimateParams):
@@ -160,10 +218,27 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     P, Q hold the base points.  Returns (pref, f, bps, empty): f(y, rows)
     evaluates base point rows[k]'s integrand at y[k] in the operation order
     of a batch of one, bps is the (n, m) breakpoint table and `empty`
-    marks base points whose region is empty (value 0).  Under schemes A
-    and B the table holds `dispersion.small_ball_edges` at the (xi, xi2)
-    that f passes to `outside_small_ball`.  Under scheme R J2's and J3's
-    dominance level roots are no edges; they stay to resolve the bracket.
+    marks base points whose region is empty (value 0).
+
+    Everything but the row's quadratics follows from the index's family,
+    region and fixed modulation (`J_REGIONS`): the frequencies (`_LINES`),
+    the weights, the gate variable (xi2 for N1, xi for N2), the
+    prefactor <fixed>^(-2d) for w and ^(-2b) otherwise, and the bracket's
+    exponent, -(4b - 1) in region 1 and -(2b + 2d - 1) otherwise.  The
+    indicator is none under RES; `(|g| <= 1) | dom | outside` in region 1
+    and `(|g| >= 1) & dom & ~outside` in regions 2 and 3.  `outside` is
+    `dispersion.outside_small_ball`, read under A and B only; `dom`, the
+    dominance 2|fixed| >= |dominance quadratic|, is read only where the
+    fixed modulation is the region's maximal one (`dispersion.MAXIMAL`).
+    A gate on the base is per base point: region 1 is whole where it holds,
+    regions 2 and 3 empty where it fails.  On the gate's edge |g| = 1 both
+    sides hold.
+
+    The table lists the edges of a per-node gate, the bracket's roots and
+    vertex, the dominance quadratic's roots at +-2|fixed| (always: where
+    dom is not read they resolve the bracket), the centres of the weights
+    that move with P and, under A and B, `dispersion.small_ball_edges` at
+    the (xi, xi2) that f passes to `outside_small_ball`.
 
     f does per node only the work that varies per node.  A factor, of node
     or base-point size, whose exponent is 0 is exactly 1.0: neither it nor
@@ -173,156 +248,72 @@ def _pieces(index: str, P, Q, p: EstimateParams):
     node, each where it is a sub-expression of the lone evaluation's, so
     every node runs the same floating-point operations.
     """
-    a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
+    a, b, d = p.a, p.b, p.d
+    family, region, fixed = J_REGIONS[index]
     scheme = scheme_for(index, a)
-    n = P.size
-    nowhere = np.zeros(n, dtype=bool)
+    lines = _LINES[fixed]
+    # the fixed modulation at its base pair: Q + c P^2, as dispersion.modulations
+    c = {"N1": {"w": 1.0, "w1": -1.0, "w2": a}, "N2": {"w": a, "w1": 1.0, "w2": 1.0}}
+    mod = Q + c[family][fixed] * P * P
+    pref = _bracket(mod) ** (-2 * d if fixed == "w" else -2 * b)
+    # the quadratic bracket's exponent is never 0: b and d lie in (3/8, 1/2)
+    e_br = -(4 * b - 1) if region == 1 else -(2 * b + 2 * d - 1)
+    bracket, dominance = _ROWS[index]
+    A, B, C = bracket(P, Q, a)
+    dA, dB, dC = (A, B, C) if dominance is None else dominance(P, Q, a)
+    dom_lhs = 2 * np.abs(mod)
+    # the weights (frequency k of (xi, xi1, xi2), exponent) in their order:
+    # <xi2>^(2|kappa| - 2s) for N1, <xi>^(2s) <xi1>^(-2kappa) <xi2>^(-2kappa) for N2
+    family_weights = (((2, -2 * p.s + 2 * abs(p.kappa)),) if family == "N1" else
+                      ((0, 2 * p.s), (1, -2 * p.kappa), (2, -2 * p.kappa)))
+    weights = [(k, e, None if lines[k][0] else _bracket(P) ** e)
+               for k, e in family_weights if e]
+    g = 2 if family == "N1" else 0          # the gate variable, xi2 or xi
+    node_gate = lines[g][0] != 0
+    inside = np.abs(P) <= 1.0
+    empty = np.zeros(P.size, dtype=bool) if node_gate or region == 1 else np.abs(P) < 1.0
     # j_eval never asks for the empty regions of J2, J3, J5 and J6 at
     # a = 1/2; there the RES scheme puts no condition on those of J1 and J4
-    # the quadratic bracket's exponent is never 0: b and d lie in (3/8, 1/2)
-    e_4b, e_bd = -(4 * b - 1), -(2 * b + 2 * d - 1)
-
-    if index == "J1":
-        C2_ = Q + P * P
-        pref = _bracket(C2_) ** (-2 * d)
-        A2_, B2_ = -(a - 1.0), -2.0 * P
-        e_y = -2 * s + 2 * abs(kappa)
-        # modulation sum w1+w2 = tau - (xi-y)^2 + a y^2 as (a-1) y^2 + mB y + mC
-        mB, mC, dom_lhs = 2.0 * P, Q - P * P, 2 * np.abs(C2_)
-
-        def f(y, r):
-            # bracket tau - (a-1)y^2 - 2 xi y + xi^2 as A y^2 + B y + C
-            val = _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b
-            if e_y:
-                val = _bracket(y) ** e_y * val
-            if scheme == "RES":
-                return val
-            chi = ((np.abs(y) <= 1.0)
-                   | (dom_lhs[r] >= np.abs((a - 1.0) * y * y + mB[r] * y + mC[r])))
-            if scheme == "A":
-                chi |= outside_small_ball(P[r], y, a, "N1")
-            return val * chi.astype(float)
-        edges = (small_ball_edges((0.0, P), (1.0, 0.0), a, "N1"),) if scheme == "A" else ()
-        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(a - 1.0, mB, mC, dom_lhs), _vertex(A2_, B2_), *edges)
-        return pref, f, bps, nowhere
-
-    if index == "J2":
-        omega2 = Q + a * P * P
-        pref = _bracket(omega2) ** (-2 * b)
-        e_w = -2 * s + 2 * abs(kappa)
-        wconst = _bracket(P) ** e_w if e_w else None
-        B2_, C2_, dom_lhs = -2.0 * P, Q + P * P, 2 * np.abs(omega2)
-
-        def f(y, r):
-            bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
-            val = _bracket(bracket) ** e_bd
-            if wconst is not None:
-                val = wconst[r] * val
-            if scheme != "A":
-                return val
-            chi = ~outside_small_ball(y, P[r], a, "N1") & (dom_lhs[r] >= np.abs(bracket))
-            return val * chi.astype(float)
-        edges = (small_ball_edges((1.0, 0.0), (0.0, P), a, "N1"),) if scheme == "A" else ()
-        bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_),
-                        _level_roots(2.0, B2_, C2_, dom_lhs), *edges)
-        # the region needs |xi2| >= 1
-        return pref, f, bps, np.abs(P) < 1.0
-
-    if index == "J3":
-        omega1 = Q - P * P
-        pref = _bracket(omega1) ** (-2 * b)
-        A2_, B2_, C2_ = 1.0 - a, 2.0 * P, Q + P * P
-        e_y = -2 * s + 2 * abs(kappa)
-        dom_lhs = 2 * np.abs(omega1)
-
-        def f(y, r):
-            bracket = A2_ * y * y + B2_[r] * y + C2_[r]
-            val = _bracket(bracket) ** e_bd
-            if e_y:
-                val = _bracket(y) ** e_y * val
-            chi = np.abs(y) >= 1.0
-            if scheme == "A":
-                chi &= (~outside_small_ball(P[r] + y, y, a, "N1")
-                        & (dom_lhs[r] >= np.abs(bracket)))
-            return val * chi.astype(float)
-        edges = (small_ball_edges((1.0, P), (1.0, 0.0), a, "N1"),) if scheme == "A" else ()
-        bps = _bp_table(n, -1.0, 1.0, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
-        return pref, f, bps, nowhere
-
-    if index == "J4":
-        lam = Q + a * P * P
-        pref = _bracket(lam) ** (-2 * d)
-        e_s, e_k = 2 * s, -2 * kappa
-        w0 = _bracket(P) ** e_s if e_s else None
-        B2_, C2_ = -2.0 * P, Q + P * P
-        dom_lhs, inside = 2 * np.abs(lam), np.abs(P) <= 1.0
-
-        def f(y, r):
-            bracket = 2.0 * y * y + B2_[r] * y + C2_[r]
-            w = None if w0 is None else w0[r]
-            if e_k:
-                w = _times(w, _bracket(P[r] - y) ** e_k) * _bracket(y) ** e_k
-            val = _times(w, _bracket(bracket) ** e_4b)
-            if scheme == "RES":
-                return val
-            chi = dom_lhs[r] >= np.abs(bracket)
-            if scheme == "B":
-                chi |= outside_small_ball(P[r], y, a, "N2")
-            return val * np.where(inside[r], 1.0, chi.astype(float))
-        edges = (small_ball_edges((0.0, P), (1.0, 0.0), a, "N2"),) if scheme == "B" else ()
-        bps = _bp_table(n, _quad_roots(2.0, B2_, C2_), _vertex(2.0, B2_), P,
-                        _level_roots(2.0, B2_, C2_, dom_lhs), *edges)
-        return pref, f, bps, nowhere
-
-    if index == "J5":
-        lam2 = Q + P * P
-        pref = _bracket(lam2) ** (-2 * b)
-        e_s, e_k = 2 * s, -2 * kappa
-        w1 = _bracket(P) ** e_k if e_k else None
-        A2_, B2_, C2_ = a - 1.0, 2.0 * P, Q - P * P
-        dom_lhs = 2 * np.abs(lam2)
-
-        def f(y, r):
-            bracket = A2_ * y * y + B2_[r] * y + C2_[r]
-            w = _bracket(y) ** e_s if e_s else None
-            if e_k:
-                w = _times(w, _bracket(y - P[r]) ** e_k) * w1[r]
-            val = _times(w, _bracket(bracket) ** e_bd)
-            chi = (np.abs(y) >= 1.0) & (dom_lhs[r] >= np.abs(bracket))
-            if scheme == "B":
-                chi &= ~outside_small_ball(y, P[r], a, "N2")
-            return val * chi.astype(float)
-        edges = (small_ball_edges((1.0, 0.0), (0.0, P), a, "N2"),) if scheme == "B" else ()
-        bps = _bp_table(n, -1.0, 1.0, P, _quad_roots(A2_, B2_, C2_),
-                        _level_roots(A2_, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
-        return pref, f, bps, nowhere
-
-    # J6
-    lam1 = Q + P * P
-    pref = _bracket(lam1) ** (-2 * b)
-    e_s, e_k = 2 * s, -2 * kappa
-    w1 = _bracket(P) ** e_k if e_k else None
-    A2_, dA = a + 1.0, a - 1.0
-    B2_, C2_, dom_lhs = 2.0 * a * P, Q + a * P * P, 2 * np.abs(lam1)
+    dom = scheme != "RES" and fixed == ("w" if region == 1 else MAXIMAL[scheme][region - 2])
+    ball = scheme in ("A", "B")
+    # the frequencies f reads at the nodes, each computed once per call, and
+    # how it joins the indicator's conditions
+    at_nodes = ({k for k, _, per_row in weights if per_row is None}
+                | ({g} if node_gate else set()) | ({0, 2} if ball else set()))
+    join = np.logical_or if region == 1 else np.logical_and
 
     def f(y, r):
-        By, Cr = B2_[r] * y, C2_[r]
-        Py = P[r] + y
-        w = _bracket(Py) ** e_s if e_s else None
-        if e_k:
-            w = _times(w, w1[r]) * _bracket(y) ** e_k
-        val = _times(w, _bracket(A2_ * y * y + By + Cr) ** e_bd)
-        dom = dA * y * y + By + Cr
-        chi = (np.abs(Py) >= 1.0) & (dom_lhs[r] >= np.abs(dom))
-        if scheme == "B":
-            chi &= ~outside_small_ball(Py, y, a, "N2")
+        x = {k: _on_line(lines[k], P, y, r) for k in at_nodes}
+        q = A * y * y + B[r] * y + C[r]
+        val = _weigh(weights, x, r, _bracket(q) ** e_br)
+        if scheme == "RES":
+            return val
+        on = []
+        if node_gate:
+            on.append(np.abs(x[g]) <= 1.0 if region == 1 else np.abs(x[g]) >= 1.0)
+        elif region == 1:
+            on.append(inside[r])
+        if dom:
+            if dominance is not None:       # J1's and J6's own quadratic
+                q = dA * y * y + dB[r] * y + dC[r]
+            on.append(dom_lhs[r] >= np.abs(q))
+        if ball:
+            out = outside_small_ball(x[0], x[2], a, family)
+            on.append(out if region == 1 else ~out)
+        if not on:
+            return val
+        chi = reduce(join, on)
         return val * chi.astype(float)
-    edges = (small_ball_edges((1.0, P), (1.0, 0.0), a, "N2"),) if scheme == "B" else ()
-    bps = _bp_table(n, -P - 1.0, -P + 1.0, -P, _quad_roots(A2_, B2_, C2_),
-                    _level_roots(dA, B2_, C2_, dom_lhs), _vertex(A2_, B2_), *edges)
-    return pref, f, bps, nowhere
+
+    cols = [_quad_roots(A, B, C), _vertex(A, B), _level_roots(dA, dB, dC, dom_lhs)]
+    if node_gate:       # the lines of xi and xi2 have slope 0 or 1
+        offset = P if lines[g][1] else 0.0
+        cols += [-offset - 1.0, -offset + 1.0]
+    cols += [P if s != t else -P for s, t in (lines[k] for k, _ in family_weights) if s and t]
+    if ball:
+        cols.append(small_ball_edges(*((float(s), P if t else 0.0) for s, t in lines[::2]),
+                                     a, family))
+    return pref, f, _bp_table(P.size, *cols), empty
 
 
 def j_eval(index: str, bases, p: EstimateParams, window: float | None = None,
@@ -398,16 +389,15 @@ def _appendix_j(P, Q, p, window, rel_tol):
     """Appendix integral for kappa >= 0; defers below the |tau| > 10 xi^2 cut."""
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
     lemma = np.abs(Q) <= 10.0 * P * P
-    A2_, B2_, C2_ = -(a - 1.0), -2.0 * P, Q + P * P
+    A2_, B2_, C2_ = _ROWS["J1"][0](P, Q, a)
     pref = _bracket(C2_) ** (-(2 * d - kappa))
-    e_k, e_s, e_4b = -2 * kappa, -2 * s, -(4 * b - 1)
+    e_4b, lines = -(4 * b - 1), _LINES["w"]
+    weights = [(k, e, None) for k, e in ((1, -2 * kappa), (2, -2 * s)) if e]
 
     def f(y, r):
-        # the work per node as in _pieces
-        w = _bracket(P[r] - y) ** e_k if e_k else None
-        if e_s:
-            w = _times(w, _bracket(y) ** e_s)
-        return _times(w, _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b)
+        # J1's bracket, weighed as in _pieces by <xi1>^(-2kappa) <xi2>^(-2s)
+        return _weigh(weights, {k: _on_line(lines[k], P, y, r) for k, _, _ in weights}, r,
+                      _bracket(A2_ * y * y + B2_[r] * y + C2_[r]) ** e_4b)
     vertex = _vertex(A2_, B2_)
     bps = _bp_table(P.size, _quad_roots(A2_, B2_, C2_), P,
                     np.where(np.isnan(vertex), 0.0, vertex))
@@ -441,7 +431,7 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
     """(value, None) of one appendix 2-d integral at base (P, Q), or
     (NaN, message) when it fails."""
     a, b, d, kappa, s = p.a, p.b, p.d, p.kappa, p.s
-    family, region = J_REGIONS[index]
+    family, region, _ = J_REGIONS[index]
     # A-J2's region needs |xi2| >= 1
     if index == "A-J2" and abs(P) < 1.0:
         return 0.0, None
@@ -518,24 +508,25 @@ def _appendix_point(index, P, Q, p, window, rel_tol):
 def _peak_anchors(index: str, p: EstimateParams, x):
     """Base tau values nulling the prefactor modulation and the bracket vertex.
 
-    x may be a float or an array; each anchor then has x's shape."""
+    The vertex anchor is there where the row's bracket has a vertex, by
+    _vertex's rule on its leading coefficient.  x may be a float or an
+    array; each anchor then has x's shape."""
     a = p.a
     x2 = x * x
     idx = "J1" if index in ("A-J", "A-J1", "A-J2", "A-J3") else index
     mod_null = {"J1": -x2, "J2": -a * x2, "J3": x2,
                 "J4": -a * x2, "J5": -x2, "J6": -x2}[idx]
+    if not _has_vertex(_ROWS[idx][0](0.0, 0.0, a)[0]):
+        return [mod_null]
     if idx in ("J2", "J4"):
         vert_null = -0.5 * x2
     elif idx in ("J1", "J3"):
-        vert_null = a * x2 / (1.0 - a) if a != 1.0 else None
+        vert_null = a * x2 / (1.0 - a)
     elif idx == "J5":
-        vert_null = -a * x2 / (1.0 - a) if a != 1.0 else None
+        vert_null = -a * x2 / (1.0 - a)
     else:  # J6
         vert_null = -a * x2 / (a + 1.0)
-    out = [mod_null]
-    if vert_null is not None:
-        out.append(vert_null)
-    return out
+    return [mod_null, vert_null]
 
 
 #: the sweep's uniform samples of xi, and of tau, per radius

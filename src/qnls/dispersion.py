@@ -10,7 +10,8 @@ pair xi1 = xi - xi2, tau1 = tau - tau2.  Two modulation families appear:
 
 All functions accept scalars or numpy arrays componentwise.  Each rule that
 depends on a asks `classify_regime` where a lies against the resonant 1/2
-(it refuses a <= 0); `SCHEMES` gives the region scheme of a regime and family.
+(it refuses a <= 0); `SCHEMES` gives the region scheme of a regime and family,
+and `MAXIMAL` the modulation maximal in regions 2 and 3 of each scheme.
 Regions 2 and 3 of schemes A and B lie in one small ball, which
 `outside_small_ball` states for `classify_region` and every 1-d J indicator;
 `small_ball_edges` gives where it flips along a line, for the J tables.
@@ -108,6 +109,9 @@ def lower_bound_residual(fp: FrequencyPoint, a: float):
 SCHEMES = {("SecondNonResonant", "N1"): "R", ("SecondNonResonant", "N2"): "S",
            ("Resonant", "N1"): "RES", ("Resonant", "N2"): "RES",
            ("FirstNonResonant", "N1"): "A", ("FirstNonResonant", "N2"): "B"}
+#: the modulation whose absolute value is maximal in regions 2 and 3 of each
+#: scheme with three regions
+MAXIMAL = {"R": ("w1", "w2"), "S": ("w2", "w1"), "A": ("w2", "w1"), "B": ("w2", "w1")}
 
 
 def outside_small_ball(xi, xi2, a: float, family: str):
@@ -150,25 +154,17 @@ def classify_region(fp: FrequencyPoint, a: float, family: str):
     if scheme == "RES":
         return out if out.ndim else int(out)
 
-    w, w1, w2 = modulations(fp, a, family)
-    aw, aw1, aw2 = np.abs(w), np.abs(w1), np.abs(w2)
+    aw, aw1, aw2 = (np.abs(m) for m in modulations(fp, a, family))
     big = np.maximum(np.maximum(aw, aw1), aw2)
-
-    if scheme == "R":
-        # region 2: |w1| maximal, region 3: |w2| maximal, all on |xi2| >= 1
-        sel = np.abs(fp.xi2) >= 1.0
-        out = np.where(sel & (aw < big) & (aw1 == big), 2, out)
-        out = np.where(sel & (aw < big) & (aw1 < big), 3, out)
-    elif scheme == "S":
-        sel = np.abs(xi) >= 1.0
-        out = np.where(sel & (aw < big) & (aw2 == big), 2, out)
-        out = np.where(sel & (aw < big) & (aw2 < big), 3, out)
-    else:
-        # past the gate, the small ball with a subordinate |w| is region 2 or 3
-        gate = np.abs(fp.xi2 if scheme == "A" else xi) >= 1.0
-        inner = gate & ~outside_small_ball(xi, fp.xi2, a, family) & (aw < big)
-        out = np.where(inner & (aw2 == big), 2, out)
-        out = np.where(inner & (aw2 < big), 3, out)
+    # past the gate (|xi2| >= 1 for N1, |xi| >= 1 for N2) and, under A and B,
+    # in the small ball, a quadruple whose |w| is not maximal is in region 2
+    # where region 2's modulation is maximal, else in region 3
+    inner = (np.abs(fp.xi2 if family == "N1" else xi) >= 1.0) & (aw < big)
+    if scheme in ("A", "B"):
+        inner &= ~outside_small_ball(xi, fp.xi2, a, family)
+    second = {"w1": aw1, "w2": aw2}[MAXIMAL[scheme][0]] == big
+    out = np.where(inner & second, 2, out)
+    out = np.where(inner & ~second, 3, out)
     return out if out.ndim else int(out)
 
 

@@ -6,7 +6,7 @@ from qnls import bilinear
 from qnls.bilinear import (ARGMAX_REL_TOL, J_INDICES, SWEEP_REL_TOL, EstimateParams,
                            applicable_indices, bilinear_ratio, j_eval, j_sup_sweep,
                            scheme_for)
-from qnls.dispersion import FrequencyPoint, classify_region, modulations
+from qnls.dispersion import FrequencyPoint, classify_region, modulations, sample_quadruples
 from qnls.errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
 from qnls.grids import SpaceTimeField
 from qnls.profiles import band_limited_pair
@@ -117,6 +117,101 @@ def test_applicable_indices_leave_out_the_empty_appendix_regions():
         "J1", "J2", "J3", "J4", "J5", "J6", "A-J1", "A-J2", "A-J3"]
     with pytest.raises(ParamDomainViolated, match=r"the regions of \['A-J2'\] are empty"):
         j_sup_sweep("A-J2", params(a=0.5, kappa=-0.75), (1.0, 2.0))
+
+
+# j_eval at four seeded bases, unwindowed at the default rel_tol, as recorded
+# from the earlier implementation with one hand-written integrand per index:
+# schemes R and S at a = 1/4, RES at 1/2, A and B at 3/4 and 2.  The
+# benchmark's j-sweep runs only a = 1/4.  A NaN is a failed point.
+PINNED_J = {
+    ("J1", 0.25, 0.0, 0.0): [0.2150971934810971, 0.4676082745974894, 0.403630023525588,
+                             0.09763256207886864],
+    ("J1", 0.25, 0.3, 0.1): [0.35483347445565183, 0.6942895498417402, 0.5993479370678548,
+                             0.19973368626320862],
+    ("J1", 0.5, 0.0, 0.0): [1.200593335476231, 2.4709585398549723, 2.2147515799112605,
+                            0.502100623208292],
+    ("J1", 0.5, 0.3, 0.1): [np.nan, np.nan, np.nan, np.nan],
+    ("J1", 0.75, 0.0, 0.0): [1.6975180944082369, 3.7149333241859344, 3.163142655561254,
+                             0.915847651503916],
+    ("J1", 0.75, 0.3, 0.1): [np.nan, np.nan, np.nan, np.nan],
+    ("J1", 2.0, 0.0, 0.0): [0.6733928366598252, 2.0633623179054985, 1.9064480286702,
+                            0.4229764735994445],
+    ("J1", 2.0, 0.3, 0.1): [np.nan, np.nan, np.nan, np.nan],
+    ("J2", 0.25, 0.0, 0.0): [0.0, 1.3443365720035314, 0.0, 0.28156753145937863],
+    ("J2", 0.25, 0.3, 0.1): [0.0, 1.6001644530299581, 0.0, 0.47103440873192004],
+    ("J2", 0.5, 0.0, 0.0): [0.0, 0.0, 0.0, 0.0],
+    ("J2", 0.5, 0.3, 0.1): [0.0, 0.0, 0.0, 0.0],
+    ("J2", 0.75, 0.0, 0.0): [0.0, 0.01624554101944366, 0.0, 0.004019211078137582],
+    ("J2", 0.75, 0.3, 0.1): [0.0, 0.01933707510524047, 0.0, 0.006723739430987786],
+    ("J2", 2.0, 0.0, 0.0): [0.0, 0.05362339782037914, 0.0, 0.009654203951433916],
+    ("J2", 2.0, 0.3, 0.1): [0.0, 0.06382795561008466, 0.0, 0.016150520716899826],
+    ("J3", 0.25, 0.0, 0.0): [0.951654850170689, 2.6208265632844023, 1.8861922107851572,
+                             0.6639934985893032],
+    ("J3", 0.25, 0.3, 0.1): [np.nan, np.nan, np.nan, np.nan],
+    ("J3", 0.5, 0.0, 0.0): [0.0, 0.0, 0.0, 0.0],
+    ("J3", 0.5, 0.3, 0.1): [0.0, 0.0, 0.0, 0.0],
+    ("J3", 0.75, 0.0, 0.0): [0.0, 0.05048902557501608, 0.009245854144259434,
+                             0.018077421194977673],
+    ("J3", 0.75, 0.3, 0.1): [0.0, 0.06531494481191569, 0.010804491267334057,
+                             0.03410294849059846],
+    ("J3", 2.0, 0.0, 0.0): [0.0, 0.0, 0.0, 0.014212799672555121],
+    ("J3", 2.0, 0.3, 0.1): [0.0, 0.0, 0.0, 0.019771720970800294],
+    ("J4", 0.25, 0.0, 0.0): [0.598335481746569, 0.19441071460693635, 1.1446266428097283,
+                             0.040241386764797105],
+    ("J4", 0.25, 0.3, 0.1): [0.07970302804722987, 0.14343898131110966, 0.16884223477545723,
+                             0.019430260805518632],
+    ("J4", 0.5, 0.0, 0.0): [0.598388156145233, 1.2957179365807738, 1.1309650589647051,
+                            0.26590729909545463],
+    ("J4", 0.5, 0.3, 0.1): [0.07971010824318184, 0.2047186022343368, 0.16682703413231345,
+                            0.024576688977494477],
+    ("J4", 0.75, 0.0, 0.0): [0.5984408410049041, 1.2508507082628317, 1.117662478811972,
+                             0.25530278161295367],
+    ("J4", 0.75, 0.3, 0.1): [0.07971718985297543, 0.19762974747464812, 0.164864789608203,
+                             0.02330746824906688],
+    ("J4", 2.0, 0.0, 0.0): [0.598704422378579, 1.0697925328066893, 1.0560575478483678,
+                            0.20333208660745303],
+    ("J4", 2.0, 0.3, 0.1): [0.07975261913561245, 0.16902323092127136, 0.15577753457792584,
+                            0.01865763370319844],
+    ("J5", 0.25, 0.0, 0.0): [0.09229329802584729, 0.7220826088799394, 0.6906549259198631,
+                             0.18815279833976456],
+    ("J5", 0.25, 0.3, 0.1): [0.0594302450286059, 0.3697658857548385, 0.3846509449605929,
+                             0.044522199407687715],
+    ("J5", 0.5, 0.0, 0.0): [0.0, 0.0, 0.0, 0.0],
+    ("J5", 0.5, 0.3, 0.1): [0.0, 0.0, 0.0, 0.0],
+    ("J5", 0.75, 0.0, 0.0): [0.0, 0.05840677053459044, 0.033658746990857004,
+                             0.013417369560091482],
+    ("J5", 0.75, 0.3, 0.1): [0.0, 0.04065386182755029, 0.02858487622136897,
+                             0.004118889171405175],
+    ("J5", 2.0, 0.0, 0.0): [0.29510270852423687, 0.05532601535847025, 0.09047712050149592,
+                            0.010078181283854853],
+    ("J5", 2.0, 0.3, 0.1): [0.16489043729532638, 0.04474882149860999, 0.06168452584035702,
+                            0.005185057270142611],
+    ("J6", 0.25, 0.0, 0.0): [0.21998802973943332, 0.2975434442220564, 0.2680941175730917,
+                             0.07256702160215442],
+    ("J6", 0.25, 0.3, 0.1): [0.1317185797065538, 0.16833031464376003, 0.16059704625413276,
+                             0.021069870457288156],
+    ("J6", 0.5, 0.0, 0.0): [0.0, 0.0, 0.0, 0.0],
+    ("J6", 0.5, 0.3, 0.1): [0.0, 0.0, 0.0, 0.0],
+    ("J6", 0.75, 0.0, 0.0): [0.0, 0.04863365053984832, 0.031037051196787725,
+                             0.01062664142105069],
+    ("J6", 0.75, 0.3, 0.1): [0.0, 0.03405690073912938, 0.02640302460379273,
+                             0.003302409160399301],
+    ("J6", 2.0, 0.0, 0.0): [0.1959058193609117, 0.053801317363379945, 0.06758182870724667,
+                            0.00990706305213214],
+    ("J6", 2.0, 0.3, 0.1): [0.12262680103173786, 0.043572368889625034,
+                            0.049521395460342905, 0.005109408023427739],
+}
+
+
+@pytest.mark.parametrize("index", ["J1", "J2", "J3", "J4", "J5", "J6"])
+def test_j_eval_keeps_its_recorded_values(index):
+    rng = np.random.default_rng(39)
+    bases = np.column_stack([rng.normal(0.0, 4.0, 4), rng.normal(0.0, 20.0, 4)])
+    for (idx, a, kappa, s), want in PINNED_J.items():
+        if idx == index:
+            got, _ = j_eval(index, bases, params(a=a, kappa=kappa, s=s))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{index} at a={a}, kappa={kappa}, s={s}")
 
 
 # --- batches of base points ---
@@ -250,7 +345,7 @@ def _region_reached(index, a, P, Q, y):
     midpoints between neighbouring ones and beyond both ends therefore
     sees every region the t-line meets.
     """
-    family, region = bilinear.J_REGIONS[index]
+    family, region, _ = bilinear.J_REGIONS[index]
 
     def mods(t):
         return np.stack(modulations(FrequencyPoint(*_QUADRUPLE[index](P, Q, y, t)), a, family))
@@ -317,6 +412,27 @@ def test_every_indicator_jump_is_a_breakpoint(index, a):
     assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(lo)))
     if scheme_for(index, a) in ("A", "B"):
         assert r.size       # the small ball's edges are among those checked
+
+
+@pytest.mark.parametrize("a", [0.75, 2.0])
+def test_a_gate_on_the_base_holds_on_its_edge(a):
+    # J4's gate |xi| <= 1 and J2's |xi2| >= 1 read the base, and each holds
+    # at |P| = 1: J4 keeps its whole line, J2 its region, so the sweep reads
+    # the larger one-sided limit.  J4's sup lies there, at (-1, -a); past the
+    # gate it would be 8.185 at a = 3/4 and 7.364 at a = 2
+    p = params(a=a)
+    out, inner = np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)
+    j4, _ = j_eval("J4", [(-1.0, -a), (inner, -a), (out, -a)], p, rel_tol=SWEEP_REL_TOL)
+    assert j4[0] == pytest.approx(j4[1], rel=1e-9) and j4[0] > 1.02 * j4[2]
+    assert j_sup_sweep("J4", p, (10.0,))[0]["argmax_xi"] == -1.0
+    j2, _ = j_eval("J2", [(-1.0, 0.0), (out, 0.0), (inner, 0.0)], p, rel_tol=SWEEP_REL_TOL)
+    assert j2[0] == pytest.approx(j2[1], rel=1e-9) and j2[0] > 0.0 == j2[2]
+    # classify_region, a partition, puts the edge past the gate: at xi = -1
+    # the N2 family reaches regions 2 and 3, and at xi2 = -1 the N1 family does
+    fp = sample_quadruples(20_000, np.random.default_rng(39))
+    for family, on_edge in (("N2", FrequencyPoint(-1.0, fp.tau, fp.xi2, fp.tau2)),
+                            ("N1", FrequencyPoint(fp.xi, fp.tau, -1.0, fp.tau2))):
+        assert set(np.unique(classify_region(on_edge, a, family))) == {1, 2, 3}
 
 
 def _appendix_2d_oracle(index, base, p, window, rel_tol):
@@ -604,6 +720,21 @@ def test_base_grid_equals_the_point_by_point_grid(index):
                             for off in bilinear._TAU_OFFSETS]])])
             got = bilinear._base_grid(index, p, R)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+def test_no_vertex_anchor_where_the_bracket_has_no_vertex(a):
+    # J1's, J3's and J5's bracket has the leading coefficient +-(1 - a), which
+    # _vertex takes for 0 here: the table has no vertex and the sweep no
+    # vertex anchor, whose tau would lie near 1e15 xi^2 at a = 1 +- 1e-15
+    p = params(a=a)
+    for index in J_INDICES:
+        flat = index in ("J1", "J3", "J5") or index.startswith("A-J")
+        assert len(bilinear._peak_anchors(index, p, 2.0)) == (1 if flat else 2)
+        if index in ("J1", "J3", "J5"):
+            P = np.array([-2.0, 0.5, 3.0])
+            _, _, bps, _ = bilinear._pieces(index, P, 0.0 * P, p)
+            assert not np.any(np.abs(bps) > 1e3)    # NaN, no breakpoint, compares False
 
 
 # j-sweep's defaults (criterion 7's a = 1/4) and the other configs of

@@ -122,6 +122,23 @@ def test_region_two_and_three_reachable():
         assert set(np.unique(regions)) == {1, 2, 3}
 
 
+# which modulation is maximal in regions 2 and 3 of each scheme, written out
+# here rather than read from dispersion.MAXIMAL, which the 1-d J indicators
+# and their oracle share
+@pytest.mark.parametrize("a,family,region2,region3", [
+    pytest.param(0.25, "N1", "w1", "w2", id="R"), pytest.param(0.25, "N2", "w2", "w1", id="S"),
+    pytest.param(2.0, "N1", "w2", "w1", id="A"), pytest.param(2.0, "N2", "w2", "w1", id="B")])
+def test_the_maximal_modulation_of_regions_2_and_3(a, family, region2, region3):
+    fp = sample_quadruples(200_000, np.random.default_rng(39))
+    regions = classify_region(fp, a, family)
+    mods = dict(zip(("w", "w1", "w2"), (np.abs(m) for m in modulations(fp, a, family))))
+    big = np.maximum(np.maximum(mods["w"], mods["w1"]), mods["w2"])
+    for region, name in ((2, region2), (3, region3)):
+        held = regions == region
+        assert held.sum() > 100 and np.all(mods[name][held] == big[held])
+        assert np.all(mods["w"][held] < big[held])
+
+
 @pytest.mark.parametrize("family", ["N1", "N2"])
 @pytest.mark.parametrize("a", [0.6, 0.75, 2.0])
 def test_small_ball_edges_are_where_the_predicate_flips(a, family):

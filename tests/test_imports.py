@@ -4,8 +4,9 @@ public name of the package has a caller in the package, every parameter
 with a default is set by some call in the package, only
 `dispersion.classify_regime` compares a with 1/2, only
 `dispersion.outside_small_ball` compares with the small ball's radius and
-only `dispersion` writes that radius, and each of the complex interpolant,
-the wavenumber grid, the table writer and the J tail rule has one home."""
+only `dispersion` writes that radius, each of the complex interpolant,
+the wavenumber grid, the table writer and the J tail rule has one home, and
+only the 1-d J integrand writes the dominance comparison."""
 
 import ast
 import os
@@ -500,3 +501,58 @@ def test_only_the_tail_rule_compares_with_five_percent_of_a_value():
     sites = [site for path in sorted(SRC.glob("*.py"))
              for site in _share_comparisons(path.stem, path.read_text())]
     assert sites == [TAIL_RULE]
+
+
+# The dominance condition of the 1-d J indicators, 2|fixed modulation| >=
+# |modulation sum|, is one comparison: only the integrand of bilinear._pieces
+# compares with twice an absolute value.
+DOMINANCE_RULE = "bilinear._pieces.f"
+
+
+def _twice_abs_comparisons(module: str, source: str) -> list[str]:
+    """The qualified name of the function around each comparison with twice
+    an absolute value: a product of the constant 2 with abs(...) or
+    np.abs(...), a name bound to one anywhere in the module, or an item of
+    such a name."""
+    tree = ast.parse(source)
+
+    def is_abs(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "abs" or getattr(node.func, "attr", None) == "abs")
+
+    def twice(node) -> bool:
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(x, ast.Constant) and x.value == 2 and is_abs(y)
+                        for x, y in ((node.left, node.right), (node.right, node.left))))
+    doubled = {name for name, value in _bindings(tree) if twice(value)}
+
+    def operand(node) -> bool:
+        base = node.value if isinstance(node, ast.Subscript) else node
+        return twice(node) or isinstance(base, ast.Name) and base.id in doubled
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            found.extend(where for x in [node.left] + node.comparators if operand(x))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_the_guard_sees_a_comparison_with_twice_an_absolute_value():
+    source = ("import numpy as np\n"
+              "def f(P, Q, q):\n    lhs, k = 2 * np.abs(Q + P * P), 3\n"
+              "    def g(r, y):\n        return (lhs[r] >= np.abs(y)) | (2.0 * abs(q) < y)\n"
+              "    return g, np.abs(q) <= abs(P) * 2, q > 2 * P, k > 1\n"
+              "class C:\n    def h(self, x):\n        return [2 * np.abs(v) for v in x if v]\n")
+    assert _twice_abs_comparisons("m", source) == ["m.f.g", "m.f.g", "m.f"]
+
+
+def test_only_the_j_integrand_compares_with_twice_an_absolute_value():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _twice_abs_comparisons(path.stem, path.read_text())]
+    assert sites == [DOMINANCE_RULE]
