@@ -37,7 +37,8 @@ import numpy as np
 
 from .dispersion import (MAXIMAL, SCHEMES, FrequencyPoint, classify_region,
                          classify_regime, outside_small_ball, small_ball_edges)
-from .errors import ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator
+from .errors import (ParamDomainViolated, QuadratureNonConvergent, ZeroDenominator,
+                     float_faults_raise)
 from .grids import SpaceTimeField
 from .quadrature import (_on, _panel_nodes, _probe_points, integrate_with_tail,
                          panel_sums, tail_probe)
@@ -337,14 +338,10 @@ def j_eval(index: str, bases, p: EstimateParams, window: float | None = None,
     bases = np.asarray(bases, dtype=float)
     if check_indices([index], p):       # the region is empty
         return np.zeros(len(bases)), {}
-    try:
-        # numpy warns of each of these faults by default; here it raises
-        with np.errstate(**{k: "raise" for k, v in np.geterr().items() if v == "warn"}):
-            return _j_rows(index, np.ascontiguousarray(bases[:, 0]),
-                           np.ascontiguousarray(bases[:, 1]), p, window, rel_tol)
-    except FloatingPointError as exc:
-        raise ParamDomainViolated(f"{index} at (a, b, d, kappa, s) = ({p.a}, {p.b}, {p.d}, "
-                                  f"{p.kappa}, {p.s}): {exc}") from exc
+    with float_faults_raise(f"{index} at (a, b, d, kappa, s) = "
+                            f"({p.a}, {p.b}, {p.d}, {p.kappa}, {p.s})"):
+        return _j_rows(index, np.ascontiguousarray(bases[:, 0]),
+                       np.ascontiguousarray(bases[:, 1]), p, window, rel_tol)
 
 
 def _j_rows(index, P, Q, p, window, rel_tol):

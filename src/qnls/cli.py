@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bilinear, boundary, dispersion, ibvp
-from .errors import InvalidConfig, QnlsError, UnknownCommand
+from .errors import InvalidConfig, QnlsError, UnknownCommand, float_faults_raise
 from .grids import MAX_STEPS, GridFunction, SpaceTimeField, TimeSeries, write_csv
 from .profiles import BAND_MODES, band_limited_pair, gaussian, smooth_bump
 
@@ -335,7 +335,9 @@ def _cmd_dispersion_sweep(cfg, rng, out: Path):
     violations = 0
     for a, scheme in zip(cfg["a_list"], schemes):
         fp = dispersion.sample_quadruples(cfg["n_samples"], rng)
-        bad, low, i = _residual_extremes(fp, a)
+        # an a past the float range overflows the resonance: one line, no CSV
+        with float_faults_raise(f"the lower-bound residual at a = {a}"):
+            bad, low, i = _residual_extremes(fp, a)
         violations += bad
         # the argmin_* columns name the quadruple that minimises res + tol,
         # not res: at a >= 1/2 it is another quadruple than min_residual's

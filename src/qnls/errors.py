@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that turns a
+float fault into one of them (`float_faults_raise`)."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class QnlsError(Exception):
@@ -104,3 +109,16 @@ class UnknownCommand(QnlsError):
 
 class InvalidConfig(QnlsError):
     """Experiment configuration missing or malformed."""
+
+
+@contextmanager
+def float_faults_raise(what: str):
+    """Raise numpy's default-warned float faults (overflow, invalid operation,
+    division by zero) inside the block, as ParamDomainViolated naming `what`
+    and the fault.  A fault that the caller's numpy error state ignores
+    stays ignored."""
+    try:
+        with np.errstate(**{k: "raise" for k, v in np.geterr().items() if v == "warn"}):
+            yield
+    except FloatingPointError as exc:
+        raise ParamDomainViolated(f"{what}: {exc}") from exc

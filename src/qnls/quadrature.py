@@ -12,8 +12,11 @@ NaN, and each round evaluates the new panels of every unfinished row at
 once.  Each live panel carries its coarse sum and its two half sums from
 round to round, and a bisected panel's half sums are its children's coarse
 sums, so a round evaluates only the halves of the panels it just made.
+`panel_sums` evaluates only the panels it is given, never one joining two
+integrals of a ragged call: under adaptive_panels fvec sees each row only
+inside its own [lo, hi], and no node twice.
 Each layer that renumbers a batch's rows (a tail block's rows, a round's
-live rows, a round's runs of new panels) wraps fvec with `_on`, and row
+live rows, a round's new panels) wraps fvec with `_on`, and row
 maps compose: fvec sees each node's row after one lookup, however many
 layers lie between it and the nodes.
 Apart from the integrand calls, a round is a fixed number of whole-array
@@ -88,22 +91,25 @@ def panel_sums(fvec, edges: np.ndarray, order: int, panels=None) -> np.ndarray:
 
     With `panels`, edges holds the edge arrays of len(panels) integrals one
     after another, integral r with panels[r] panels, and fvec(y, owner)
-    gets the integral owning each node.  The panel joining two integrals is
-    evaluated and dropped.  The result is each integral's panel sums in
-    turn.  Each panel is reduced alone, so its sum does not depend on its
-    place in the call: a ragged call, a batch row and a lone call agree bit
-    for bit.
+    gets the integral owning each node.  Only the integrals' own panels are
+    evaluated: the span from one integral's last edge to the next one's
+    first edge is no panel, and fvec never sees a node in it.  The result
+    is each integral's panel sums in turn.  Each panel is reduced alone, so
+    its sum does not depend on its place in the call: a ragged call, a
+    batch row and a lone call agree bit for bit.
     """
-    pts, weights, half = _panel_nodes(edges, order)
     if panels is None:
+        pts, weights, half = _panel_nodes(edges, order)
         vals = fvec(pts.ravel())
         vals = vals.reshape(vals.shape[:-1] + pts.shape)
         return (vals * weights).sum(axis=-1) * half
-    panels = np.asarray(panels)
-    owner = np.repeat(np.arange(panels.size), panels + 1)[:-1]
+    owner = np.repeat(np.arange(len(panels)), panels)
+    # panel j of the call is integral owner[j]'s, and its left edge lies
+    # owner[j] places further on: each integral before it adds one edge
+    left = owner + np.arange(owner.size)
+    pts, weights, half = _gauss_nodes(edges[left], edges[left + 1], order)
     vals = fvec(pts.ravel(), np.repeat(owner, order)).reshape(pts.shape)
-    sums = (vals * weights).sum(axis=-1) * half
-    return np.delete(sums, np.cumsum(panels + 1)[:-1] - 1)
+    return (vals * weights).sum(axis=-1) * half
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
@@ -113,9 +119,13 @@ def _panel_nodes(edges: np.ndarray, order: int):
     reference weights on [-1, 1] and the panel half-widths, so the rule on
     panel i is sum(weights * f(pts[i])) * half[i].
     """
+    return _gauss_nodes(edges[:-1], edges[1:], order)
+
+
+def _gauss_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
+    """_panel_nodes of the panels [lo[i], hi[i]]."""
     nodes, weights = _gl(order)
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
+    half = 0.5 * (hi - lo)
     mid = lo + half
     return mid[:, None] + half[:, None] * nodes[None, :], weights, half
 
@@ -228,18 +238,13 @@ def _half_sums(fvec, rows, split, first, panels, todo):
     """Half sums, shape (todo panels, 2), of the panels marked in `todo`.
 
     split holds each row's edges interleaved with its panel midpoints, and
-    split[first[p]] is panel p's left edge.  Each run of consecutive todo
-    panels of a row is one integral of the ragged call.
+    split[first[p]] is panel p's left edge.  Each todo panel is one integral
+    of the ragged call, with its two halves as panels.
     """
     row_of = np.repeat(np.arange(rows.size), panels)
-    opens = todo.copy()
-    opens[1:] &= ~todo[:-1] | (row_of[1:] != row_of[:-1])
-    run_of = np.cumsum(opens)[todo] - 1
     at = first[todo]
-    used = np.zeros(split.size, dtype=bool)
-    used[at] = used[at + 1] = used[at + 2] = True
-    owner = rows[row_of[opens]]
-    sums = panel_sums(_on(fvec, owner), split[used], 8, 2 * np.bincount(run_of))
+    edges = split[at[:, None] + np.arange(3)].ravel()
+    sums = panel_sums(_on(fvec, rows[row_of[todo]]), edges, 8, np.full(at.size, 2))
     return sums.reshape(-1, 2)
 
 

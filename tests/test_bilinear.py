@@ -637,6 +637,15 @@ def test_j3_sup_stabilizes_at_a_equal_one():
     assert sups == pytest.approx([0.4603] * 3, rel=1e-4)
 
 
+@pytest.mark.parametrize("a", [1.0 + sign * 2.0 ** -k for k in (10, 20, 30) for sign in (1, -1)])
+def test_j1_sup_scales_as_the_inverse_square_root_of_a_minus_one(a):
+    # J1's (0, tau) integral of <(1 - a) y^2 + tau>^-(4b-1) scales as
+    # |1 - a|^(-1/2): near a = 1 each radius reads sup * |a - 1|^(1/2) = 1.187,
+    # while at a = 1 the sweep grows like 2R
+    sups = [r["sup"] for r in j_sup_sweep("J1", params(a=a), (10.0, 20.0, 40.0))]
+    assert np.array(sups) * abs(a - 1.0) ** 0.5 == pytest.approx([1.187] * 3, rel=0.05)
+
+
 @pytest.mark.parametrize("index", ["J2", "J3", "J5", "J6"])
 def test_regions_two_and_three_vanish_as_a_falls_to_one_half(index):
     # the regions are empty at a = 1/2, and the R = 40 sup falls toward 0

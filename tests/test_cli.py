@@ -348,6 +348,25 @@ def test_j_sweep_with_overflowing_weights_warns_nothing(tmp_path, capsys):
         "overflow encountered in power"]
 
 
+def test_dispersion_sweep_past_the_float_range_is_one_line_and_exit_1(tmp_path, capsys):
+    # a * xi2^2 overflowed at a = 1e300: three numpy RuntimeWarnings, and a
+    # min_residual of nan in the CSV that failed lower_bound_no_violations
+    out = tmp_path / "o"
+    cfg = {"a_list": [0.25, 1e300]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dispersion-sweep", "--config", str(_dump(tmp_path, cfg)),
+                     "--out", str(out)])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "contract violation: the lower-bound residual at a = 1e+300: "
+        "overflow encountered in multiply"]
+    assert not (out / "dispersion_sweep.csv").exists()
+    manifest = json.loads((out / "manifest_dispersion-sweep.json").read_text())
+    assert manifest["error"]["type"] == "ParamDomainViolated"
+
+
 def test_contraction_refuses_k_iters_past_the_cap_before_any_work(tmp_path, capsys,
                                                                  monkeypatch):
     # k_iters = 2**40 ran past 40 s; the cap is the first k at which the

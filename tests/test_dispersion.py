@@ -67,6 +67,32 @@ def test_lower_bound_random_sweep(a):
     assert np.sum(res < -tol) == 0
 
 
+def test_the_lower_bound_is_an_identity_above_one_half_and_attained_below():
+    # both sides read only (xi, xi2).  For a > 1/2 the resonance factors
+    # through m = mu(a), so the bound is the resonance itself; for a < 1/2
+    # the form is positive definite and resonance - bound is a (2 xi - xi2)^2,
+    # 0 on the ray xi2 = 2 xi
+    sp = pytest.importorskip("sympy")
+    xi, xi2 = sp.symbols("xi xi2", real=True)
+    a = sp.symbols("a", positive=True)
+    form = xi ** 2 + (xi - xi2) ** 2 - a * xi2 ** 2
+    m = (1 - sp.sqrt(2 * a - 1)) / 2
+    assert sp.expand(form - 2 * (xi - m * xi2) * (xi - (1 - m) * xi2)) == 0
+    assert sp.expand(sp.discriminant(form, xi) - 4 * (2 * a - 1) * xi2 ** 2) == 0
+    bound = (1 - 2 * a) * (xi ** 2 + (xi - xi2) ** 2)
+    assert sp.expand(form - bound - a * (2 * xi - xi2) ** 2) == 0
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.4, 0.75, 1.0, 2.0])
+def test_lower_bound_residual_on_the_unit_circle(a):
+    # the two statements above, as lower_bound_residual computes them
+    theta = 2.0 * np.pi * np.arange(3600) / 3600
+    xi, xi2 = np.cos(theta), np.sin(theta)
+    res = lower_bound_residual(FrequencyPoint(xi, 0.0 * xi, xi2, 0.0 * xi), a)
+    want = a * (2.0 * xi - xi2) ** 2 if a < 0.5 else 0.0 * xi
+    assert np.all(np.abs(res - want) <= 1e-14 * (xi ** 2 + xi2 ** 2))
+
+
 def test_modulation_consistency_with_closed_forms():
     rng = np.random.default_rng(9)
     fp = sample_quadruples(10_000, rng)

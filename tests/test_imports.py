@@ -421,11 +421,14 @@ def test_only_dispersion_writes_the_small_ball_radius():
 
 
 # One home each: the complex linear interpolant (grids._interp, which
-# TimeSeries and GridFunction call), the wavenumber grid (spectral._xi_grid)
-# and the table writer (grids.write_csv).
+# TimeSeries and GridFunction call), the wavenumber grid (spectral._xi_grid),
+# the table writer (grids.write_csv) and the rule that raises a float fault
+# as a QnlsError (errors.float_faults_raise, which j_eval and
+# dispersion-sweep run under).
 HOMES = {("interp",): ["grids._interp"] * 2,
          ("fftfreq",): ["spectral._xi_grid"],
-         ("savetxt", "writer"): ["grids.write_csv"]}
+         ("savetxt", "writer"): ["grids.write_csv"],
+         ("geterr", "FloatingPointError"): ["errors.float_faults_raise"] * 2}
 
 
 def _uses(module: str, source: str, names) -> list[str]:

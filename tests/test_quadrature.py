@@ -303,27 +303,44 @@ def _recorded_calls(monkeypatch, fvec, *args):
 
 
 def test_no_node_is_evaluated_twice(monkeypatch):
-    # re-evaluating every live panel each round repeats nodes.  A joining panel
-    # is evaluated and dropped; one between two runs of a row spans the
-    # carried panels between them, so it may repeat nodes and is left out
+    # re-evaluating every live panel each round repeats nodes.  Every node a
+    # ragged call evaluates belongs to one of its integrals' panels, so every
+    # node evaluated is used, and used once
     f, lo, hi, bps = _mixed_batch()
-    kept = []       # (row, y) of every node whose panel sum is used
-    for edges, panels, rows, y in _recorded_calls(monkeypatch, f, lo, hi, bps, 1e-9):
-        used = np.ones(edges.size - 1, dtype=bool)
-        used[np.cumsum(panels + 1)[:-1] - 1] = False        # the joining panels
-        used = np.repeat(used, 8)
-        kept.extend(zip(rows[used].tolist(), y[used].tolist()))
-    assert len(kept) == len(set(kept)) > 0
+    seen = []       # (row, y) of every node evaluated
+    for _, _, rows, y in _recorded_calls(monkeypatch, f, lo, hi, bps, 1e-9):
+        seen.extend(zip(rows.tolist(), y.tolist()))
+    assert len(seen) == len(set(seen)) > 0
 
 
 def test_panel_sums_node_count_is_the_number_of_nodes_evaluated(monkeypatch):
-    # perfbench reads (len(edges) - 1) * order nodes per panel_sums call:
-    # every panel of a ragged call, the joining ones included, is evaluated
+    # a ragged call evaluates its integrals' own panels and no panel joining
+    # two of them: (len(edges) - len(panels)) * order nodes.  perfbench reads
+    # (len(edges) - 1) * order, which a plain call evaluates
     f, lo, hi, bps = _mixed_batch()
     calls = _recorded_calls(monkeypatch, f, lo, hi, bps, 1e-9)
     assert len(calls) > 2 and any(panels.size > 1 for _, panels, _, _ in calls)
     for edges, panels, rows, y in calls:
-        assert rows.size == y.size == (edges.size - 1) * 8
+        assert rows.size == y.size == (edges.size - panels.size) * 8
+    seen = []
+    edges = np.linspace(-1.0, 2.0, 7)
+    panel_sums(lambda y: seen.append(y.size) or np.cos(y), edges, 8)
+    assert seen == [(edges.size - 1) * 8]
+
+
+def test_fvec_sees_only_its_rows_interval():
+    # each node of a row lies in the row's [lo, hi]; a panel joining two
+    # integrals of a ragged call would reach past one row's hi or below the
+    # next row's lo
+    f, lo, hi, bps = _mixed_batch()
+    outside = []
+
+    def recording(y, rows):
+        outside.append(np.count_nonzero((y < lo[rows]) | (y > hi[rows])))
+        return f(y, rows)
+
+    adaptive_panels(recording, lo, hi, bps, 1e-9)
+    assert len(outside) > 2 and sum(outside) == 0
 
 
 @pytest.mark.parametrize("window", [None, 4.0, 40.0])
