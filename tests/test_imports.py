@@ -1,23 +1,18 @@
-"""Every name a package module imports is used in that module, no module
-imports the scipy subpackages that cost every command its start-up, every
-public name of the package has a caller in the package, every parameter
-with a default is set by some call in the package, only
-`dispersion.classify_regime` compares a with 1/2, only
-`dispersion.outside_small_ball` compares with the small ball's radius and
-only `dispersion` writes that radius, each of the complex interpolant,
-the wavenumber grid, the table writer and the J tail rule has one home, and
-only the 1-d J integrand writes the dominance comparison."""
+"""Static guards on the package source: its imports, its public names and defaults,
+and the one home of each idea it states once, one row of GUARDS per idea."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
+SOURCES = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -191,8 +186,7 @@ def test_the_guard_sees_a_name_only_its_definition_reads():
 
 
 def test_every_public_name_has_a_program_caller():
-    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert _uncalled(sources) == sorted(RESERVED)
+    assert _uncalled(SOURCES) == sorted(RESERVED)
 
 
 # Defaulted parameters that no package call sets, each with its reason.
@@ -264,298 +258,153 @@ def test_the_guard_sees_a_default_only_its_definition_sets():
 
 
 def test_every_optional_parameter_is_set_by_the_package():
-    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    unset = [u for u in _unset(sources) if u.rsplit(".", 1)[0] not in RESERVED]
+    unset = [u for u in _unset(SOURCES) if u.rsplit(".", 1)[0] not in RESERVED]
     assert unset == sorted(UNSET)
 
 
-# Where a lies against the resonant value 1/2 is one decision: every rule
-# that depends on a asks classify_regime.
-REGIME_RULE = "dispersion.classify_regime"
+# Each decision that depends on a, and each numerical idea, is stated once
+# (ROADMAP aim 2): GUARDS gives each rule the exact sites that state it.
 
 
-def _is_a(node) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "a"
-            or isinstance(node, ast.Attribute) and node.attr == "a")
-
-
-def _half_comparisons(module: str, source: str) -> list[str]:
-    """The qualified name of the function around each comparison of a name
-    `a` or an attribute `.a` with the constant 0.5 ("module" outside any)."""
-    found = []
-
+def _sites(module: str, source: str, rule) -> list[str]:
+    """The qualified name of the function or class around each node ("module"
+    outside any), once for every hit that rule(tree) reports at the node."""
+    hits = rule(tree := ast.parse(source))
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare):
-            operands = [node.left] + node.comparators
-            found.extend(where for x, y in zip(operands, operands[1:])
-                         for lhs, rhs in ((x, y), (y, x))
-                         if _is_a(lhs) and isinstance(rhs, ast.Constant) and rhs.value == 0.5)
+        yield from [where] * hits(node)
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), module)
-    return found
+            yield from visit(child, where)
+    return list(visit(tree, module))
 
 
-def test_the_guard_sees_a_compared_with_one_half():
-    source = ("def f(a, p):\n    if a == 0.5 or 0.5 < p.a:\n        return a < 0.5\n"
-              "    return 0 < a <= 0.5\n"
-              "class C:\n    def g(self, a, s):\n        return s != 0.5 and a - 0.5 > 0\n"
-              "X = [q for q in (1,) if q.a > 0.5]\n")
-    assert _half_comparisons("m", source) == ["m.f"] * 4 + ["m"]
+def _name(node) -> str | None:
+    """The name an attribute (np.interp), a bare name or an imported name uses."""
+    return (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias) else None)
 
 
-def test_only_classify_regime_compares_a_with_one_half():
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _half_comparisons(path.stem, path.read_text())]
-    assert sites and all(site == REGIME_RULE for site in sites), sites
+def _uses(*names):
+    """A rule: each use of one of names."""
+    return lambda tree: lambda node: _name(node) in names
 
 
-# The small ball of schemes A and B is one predicate: only
-# outside_small_ball compares with its radius c = (2a - 1)/4.
-BALL_RULE = "dispersion.outside_small_ball"
-_RADIUS = re.compile(r"\(2(\.0)? \* (\w+\.)?a - 1(\.0)?\) / 4(\.0)?")
+def _a_vs_half(tree):
+    """A rule: each comparison of a name `a` or an attribute `.a` with 0.5."""
+    return lambda node: (sum(_name(u) == "a" and isinstance(w, ast.Constant) and w.value == 0.5
+                             for x, y in pairwise([node.left] + node.comparators)
+                             for u, w in ((x, y), (y, x)))
+                         if isinstance(node, ast.Compare) else 0)
 
 
 def _bindings(tree):
     """(name, value) of every assignment to a name, tuples unpacked item by item."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                    yield from ((t.id, v) for t, v in zip(target.elts, node.value.elts)
-                                if isinstance(t, ast.Name))
-                elif isinstance(target, ast.Name):
-                    yield target.id, node.value
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+            yield from ((t.id, v) for t, v in pairs if isinstance(t, ast.Name))
 
 
-def _radius_comparisons(module: str, source: str) -> list[str]:
-    """The qualified name of the function around each comparison with the
-    radius: an operand that is a name bound to (2a - 1)/4 or a product with
-    one, a name bound to such an operand, or an item of such a name.  A name
-    is a radius throughout the module once it is bound to one anywhere."""
-    tree = ast.parse(source)
-    bindings = list(_bindings(tree))
-    radii = {name for name, value in bindings if _RADIUS.fullmatch(ast.unparse(value))}
-
-    def scaled(node) -> bool:
-        return (isinstance(node, ast.Name) and node.id in radii
-                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                and (scaled(node.left) or scaled(node.right)))
-    multiples = set()
-
-    def radial(node) -> bool:
-        base = node.value if isinstance(node, ast.Subscript) else node
-        return scaled(node) or isinstance(base, ast.Name) and base.id in multiples
-    while True:
-        bound = {name for name, value in bindings if radial(value)}
-        if bound <= multiples:
-            break
-        multiples |= bound
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare):
-            found.extend(where for operand in [node.left] + node.comparators
-                         if radial(operand))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, module)
-    return found
+def _tracked(leaf):
+    """A rule: each comparison operand that is a leaf, a name bound anywhere in the
+    module to such an operand, an item of such a name, or a product with one."""
+    def rule(tree):
+        bindings, bound = list(_bindings(tree)), set()
+        def hit(node) -> bool:
+            base = node.value if isinstance(node, ast.Subscript) else node
+            return (leaf(node) or isinstance(base, ast.Name) and base.id in bound
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and (hit(node.left) or hit(node.right)))
+        while not (new := {name for name, value in bindings if hit(value)}) <= bound:
+            bound |= new
+        return lambda node: (sum(map(hit, [node.left] + node.comparators))
+                             if isinstance(node, ast.Compare) else 0)
+    return rule
 
 
-def test_the_guard_sees_a_comparison_with_the_small_ball_radius():
-    source = ("def f(x, y, p):\n    c = (2.0 * p.a - 1.0) / 4.0\n    cy = c * abs(y)\n"
-              "    return (x >= cy) | (abs(x) < y * c) | (c > 0) | (x > 2 * y)\n"
-              "def g(P, a):\n    c = (2 * a - 1) / 4\n    cP, h = c * abs(P), 0.5 * P\n"
-              "    def k(r):\n        cPr = cP[r]\n"
-              "        return (P[r] >= cP[r]) | (h[r] > 0) | (P[r] < cPr)\n"
-              "    return k\n")
-    assert _radius_comparisons("m", source) == ["m.f"] * 3 + ["m.g.k"] * 2
+def _times(constant, factor=lambda node: True):
+    """Whether a node is a product of the constant with a factor."""
+    return lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(x, ast.Constant) and x.value == constant and factor(y)
+        for x, y in ((node.left, node.right), (node.right, node.left)))
 
 
-def test_only_outside_small_ball_compares_with_the_small_ball_radius():
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _radius_comparisons(path.stem, path.read_text())]
-    assert sites == [BALL_RULE] * 2
+def _radius(node) -> bool:
+    """Whether node is the small ball's radius (2a - 1)/4, read back as source."""
+    return isinstance(node, ast.expr) and bool(re.fullmatch(
+        r"\(2(\.0)? \* (\w+\.)?a - 1(\.0)?\) / 4(\.0)?", ast.unparse(node)))
 
 
-# The radius itself is written in one module, so no other can state the
-# ball's edges by hand.
-RADIUS_HOME = "dispersion"
+GUARDS = {
+    "a-vs-half": (_a_vs_half, ["dispersion.classify_regime"] * 2),
+    "radius-comparison": (_tracked(_radius), ["dispersion.outside_small_ball"] * 2),
+    "radius-expression": (lambda tree: _radius, ["dispersion.outside_small_ball",
+                                                 "dispersion.small_ball_edges"]),
+    "interp": (_uses("interp"), ["grids._interp"] * 2),
+    "fftfreq": (_uses("fftfreq"), ["spectral._xi_grid"]),
+    "savetxt-writer": (_uses("savetxt", "writer"), ["grids.write_csv"]),
+    "geterr-FloatingPointError": (_uses("geterr", "FloatingPointError"),
+                                  ["errors.float_faults_raise"] * 2),
+    "leggauss": (_uses("leggauss"), ["quadrature._gl"]),
+    "five-percent": (_tracked(_times(0.05)), ["bilinear._tail_dominates"]),
+    "twice-abs": (_tracked(_times(2, lambda y: isinstance(y, ast.Call) and _name(y.func) == "abs")),
+                  ["bilinear._pieces.f"]),
+}
+
+_NAMES = ("import numpy as np\nfrom csv import writer\n"
+          "def f(x):\n    return np.interp(x, x, x.real) + 1j * np.fft.fftfreq(4)\n"
+          "class C:\n    def g(self, fh):\n        return writer(fh), np.savetxt\n")
+# A source, module "m", and the sites each rule must see in it.
+SEES = {
+    "a-vs-half": ("def f(a, p):\n    if a == 0.5 or 0.5 < p.a:\n        return a < 0.5\n"
+                  "    return 0 < a <= 0.5\n"
+                  "class C:\n    def g(self, a, s):\n        return s != 0.5 and a - 0.5 > 0\n"
+                  "X = [q for q in (1,) if q.a > 0.5]\n", ["m.f"] * 4 + ["m"]),
+    "radius-comparison": (
+        "def f(x, y, p):\n    c = (2.0 * p.a - 1.0) / 4.0\n    cy = c * abs(y)\n"
+        "    return (x >= cy) | (abs(x) < y * c) | (c > 0) | (x > 2 * y)\ndef g(P, a):\n"
+        "    c = (2 * a - 1) / 4\n    cP, h = c * abs(P), 0.5 * P\n    def k(r):\n"
+        "        cPr = cP[r]\n        return (P[r] >= cP[r]) | (h[r] > 0) | (P[r] < cPr)\n"
+        "    return k\n", ["m.f"] * 3 + ["m.g.k"] * 2),
+    "radius-expression": (
+        "c = (2 * a - 1) / 4\ndef f(p):\n"
+        "    return 3 * ((2.0 * p.a - 1.0) / 4.0) + (2 * p.a - 1) / 2\nclass C:\n"
+        "    def g(self, a):\n        return [(2 * a - 1.0) / 4 for _ in a]\n",
+        ["m", "m.f", "m.C.g"]),
+    "interp": (_NAMES, ["m.f"]),
+    "fftfreq": (_NAMES, ["m.f"]),
+    "savetxt-writer": (_NAMES, ["m", "m.C.g", "m.C.g"]),
+    "geterr-FloatingPointError": ("from numpy import geterr\ndef f(np):\n"
+                                  "    return np.geterr() or FloatingPointError\n",
+                                  ["m", "m.f", "m.f"]),
+    "leggauss": ("from numpy.polynomial.legendre import leggauss\nclass R:\n    def gl(self, n):\n"
+                 "        return np.polynomial.legendre.leggauss(n)\n", ["m", "m.R.gl"]),
+    "five-percent": ("def f(t, v):\n    if t > 0.05 * max(abs(v), 1e-300):\n        return 1\n"
+                     "    return [k for k in t if 2 * (v * 0.05) < k], max(t, 0.05), t > 0.5 * v\n",
+                     ["m.f"] * 2),
+    "twice-abs": ("import numpy as np\ndef f(P, Q, q):\n    lhs, k = 2 * np.abs(Q + P * P), 3\n"
+                  "    def g(r, y):\n        return (lhs[r] >= np.abs(y)) | (2.0 * abs(q) < y)\n"
+                  "    return g, np.abs(q) <= abs(P) * 2, q > 2 * P, k > 1\n"
+                  "class C:\n    def h(self, x):\n        return [2 * np.abs(v) for v in x if v]\n",
+                  ["m.f.g", "m.f.g", "m.f"]),
+}
 
 
-def _radius_expressions(module: str, source: str) -> list[str]:
-    """The qualified name of the function around each expression that is the
-    radius (2a - 1)/4, as _RADIUS reads it back from the syntax tree."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.expr) and _RADIUS.fullmatch(ast.unparse(node)):
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), module)
-    return found
+def test_every_guard_has_one_example():
+    assert sorted(SEES) == sorted(GUARDS)
 
 
-def test_the_guard_sees_the_small_ball_radius_written():
-    source = ("c = (2 * a - 1) / 4\n"
-              "def f(p):\n    return 3 * ((2.0 * p.a - 1.0) / 4.0) + (2 * p.a - 1) / 2\n"
-              "class C:\n    def g(self, a):\n        return [(2 * a - 1.0) / 4 for _ in a]\n")
-    assert _radius_expressions("m", source) == ["m", "m.f", "m.C.g"]
+@pytest.mark.parametrize("rule", list(SEES))
+def test_the_guard_sees(rule):
+    source, sites = SEES[rule]
+    assert _sites("m", source, GUARDS[rule][0]) == sites
 
 
-def test_only_dispersion_writes_the_small_ball_radius():
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _radius_expressions(path.stem, path.read_text())]
-    assert sites and all(site.split(".")[0] == RADIUS_HOME for site in sites), sites
-
-
-# One home each: the complex linear interpolant (grids._interp, which
-# TimeSeries and GridFunction call), the wavenumber grid (spectral._xi_grid),
-# the table writer (grids.write_csv) and the rule that raises a float fault
-# as a QnlsError (errors.float_faults_raise, which j_eval and
-# dispersion-sweep run under).
-HOMES = {("interp",): ["grids._interp"] * 2,
-         ("fftfreq",): ["spectral._xi_grid"],
-         ("savetxt", "writer"): ["grids.write_csv"],
-         ("geterr", "FloatingPointError"): ["errors.float_faults_raise"] * 2}
-
-
-def _uses(module: str, source: str, names) -> list[str]:
-    """The qualified name of the function around each use of one of `names`:
-    an attribute (np.interp), a bare name or an imported name."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        name = (node.attr if isinstance(node, ast.Attribute)
-                else node.id if isinstance(node, ast.Name)
-                else node.name if isinstance(node, ast.alias) else None)
-        if name in names:
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), module)
-    return found
-
-
-def test_the_guard_sees_each_use_of_a_name():
-    source = ("import numpy as np\nfrom csv import writer\n"
-              "def f(x):\n    return np.interp(x, x, x.real) + 1j * np.fft.fftfreq(4)\n"
-              "class C:\n    def g(self, fh):\n        return writer(fh), np.savetxt\n")
-    assert _uses("m", source, ("interp",)) == ["m.f"]
-    assert _uses("m", source, ("fftfreq",)) == ["m.f"]
-    assert _uses("m", source, ("savetxt", "writer")) == ["m", "m.C.g", "m.C.g"]
-
-
-@pytest.mark.parametrize("names", list(HOMES), ids=lambda n: "-".join(n))
-def test_each_idea_has_one_home(names):
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _uses(path.stem, path.read_text(), names)]
-    assert sites == HOMES[names]
-
-
-# The J tail rule is one comparison: only bilinear._tail_dominates weighs a
-# tail estimate against 5% of the value.
-TAIL_RULE = "bilinear._tail_dominates"
-
-
-def _share_comparisons(module: str, source: str) -> list[str]:
-    """The qualified name of the function around each comparison with an
-    operand that is a product with the constant 0.05."""
-    found = []
-
-    def share(node) -> bool:
-        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                and any(isinstance(x, ast.Constant) and x.value == 0.05 or share(x)
-                        for x in (node.left, node.right)))
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare):
-            found.extend(where for x in [node.left] + node.comparators if share(x))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), module)
-    return found
-
-
-def test_the_guard_sees_a_comparison_with_five_percent_of_a_value():
-    source = ("def f(t, v):\n    if t > 0.05 * max(abs(v), 1e-300):\n        return 1\n"
-              "    return [k for k in t if 2 * (v * 0.05) < k], max(t, 0.05), t > 0.5 * v\n")
-    assert _share_comparisons("m", source) == ["m.f"] * 2
-
-
-def test_only_the_tail_rule_compares_with_five_percent_of_a_value():
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _share_comparisons(path.stem, path.read_text())]
-    assert sites == [TAIL_RULE]
-
-
-# The dominance condition of the 1-d J indicators, 2|fixed modulation| >=
-# |modulation sum|, is one comparison: only the integrand of bilinear._pieces
-# compares with twice an absolute value.
-DOMINANCE_RULE = "bilinear._pieces.f"
-
-
-def _twice_abs_comparisons(module: str, source: str) -> list[str]:
-    """The qualified name of the function around each comparison with twice
-    an absolute value: a product of the constant 2 with abs(...) or
-    np.abs(...), a name bound to one anywhere in the module, or an item of
-    such a name."""
-    tree = ast.parse(source)
-
-    def is_abs(node) -> bool:
-        return isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) == "abs" or getattr(node.func, "attr", None) == "abs")
-
-    def twice(node) -> bool:
-        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                and any(isinstance(x, ast.Constant) and x.value == 2 and is_abs(y)
-                        for x, y in ((node.left, node.right), (node.right, node.left))))
-    doubled = {name for name, value in _bindings(tree) if twice(value)}
-
-    def operand(node) -> bool:
-        base = node.value if isinstance(node, ast.Subscript) else node
-        return twice(node) or isinstance(base, ast.Name) and base.id in doubled
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare):
-            found.extend(where for x in [node.left] + node.comparators if operand(x))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, module)
-    return found
-
-
-def test_the_guard_sees_a_comparison_with_twice_an_absolute_value():
-    source = ("import numpy as np\n"
-              "def f(P, Q, q):\n    lhs, k = 2 * np.abs(Q + P * P), 3\n"
-              "    def g(r, y):\n        return (lhs[r] >= np.abs(y)) | (2.0 * abs(q) < y)\n"
-              "    return g, np.abs(q) <= abs(P) * 2, q > 2 * P, k > 1\n"
-              "class C:\n    def h(self, x):\n        return [2 * np.abs(v) for v in x if v]\n")
-    assert _twice_abs_comparisons("m", source) == ["m.f.g", "m.f.g", "m.f"]
-
-
-def test_only_the_j_integrand_compares_with_twice_an_absolute_value():
-    sites = [site for path in sorted(SRC.glob("*.py"))
-             for site in _twice_abs_comparisons(path.stem, path.read_text())]
-    assert sites == [DOMINANCE_RULE]
+@pytest.mark.parametrize("rule", list(GUARDS))
+def test_each_idea_has_one_home(rule):
+    check, sites = GUARDS[rule]
+    assert [site for module, source in SOURCES.items()
+            for site in _sites(module, source, check)] == sites
