@@ -213,14 +213,18 @@ def simulate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
         cn_lin(u, theta_u, lin_u)
         cn_lin(v, theta_v, lin_v)
 
-        # the first sweep's iterate is the current state itself
+        # the first sweep's iterate is the current state itself, so its
+        # midpoint 0.5 * (w + w) is w: the state's interior is read there
         prev_u, prev_v = u, v
         gap_first = None
         for sweep in range(cfg.nonlinearity_iters):
-            np.multiply(0.5, np.add(u[1:-1], prev_u[1:-1], out=mid_u), out=mid_u)
-            np.multiply(0.5, np.add(v[1:-1], prev_v[1:-1], out=mid_v), out=mid_v)
-            np.multiply(np.conj(mid_u, out=rhs_u), mid_v, out=rhs_u)
-            np.multiply(mid_u, mid_u, out=rhs_v)
+            if sweep == 0:
+                mu, mv = u[1:-1], v[1:-1]
+            else:
+                mu = np.multiply(0.5, np.add(u[1:-1], prev_u[1:-1], out=mid_u), out=mid_u)
+                mv = np.multiply(0.5, np.add(v[1:-1], prev_v[1:-1], out=mid_v), out=mid_v)
+            np.multiply(np.conj(mu, out=rhs_u), mv, out=rhs_u)
+            np.multiply(mu, mu, out=rhs_v)
             if sources is not None:
                 np.subtract(rhs_u, F1_mid, out=rhs_u)
                 np.subtract(rhs_v, F2_mid, out=rhs_v)
@@ -287,6 +291,13 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
     prefactor chosen to cancel the operator's own trace factor
     a^(lambda/2) e^(i lambda pi/4).  Iterates start from zero; returns the
     grid-norm distances between consecutive iterates.
+
+    One update advances u and then v: the field's nonlinearity goes straight
+    into its Duhamel term, whose x = 0 mismatch feeds the boundary term, and
+    the new iterate's distance to the old one is taken at once.  The old u is
+    dropped as soon as v's Duhamel term exists, so five (nx, nt) fields are
+    live while a boundary term is built: U, V, the two free groups and that
+    field's Duhamel term.
     """
     dx = 2.0 * cfg.L / nx
     xs = -cfg.L + dx * np.arange(nx)
@@ -313,24 +324,26 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
         pref = np.exp(-0.25j * np.pi * lam) / a ** (lam / 2.0)
         return pref * boundary.forcing_field(spec, xs, ts)
 
+    def duhamel_term(N: np.ndarray, a: float) -> np.ndarray:
+        return spectral.duhamel(SpaceTimeField(xs[0], dx, 0.0, dtc, N), a).samples
+
+    def update(S, free, datum, a, lam, old):
+        # the new iterate from the field's Duhamel term S, and its distance to old
+        B = boundary_term(psi * (datum - free[i0, :] - 1j * S[i0, :]), a, lam)
+        new = psi[None, :] * (free + 1j * S + B)
+        return new, np.sqrt(np.sum(np.abs(new - old) ** 2) * dx * dtc)
+
     U = np.zeros((nx, nt), dtype=complex)
     V = np.zeros((nx, nt), dtype=complex)
     distances = []
     grew = 0
     for it in range(k_iters):
-        N1 = psi_T[None, :] * np.conj(U) * V
-        N2 = psi_T[None, :] * U * U
-        S1 = spectral.duhamel(SpaceTimeField(xs[0], dx, 0.0, dtc, N1), 1.0).samples
-        S2 = spectral.duhamel(SpaceTimeField(xs[0], dx, 0.0, dtc, N2), cfg.a).samples
-        h1 = psi * (f_ext - free_u[i0, :] - 1j * S1[i0, :])
-        h2 = psi * (g_ext - free_v[i0, :] - 1j * S2[i0, :])
-        B1 = boundary_term(h1, 1.0, lambda1)
-        B2 = boundary_term(h2, cfg.a, lambda2)
-        U_new = psi[None, :] * (free_u + 1j * S1 + B1)
-        V_new = psi[None, :] * (free_v + 1j * S2 + B2)
-        d = (np.sqrt(np.sum(np.abs(U_new - U) ** 2) * dx * dtc)
-             + np.sqrt(np.sum(np.abs(V_new - V) ** 2) * dx * dtc))
-        distances.append(float(d))
+        S = duhamel_term(psi_T[None, :] * np.conj(U) * V, 1.0)
+        U_new, du = update(S, free_u, f_ext, 1.0, lambda1, U)
+        S = duhamel_term(psi_T[None, :] * U * U, cfg.a)
+        U = U_new
+        V, dv = update(S, free_v, g_ext, cfg.a, lambda2, V)
+        distances.append(float(du + dv))
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grew += 1
             if grew >= 3:
@@ -338,7 +351,6 @@ def contraction_iterate(cfg: SolverConfig, u0: GridFunction, v0: GridFunction,
                     f"iterate distances increasing: {distances[-4:]}")
         else:
             grew = 0
-        U, V = U_new, V_new
     return ContractionResult(distances,
                              SpaceTimeField(xs[0], dx, 0.0, dtc, U),
                              SpaceTimeField(xs[0], dx, 0.0, dtc, V))

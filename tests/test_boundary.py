@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -547,34 +546,25 @@ def _assert_columns_match_ladder(m, a_values, x_values, time_sets):
                 assert err <= 1e-8 * col_max[x], (m.n, a, x, xs.size, err / col_max[x])
 
 
-def _peak_bytes(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("lam", [0.25, -0.25])
-def test_trace_sized_def0_field_has_no_column_by_datum_table(lam):
+def test_trace_sized_def0_field_has_no_column_by_datum_table(lam, peak_bytes):
     # 171 ray columns of 48 times from a 4096-sample datum (two such fields,
     # at t +- dt, for lambda < 0); a table of columns x datum samples (11 MB)
     # or of times x lags (3 MB) would raise the benchmark's peak RSS
     f = bump_series(n=4096)
     spec = ForcingSpec(2.0, lam, f)
     ts = f.times[np.unique(np.linspace(1, f.n - 1, 48).astype(int))]
-    peak = _peak_bytes(lambda: forcing_field(spec, np.array([0.0]), ts))
+    peak = peak_bytes(lambda: forcing_field(spec, np.array([0.0]), ts))
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
-def test_contraction_sized_field_has_no_whole_field_node_table():
+def test_contraction_sized_field_has_no_whole_field_node_table(peak_bytes):
     # 129 |x| columns of 64 datum times, 670 k ladder nodes in all; node,
     # weight and lag arrays over all of them at once (about 27 MB) would
     # raise the benchmark's peak RSS
     f, _ = next(_oracle_cases())
     xs = -20.0 + (40.0 / 256) * np.arange(256)
-    peak = _peak_bytes(lambda: forcing_field(ForcingSpec(1.0, 0.0, f), xs, f.times))
+    peak = peak_bytes(lambda: forcing_field(ForcingSpec(1.0, 0.0, f), xs, f.times))
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 

@@ -1,7 +1,6 @@
 import csv
 import importlib.util
 import json
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -491,16 +490,10 @@ def test_dispersion_sweep_nan_or_inf_row_reduces_as_numpy(tmp_path, monkeypatch,
     assert _column(got, "min_residual") == ["nan", "nan"]
 
 
-def test_dispersion_sweep_peak_memory(tmp_path):
+def test_dispersion_sweep_peak_memory(tmp_path, peak_bytes):
     # the four draw arrays of one a take 3.2 MB; whole-array residuals, with
     # the previous a's draws held while the next drew, peaked near 8 MB
-    tracemalloc.start()
-    try:
-        run_experiment("dispersion-sweep", {}, 3, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5e6
+    assert peak_bytes(lambda: run_experiment("dispersion-sweep", {}, 3, tmp_path)) <= 4.5e6
 
 
 def test_an_allocation_failure_is_one_line_and_exit_1(tmp_path, capsys):

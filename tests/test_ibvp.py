@@ -3,11 +3,12 @@ import pytest
 from oracles import default_manufactured, manufactured_error
 from scipy.linalg import solve_banded
 
-from qnls import cli
+from qnls import cli, spectral
+from qnls.boundary import ForcingSpec, forcing_field
 from qnls.dispersion import regularity_region
 from qnls.errors import (BlowUpDetected, DivergentIteration, EmptyLedger,
                          NonConvergentNonlinearIteration)
-from qnls.grids import GridFunction, TimeSeries
+from qnls.grids import GridFunction, SpaceTimeField, TimeSeries
 from qnls.ibvp import (MassLedger, SolverConfig, _boundary_deriv, _cayley_solver,
                        contraction_iterate, mass_identity_residual, simulate)
 from qnls.profiles import gaussian, smooth_bump
@@ -401,6 +402,22 @@ def test_nonconvergent_guard_message_matches_parent_stepper():
     assert str(want.value) == "fixed-point gap grew from 7.69e+03 to 3.72e+05 at t=0.15"
 
 
+def test_overflowing_first_midpoint_raises_in_the_first_step():
+    # |u| past half the float range: the parent's first midpoint 0.5 * (w + w)
+    # overflows, and so does cn_lin's 2 * w, in the same step; the parent's
+    # solve then refuses the non-finite right-hand side, simulate names it
+    L, nx = 10.0, 65
+    x = np.linspace(0, L, nx)
+    huge = GridFunction(0.0, x[1], 1e308 * gaussian(x, center=5.0, width=1.0))
+    cfg = SolverConfig(L=L, nx=nx, dt=0.05, T=0.5, a=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _parent_simulate(cfg, huge, huge, zero_series(), zero_series())
+        with pytest.raises(BlowUpDetected,
+                           match=r"^non-finite right-hand side in the step to t=0\.05$"):
+            simulate(cfg, huge, huge, zero_series(), zero_series())
+
+
 def test_empty_ledger():
     ledger = MassLedger(np.array([]), np.array([]), np.array([]),
                         np.array([]), np.array([]))
@@ -469,17 +486,112 @@ def test_contraction_small_data_contracts():
         assert d[k + 1] / d[k] <= 0.9
 
 
-def test_contraction_of_large_data_raises_divergent_iteration():
-    # contraction's stock Gaussians scaled 16-fold: the iterate distances
-    # grow three times running (8-fold, the iteration still contracts)
-    cfg = cli.CONFIGS["contraction"]
+def _contraction_args(amp=1.0, **overrides):
+    """contraction_iterate's arguments as the contraction command builds them
+    from its config, with the stock Gaussians scaled by amp."""
+    cfg = {**cli.CONFIGS["contraction"], **overrides}
     dtc = cfg["t_span"] / cfg["nt"]
     # the contraction grid's x >= 0 half is the time stepper's grid
     nx_sim = cfg["nx"] // 2 + 1
     sc = SolverConfig(cfg["L"], nx_sim, dtc / 8.0, cfg["T"], cfg["a"])
     x = np.linspace(0.0, cfg["L"], nx_sim)
-    u0 = GridFunction(0.0, x[1], gaussian(x, 5.0, 1.0, 16 * cli.CONTRACTION_AMP_U))
-    v0 = GridFunction(0.0, x[1], gaussian(x, 7.0, 1.2, 16 * cli.CONTRACTION_AMP_V))
+    u0 = GridFunction(0.0, x[1], gaussian(x, 5.0, 1.0, amp * cli.CONTRACTION_AMP_U))
+    v0 = GridFunction(0.0, x[1], gaussian(x, 7.0, 1.2, amp * cli.CONTRACTION_AMP_V))
+    return ((sc, u0, v0, zero_series(), zero_series(), cfg["lambda1"], cfg["lambda2"],
+             cfg["k_iters"]), {"nx": cfg["nx"], "nt": cfg["nt"], "t_span": cfg["t_span"]})
+
+
+def test_contraction_of_large_data_raises_divergent_iteration():
+    # contraction's stock Gaussians scaled 16-fold: the iterate distances
+    # grow three times running (8-fold, the iteration still contracts)
+    args, kw = _contraction_args(16)
     with pytest.raises(DivergentIteration, match=r"iterate distances increasing: \[28\.26"):
-        contraction_iterate(sc, u0, v0, zero_series(), zero_series(), 0.0, 0.0,
-                            cfg["k_iters"], nx=cfg["nx"], nt=cfg["nt"], t_span=cfg["t_span"])
+        contraction_iterate(*args, **kw)
+
+
+def _parent_contraction(cfg, u0, v0, f, g, lambda1, lambda2, k_iters, nx, nt, t_span):
+    """The contraction map as it was: both nonlinearities, both Duhamel terms
+    and both boundary terms formed before either new iterate."""
+    dx = 2.0 * cfg.L / nx
+    xs = -cfg.L + dx * np.arange(nx)
+    dtc = t_span / nt
+    ts = dtc * np.arange(nt)
+    u0_ext = GridFunction(xs[0], dx, np.where(xs < 0.0, 0.0, u0(xs)))
+    v0_ext = GridFunction(xs[0], dx, np.where(xs < 0.0, 0.0, v0(xs)))
+    psi = spectral.cutoff(ts)
+    psi_T = spectral.cutoff(ts, cfg.T)
+    free_u = spectral.group_field(u0_ext, 1.0, ts)
+    free_v = spectral.group_field(v0_ext, cfg.a, ts)
+    f_ext = f(ts)
+    g_ext = g(ts)
+    i0 = int(np.argmin(np.abs(xs)))
+
+    def boundary_term(h_samples, a, lam):
+        h_samples = h_samples.copy()
+        h_samples[0] = 0.0
+        series = TimeSeries(0.0, dtc, h_samples)
+        if series.sup() == 0.0:
+            return np.zeros((nx, nt), dtype=complex)
+        spec = ForcingSpec(a, lam, series)
+        pref = np.exp(-0.25j * np.pi * lam) / a ** (lam / 2.0)
+        return pref * forcing_field(spec, xs, ts)
+
+    U = np.zeros((nx, nt), dtype=complex)
+    V = np.zeros((nx, nt), dtype=complex)
+    distances = []
+    grew = 0
+    for it in range(k_iters):
+        N1 = psi_T[None, :] * np.conj(U) * V
+        N2 = psi_T[None, :] * U * U
+        S1 = spectral.duhamel(SpaceTimeField(xs[0], dx, 0.0, dtc, N1), 1.0).samples
+        S2 = spectral.duhamel(SpaceTimeField(xs[0], dx, 0.0, dtc, N2), cfg.a).samples
+        h1 = psi * (f_ext - free_u[i0, :] - 1j * S1[i0, :])
+        h2 = psi * (g_ext - free_v[i0, :] - 1j * S2[i0, :])
+        B1 = boundary_term(h1, 1.0, lambda1)
+        B2 = boundary_term(h2, cfg.a, lambda2)
+        U_new = psi[None, :] * (free_u + 1j * S1 + B1)
+        V_new = psi[None, :] * (free_v + 1j * S2 + B2)
+        d = (np.sqrt(np.sum(np.abs(U_new - U) ** 2) * dx * dtc)
+             + np.sqrt(np.sum(np.abs(V_new - V) ** 2) * dx * dtc))
+        distances.append(float(d))
+        if len(distances) >= 2 and distances[-1] > distances[-2]:
+            grew += 1
+            if grew >= 3:
+                raise DivergentIteration(f"iterate distances increasing: {distances[-4:]}")
+        else:
+            grew = 0
+        U, V = U_new, V_new
+    return distances, U, V
+
+
+@pytest.mark.parametrize("overrides", [{"k_iters": 3},
+                                       {"k_iters": 3, "lambda1": 0.25, "lambda2": 0.5,
+                                        "a": 0.5}])
+def test_contraction_matches_parent_map(overrides):
+    args, kw = _contraction_args(**overrides)
+    res = contraction_iterate(*args, **kw)
+    distances, U, V = _parent_contraction(*args, **kw)
+    assert res.distances == distances
+    np.testing.assert_array_equal(res.u.samples, U)
+    np.testing.assert_array_equal(res.v.samples, V)
+
+
+def test_divergent_contraction_message_matches_parent_map():
+    args, kw = _contraction_args(16)
+    with pytest.raises(DivergentIteration) as want:
+        _parent_contraction(*args, **kw)
+    with pytest.raises(DivergentIteration) as got:
+        contraction_iterate(*args, **kw)
+    assert str(got.value) == str(want.value)
+
+
+def test_contraction_builds_each_boundary_term_beside_five_fields(peak_bytes):
+    # one (nx, nt) field of the workload grid is 256 KiB; boundary.forcing_field's
+    # own working set plus five live fields (U, V, both free groups and one
+    # Duhamel term) stays below 17 fields; a sixth live field (17.4) does not,
+    # nor ten, as when both nonlinearities, Duhamel and boundary terms were
+    # formed before either new iterate (21.4)
+    args, kw = _contraction_args(k_iters=3)
+    contraction_iterate(*args, **kw)     # the first call's one-off allocations
+    field = kw["nx"] * kw["nt"] * np.dtype(complex).itemsize
+    assert peak_bytes(lambda: contraction_iterate(*args, **kw)) < 17 * field
